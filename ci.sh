@@ -23,6 +23,14 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+# The repository benchmark (benchmark/, a workspace of its own) builds
+# against the crates' public APIs through path dependencies. Its tests must
+# pass, and neither the build nor anything above may rewrite its files —
+# including its committed Cargo.lock.
+echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+git diff --exit-code -- benchmark/ BENCHMARK.json
+
 if [[ "${1:-}" != "--quick" ]]; then
     sfbench=./target/release/sfbench
 
@@ -209,37 +217,20 @@ if [[ "${1:-}" != "--quick" ]]; then
     rm -f "$fault_serial_csv" "$fault_sharded_csv"
     echo "==> fault-scenario artifacts byte-identical"
 
-    # Sweep-as-a-service smoke: a background daemon must produce artifacts
-    # byte-identical to a direct run, then shut down cleanly over the
-    # protocol (removing its socket file).
-    echo "==> sfbench serve smoke (daemon submit vs direct run)"
-    serve_dir="$(mktemp -d)"
-    "$sfbench" serve --socket "$serve_dir/sock" --quiet &
-    serve_pid=$!
-    for _ in $(seq 1 500); do
-        [[ -S "$serve_dir/sock" ]] && break
-        sleep 0.01
-    done
-    "$sfbench" run fig05 --quick --quiet --no-resume --csv "$serve_dir/direct.csv" >/dev/null
-    "$sfbench" submit fig05 --quick --quiet --socket "$serve_dir/sock" \
-        --csv "$serve_dir/served.csv"
-    cmp "$serve_dir/direct.csv" "$serve_dir/served.csv"
-    "$sfbench" submit --shutdown --quiet --socket "$serve_dir/sock"
-    wait "$serve_pid"
-    [[ ! -e "$serve_dir/sock" ]]
-    rm -rf "$serve_dir"
-    echo "==> daemon-served artifact byte-identical to the direct run"
-
-    # Perf trajectory: record this PR's in-process bench snapshot and gate
-    # against the newest prior BENCH_*.json (wall-clock > +25% on a probe,
-    # or peak RSS > +10%, fails the build). The first run only records.
-    echo "==> sfbench bench (perf snapshot BENCH_10.json)"
-    prev_bench="$(ls -1 BENCH_*.json 2>/dev/null | grep -v '^BENCH_10\.json$' | sort -V | tail -1 || true)"
-    if [[ -n "${prev_bench:-}" ]]; then
-        "$sfbench" bench --label BENCH_10 --out BENCH_10.json --baseline "$prev_bench"
+    # Perf trajectory: record this change's in-process bench snapshot and
+    # gate against the newest committed BENCH_<n>.json (wall-clock > +25% on
+    # a probe, or peak RSS > +10%, fails the build). The snapshot is labelled
+    # BENCH_<n+1>; with no committed snapshot the run only records BENCH_1.
+    prev_bench="$(git ls-files 'BENCH_*.json' | sort -V | tail -1)"
+    if [[ -n "$prev_bench" ]]; then
+        prev_n="${prev_bench#BENCH_}"
+        bench_label="BENCH_$(( ${prev_n%.json} + 1 ))"
+        echo "==> sfbench bench (perf snapshot $bench_label.json vs $prev_bench)"
+        "$sfbench" bench --label "$bench_label" --out "$bench_label.json" --baseline "$prev_bench"
     else
-        "$sfbench" bench --label BENCH_10 --out BENCH_10.json
-        echo "    no prior BENCH_*.json snapshot; recorded baseline only"
+        echo "==> sfbench bench (perf snapshot BENCH_1.json)"
+        "$sfbench" bench --label BENCH_1 --out BENCH_1.json
+        echo "    no committed BENCH_*.json snapshot; recorded baseline only"
     fi
 fi
 

@@ -1,16 +1,22 @@
 //! The `sfbench bench` subcommand: in-process perf probes emitting a
 //! schema-versioned [`BenchReport`] snapshot (`BENCH_<n>.json`).
 //!
-//! Three probe families run, mirroring the Criterion micro-benches but
-//! inside one process so the peak-RSS figure comes from `/proc/self/status`
-//! (no external `/usr/bin/time` race, no `0 kB` fallback):
+//! Every probe runs inside one process, so the peak-RSS figure comes from
+//! `/proc/self/status` (no external `/usr/bin/time` race, no `0 kB`
+//! fallback):
 //!
 //! - `shard_sync/<k>` — a 128-node String Figure simulation with 1, 2, and
 //!   4 router shards (the per-cycle synchronisation tax probe).
 //! - `simulator_throughput/<n>` — cycle-level throughput on 64- and
 //!   256-node networks.
+//! - `topology_build/1296` — String Figure generation at the paper's scale.
+//! - `kernel_cps/<n>` — cycles/sec of one shard at 1296 and 2048 nodes.
+//! - `kernel_shards/<k>` — the 1296-node kernel across the `--shards`
+//!   matrix (default 1, 2, 4, 8).
 //! - `fig10_quick` — the fig10 saturation study at `--quick` scale through
 //!   the real [`execute`] path: sweep pool, journal, sink and all.
+//! - `dispatch_overhead` — `dispatch --workers 1` minus a direct run of the
+//!   quick megasweep (trajectory only, never gated).
 //!
 //! With `--baseline PATH` the fresh snapshot is diffed against a prior one;
 //! regressions (wall-clock beyond [`sf_obs::report::WALL_TOLERANCE`], RSS
@@ -40,8 +46,9 @@ const DEFAULT_SAMPLES: u32 = 3;
 /// Default shard counts for the `kernel_shards/<k>` scaling matrix.
 const DEFAULT_SHARD_MATRIX: &[usize] = &[1, 2, 4, 8];
 
-/// Runs one simulation identical to the Criterion `shard_sync` /
-/// `simulator_throughput` benches (same topology, traffic, seed, scale).
+/// Runs one String Figure simulation under uniform random traffic at 0.1
+/// packets/node/cycle (seed 11) — the `shard_sync` and
+/// `simulator_throughput` probes.
 fn run_sim(nodes: usize, ports: usize, shards: usize, max_cycles: u64, warmup_cycles: u64) {
     let topo = StringFigureTopology::generate(
         &NetworkConfig::new(nodes, ports).expect("bench network config"),
@@ -191,94 +198,6 @@ fn dispatch_overhead_runs(samples: u32) -> Option<(Vec<Duration>, Vec<Duration>)
     Some((direct, dispatched))
 }
 
-/// Kills the daemon subprocess when the probe leaves scope, so a failed
-/// sample can never leak a listening `sfbench serve` process.
-#[cfg(unix)]
-struct KillOnDrop(std::process::Child);
-
-#[cfg(unix)]
-impl Drop for KillOnDrop {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// The sweep-as-a-service tax probe: wall-clock delta between `submit`ting a
-/// quick fig05 job to a running `sfbench serve` daemon and a direct `run` of
-/// the same study, both as subprocesses so process startup cancels out. What
-/// remains is the serve fabric — socket round-trip, admission through the
-/// core ledger, and the event stream. Returns the per-sample timings, or
-/// `None` if the daemon or a client failed (the probe is then skipped, not
-/// fatal).
-#[cfg(unix)]
-fn serve_roundtrip_runs(samples: u32) -> Option<(Vec<Duration>, Vec<Duration>)> {
-    let exe = std::env::current_exe().ok()?;
-    let dir = std::env::temp_dir().join(format!("sf-bench-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let socket = dir.join("serve.sock");
-    let socket_str = socket.to_str()?.to_string();
-    let daemon = std::process::Command::new(&exe)
-        .args(["serve", "--socket", &socket_str, "--quiet"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .ok()?;
-    let _daemon = KillOnDrop(daemon);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !socket.exists() {
-        if Instant::now() > deadline {
-            return None;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let run_one = |args: &[&str]| -> Option<Duration> {
-        let started = Instant::now();
-        let status = std::process::Command::new(&exe)
-            .args(args)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .ok()?;
-        status.success().then(|| started.elapsed())
-    };
-    let direct_csv = dir.join("direct.csv");
-    let served_csv = dir.join("served.csv");
-    let direct_args = [
-        "run",
-        "fig05",
-        "--quick",
-        "--quiet",
-        "--no-resume",
-        "--csv",
-        direct_csv.to_str()?,
-    ];
-    let submit_args = [
-        "submit",
-        "fig05",
-        "--quick",
-        "--quiet",
-        "--socket",
-        &socket_str,
-        "--csv",
-        served_csv.to_str()?,
-    ];
-    let mut direct = Vec::with_capacity(samples as usize);
-    let mut served = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        direct.push(run_one(&direct_args)?);
-        served.push(run_one(&submit_args)?);
-    }
-    // The daemon's artifact must match the direct run byte for byte — a
-    // perf probe that measured a different computation would be meaningless.
-    if std::fs::read(&direct_csv).ok()? != std::fs::read(&served_csv).ok()? {
-        return None;
-    }
-    let _ = run_one(&["submit", "--shutdown", "--quiet", "--socket", &socket_str]);
-    let _ = std::fs::remove_dir_all(&dir);
-    Some((direct, served))
-}
-
 /// Entry point for `sfbench bench`; returns the process exit code.
 #[must_use]
 pub fn run(args: &CliArgs) -> i32 {
@@ -414,24 +333,6 @@ pub fn run(args: &CliArgs) -> i32 {
             });
         }
         None => eprintln!("# warning: dispatch_overhead probe skipped (worker subprocess failed)"),
-    }
-    // Serve fabric tax: min(submit-to-daemon) - min(direct run), floored at
-    // zero — socket round-trip, ledger admission, event stream.
-    #[cfg(unix)]
-    match serve_roundtrip_runs(samples) {
-        Some((direct, served)) => {
-            let delta_ms = (BenchReport::min_ms(&served) - BenchReport::min_ms(&direct)).max(0.0);
-            progress.note(&format!("# bench serve_roundtrip: {delta_ms:.3} ms delta"));
-            entries.push(BenchEntry {
-                name: "serve_roundtrip".to_string(),
-                wall_ms: delta_ms,
-                samples,
-                rate_per_s: None,
-                // Same shape as dispatch_overhead: trajectory-only.
-                gated: false,
-            });
-        }
-        None => eprintln!("# warning: serve_roundtrip probe skipped (daemon or client failed)"),
     }
 
     let report = BenchReport {

@@ -1,7 +1,7 @@
 //! The `sfbench` command-line interface: one multiplexed entry point over
 //! the [`StudyRegistry`] of paper artefacts **and** extended scenario
 //! studies (fault injection, adversarial traffic, scale-out), plus the
-//! single flag parser every binary in this crate uses.
+//! single flag parser behind every subcommand.
 //!
 //! ```text
 //! sfbench list                          # all studies with their artefacts
@@ -12,10 +12,10 @@
 //! sfbench report --trace t.jsonl        # offline artifact analyzer
 //! ```
 //!
-//! The historical per-figure binaries (`fig10_saturation`, …) are shims
-//! over [`delegate`], so `fig10_saturation --quick --csv f.csv` and
-//! `sfbench run fig10 --quick --csv f.csv` are the same code path and emit
-//! byte-identical artifacts.
+//! Every study also answers to its historical per-figure name through the
+//! registry's aliases: `sfbench run fig10_saturation --quick --csv f.csv`
+//! and `sfbench run fig10 --quick --csv f.csv` emit byte-identical
+//! artifacts.
 //!
 //! ## Checkpoint/resume
 //!
@@ -31,10 +31,10 @@
 use sf_harness::fabric::{self, Partition};
 use stringfigure::study::{execute, print_result_table, RunContext, Study, StudyRegistry};
 
-/// Boolean flags `sfbench run` (and the shim binaries) accept.
+/// Boolean flags `sfbench run` accepts.
 pub const RUN_BOOL_FLAGS: &[&str] = &["--quick", "--no-resume", "--quiet"];
 
-/// Value-carrying flags `sfbench run` (and the shim binaries) accept.
+/// Value-carrying flags `sfbench run` accepts.
 pub const RUN_VALUE_FLAGS: &[&str] = &[
     "--shards",
     "--csv",
@@ -49,8 +49,8 @@ pub const RUN_VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Parsed command-line arguments: the one flag-parsing code path shared by
-/// `sfbench`, the shim binaries, and the legacy `sf_bench::arg_value`
-/// helpers. Supports both `--flag value` and `--flag=value`.
+/// every `sfbench` subcommand. Supports both `--flag value` and
+/// `--flag=value`.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
     raw: Vec<String>,
@@ -61,12 +61,6 @@ impl CliArgs {
     #[must_use]
     pub fn new(raw: Vec<String>) -> Self {
         Self { raw }
-    }
-
-    /// The process's arguments, program name skipped.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::new(std::env::args().skip(1).collect())
     }
 
     /// Whether the boolean flag `name` (e.g. `--quick`) is present.
@@ -305,7 +299,7 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
         }
     }
     progress.note(&format!("# {}: {}", study.artefact(), study.description()));
-    crate::announce_pool();
+    crate::announce_pool(args.usize_value("--shards").unwrap_or(0));
     let ctx = context_from_args(args, partition);
     let code = match execute(study, &ctx) {
         Ok(table) => {
@@ -454,8 +448,6 @@ fn print_usage() {
          \x20 run <study> [options]    run a study\n\
          \x20 merge [options]          stitch --partition shards into the serial artifact\n\
          \x20 dispatch [options] run … spawn N partition workers, monitor, re-issue, merge\n\
-         \x20 serve [options]          long-running daemon accepting jobs on a Unix socket\n\
-         \x20 submit <study> [options] send a job to a running daemon, stream its events\n\
          \x20 bench [options]          in-process perf probes; emits a BENCH_<n>.json snapshot\n\
          \x20 report [options]         analyze run artifacts into a markdown report\n\
          \n\
@@ -489,21 +481,6 @@ fn print_usage() {
          \x20 --max-retries K          re-issues per partition before giving up (default 2)\n\
          \x20 --keep-shards            keep per-partition artifacts after the merge\n\
          \x20 --quiet                  suppress the aggregate progress line\n\
-         \n\
-         serve options:\n\
-         \x20 --socket PATH            Unix-domain socket to listen on (required)\n\
-         \x20 --cores N                cores the job ledger arbitrates (default: machine)\n\
-         \x20 --quiet                  suppress daemon lifecycle notes\n\
-         \n\
-         submit options:\n\
-         \x20 --socket PATH            daemon socket to connect to (required)\n\
-         \x20 --quick                  submit at reduced smoke scale\n\
-         \x20 --csv / --json PATH      artifact paths, written by the daemon\n\
-         \x20 --cores N                cap the job's core reservation\n\
-         \x20 --shards N               intra-simulation router shards (0 = auto)\n\
-         \x20 --batch                  batch priority (interactive submissions jump ahead)\n\
-         \x20 --ping / --shutdown      probe or stop the daemon instead of submitting\n\
-         \x20 --quiet                  print nothing but errors\n\
          \n\
          report options:\n\
          \x20 --telemetry PATH         congestion heatmap from a telemetry stream\n\
@@ -578,8 +555,6 @@ pub fn main(args: Vec<String>) -> i32 {
         }
         Some("merge") => crate::dispatch::merge_main(&CliArgs::new(args.collect())),
         Some("dispatch") => crate::dispatch::dispatch_main(args.collect()),
-        Some("serve") => crate::serve::serve_main(&CliArgs::new(args.collect())),
-        Some("submit") => crate::serve::submit_main(args.collect()),
         Some("bench") => crate::benchprobe::run(&CliArgs::new(args.collect())),
         Some("report") => crate::report::run(&CliArgs::new(args.collect())),
         None | Some("help" | "--help" | "-h") => {
@@ -592,17 +567,6 @@ pub fn main(args: Vec<String>) -> i32 {
             2
         }
     }
-}
-
-/// Entry point for the legacy per-figure shim binaries: runs `study` with
-/// the process's own arguments, exactly like `sfbench run <study> <args>`.
-#[must_use]
-pub fn delegate(study: &str) -> i32 {
-    let registry = StudyRegistry::all();
-    let Some(study) = registry.get(study) else {
-        return unknown_study(study, &registry);
-    };
-    run_study(study, &CliArgs::from_env())
 }
 
 #[cfg(test)]

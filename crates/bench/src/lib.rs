@@ -5,16 +5,13 @@
 //! The `sfbench` binary multiplexes every paper artefact through the
 //! [`stringfigure::study::StudyRegistry`] (`sfbench list`, `sfbench run
 //! fig10 --quick --csv out.csv`); see [`cli`]. The historical per-figure
-//! binaries in `src/bin/` remain as shims that delegate to the same
-//! registry, so existing invocations keep producing byte-identical
-//! artifacts. The Criterion benches in `benches/` measure the cost of the
-//! core operations themselves (topology generation, routing decisions,
-//! simulator cycles, reconfiguration).
+//! names (`fig10_saturation`, …) are registry aliases, so `sfbench run
+//! fig10_saturation` keeps producing byte-identical artifacts. `sfbench
+//! bench` ([`benchprobe`]) measures the cost of the core operations
+//! themselves (topology generation, simulator cycles, shard scaling).
 //!
-//! Flag parsing lives in [`cli::CliArgs`] — the single code path behind the
-//! CLI and the legacy helpers kept here ([`quick_mode`], [`arg_value`],
-//! [`shard_override`]). Table rendering lives in `stringfigure::study` and
-//! is re-exported here for compatibility.
+//! Flag parsing lives in [`cli::CliArgs`]. Table rendering lives in
+//! `stringfigure::study` and is re-exported here for compatibility.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,34 +21,16 @@ pub mod cli;
 pub mod dispatch;
 pub mod proto;
 pub mod report;
-pub mod serve;
 
 pub use stringfigure::study::{fmt_f, fmt_percent, print_table};
-
-/// Parses a `--quick` flag from the command line arguments, letting every
-/// harness run in a reduced-scale mode for smoke testing.
-#[must_use]
-pub fn quick_mode() -> bool {
-    cli::CliArgs::from_env().flag("--quick")
-}
-
-/// The value of `flag` on the command line, accepting both `--flag value`
-/// and `--flag=value`.
-///
-/// A missing value — `--csv` as the last argument, or directly followed by
-/// another `--flag` — is reported on stderr and treated as absent rather
-/// than silently consuming the next flag as a file name.
-#[must_use]
-pub fn arg_value(flag: &str) -> Option<String> {
-    cli::CliArgs::from_env().value(flag)
-}
 
 /// Prints how the two parallelism layers will execute this run: sweep-level
 /// workers (`sf-harness`) and intra-simulation router shards (`sf-simcore`),
 /// plus the knobs that control them. The layers share one core budget
 /// (`SF_CORES`), so a sweep that claims W workers leaves `budget / W` cores
-/// for each job's shards.
-pub fn announce_pool() {
+/// for each job's shards. `shards_flag` is the `--shards N` value of the
+/// command line (`0` = not given).
+pub fn announce_pool(shards_flag: usize) {
     let progress = sf_obs::progress::Progress::global();
     let pool = sf_harness::PoolConfig::auto();
     progress.note(&format!(
@@ -61,10 +40,9 @@ pub fn announce_pool() {
     ));
     // Mirror resolve_shard_count's precedence: --shards beats the
     // environment variable beats the automatic policy.
-    let flag = shard_override();
     let env_shards = sf_netsim::shard::env_shard_override();
-    let policy = if flag > 0 {
-        format!("{flag} (from --shards)")
+    let policy = if shards_flag > 0 {
+        format!("{shards_flag} (from --shards)")
     } else if let Some(shards) = env_shards {
         format!("{shards} (from {})", sf_netsim::shard::SHARDS_ENV)
     } else {
@@ -78,46 +56,6 @@ pub fn announce_pool() {
     progress.note(&format!(
         "# sf-simcore: simulation shards per job: {policy}"
     ));
-}
-
-/// The intra-simulation shard count requested with `--shards N` on the
-/// command line (`0` = not given, let the automatic policy decide).
-#[must_use]
-pub fn shard_override() -> usize {
-    cli::CliArgs::from_env()
-        .usize_value("--shards")
-        .unwrap_or(0)
-}
-
-/// Writes `table` to the paths given by `--csv PATH` and/or `--json PATH`.
-///
-/// Without either flag this is a no-op, so every figure binary doubles as a
-/// machine-readable artifact producer when asked and stays a plain
-/// table-printer otherwise.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from writing the artifact files.
-pub fn emit_table(table: &sf_harness::Table) -> std::io::Result<()> {
-    let progress = sf_obs::progress::Progress::global();
-    if let Some(path) = arg_value("--csv") {
-        std::fs::write(&path, table.to_csv())?;
-        progress.note(&format!("# wrote {path} ({} rows)", table.len()));
-    }
-    if let Some(path) = arg_value("--json") {
-        std::fs::write(&path, table.to_json())?;
-        progress.note(&format!("# wrote {path} ({} rows)", table.len()));
-    }
-    Ok(())
-}
-
-/// [`emit_table`] for a slice of typed experiment rows.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from writing the artifact files.
-pub fn emit_records<R: sf_harness::Record>(rows: &[R]) -> std::io::Result<()> {
-    emit_table(&sf_harness::Table::from_records(rows))
 }
 
 #[cfg(test)]

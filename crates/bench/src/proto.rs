@@ -1,8 +1,7 @@
-//! Minimal hand-rolled JSON for the flat one-line documents this crate
-//! exchanges: `sf-heartbeat/v1` heartbeat files (written by
-//! `sf_obs::progress`, read by the dispatch coordinator) and the
-//! `sf-serve/v1` request/event lines of the resident daemon. Zero
-//! dependencies, consistent with the rest of the offline stack.
+//! Minimal hand-rolled JSON reader for the flat one-line `sf-heartbeat/v1`
+//! heartbeat files (written by `sf_obs::progress`, read by the dispatch
+//! coordinator). Zero dependencies, consistent with the rest of the offline
+//! stack.
 //!
 //! The reader is **escape-aware**: it tokenises the top-level object
 //! properly (string escapes, nested objects/arrays) instead of substring
@@ -11,91 +10,6 @@
 //! is the `sf-heartbeat/v1` parsing contract: heartbeat consumers must
 //! extract fields with a tokeniser of at least this strength, never with
 //! `find("\"done\":")`.
-//!
-//! The writer side ([`escape`], [`Object`]) produces the same escaping the
-//! readers undo, so a round trip through any label is lossless.
-
-use std::fmt::Write as _;
-
-/// Escapes `text` as the body of a JSON string literal: `"` and `\` get a
-/// backslash, newlines become `\n`, and other control characters use the
-/// `\u00XX` form. The exact dual of the unescaping in [`field_str`].
-#[must_use]
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Incremental builder for one-line JSON objects — the writer half of the
-/// protocol, matching what [`fields`] parses.
-#[derive(Debug, Default)]
-pub struct Object {
-    body: String,
-}
-
-impl Object {
-    /// Starts an empty object.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.body.is_empty() {
-            self.body.push(',');
-        }
-        let _ = write!(self.body, "\"{}\":", escape(key));
-    }
-
-    /// Adds a string field (escaped).
-    #[must_use]
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "\"{}\"", escape(value));
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    #[must_use]
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "{value}");
-        self
-    }
-
-    /// Adds a boolean field.
-    #[must_use]
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "{value}");
-        self
-    }
-
-    /// Adds a pre-rendered JSON value verbatim (nested array/object).
-    #[must_use]
-    pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.body.push_str(value);
-        self
-    }
-
-    /// Renders the object as a single line (no trailing newline).
-    #[must_use]
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.body)
-    }
-}
 
 /// One top-level field value as tokenised by [`fields`].
 #[derive(Debug, Clone, PartialEq)]
@@ -158,8 +72,8 @@ fn skip_ws(chars: &mut Chars<'_>) {
     }
 }
 
-/// Parses a string literal starting at the current `"`, undoing the escapes
-/// [`escape`] produces (plus `\t`, `\r`, `\/`, and `\uXXXX` generally).
+/// Parses a string literal starting at the current `"`, undoing the JSON
+/// escapes (`\"`, `\\`, `\/`, `\n`, `\t`, `\r`, and `\uXXXX`).
 fn parse_string(chars: &mut Chars<'_>) -> Option<String> {
     if chars.next().map(|(_, c)| c) != Some('"') {
         return None;
@@ -273,25 +187,6 @@ pub fn field_str(text: &str, key: &str) -> Option<String> {
     }
 }
 
-/// The `key` field of flat object `text` as a boolean.
-#[must_use]
-pub fn field_bool(text: &str, key: &str) -> Option<bool> {
-    match lookup(text, key)? {
-        FieldValue::Bool(b) => Some(b),
-        _ => None,
-    }
-}
-
-/// The `key` field of flat object `text` as a raw JSON span (nested
-/// array/object kept verbatim).
-#[must_use]
-pub fn field_raw(text: &str, key: &str) -> Option<String> {
-    match lookup(text, key)? {
-        FieldValue::Raw(raw) => Some(raw),
-        _ => None,
-    }
-}
-
 fn lookup(text: &str, key: &str) -> Option<FieldValue> {
     fields(text)?
         .into_iter()
@@ -304,36 +199,44 @@ mod tests {
 
     #[test]
     fn builder_and_reader_round_trip_plain_fields() {
-        let line = Object::new()
-            .str("schema", "sf-serve/v1")
-            .u64("job", 42)
-            .bool("quick", true)
-            .raw("cells", "[1,2.5,\"x\"]")
-            .finish();
-        assert_eq!(field_str(&line, "schema").as_deref(), Some("sf-serve/v1"));
-        assert_eq!(field_u64(&line, "job"), Some(42));
-        assert_eq!(field_bool(&line, "quick"), Some(true));
-        assert_eq!(field_raw(&line, "cells").as_deref(), Some("[1,2.5,\"x\"]"));
+        let line = sf_obs::progress::heartbeat_line("fig10", 42, 64, 40, 1234, true);
+        assert_eq!(
+            field_str(&line, "schema").as_deref(),
+            Some("sf-heartbeat/v1")
+        );
+        assert_eq!(field_str(&line, "label").as_deref(), Some("fig10"));
+        assert_eq!(field_u64(&line, "done"), Some(42));
+        assert_eq!(field_u64(&line, "elapsed_ms"), Some(1234));
+        assert_eq!(lookup(&line, "finished"), Some(FieldValue::Bool(true)));
         assert_eq!(field_u64(&line, "absent"), None);
+        assert_eq!(
+            lookup(r#"{"cells":[1,2.5,"x"],"gone":null}"#, "cells"),
+            Some(FieldValue::Raw(r#"[1,2.5,"x"]"#.to_string()))
+        );
+        assert_eq!(
+            lookup(r#"{"cells":[1,2.5,"x"],"gone":null}"#, "gone"),
+            Some(FieldValue::Null)
+        );
     }
 
     #[test]
     fn escaped_strings_round_trip() {
-        let nasty = "a\"b\\c\nd\tcontrol:\u{1}";
-        let line = Object::new().str("label", nasty).u64("done", 3).finish();
+        let nasty = "a\"b\\c\nd";
+        let line = sf_obs::progress::heartbeat_line(nasty, 3, 8, 3, 0, false);
         assert_eq!(field_str(&line, "label").as_deref(), Some(nasty));
         assert_eq!(field_u64(&line, "done"), Some(3));
+        let line = r#"{"label":"tab\there\r\/\u0001","done":3}"#;
+        assert_eq!(
+            field_str(line, "label").as_deref(),
+            Some("tab\there\r/\u{1}")
+        );
     }
 
     #[test]
     fn adversarial_field_values_cannot_shadow_real_fields() {
         // The label *contains* a JSON-looking "done":99 — a naive substring
         // scan would return 99; the tokeniser must return the real field.
-        let line = Object::new()
-            .str("label", "x\"done\":99,")
-            .u64("done", 3)
-            .u64("total", 8)
-            .finish();
+        let line = sf_obs::progress::heartbeat_line("x\"done\":99,", 3, 8, 3, 0, false);
         assert_eq!(field_u64(&line, "done"), Some(3));
         assert_eq!(field_u64(&line, "total"), Some(8));
     }
@@ -344,8 +247,10 @@ mod tests {
         assert_eq!(field_u64(line, "done"), Some(5));
         assert_eq!(field_u64(line, "total"), None);
         assert_eq!(
-            field_raw(line, "inner").as_deref(),
-            Some(r#"{"done":99,"arr":[1,{"total":7}]}"#)
+            lookup(line, "inner"),
+            Some(FieldValue::Raw(
+                r#"{"done":99,"arr":[1,{"total":7}]}"#.to_string()
+            ))
         );
     }
 

@@ -1,35 +1,33 @@
 //! Experiment drivers that regenerate the paper's tables and figures.
 //!
 //! Each function corresponds to one evaluation artefact and returns plain
-//! serialisable rows. The canonical entry points are the `*_with_ctx`
-//! variants running inside a [`crate::study::RunContext`] (worker pool,
-//! topology cache, checkpoint/resume) — the registered [`crate::study`]
-//! studies and the `sfbench` CLI call those with the paper's parameters —
-//! while the historical `*_study` / `*_with_pool` signatures remain as thin
-//! wrappers for the integration tests, which run them at reduced scale to
+//! serialisable rows. Every driver runs inside a [`crate::study::RunContext`]
+//! (worker pool, topology cache, checkpoint/resume): the registered
+//! [`crate::study`] studies and the `sfbench` CLI call them with the paper's
+//! parameters, and the integration tests run them at reduced scale
+//! (`RunContext::new()`, or `.with_pool(..)` for an explicit worker count) to
 //! check the qualitative trends (who wins, and by roughly how much).
 //!
 //! | function | paper artefact |
 //! |----------|----------------|
-//! | [`surg_path_length_study`]     | Figure 5 |
-//! | [`hop_count_study`]            | Figure 9(a) |
-//! | [`power_gating_study`]         | Figure 9(b) |
-//! | [`saturation_study`]           | Figure 10 |
-//! | [`latency_curve`]              | Figure 11 |
-//! | [`workload_study`]             | Figure 12(a) and 12(b) |
-//! | [`bisection_study`]            | Section V bisection methodology |
-//! | [`configuration_table`]        | Figure 8 / Table II |
-//! | [`fault_resilience_study`]     | Scenario: fault injection |
-//! | [`adversarial_saturation_study`] | Scenario: adversarial traffic |
-//! | [`scaleout_study`]             | Scenario: scale-out beyond 1296 nodes |
-//! | [`megasweep_study`]            | Scenario: streaming mega-sweep |
+//! | [`surg_path_length_study_with_ctx`]       | Figure 5 |
+//! | [`hop_count_study_with_ctx`]              | Figure 9(a) |
+//! | [`power_gating_study_with_ctx`]           | Figure 9(b) |
+//! | [`saturation_study_with_ctx`]             | Figure 10 |
+//! | [`latency_curve_with_ctx`]                | Figure 11 |
+//! | [`workload_study_with_ctx`]               | Figure 12(a) and 12(b) |
+//! | [`bisection_study_with_ctx`]              | Section V bisection methodology |
+//! | [`configuration_table_with_ctx`]          | Figure 8 / Table II |
+//! | [`fault_resilience_study_with_ctx`]       | Scenario: fault injection |
+//! | [`adversarial_saturation_study_with_ctx`] | Scenario: adversarial traffic |
+//! | [`scaleout_study_with_ctx`]               | Scenario: scale-out beyond 1296 nodes |
+//! | [`megasweep_study_with_ctx`]              | Scenario: streaming mega-sweep |
 
 use crate::comparison::{NetworkInstance, TopologyKind};
 use crate::network::StringFigureNetwork;
 use crate::power::PowerManager;
 use crate::study::RunContext;
 use serde::{Deserialize, Serialize};
-use sf_harness::pool::PoolConfig;
 use sf_harness::sweep::{cross2, cross2_lazy, cross3_lazy};
 use sf_harness::table::{Record, Value};
 use sf_harness::BuildCache;
@@ -45,22 +43,6 @@ use std::sync::{Arc, OnceLock};
 // ---------------------------------------------------------------------------
 // Harness plumbing: worker pool, topology cache, outcome collection
 // ---------------------------------------------------------------------------
-
-/// The worker pool every study runs on by default: one worker per CPU,
-/// overridable with the `SF_HARNESS_THREADS` environment variable. Results
-/// are collected by job index, so any worker count produces bit-identical
-/// rows (see the `*_with_pool` variants and the determinism test below).
-#[must_use]
-pub fn default_pool() -> PoolConfig {
-    PoolConfig::auto()
-}
-
-/// A context wrapping an explicit worker pool — the adapter that collapses
-/// the historical `*_study` / `*_with_pool` entry points onto the single
-/// [`RunContext`] code path.
-fn pool_ctx(pool: &PoolConfig) -> RunContext {
-    RunContext::new().with_pool(*pool)
-}
 
 /// Process-wide cache of generated [`NetworkInstance`]s keyed by
 /// `(kind, nodes, seed)`. Construction is a pure function of the key, so
@@ -181,28 +163,7 @@ pub struct SurgRow {
 /// String Figure across network sizes, averaged over `seeds` generated
 /// topologies each.
 ///
-/// # Errors
-///
-/// Propagates topology construction errors.
-pub fn surg_path_length_study(sizes: &[usize], seeds: u64) -> SfResult<Vec<SurgRow>> {
-    surg_path_length_study_with_ctx(&RunContext::new(), sizes, seeds)
-}
-
-/// [`surg_path_length_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates topology construction errors.
-pub fn surg_path_length_study_with_pool(
-    pool: &PoolConfig,
-    sizes: &[usize],
-    seeds: u64,
-) -> SfResult<Vec<SurgRow>> {
-    surg_path_length_study_with_ctx(&pool_ctx(pool), sizes, seeds)
-}
-
-/// [`surg_path_length_study`] inside an explicit [`RunContext`] — the single
-/// code path behind both wrappers (and the `fig05` study).
+/// The driver behind the `fig05` study.
 ///
 /// # Errors
 ///
@@ -272,35 +233,7 @@ pub struct HopCountRow {
 /// sizes, using each design's own routing protocol over `samples` random
 /// source/destination pairs.
 ///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn hop_count_study(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    hop_count_study_with_ctx(&RunContext::new(), kinds, sizes, samples, seed)
-}
-
-/// [`hop_count_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn hop_count_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    hop_count_study_with_ctx(&pool_ctx(pool), kinds, sizes, samples, seed)
-}
-
-/// [`hop_count_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig09a` study).
+/// The driver behind the `fig09a` study.
 ///
 /// # Errors
 ///
@@ -351,48 +284,7 @@ pub struct SaturationRow {
 /// A rate counts as saturated when the simulator's backlog heuristic triggers
 /// or the average latency exceeds four times the latency at the lowest rate.
 ///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn saturation_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    saturation_study_with_ctx(
-        &RunContext::new(),
-        kinds,
-        nodes,
-        pattern,
-        rates,
-        scale,
-        seed,
-    )
-}
-
-/// [`saturation_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn saturation_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    saturation_study_with_ctx(&pool_ctx(pool), kinds, nodes, pattern, rates, scale, seed)
-}
-
-/// [`saturation_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig10` study).
+/// The driver behind the `fig10` study.
 ///
 /// One job per design; the injection-rate ladder inside a job stays serial
 /// because each rung's early exit depends on the previous one.
@@ -470,41 +362,8 @@ pub struct LatencyPoint {
 /// Reproduces one curve of Figure 11: average packet latency of `kind` under
 /// `pattern` across the given injection rates.
 ///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn latency_curve(
-    kind: TopologyKind,
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<LatencyPoint>> {
-    latency_curve_with_ctx(&RunContext::new(), kind, nodes, pattern, rates, scale, seed)
-}
-
-/// [`latency_curve`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn latency_curve_with_pool(
-    pool: &PoolConfig,
-    kind: TopologyKind,
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<LatencyPoint>> {
-    latency_curve_with_ctx(&pool_ctx(pool), kind, nodes, pattern, rates, scale, seed)
-}
-
-/// [`latency_curve`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig11` study): one job per injection
-/// rate, all sharing the cached network instance.
+/// The driver behind the `fig11` study: one job per injection rate, all
+/// sharing the cached network instance.
 ///
 /// # Errors
 ///
@@ -558,57 +417,8 @@ pub struct WorkloadRow {
 /// request–reply mode from `socket_count` processor-attached nodes and
 /// reports throughput and dynamic energy.
 ///
-/// # Errors
-///
-/// Propagates construction, workload, and simulation errors.
-pub fn workload_study(
-    kinds: &[TopologyKind],
-    workloads: &[ApplicationModel],
-    nodes: usize,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<WorkloadRow>> {
-    workload_study_with_ctx(
-        &RunContext::new(),
-        kinds,
-        workloads,
-        nodes,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`workload_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction, workload, and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn workload_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    workloads: &[ApplicationModel],
-    nodes: usize,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<WorkloadRow>> {
-    workload_study_with_ctx(
-        &pool_ctx(pool),
-        kinds,
-        workloads,
-        nodes,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`workload_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig12` study): one job per
-/// (design, application) pair.
+/// The driver behind the `fig12` study: one job per (design, application)
+/// pair.
 ///
 /// # Errors
 ///
@@ -699,56 +509,7 @@ pub struct PowerGateRow {
 /// power gating increasing fractions of the memory nodes, reporting the
 /// normalised energy-delay product.
 ///
-/// # Errors
-///
-/// Propagates construction, reconfiguration, and simulation errors.
-pub fn power_gating_study(
-    nodes: usize,
-    fractions: &[f64],
-    workload: ApplicationModel,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<PowerGateRow>> {
-    power_gating_study_with_ctx(
-        &RunContext::new(),
-        nodes,
-        fractions,
-        workload,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`power_gating_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction, reconfiguration, and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn power_gating_study_with_pool(
-    pool: &PoolConfig,
-    nodes: usize,
-    fractions: &[f64],
-    workload: ApplicationModel,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<PowerGateRow>> {
-    power_gating_study_with_ctx(
-        &pool_ctx(pool),
-        nodes,
-        fractions,
-        workload,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`power_gating_study`] inside an explicit [`RunContext`] — the single
-/// code path behind both wrappers (and the `fig09b` study).
+/// The driver behind the `fig09b` study.
 ///
 /// Every fraction is an independent job (each builds and gates its own
 /// network, so nothing is shared); normalisation against the first
@@ -875,37 +636,8 @@ pub struct BisectionRow {
 /// Reproduces the bisection-bandwidth methodology of Section V (50 random
 /// bisections, averaged over generated topologies).
 ///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn bisection_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    cuts: usize,
-    topologies: u64,
-) -> SfResult<Vec<BisectionRow>> {
-    bisection_study_with_ctx(&RunContext::new(), kinds, nodes, cuts, topologies)
-}
-
-/// [`bisection_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn bisection_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    cuts: usize,
-    topologies: u64,
-) -> SfResult<Vec<BisectionRow>> {
-    bisection_study_with_ctx(&pool_ctx(pool), kinds, nodes, cuts, topologies)
-}
-
-/// [`bisection_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `bisection` study): one job per
-/// (design, generated topology), averaged per design afterwards in
-/// enumeration order.
+/// The driver behind the `bisection` study: one job per (design, generated
+/// topology), averaged per design afterwards in enumeration order.
 ///
 /// # Errors
 ///
@@ -966,33 +698,7 @@ pub struct ConfigurationRow {
 /// Reproduces the Figure 8 configuration table plus Table II's feature
 /// matrix for the given sizes.
 ///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn configuration_table(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    seed: u64,
-) -> SfResult<Vec<ConfigurationRow>> {
-    configuration_table_with_ctx(&RunContext::new(), kinds, sizes, seed)
-}
-
-/// [`configuration_table`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn configuration_table_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    seed: u64,
-) -> SfResult<Vec<ConfigurationRow>> {
-    configuration_table_with_ctx(&pool_ctx(pool), kinds, sizes, seed)
-}
-
-/// [`configuration_table`] inside an explicit [`RunContext`] — the single
-/// code path behind both wrappers (and the `fig08` study).
+/// The driver behind the `fig08` study.
 ///
 /// # Errors
 ///
@@ -1067,31 +773,8 @@ impl FaultResilienceRow {
 /// at increasing severity. Severity `(0, 0)` is the healthy baseline row,
 /// run without any fault plan — pinning the zero-cost-off contract.
 ///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn fault_resilience_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    severities: &[(usize, usize)],
-    injection_rate: f64,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<FaultResilienceRow>> {
-    fault_resilience_study_with_ctx(
-        &RunContext::new(),
-        kinds,
-        nodes,
-        severities,
-        injection_rate,
-        scale,
-        seed,
-    )
-}
-
-/// [`fault_resilience_study`] inside an explicit [`RunContext`] — the single
-/// code path behind the `fault_resilience` study: one job per
-/// (design, severity) pair.
+/// The driver behind the `fault_resilience` study: one job per (design,
+/// severity) pair.
 ///
 /// # Errors
 ///
@@ -1144,21 +827,7 @@ pub fn fault_resilience_study_with_ctx(
 /// adversarial traffic patterns ([`SyntheticPattern::ADVERSARIAL`]) instead
 /// of the paper's well-behaved Table III patterns.
 ///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn adversarial_saturation_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    adversarial_saturation_study_with_ctx(&RunContext::new(), kinds, nodes, rates, scale, seed)
-}
-
-/// [`adversarial_saturation_study`] inside an explicit [`RunContext`] — the
-/// single code path behind the `adversarial_saturation` study.
+/// The driver behind the `adversarial_saturation` study.
 ///
 /// # Errors
 ///
@@ -1184,20 +853,7 @@ pub fn adversarial_saturation_study_with_ctx(
 /// paper's 1296-node maximum, for the designs whose radix does not grow with
 /// scale.
 ///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn scaleout_study(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    scaleout_study_with_ctx(&RunContext::new(), kinds, sizes, samples, seed)
-}
-
-/// [`scaleout_study`] inside an explicit [`RunContext`] — the single code
-/// path behind the `scaleout_2048` study.
+/// The driver behind the `scaleout_2048` study.
 ///
 /// # Errors
 ///
@@ -1258,22 +914,9 @@ pub struct MegasweepSummaryRow {
 /// and only the per-design [`MegasweepSummaryRow`] aggregate comes back —
 /// the whole pipeline runs in `O(workers)` memory.
 ///
-/// # Errors
-///
-/// Propagates construction, simulation, and artifact-sink errors.
-pub fn megasweep_study(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    rates: &[f64],
-    seeds: u64,
-    scale: ExperimentScale,
-) -> SfResult<Vec<MegasweepSummaryRow>> {
-    megasweep_study_with_ctx(&RunContext::new(), kinds, sizes, rates, seeds, scale)
-}
-
-/// [`megasweep_study`] inside an explicit [`RunContext`] — the single code
-/// path behind the `megasweep` study, and the only driver that **requires**
-/// the streaming pipeline: it refuses to exist as a collect-then-emit loop.
+/// The driver behind the `megasweep` study, and the only driver that
+/// **requires** the streaming pipeline: it refuses to exist as a
+/// collect-then-emit loop.
 ///
 /// # Errors
 ///
@@ -1594,10 +1237,11 @@ impl Record for ConfigurationRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sf_harness::pool::PoolConfig;
 
     #[test]
     fn surg_rows_show_flat_scaling() {
-        let rows = surg_path_length_study(&[64, 200], 2).unwrap();
+        let rows = surg_path_length_study_with_ctx(&RunContext::new(), &[64, 200], 2).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.string_figure < 6.0);
@@ -1610,7 +1254,8 @@ mod tests {
 
     #[test]
     fn hop_count_study_orders_designs() {
-        let rows = hop_count_study(
+        let rows = hop_count_study_with_ctx(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             &[144],
             200,
@@ -1633,7 +1278,8 @@ mod tests {
     #[test]
     fn saturation_study_runs_and_mesh_saturates_first() {
         let rates = [0.02, 0.10, 0.30, 0.60];
-        let rows = saturation_study(
+        let rows = saturation_study_with_ctx(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
             SyntheticPattern::UniformRandom,
@@ -1654,7 +1300,8 @@ mod tests {
 
     #[test]
     fn latency_curve_is_monotonic_until_saturation() {
-        let points = latency_curve(
+        let points = latency_curve_with_ctx(
+            &RunContext::new(),
             TopologyKind::StringFigure,
             32,
             SyntheticPattern::UniformRandom,
@@ -1670,7 +1317,8 @@ mod tests {
 
     #[test]
     fn workload_study_produces_rows_for_each_pair() {
-        let rows = workload_study(
+        let rows = workload_study_with_ctx(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             &[ApplicationModel::Memcached],
             32,
@@ -1689,7 +1337,8 @@ mod tests {
 
     #[test]
     fn power_gating_study_produces_normalized_rows() {
-        let rows = power_gating_study(
+        let rows = power_gating_study_with_ctx(
+            &RunContext::new(),
             48,
             &[0.0, 0.25],
             ApplicationModel::SparkGrep,
@@ -1707,7 +1356,8 @@ mod tests {
 
     #[test]
     fn bisection_and_configuration_tables() {
-        let bisection = bisection_study(
+        let bisection = bisection_study_with_ctx(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
             5,
@@ -1723,7 +1373,8 @@ mod tests {
             mesh.minimum
         );
 
-        let config = configuration_table(&TopologyKind::ALL, &[64], 1).unwrap();
+        let config =
+            configuration_table_with_ctx(&RunContext::new(), &TopologyKind::ALL, &[64], 1).unwrap();
         assert_eq!(config.len(), 6);
         let fb = config
             .iter()
@@ -1740,7 +1391,8 @@ mod tests {
 
     #[test]
     fn fault_resilience_study_degrades_with_severity() {
-        let rows = fault_resilience_study(
+        let rows = fault_resilience_study_with_ctx(
+            &RunContext::new(),
             &[TopologyKind::StringFigure],
             36,
             &[(0, 0), (3, 2)],
@@ -1767,7 +1419,8 @@ mod tests {
 
     #[test]
     fn adversarial_saturation_covers_every_adversarial_pattern() {
-        let rows = adversarial_saturation_study(
+        let rows = adversarial_saturation_study_with_ctx(
+            &RunContext::new(),
             &[TopologyKind::StringFigure],
             36,
             &[0.05, 0.30],
@@ -1783,7 +1436,8 @@ mod tests {
 
     #[test]
     fn scaleout_study_reaches_beyond_small_scales() {
-        let rows = scaleout_study(
+        let rows = scaleout_study_with_ctx(
+            &RunContext::new(),
             &[TopologyKind::SpaceShuffle, TopologyKind::StringFigure],
             &[64, 128],
             50,
@@ -1833,14 +1487,14 @@ mod tests {
     /// one worker and on many workers yields byte-for-byte identical rows.
     #[test]
     fn studies_are_bit_identical_serial_vs_parallel() {
-        let serial = PoolConfig::serial();
-        let parallel = PoolConfig::threads(4).with_chunk(2);
+        let serial = RunContext::new().with_pool(PoolConfig::serial());
+        let parallel = RunContext::new().with_pool(PoolConfig::threads(4).with_chunk(2));
 
-        let surg_a = surg_path_length_study_with_pool(&serial, &[64, 100], 3).unwrap();
-        let surg_b = surg_path_length_study_with_pool(&parallel, &[64, 100], 3).unwrap();
+        let surg_a = surg_path_length_study_with_ctx(&serial, &[64, 100], 3).unwrap();
+        let surg_b = surg_path_length_study_with_ctx(&parallel, &[64, 100], 3).unwrap();
         assert_eq!(surg_a, surg_b);
 
-        let hops_a = hop_count_study_with_pool(
+        let hops_a = hop_count_study_with_ctx(
             &serial,
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             &[64, 100],
@@ -1848,7 +1502,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let hops_b = hop_count_study_with_pool(
+        let hops_b = hop_count_study_with_ctx(
             &parallel,
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             &[64, 100],
@@ -1858,7 +1512,7 @@ mod tests {
         .unwrap();
         assert_eq!(hops_a, hops_b);
 
-        let curve_a = latency_curve_with_pool(
+        let curve_a = latency_curve_with_ctx(
             &serial,
             TopologyKind::StringFigure,
             32,
@@ -1868,7 +1522,7 @@ mod tests {
             5,
         )
         .unwrap();
-        let curve_b = latency_curve_with_pool(
+        let curve_b = latency_curve_with_ctx(
             &parallel,
             TopologyKind::StringFigure,
             32,
@@ -1880,7 +1534,7 @@ mod tests {
         .unwrap();
         assert_eq!(curve_a, curve_b);
 
-        let gate_a = power_gating_study_with_pool(
+        let gate_a = power_gating_study_with_ctx(
             &serial,
             48,
             &[0.0, 0.25],
@@ -1890,7 +1544,7 @@ mod tests {
             9,
         )
         .unwrap();
-        let gate_b = power_gating_study_with_pool(
+        let gate_b = power_gating_study_with_ctx(
             &parallel,
             48,
             &[0.0, 0.25],
@@ -1902,7 +1556,7 @@ mod tests {
         .unwrap();
         assert_eq!(gate_a, gate_b);
 
-        let sat_a = saturation_study_with_pool(
+        let sat_a = saturation_study_with_ctx(
             &serial,
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
@@ -1912,7 +1566,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let sat_b = saturation_study_with_pool(
+        let sat_b = saturation_study_with_ctx(
             &parallel,
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
@@ -1924,7 +1578,7 @@ mod tests {
         .unwrap();
         assert_eq!(sat_a, sat_b);
 
-        let work_a = workload_study_with_pool(
+        let work_a = workload_study_with_ctx(
             &serial,
             &[TopologyKind::StringFigure],
             &[ApplicationModel::Memcached],
@@ -1934,7 +1588,7 @@ mod tests {
             7,
         )
         .unwrap();
-        let work_b = workload_study_with_pool(
+        let work_b = workload_study_with_ctx(
             &parallel,
             &[TopologyKind::StringFigure],
             &[ApplicationModel::Memcached],
@@ -1946,7 +1600,7 @@ mod tests {
         .unwrap();
         assert_eq!(work_a, work_b);
 
-        let bisect_a = bisection_study_with_pool(
+        let bisect_a = bisection_study_with_ctx(
             &serial,
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
@@ -1954,7 +1608,7 @@ mod tests {
             2,
         )
         .unwrap();
-        let bisect_b = bisection_study_with_pool(
+        let bisect_b = bisection_study_with_ctx(
             &parallel,
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
@@ -1976,7 +1630,13 @@ mod tests {
 
     #[test]
     fn rows_serialise_through_the_harness_table() {
-        let rows = configuration_table(&[TopologyKind::StringFigure], &[64], 1).unwrap();
+        let rows = configuration_table_with_ctx(
+            &RunContext::new(),
+            &[TopologyKind::StringFigure],
+            &[64],
+            1,
+        )
+        .unwrap();
         let table = sf_harness::Table::from_records(&rows);
         assert_eq!(table.columns[0], "kind");
         let csv = table.to_csv();

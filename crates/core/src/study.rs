@@ -22,8 +22,8 @@
 //! studies (fault injection, adversarial traffic, scale-out past 1296
 //! nodes) that the same trait machinery makes additive; the `sfbench` CLI
 //! in `sf-bench` is a thin multiplexer over [`StudyRegistry::all`] (paper
-//! plus extended), and the old per-figure binaries are shims that delegate
-//! to the same registry.
+//! plus extended), and each study's aliases keep the old per-figure names
+//! working (`sfbench run fig10_saturation`).
 
 use crate::comparison::{NetworkInstance, TopologyKind};
 use crate::experiments::{
@@ -298,33 +298,6 @@ impl CheckpointRow for crate::experiments::ConfigurationRow {
 /// generated [`NetworkInstance`].
 pub type TopologyCache = BuildCache<(TopologyKind, usize, u64), NetworkInstance>;
 
-/// An observer invoked with every row a [`RowStream`] writes, in delivery
-/// (enumeration) order — the seam the `sfbench serve` daemon uses to stream
-/// result rows to a submitting client while the artifact files are being
-/// written. Taps are passive: they cannot alter, reorder, or fail the rows,
-/// so artifacts are byte-identical with or without one.
-#[derive(Clone)]
-pub struct RowTap(RowObserver);
-
-type RowObserver = Arc<dyn Fn(&[Value]) + Send + Sync>;
-
-impl RowTap {
-    /// Wraps a row observer.
-    pub fn new(observer: impl Fn(&[Value]) + Send + Sync + 'static) -> Self {
-        Self(Arc::new(observer))
-    }
-
-    fn observe(&self, cells: &[Value]) {
-        (self.0)(cells);
-    }
-}
-
-impl std::fmt::Debug for RowTap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RowTap(..)")
-    }
-}
-
 /// Where a study's result table is written after the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Emitter {
@@ -362,7 +335,6 @@ pub struct RunContext {
     telemetry: Option<PathBuf>,
     telemetry_every: Option<u64>,
     partition: Option<Partition>,
-    row_tap: Option<RowTap>,
     /// Total point count of the last partitioned sweep (the *unpartitioned*
     /// grid size), recorded by `run_jobs_streaming` so `execute` can stamp
     /// shard metadata without re-deriving the grid. `u64::MAX` = unset.
@@ -394,7 +366,6 @@ impl RunContext {
             telemetry: None,
             telemetry_every: None,
             partition: None,
-            row_tap: None,
             partition_total: AtomicU64::new(u64::MAX),
             journal: OnceLock::new(),
             sweep_seq: AtomicU64::new(0),
@@ -514,15 +485,6 @@ impl RunContext {
     #[must_use]
     pub fn partition(&self) -> Option<Partition> {
         self.partition
-    }
-
-    /// Installs a [`RowTap`] observing every row the context's
-    /// [`RowStream`]s deliver, in enumeration order. Purely additive:
-    /// artifact bytes are unchanged.
-    #[must_use]
-    pub fn with_row_tap(mut self, tap: RowTap) -> Self {
-        self.row_tap = Some(tap);
-        self
     }
 
     /// The telemetry stream path configured with
@@ -825,10 +787,7 @@ impl RunContext {
                 reason: format!("cannot open artifact {}: {e}", path.display()),
             })?);
         }
-        Ok(RowStream {
-            sinks,
-            tap: self.row_tap.clone(),
-        })
+        Ok(RowStream { sinks })
     }
 
     /// Writes `table` through every configured emitter — the post-hoc path
@@ -856,12 +815,10 @@ impl RunContext {
 #[derive(Debug)]
 pub struct RowStream {
     sinks: Vec<RowSink>,
-    tap: Option<RowTap>,
 }
 
 impl RowStream {
-    /// Appends one row to every open sink, then notifies the context's
-    /// [`RowTap`] (if one is installed).
+    /// Appends one row to every open sink.
     ///
     /// # Errors
     ///
@@ -876,9 +833,6 @@ impl RowStream {
                     reason: format!("cannot write artifact {}: {e}", sink.path().display()),
                 });
             }
-        }
-        if let Some(tap) = &self.tap {
-            tap.observe(cells);
         }
         Ok(())
     }
@@ -1397,7 +1351,7 @@ impl Study for Fig05Surg {
         "average shortest path length of Jellyfish, S2, and String Figure across network sizes"
     }
     fn driver(&self) -> &'static str {
-        "surg_path_length_study"
+        "surg_path_length_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         let (sizes, seeds) = Self::params(ctx);
@@ -1443,7 +1397,7 @@ impl Study for Fig08Configs {
         "evaluated network configurations (router ports, links) and the qualitative feature matrix"
     }
     fn driver(&self) -> &'static str {
-        "configuration_table"
+        "configuration_table_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         StudyGrid::new(vec![
@@ -1510,7 +1464,7 @@ impl Study for Fig09aHopCounts {
         "average hop counts taken by each design's routing protocol as the network grows"
     }
     fn driver(&self) -> &'static str {
-        "hop_count_study"
+        "hop_count_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         StudyGrid::new(vec![
@@ -1562,7 +1516,7 @@ impl Study for Fig09bPowerGating {
         "normalised energy-delay product while power-gating increasing fractions of the memory network"
     }
     fn driver(&self) -> &'static str {
-        "power_gating_study"
+        "power_gating_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         StudyGrid::new(vec![
@@ -1666,7 +1620,7 @@ impl Study for Fig10Saturation {
         "highest non-saturating injection rate per design, size, and traffic pattern"
     }
     fn driver(&self) -> &'static str {
-        "saturation_study"
+        "saturation_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         StudyGrid::new(vec![
@@ -1750,7 +1704,7 @@ impl Study for Fig11LatencyCurves {
         "average packet latency versus injection rate for every design and traffic pattern"
     }
     fn driver(&self) -> &'static str {
-        "latency_curve"
+        "latency_curve_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         let (_, rates, kinds, patterns, _) = Self::params(ctx);
@@ -1839,7 +1793,7 @@ impl Study for Fig12Workloads {
         "application throughput and dynamic memory energy per design (normalised in the extras)"
     }
     fn driver(&self) -> &'static str {
-        "workload_study"
+        "workload_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         StudyGrid::new(vec![
@@ -1949,7 +1903,7 @@ impl Study for BisectionStudy {
         "empirical minimum bisection bandwidth over random cuts and generated topologies"
     }
     fn driver(&self) -> &'static str {
-        "bisection_study"
+        "bisection_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         let (sizes, _, topologies) = Self::params(ctx);
@@ -2033,7 +1987,7 @@ impl Study for FaultResilience {
         "delivery ratio, drops, and latency under deterministic link-failure and router power-gate waves"
     }
     fn driver(&self) -> &'static str {
-        "fault_resilience_study"
+        "fault_resilience_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         let (kinds, _, severities, _) = Self::params(ctx);
@@ -2089,7 +2043,7 @@ impl Study for AdversarialSaturation {
         "highest non-saturating injection rate per design under hotspot-storm, bursty, and bit-reversal traffic"
     }
     fn driver(&self) -> &'static str {
-        "adversarial_saturation_study"
+        "adversarial_saturation_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         let (kinds, _, _, _) = Self::params(ctx);
@@ -2140,7 +2094,7 @@ impl Study for Scaleout2048 {
         "path-length and routed hop-count scaling of the fixed-radix designs up to 2048 nodes"
     }
     fn driver(&self) -> &'static str {
-        "scaleout_study"
+        "scaleout_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         StudyGrid::new(vec![
@@ -2207,7 +2161,7 @@ impl Study for Megasweep {
         "bounded-memory design-space sweep over design x size x injection rate x seed; rows stream to the emitters"
     }
     fn driver(&self) -> &'static str {
-        "megasweep_study"
+        "megasweep_study_with_ctx"
     }
     fn grid(&self, ctx: &RunContext) -> StudyGrid {
         let (kinds, sizes, rates, seeds, _) = Self::params(ctx);
@@ -2313,43 +2267,6 @@ mod tests {
             });
             assert_eq!(report.outcomes.len(), grid.jobs());
         }
-    }
-
-    #[test]
-    fn row_taps_observe_rows_in_order_without_changing_artifacts() {
-        let dir = std::env::temp_dir();
-        let tapped = dir.join(format!("sf-study-tap-{}.csv", std::process::id()));
-        let plain = dir.join(format!("sf-study-plain-{}.csv", std::process::id()));
-        let rows: Vec<Vec<Value>> = (0..3u64)
-            .map(|i| vec![Value::UInt(i), Value::Float(i as f64 * 0.5 + 0.1)])
-            .collect();
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let observer = Arc::clone(&seen);
-        let ctx = RunContext::new()
-            .with_csv(&tapped)
-            .with_row_tap(RowTap::new(move |cells| {
-                observer.lock().unwrap().push(cells.to_vec());
-            }));
-        let mut stream = ctx.open_row_stream(&["idx", "metric"]).unwrap();
-        for row in &rows {
-            stream.push(row).unwrap();
-        }
-        stream.finish().unwrap();
-        let plain_ctx = RunContext::new().with_csv(&plain);
-        let mut stream = plain_ctx.open_row_stream(&["idx", "metric"]).unwrap();
-        for row in &rows {
-            stream.push(row).unwrap();
-        }
-        stream.finish().unwrap();
-        // The tap saw every row in push order, and the artifact bytes are
-        // identical to an untapped run's.
-        assert_eq!(*seen.lock().unwrap(), rows);
-        assert_eq!(
-            std::fs::read(&tapped).unwrap(),
-            std::fs::read(&plain).unwrap()
-        );
-        let _ = std::fs::remove_file(&tapped);
-        let _ = std::fs::remove_file(&plain);
     }
 
     #[test]

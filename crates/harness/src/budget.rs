@@ -21,19 +21,7 @@
 //! wall-clock time, and both layers are bit-deterministic in their degree of
 //! parallelism.
 
-//!
-//! For the resident `sfbench serve` daemon, the same budget additionally has
-//! to arbitrate between *jobs*: several submitted studies may want cores at
-//! once, and simply letting each reserve the full machine would serialise
-//! nothing and oversubscribe everything. [`TenantLedger`] is that layer — a
-//! blocking multi-tenant ledger with FIFO admission, priority classes
-//! ([`JobClass`]), and fair-share grants when oversubscribed. Leases are
-//! RAII ([`CoreLease`]) and the outstanding total is observable
-//! ([`TenantLedger::in_use`]), so a test can assert the ledger drains to
-//! zero after a burst of jobs.
-
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the total core budget (`0`/unset = the
 /// number of available CPUs).
@@ -104,167 +92,6 @@ impl Drop for WorkerReservation<'_> {
 
 /// The process-wide ledger shared by the pool and the simulation kernel.
 static GLOBAL: CoreBudget = CoreBudget::new();
-
-/// Scheduling class of a multi-tenant job. Within a class admission is
-/// strictly FIFO; across classes every waiting `Interactive` job is admitted
-/// before any waiting `Batch` job, regardless of arrival order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum JobClass {
-    /// Bulk/background work: admitted only when no interactive job waits.
-    Batch,
-    /// Latency-sensitive submissions: jump the batch queue.
-    Interactive,
-}
-
-/// One waiting admission request: arrival sequence plus class.
-type Waiter = (u64, JobClass);
-
-/// `a` outranks `b` when `a` must be admitted first: higher class wins,
-/// then earlier arrival.
-fn outranks(a: Waiter, b: Waiter) -> bool {
-    a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
-}
-
-#[derive(Debug, Default)]
-struct TenantState {
-    /// Cores currently granted to admitted jobs.
-    in_use: usize,
-    /// Jobs currently holding a lease.
-    active: usize,
-    /// Arrival counter for FIFO ordering.
-    next_seq: u64,
-    /// Requests blocked in [`TenantLedger::admit`].
-    waiting: Vec<Waiter>,
-}
-
-/// A blocking multi-tenant core ledger for the `sfbench serve` daemon: each
-/// submitted job [`admit`](Self::admit)s itself with the cores it wants and
-/// a [`JobClass`], blocks until it is that class queue's turn and at least
-/// one core is free, and receives a [`CoreLease`] for its granted share.
-///
-/// The grant is `min(want, free cores, fair share)` where the fair share is
-/// `total / (active jobs + 1)` (at least one) — so a lone job gets the whole
-/// machine, while under contention each job is cut back to roughly an equal
-/// slice instead of the first arrival starving the rest. Dropping the lease
-/// returns the cores and wakes the queue; a panicking job therefore never
-/// leaks budget.
-#[derive(Debug)]
-pub struct TenantLedger {
-    total: usize,
-    state: Mutex<TenantState>,
-    turnstile: Condvar,
-}
-
-impl TenantLedger {
-    /// A ledger arbitrating `total` cores (clamped to at least 1).
-    #[must_use]
-    pub fn new(total: usize) -> Self {
-        Self {
-            total: total.max(1),
-            state: Mutex::new(TenantState::default()),
-            turnstile: Condvar::new(),
-        }
-    }
-
-    /// A ledger over the process-wide [`total_cores`] budget.
-    #[must_use]
-    pub fn with_total_cores() -> Self {
-        Self::new(total_cores())
-    }
-
-    fn lock(&self) -> MutexGuard<'_, TenantState> {
-        // A panic while holding the lock (impossible in this module's own
-        // critical sections, but cheap to be safe against) must not wedge
-        // every later job.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Total cores this ledger arbitrates.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Cores currently granted to admitted jobs.
-    #[must_use]
-    pub fn in_use(&self) -> usize {
-        self.lock().in_use
-    }
-
-    /// Jobs currently holding a lease.
-    #[must_use]
-    pub fn active_jobs(&self) -> usize {
-        self.lock().active
-    }
-
-    /// Jobs currently blocked waiting for admission.
-    #[must_use]
-    pub fn waiting_jobs(&self) -> usize {
-        self.lock().waiting.len()
-    }
-
-    /// Blocks until this request is at the head of the queue (FIFO within
-    /// its class, interactive before batch) and at least one core is free,
-    /// then admits it with a fair-share grant. `want` is clamped to
-    /// `1..=total`.
-    #[must_use]
-    pub fn admit(&self, want: usize, class: JobClass) -> CoreLease<'_> {
-        let want = want.clamp(1, self.total);
-        let mut state = self.lock();
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.waiting.push((seq, class));
-        let me = (seq, class);
-        loop {
-            let head = !state.waiting.iter().any(|&w| outranks(w, me));
-            let free = self.total - state.in_use;
-            if head && free >= 1 {
-                let fair = (self.total / (state.active + 1)).max(1);
-                let granted = want.min(free).min(fair);
-                state.waiting.retain(|&(s, _)| s != seq);
-                state.in_use += granted;
-                state.active += 1;
-                // More than one waiter can be admissible at once (the next
-                // in line may fit in the remaining free cores): wake the
-                // queue so it re-checks.
-                self.turnstile.notify_all();
-                return CoreLease {
-                    ledger: self,
-                    granted,
-                };
-            }
-            state = self
-                .turnstile
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// RAII grant from a [`TenantLedger`]: holds `granted` cores until dropped
-/// (including on unwind), then returns them and wakes the admission queue.
-#[derive(Debug)]
-pub struct CoreLease<'a> {
-    ledger: &'a TenantLedger,
-    granted: usize,
-}
-
-impl CoreLease<'_> {
-    /// Cores this lease actually received (≤ the requested amount).
-    #[must_use]
-    pub fn granted(&self) -> usize {
-        self.granted
-    }
-}
-
-impl Drop for CoreLease<'_> {
-    fn drop(&mut self) {
-        let mut state = self.ledger.lock();
-        state.in_use = state.in_use.saturating_sub(self.granted);
-        state.active = state.active.saturating_sub(1);
-        self.ledger.turnstile.notify_all();
-    }
-}
 
 /// Reads an environment variable as a positive integer; `0`, garbage, and
 /// unset all mean "not configured". The one parser behind every knob of the
@@ -350,107 +177,5 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(budget.reserved_workers(), 0);
-    }
-
-    /// Spins until `ledger` has `n` blocked admissions (the only
-    /// cross-thread ordering the tenant tests need).
-    fn wait_for_waiters(ledger: &TenantLedger, n: usize) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while ledger.waiting_jobs() < n {
-            assert!(std::time::Instant::now() < deadline, "waiters never queued");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn tenant_grants_are_fair_shared_under_contention() {
-        let ledger = TenantLedger::new(8);
-        // A lone job gets what it asks for (fair share = whole machine).
-        let first = ledger.admit(2, JobClass::Batch);
-        assert_eq!(first.granted(), 2);
-        // With one job active the next is cut to total/2 = 4...
-        let second = ledger.admit(8, JobClass::Batch);
-        assert_eq!(second.granted(), 4);
-        // ...and the third to min(free = 2, total/3 = 2).
-        let third = ledger.admit(8, JobClass::Batch);
-        assert_eq!(third.granted(), 2);
-        assert_eq!(ledger.in_use(), 8);
-        assert_eq!(ledger.active_jobs(), 3);
-        drop((first, second, third));
-        assert_eq!(ledger.in_use(), 0);
-        assert_eq!(ledger.active_jobs(), 0);
-    }
-
-    #[test]
-    fn tenant_admission_is_fifo_within_a_class() {
-        let ledger = std::sync::Arc::new(TenantLedger::new(1));
-        let order = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let gate = ledger.admit(1, JobClass::Batch);
-        let spawn = |tag: &'static str| {
-            let (ledger, order) = (
-                std::sync::Arc::clone(&ledger),
-                std::sync::Arc::clone(&order),
-            );
-            std::thread::spawn(move || {
-                let lease = ledger.admit(1, JobClass::Batch);
-                order.lock().unwrap().push(tag);
-                drop(lease);
-            })
-        };
-        // Queue b1 strictly before b2 (waiting_jobs observes the queue).
-        let b1 = spawn("b1");
-        wait_for_waiters(&ledger, 1);
-        let b2 = spawn("b2");
-        wait_for_waiters(&ledger, 2);
-        drop(gate);
-        b1.join().unwrap();
-        b2.join().unwrap();
-        // Only one core exists, so admissions serialise: arrival order wins.
-        assert_eq!(*order.lock().unwrap(), ["b1", "b2"]);
-        assert_eq!(ledger.in_use(), 0);
-    }
-
-    #[test]
-    fn tenant_interactive_jobs_jump_the_batch_queue() {
-        let ledger = std::sync::Arc::new(TenantLedger::new(1));
-        let order = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let gate = ledger.admit(1, JobClass::Batch);
-        let spawn = |tag: &'static str, class: JobClass| {
-            let (ledger, order) = (
-                std::sync::Arc::clone(&ledger),
-                std::sync::Arc::clone(&order),
-            );
-            std::thread::spawn(move || {
-                let lease = ledger.admit(1, class);
-                order.lock().unwrap().push(tag);
-                drop(lease);
-            })
-        };
-        let batch = spawn("batch", JobClass::Batch);
-        wait_for_waiters(&ledger, 1);
-        let interactive = spawn("interactive", JobClass::Interactive);
-        wait_for_waiters(&ledger, 2);
-        drop(gate);
-        batch.join().unwrap();
-        interactive.join().unwrap();
-        // The batch job arrived first but the interactive one is admitted
-        // first anyway.
-        assert_eq!(*order.lock().unwrap(), ["interactive", "batch"]);
-        assert_eq!(ledger.in_use(), 0);
-    }
-
-    #[test]
-    fn tenant_ledger_drains_to_zero_even_when_a_job_panics() {
-        let ledger = TenantLedger::new(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _lease = ledger.admit(4, JobClass::Interactive);
-            panic!("job exploded");
-        }));
-        assert!(result.is_err());
-        assert_eq!(ledger.in_use(), 0);
-        assert_eq!(ledger.active_jobs(), 0);
-        // The ledger still works afterwards, and zero-want is clamped up.
-        let lease = ledger.admit(0, JobClass::Batch);
-        assert_eq!(lease.granted(), 1);
     }
 }

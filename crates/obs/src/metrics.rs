@@ -13,8 +13,6 @@
 //! - `time.` — wall-clock quantities; inherently nondeterministic.
 //! - `sched.` — counts that depend on scheduling order (topology-cache
 //!   hits/misses, journal compactions triggered by append interleaving).
-//! - `serve.` — daemon request traffic (`sfbench serve` jobs accepted,
-//!   rows streamed); depends on what clients submit, not on the sweep.
 //!
 //! [`MetricsSnapshot::deterministic`] filters to the guaranteed namespace —
 //! that filtered view is what the cross worker×shard property test pins.
@@ -68,11 +66,10 @@ impl MetricValue {
 }
 
 /// True when `name` is covered by the bit-identical merge guarantee (i.e. it
-/// is not under the `time.`, `sched.`, or `serve.` nondeterministic
-/// prefixes).
+/// is not under the `time.` or `sched.` nondeterministic prefixes).
 #[must_use]
 pub fn is_deterministic_name(name: &str) -> bool {
-    !(name.starts_with("time.") || name.starts_with("sched.") || name.starts_with("serve."))
+    !(name.starts_with("time.") || name.starts_with("sched."))
 }
 
 /// Worker-local metric accumulator: no locking while recording; fold into the
@@ -348,7 +345,6 @@ mod tests {
         assert!(is_deterministic_name("journal.appends"));
         assert!(!is_deterministic_name("time.run_wall_us"));
         assert!(!is_deterministic_name("sched.cache_hits"));
-        assert!(!is_deterministic_name("serve.jobs_done"));
     }
 
     #[test]

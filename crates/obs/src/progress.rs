@@ -17,7 +17,7 @@
 
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -356,72 +356,6 @@ fn exit_if_orphaned() {
     }
 }
 
-/// One job's progress scope on a multi-tenant host (the `sfbench serve`
-/// daemon): tracks done/row counts for a single job independently of the
-/// process-global reporter, so any number of concurrent jobs can report
-/// without interleaving each other's state. Renders the same
-/// `sf-heartbeat/v1` lines the global heartbeat file uses, for streaming to
-/// the job's own client.
-#[derive(Debug)]
-pub struct JobScope {
-    label: String,
-    total: usize,
-    done: AtomicUsize,
-    rows: AtomicUsize,
-    started: Instant,
-}
-
-impl JobScope {
-    /// Opens a scope for a job expected to deliver `total` rows.
-    #[must_use]
-    pub fn new(label: impl Into<String>, total: usize) -> Self {
-        Self {
-            label: label.into(),
-            total,
-            done: AtomicUsize::new(0),
-            rows: AtomicUsize::new(0),
-            started: Instant::now(),
-        }
-    }
-
-    /// Records finished jobs and emitted rows (callable from any thread).
-    pub fn tick(&self, jobs_done: usize, rows_done: usize) {
-        self.done.fetch_add(jobs_done, Ordering::Relaxed);
-        self.rows.fetch_add(rows_done, Ordering::Relaxed);
-    }
-
-    /// Jobs recorded done so far.
-    #[must_use]
-    pub fn done(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Rows recorded so far.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows.load(Ordering::Relaxed)
-    }
-
-    /// Expected total rows.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The scope's current state as one `sf-heartbeat/v1` line.
-    #[must_use]
-    pub fn heartbeat(&self, finished: bool) -> String {
-        heartbeat_line(
-            &self.label,
-            self.done(),
-            self.total,
-            self.rows(),
-            self.started.elapsed().as_millis(),
-            finished,
-        )
-    }
-}
-
 fn format_eta(seconds: f64) -> String {
     if !seconds.is_finite() {
         return "--".to_string();
@@ -506,22 +440,6 @@ mod tests {
             // is gone looks exactly like this.
             assert!(orphaned(0));
         }
-    }
-
-    #[test]
-    fn job_scopes_track_independent_jobs_without_shared_state() {
-        let a = JobScope::new("job-a", 10);
-        let b = JobScope::new("job-b", 4);
-        a.tick(2, 2);
-        b.tick(1, 1);
-        a.tick(1, 1);
-        assert_eq!((a.done(), a.rows(), a.total()), (3, 3, 10));
-        assert_eq!((b.done(), b.rows(), b.total()), (1, 1, 4));
-        let beat = a.heartbeat(false);
-        assert!(beat.contains("\"label\":\"job-a\""), "{beat}");
-        assert!(beat.contains("\"done\":3"), "{beat}");
-        assert!(beat.contains("\"total\":10"), "{beat}");
-        assert!(b.heartbeat(true).contains("\"finished\":true"));
     }
 
     // Mode state is process-global; exercise the transitions in one test.

@@ -4,14 +4,14 @@
 
 use sf_workloads::SyntheticPattern;
 use stringfigure::experiments::{
-    bisection_study, configuration_table, hop_count_study, saturation_study,
-    surg_path_length_study, ExperimentScale,
+    bisection_study_with_ctx, configuration_table_with_ctx, hop_count_study_with_ctx,
+    saturation_study_with_ctx, surg_path_length_study_with_ctx, ExperimentScale,
 };
-use stringfigure::{NetworkInstance, TopologyKind};
+use stringfigure::{NetworkInstance, RunContext, TopologyKind};
 
 #[test]
 fn figure5_trend_random_topologies_have_flat_path_length_scaling() {
-    let rows = surg_path_length_study(&[100, 400], 2).unwrap();
+    let rows = surg_path_length_study_with_ctx(&RunContext::new(), &[100, 400], 2).unwrap();
     let small = &rows[0];
     let large = &rows[1];
     // 4x more nodes costs well under one extra hop for all three random
@@ -29,7 +29,7 @@ fn figure9a_trend_mesh_hops_blow_up_but_sf_stays_flat() {
         TopologyKind::OptimizedMesh,
         TopologyKind::StringFigure,
     ];
-    let rows = hop_count_study(&kinds, &[64, 256], 300, 7).unwrap();
+    let rows = hop_count_study_with_ctx(&RunContext::new(), &kinds, &[64, 256], 300, 7).unwrap();
     let get = |kind, nodes| {
         rows.iter()
             .find(|r| r.kind == kind && r.nodes == nodes)
@@ -64,7 +64,8 @@ fn figure9a_trend_fb_is_shortest_but_needs_high_radix() {
 
 #[test]
 fn figure10_trend_sf_saturates_later_than_mesh_on_uniform_random() {
-    let rows = saturation_study(
+    let rows = saturation_study_with_ctx(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         49,
         SyntheticPattern::UniformRandom,
@@ -80,7 +81,8 @@ fn figure10_trend_sf_saturates_later_than_mesh_on_uniform_random() {
 
 #[test]
 fn bisection_bandwidth_of_sf_matches_or_beats_mesh() {
-    let rows = bisection_study(
+    let rows = bisection_study_with_ctx(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         64,
         8,
@@ -94,7 +96,8 @@ fn bisection_bandwidth_of_sf_matches_or_beats_mesh() {
 
 #[test]
 fn table2_and_figure8_configuration_summary() {
-    let rows = configuration_table(&TopologyKind::ALL, &[61, 256], 3).unwrap();
+    let rows = configuration_table_with_ctx(&RunContext::new(), &TopologyKind::ALL, &[61, 256], 3)
+        .unwrap();
     assert_eq!(rows.len(), 12);
     for row in &rows {
         assert!(row.links > 0);

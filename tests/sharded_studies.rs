@@ -1,4 +1,4 @@
-//! Serial-vs-sharded golden tests at the figure binaries' `--quick` scale:
+//! Serial-vs-sharded golden tests at the studies' `--quick` scale:
 //! the three routed studies (Figure 10 saturation, Figure 11 latency curves,
 //! Figure 12 workloads) must produce **byte-identical rows** whether each
 //! cycle-level simulation runs on one router shard (the serial reference,
@@ -8,19 +8,19 @@
 use sf_harness::pool::PoolConfig;
 use sf_workloads::{ApplicationModel, SyntheticPattern};
 use stringfigure::experiments::{
-    latency_curve_with_pool, saturation_study_with_pool, workload_study_with_pool, ExperimentScale,
+    latency_curve_with_ctx, saturation_study_with_ctx, workload_study_with_ctx, ExperimentScale,
 };
-use stringfigure::TopologyKind;
+use stringfigure::{RunContext, TopologyKind};
 
 #[test]
 fn saturation_study_is_identical_serial_vs_sharded() {
     // Figure 10 `--quick` parameters: 64 nodes, the full design set, the
     // quick rate ladder.
     let rates = [0.05, 0.2, 0.4, 0.7];
-    let pool = PoolConfig::serial();
+    let ctx = RunContext::new().with_pool(PoolConfig::serial());
     let run = |shards: usize| {
-        saturation_study_with_pool(
-            &pool,
+        saturation_study_with_ctx(
+            &ctx,
             &TopologyKind::ALL,
             64,
             SyntheticPattern::UniformRandom,
@@ -39,11 +39,11 @@ fn saturation_study_is_identical_serial_vs_sharded() {
 fn latency_curve_is_identical_serial_vs_sharded() {
     // Figure 11 `--quick` parameters: 64 nodes, quick rates, DM and SF.
     let rates = [0.05, 0.2, 0.5];
-    let pool = PoolConfig::serial();
+    let ctx = RunContext::new().with_pool(PoolConfig::serial());
     for kind in [TopologyKind::DistributedMesh, TopologyKind::StringFigure] {
         let run = |shards: usize| {
-            latency_curve_with_pool(
-                &pool,
+            latency_curve_with_ctx(
+                &ctx,
                 kind,
                 64,
                 SyntheticPattern::UniformRandom,
@@ -63,7 +63,7 @@ fn latency_curve_is_identical_serial_vs_sharded() {
 fn workload_study_is_identical_serial_vs_sharded() {
     // Figure 12 `--quick` parameters: 64 nodes, two applications,
     // request–reply mode end to end.
-    let pool = PoolConfig::serial();
+    let ctx = RunContext::new().with_pool(PoolConfig::serial());
     let kinds = [
         TopologyKind::DistributedMesh,
         TopologyKind::SpaceShuffle,
@@ -71,8 +71,8 @@ fn workload_study_is_identical_serial_vs_sharded() {
     ];
     let workloads = [ApplicationModel::SparkWordcount, ApplicationModel::Redis];
     let run = |shards: usize| {
-        workload_study_with_pool(
-            &pool,
+        workload_study_with_ctx(
+            &ctx,
             &kinds,
             &workloads,
             64,
@@ -96,8 +96,8 @@ fn nested_parallelism_never_changes_rows() {
     // must still match the fully serial run bit for bit.
     let rates = [0.05, 0.2, 0.4];
     let run = |pool: PoolConfig, shards: usize| {
-        saturation_study_with_pool(
-            &pool,
+        saturation_study_with_ctx(
+            &RunContext::new().with_pool(pool),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             48,
             SyntheticPattern::Tornado,

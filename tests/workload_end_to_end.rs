@@ -5,13 +5,14 @@
 use sf_types::NodeId;
 use sf_workloads::ApplicationModel;
 use stringfigure::experiments::{
-    power_gating_study, socket_nodes, workload_study, ExperimentScale,
+    power_gating_study_with_ctx, socket_nodes, workload_study_with_ctx, ExperimentScale,
 };
-use stringfigure::TopologyKind;
+use stringfigure::{RunContext, TopologyKind};
 
 #[test]
 fn all_workloads_complete_requests_on_string_figure() {
-    let rows = workload_study(
+    let rows = workload_study_with_ctx(
+        &RunContext::new(),
         &[TopologyKind::StringFigure],
         &ApplicationModel::ALL,
         48,
@@ -34,7 +35,8 @@ fn all_workloads_complete_requests_on_string_figure() {
 
 #[test]
 fn figure12_trend_sf_beats_mesh_on_throughput() {
-    let rows = workload_study(
+    let rows = workload_study_with_ctx(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         &[ApplicationModel::Pagerank, ApplicationModel::Redis],
         64,
@@ -67,7 +69,8 @@ fn figure12_trend_sf_beats_mesh_on_throughput() {
 
 #[test]
 fn figure12_trend_sf_uses_less_network_energy_per_request_than_mesh() {
-    let rows = workload_study(
+    let rows = workload_study_with_ctx(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         &[ApplicationModel::Memcached],
         100,
@@ -90,7 +93,8 @@ fn figure12_trend_sf_uses_less_network_energy_per_request_than_mesh() {
 
 #[test]
 fn figure9b_power_gating_study_produces_consistent_rows() {
-    let rows = power_gating_study(
+    let rows = power_gating_study_with_ctx(
+        &RunContext::new(),
         60,
         &[0.0, 0.2, 0.4],
         ApplicationModel::SparkWordcount,
