@@ -18,6 +18,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [[ "${1:-}" != "--quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release
+    # The routing store's offset arithmetic and the allocation-free kernel
+    # pin, in the optimised profile the benchmark measures.
+    echo "==> cargo test --release -q -p sf-routing -p sf-simcore"
+    cargo test --release -q -p sf-routing -p sf-simcore
 fi
 
 echo "==> cargo test -q"

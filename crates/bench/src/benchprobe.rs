@@ -13,6 +13,9 @@
 //! - `kernel_cps/<n>` — cycles/sec of one shard at 1296 and 2048 nodes.
 //! - `kernel_shards/<k>` — the 1296-node kernel across the `--shards`
 //!   matrix (default 1, 2, 4, 8).
+//!
+//!   Both kernel probes time the cycle loop ([`NetworkSimulator::run`])
+//!   only; topology, routing tables and simulator are built untimed.
 //! - `fig10_quick` — the fig10 saturation study at `--quick` scale through
 //!   the real [`execute`] path: sweep pool, journal, sink and all.
 //! - `dispatch_overhead` — `dispatch --workers 1` minus a direct run of the
@@ -71,30 +74,46 @@ fn run_sim(nodes: usize, ports: usize, shards: usize, max_cycles: u64, warmup_cy
     std::hint::black_box(stats);
 }
 
-/// Runs one paper-scale kernel probe and returns the number of simulated
-/// cycles (injection plus drain) — the numerator of the cycles/sec figures.
-fn run_kernel(nodes: usize, shards: usize, max_cycles: u64, warmup_cycles: u64) -> u64 {
+/// Times `samples` paper-scale kernel runs (uniform random traffic at 0.05
+/// packets/node/cycle, seed 11). Topology, routing tables, simulator and
+/// traffic are built before each sample's clock starts, so only
+/// [`NetworkSimulator::run`] — the cycle loop — is timed. Returns the run
+/// times and the number of simulated cycles (injection plus drain), the
+/// numerator of the cycles/sec figures.
+fn timed_kernel(
+    samples: u32,
+    nodes: usize,
+    shards: usize,
+    max_cycles: u64,
+    warmup_cycles: u64,
+) -> (Vec<Duration>, u64) {
     let topo = StringFigureTopology::generate(
         &NetworkConfig::new(nodes, 8).expect("paper-scale network config"),
     )
     .expect("paper-scale topology");
-    let mut sim = NetworkSimulator::new(
-        topo.graph().clone(),
-        Box::new(GreediestRouting::new(&topo)),
-        SystemConfig::default(),
-        SimulationConfig {
-            max_cycles,
-            warmup_cycles,
-            shards,
-            ..SimulationConfig::default()
-        },
-    )
-    .expect("paper-scale simulator");
-    let mut traffic = UniformRandomTraffic::new(nodes, 0.05, 11);
-    let stats = sim.run(&mut traffic).expect("paper-scale simulation");
-    let cycles = stats.cycles;
-    std::hint::black_box(stats);
-    cycles
+    let mut runs = Vec::with_capacity(samples as usize);
+    let mut cycles = 0;
+    for _ in 0..samples {
+        let mut sim = NetworkSimulator::new(
+            topo.graph().clone(),
+            Box::new(GreediestRouting::new(&topo)),
+            SystemConfig::default(),
+            SimulationConfig {
+                max_cycles,
+                warmup_cycles,
+                shards,
+                ..SimulationConfig::default()
+            },
+        )
+        .expect("paper-scale simulator");
+        let mut traffic = UniformRandomTraffic::new(nodes, 0.05, 11);
+        let started = Instant::now();
+        let stats = sim.run(&mut traffic).expect("paper-scale simulation");
+        runs.push(started.elapsed());
+        cycles = stats.cycles;
+        std::hint::black_box(stats);
+    }
+    (runs, cycles)
 }
 
 fn timed<F: FnMut()>(samples: u32, mut work: F) -> Vec<Duration> {
@@ -255,8 +274,7 @@ pub fn run(args: &CliArgs) -> i32 {
     // (the serial reference path every other configuration must reproduce
     // bit for bit).
     for &nodes in &[1296usize, 2048] {
-        let mut cycles = 0u64;
-        let runs = timed(samples, || cycles = run_kernel(nodes, 1, 400, 100));
+        let (runs, cycles) = timed_kernel(samples, nodes, 1, 400, 100);
         push_rate_entry(
             &mut entries,
             progress,
@@ -279,8 +297,7 @@ pub fn run(args: &CliArgs) -> i32 {
         },
     );
     for &shards in &shard_matrix {
-        let mut cycles = 0u64;
-        let runs = timed(samples, || cycles = run_kernel(1296, shards, 160, 40));
+        let (runs, cycles) = timed_kernel(samples, 1296, shards, 160, 40);
         push_rate_entry(
             &mut entries,
             progress,

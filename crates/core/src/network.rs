@@ -8,7 +8,9 @@
 //! caller having to wire the underlying crates together.
 
 use sf_netsim::{NetworkSimulator, SimulationStats, TrafficModel};
-use sf_routing::{trace_route, GreediestOptions, GreediestRouting, RouteTrace, RoutingProtocol};
+use sf_routing::{
+    trace_route, GreediestOptions, GreediestRouting, RouteTrace, RoutingProtocol, RoutingTable,
+};
 use sf_topology::analysis::{self, PathLengthStats};
 use sf_topology::{GridPlacement, ReconfigurationDelta, StringFigureTopology};
 use sf_types::{
@@ -238,14 +240,15 @@ impl StringFigureNetwork {
         })
     }
 
-    /// Total routing-table storage across all routers, in bits.
+    /// Total routing-table storage across all routers, in bits: every
+    /// router's table rows times the per-entry cost.
     #[must_use]
     pub fn routing_storage_bits(&self) -> u64 {
-        let ports = self.topology.config().ports;
-        self.routing
-            .tables()
-            .iter()
-            .map(|t| t.storage_bits(self.num_nodes(), ports))
+        let entry_bits = RoutingTable::entry_bits(self.num_nodes(), self.topology.config().ports);
+        self.topology
+            .graph()
+            .nodes()
+            .map(|v| entry_bits * self.routing.table_len(v) as u64)
             .sum()
     }
 
@@ -478,6 +481,41 @@ mod tests {
         network.ungate_node(NodeId::new(9)).unwrap();
         network.check_invariants().unwrap();
         assert_eq!(network.num_active_nodes(), 64);
+    }
+
+    #[test]
+    fn routing_storage_bits_equal_the_built_tables() {
+        // Routing keeps no tables, so recount what each router's table would
+        // store on the live topology and compare, before, during and after
+        // gating.
+        let built_table_bits = |network: &StringFigureNetwork| -> u64 {
+            let topo = network.topology();
+            topo.graph()
+                .nodes()
+                .map(|v| {
+                    RoutingTable::build(v, topo.graph(), topo.spaces())
+                        .storage_bits(network.num_nodes(), topo.config().ports)
+                })
+                .sum()
+        };
+        let mut network = StringFigureBuilder::new(200)
+            .ports(8)
+            .seed(5)
+            .build()
+            .unwrap();
+        let full = network.routing_storage_bits();
+        assert_eq!(full, built_table_bits(&network));
+        let victims = [NodeId::new(17), NodeId::new(90), NodeId::new(151)];
+        for v in victims {
+            network.gate_node(v).unwrap();
+        }
+        let gated = network.routing_storage_bits();
+        assert_eq!(gated, built_table_bits(&network));
+        assert_ne!(gated, full, "gating three routers must change the tables");
+        for v in victims.into_iter().rev() {
+            network.ungate_node(v).unwrap();
+        }
+        assert_eq!(network.routing_storage_bits(), built_table_bits(&network));
     }
 
     #[test]

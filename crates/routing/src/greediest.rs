@@ -25,14 +25,28 @@
 //! falls back to a breadth-first-search next hop on the live graph and counts
 //! the event, so experiments can report how often the greedy invariant had to
 //! be bypassed.
+//!
+//! # Forwarding state
+//!
+//! Each router's [`RoutingTable`] is built, flattened into one flat,
+//! CSR-style store shared by all routers, and then dropped. Per router the
+//! store holds its one-hop neighbours in node-id order; per one-hop
+//! neighbour, the contiguous group of two-hop targets the table first reached
+//! through it; and every node's own coordinates. Coordinates sit inline, one
+//! per virtual space, so a decision reads one contiguous block and scores an
+//! improving neighbour over its own two-hop group only. The table stays the
+//! one definition of what a router stores: the store keeps its rows'
+//! coordinates and neighbour ids, and [`GreediestRouting::table_len`] its row
+//! count.
 
 use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
-use crate::table::{HopCount, RoutingTable};
+use crate::table::{HopCount, RoutingTable, RoutingTableEntry};
 use sf_topology::{AdjacencyGraph, StringFigureTopology, VirtualSpaces};
 use sf_types::{
-    minimum_circular_distance, CoordinateVector, NodeId, SfError, SfResult, VirtualChannelId,
+    circular_distance, Coordinate, CoordinateVector, NodeId, SfError, SfResult, VirtualChannelId,
 };
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuning knobs of the greediest protocol.
@@ -58,12 +72,160 @@ impl Default for GreediestOptions {
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeCandidates {
-    /// Improvable one-hop neighbours with their coordinate vectors.
-    one_hop: Vec<(NodeId, CoordinateVector)>,
-    /// Two-hop targets as (via one-hop neighbour, target, target coordinates).
-    two_hop: Vec<(NodeId, NodeId, CoordinateVector)>,
+/// Minimum circular distance between two coordinate slices of equal length:
+/// the same fold as [`sf_types::minimum_circular_distance`], so both give
+/// bit-identical values.
+fn slice_md(a: &[Coordinate], b: &[Coordinate]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| circular_distance(x, y))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// An offset into one of the store's flat arrays.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("forwarding store offsets fit in u32")
+}
+
+/// The forwarding state of every router, flattened.
+///
+/// Router `v`'s one-hop neighbours are the slots `routers[v]..routers[v + 1]`
+/// of `one_hop`, in node-id order. One-hop slot `i`'s two-hop group is the
+/// slots `groups[i]..groups[i + 1]` of `two_hop`.
+#[derive(Debug)]
+struct ForwardingStore {
+    /// Coordinates per node or slot: the number of virtual spaces.
+    spaces: usize,
+    /// Every node's own full-precision coordinates.
+    coords: Vec<Coordinate>,
+    routers: Vec<u32>,
+    one_hop: Slots,
+    groups: Vec<u32>,
+    two_hop: Slots,
+}
+
+/// Neighbour slots: ids, and each slot's coordinates inline at the same
+/// index, `spaces` per slot.
+#[derive(Debug, Default)]
+struct Slots {
+    ids: Vec<NodeId>,
+    coords: Vec<Coordinate>,
+}
+
+impl Slots {
+    /// Appends one neighbour's table rows (one per virtual space, in space
+    /// order) as a slot, with the coordinates the hardware table stores or
+    /// full precision.
+    fn push(&mut self, rows: &[RoutingTableEntry], use_quantized: bool) {
+        debug_assert!(rows
+            .iter()
+            .enumerate()
+            .all(|(s, row)| row.neighbor == rows[0].neighbor && row.space.index() == s));
+        self.ids.push(rows[0].neighbor);
+        self.coords.extend(rows.iter().map(|row| {
+            if use_quantized {
+                row.coordinate.to_coordinate()
+            } else {
+                row.full_coordinate
+            }
+        }));
+    }
+
+    /// The slots in `range`, each with its coordinates.
+    fn get(
+        &self,
+        range: Range<usize>,
+        spaces: usize,
+    ) -> impl Iterator<Item = (NodeId, &[Coordinate])> + '_ {
+        let coords = &self.coords[range.start * spaces..range.end * spaces];
+        self.ids[range]
+            .iter()
+            .copied()
+            .zip(coords.chunks_exact(spaces))
+    }
+}
+
+impl ForwardingStore {
+    /// Builds every router's table, flattens it into the store and drops it.
+    fn build(graph: &AdjacencyGraph, spaces: &VirtualSpaces, use_quantized: bool) -> Self {
+        let mut store = Self {
+            spaces: spaces.num_spaces(),
+            coords: spaces
+                .all_coordinates()
+                .iter()
+                .flat_map(CoordinateVector::iter)
+                .collect(),
+            routers: vec![0],
+            one_hop: Slots::default(),
+            groups: vec![0],
+            two_hop: Slots::default(),
+        };
+        for v in graph.nodes() {
+            store.push_router(&RoutingTable::build(v, graph, spaces), use_quantized);
+        }
+        store
+    }
+
+    /// Appends one router's table: each usable one-hop neighbour in node-id
+    /// order, and its group of the two-hop targets reached through it.
+    fn push_router(&mut self, table: &RoutingTable, use_quantized: bool) {
+        let (mut one_hop, two_hop): (Vec<_>, Vec<_>) = table
+            .entries()
+            .chunks_exact(self.spaces)
+            .filter(|rows| rows.iter().all(RoutingTableEntry::usable))
+            .partition(|rows| rows[0].hop == HopCount::One);
+        one_hop.sort_by_key(|rows| rows[0].neighbor);
+        for rows in one_hop {
+            self.one_hop.push(rows, use_quantized);
+            for two in two_hop.iter().filter(|two| two[0].via == rows[0].neighbor) {
+                self.two_hop.push(two, use_quantized);
+            }
+            self.groups.push(offset(self.two_hop.ids.len()));
+        }
+        self.routers.push(offset(self.one_hop.ids.len()));
+    }
+
+    /// Node `v`'s own coordinates.
+    fn coords(&self, v: NodeId) -> &[Coordinate] {
+        &self.coords[v.index() * self.spaces..][..self.spaces]
+    }
+
+    /// Router `v`'s one-hop slots.
+    fn slots(&self, v: NodeId) -> Range<usize> {
+        self.routers[v.index()] as usize..self.routers[v.index() + 1] as usize
+    }
+
+    /// Router `v`'s one-hop neighbours, in node-id order.
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.one_hop.ids[self.slots(v)]
+    }
+
+    /// Router `v`'s one-hop neighbours in node-id order, each with its
+    /// coordinates and its two-hop group.
+    fn one_hop(
+        &self,
+        v: NodeId,
+    ) -> impl Iterator<Item = (NodeId, &[Coordinate], Range<usize>)> + '_ {
+        let slots = self.slots(v);
+        let groups = self.groups[slots.start..=slots.end].windows(2);
+        self.one_hop
+            .get(slots, self.spaces)
+            .zip(groups)
+            .map(|((node, coords), group)| (node, coords, group[0] as usize..group[1] as usize))
+    }
+
+    /// The targets of one two-hop group, each with its coordinates.
+    fn two_hop(&self, group: Range<usize>) -> impl Iterator<Item = (NodeId, &[Coordinate])> + '_ {
+        self.two_hop.get(group, self.spaces)
+    }
+
+    /// Rows of router `v`'s routing table: one per virtual space for every
+    /// one- and two-hop neighbour.
+    fn table_len(&self, v: NodeId) -> usize {
+        let slots = self.slots(v);
+        let two_hop = (self.groups[slots.end] - self.groups[slots.start]) as usize;
+        (slots.len() + two_hop) * self.spaces
+    }
 }
 
 /// The greediest routing protocol over a String Figure (or S2) topology.
@@ -85,11 +247,8 @@ struct NodeCandidates {
 #[derive(Debug)]
 pub struct GreediestRouting {
     options: GreediestOptions,
-    tables: Vec<RoutingTable>,
-    candidates: Vec<NodeCandidates>,
-    coordinates: Vec<CoordinateVector>,
+    store: ForwardingStore,
     active: Vec<bool>,
-    adjacency: Vec<Vec<NodeId>>,
     fallback_routes: AtomicU64,
     decisions: AtomicU64,
 }
@@ -116,43 +275,13 @@ impl GreediestRouting {
         spaces: &VirtualSpaces,
         options: GreediestOptions,
     ) -> Self {
-        let n = graph.num_nodes();
-        let mut tables = Vec::with_capacity(n);
-        let mut candidates = Vec::with_capacity(n);
-        for i in 0..n {
-            let table = RoutingTable::build(NodeId::new(i), graph, spaces);
-            candidates.push(Self::collect_candidates(&table, options.use_quantized));
-            tables.push(table);
-        }
         Self {
             options,
-            tables,
-            candidates,
-            coordinates: spaces.all_coordinates().to_vec(),
-            active: (0..n).map(|i| graph.is_active(NodeId::new(i))).collect(),
-            adjacency: (0..n)
-                .map(|i| graph.active_neighbors(NodeId::new(i)))
-                .collect(),
+            store: ForwardingStore::build(graph, spaces, options.use_quantized),
+            active: graph.nodes().map(|v| graph.is_active(v)).collect(),
             fallback_routes: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
         }
-    }
-
-    fn collect_candidates(table: &RoutingTable, use_quantized: bool) -> NodeCandidates {
-        let mut one_hop = Vec::new();
-        let mut two_hop = Vec::new();
-        for cand in table.candidates(use_quantized) {
-            match cand.hop {
-                HopCount::One => one_hop.push((cand.node, cand.coordinates)),
-                HopCount::Two => two_hop.push((cand.via, cand.node, cand.coordinates)),
-            }
-        }
-        // Presorted by node id: `next_hop` streams the improving set in this
-        // order instead of collecting and sorting per decision, which keeps
-        // the hot path allocation-free while preserving the exact
-        // first-minimum tie-break of the old sort + min_by pipeline.
-        one_hop.sort_by_key(|(node, _)| *node);
-        NodeCandidates { one_hop, two_hop }
     }
 
     /// Rebuilds all routing state from the (possibly reconfigured) topology.
@@ -160,17 +289,20 @@ impl GreediestRouting {
     /// in the affected routers; rebuilding gives the same end state.
     pub fn resync(&mut self, graph: &AdjacencyGraph, spaces: &VirtualSpaces) {
         let refreshed = Self::from_parts(graph, spaces, self.options);
-        self.tables = refreshed.tables;
-        self.candidates = refreshed.candidates;
-        self.coordinates = refreshed.coordinates;
+        self.store = refreshed.store;
         self.active = refreshed.active;
-        self.adjacency = refreshed.adjacency;
     }
 
-    /// The per-router routing tables (for storage-cost studies).
+    /// Number of rows in `router`'s routing table: one per virtual space for
+    /// every one- and two-hop neighbour, as [`RoutingTable::len`] counts them.
+    /// Times [`RoutingTable::entry_bits`], this is the router's storage cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `router` is not a node of the network.
     #[must_use]
-    pub fn tables(&self) -> &[RoutingTable] {
-        &self.tables
+    pub fn table_len(&self, router: NodeId) -> usize {
+        self.store.table_len(router)
     }
 
     /// The options this protocol instance was built with.
@@ -195,14 +327,14 @@ impl GreediestRouting {
     /// Minimum circular distance between two nodes' coordinate vectors.
     #[must_use]
     pub fn md(&self, a: NodeId, b: NodeId) -> f64 {
-        minimum_circular_distance(&self.coordinates[a.index()], &self.coordinates[b.index()])
+        slice_md(self.store.coords(a), self.store.coords(b))
     }
 
     fn check(&self, node: NodeId) -> SfResult<()> {
-        if node.index() >= self.coordinates.len() {
+        if node.index() >= self.active.len() {
             return Err(SfError::UnknownNode {
                 node: node.index(),
-                network_size: self.coordinates.len(),
+                network_size: self.active.len(),
             });
         }
         if !self.active[node.index()] {
@@ -214,7 +346,7 @@ impl GreediestRouting {
     /// BFS escape hatch used when the greedy improving set is empty (only
     /// possible transiently after reconfiguration).
     fn bfs_next_hop(&self, at: NodeId, dest: NodeId) -> SfResult<NodeId> {
-        let n = self.adjacency.len();
+        let n = self.active.len();
         let mut prev: Vec<Option<usize>> = vec![None; n];
         let mut visited = vec![false; n];
         visited[at.index()] = true;
@@ -232,7 +364,7 @@ impl GreediestRouting {
                 }
                 return Ok(NodeId::new(hop));
             }
-            for next in &self.adjacency[cur] {
+            for next in self.store.neighbors(NodeId::new(cur)) {
                 let ni = next.index();
                 if !visited[ni] && self.active[ni] {
                     visited[ni] = true;
@@ -271,32 +403,33 @@ impl RoutingProtocol for GreediestRouting {
             return Ok(dest);
         }
 
-        let dest_coords = &self.coordinates[dest.index()];
-        let current_md = minimum_circular_distance(&self.coordinates[at.index()], dest_coords);
-        let cands = &self.candidates[at.index()];
+        let dest_coords = self.store.coords(dest);
+        let current_md = slice_md(self.store.coords(at), dest_coords);
 
         // Direct neighbour? Deliver immediately.
-        if cands
-            .one_hop
+        if self
+            .store
+            .neighbors(at)
             .iter()
-            .any(|(node, _)| *node == dest && self.active[dest.index()])
+            .any(|node| *node == dest && self.active[dest.index()])
         {
             return Ok(dest);
         }
 
         // Score an improving neighbour by the best MD reachable through it
-        // within one more hop (two-hop lookahead), if enabled.
-        let score = |w: NodeId, own_md: f64| -> f64 {
+        // within one more hop (two-hop lookahead), if enabled. Only its own
+        // two-hop group can reach further through it.
+        let score = |group: Range<usize>, own_md: f64| -> f64 {
             if !self.options.use_two_hop {
                 return own_md;
             }
             let mut best = own_md;
-            for (via, target, coords) in &cands.two_hop {
-                if *via == w && self.active[target.index()] {
-                    let md = if *target == dest {
+            for (target, coords) in self.store.two_hop(group) {
+                if self.active[target.index()] {
+                    let md = if target == dest {
                         0.0
                     } else {
-                        minimum_circular_distance(coords, dest_coords)
+                        slice_md(coords, dest_coords)
                     };
                     if md < best {
                         best = md;
@@ -307,33 +440,32 @@ impl RoutingProtocol for GreediestRouting {
         };
 
         // Stream the improving set W (one-hop neighbours strictly closer to
-        // the destination in MD) straight out of the presorted candidate
-        // list: no per-decision collect or sort. Strict `<` keeps the first
-        // minimum in node-id order, matching the old sort + `min_by`
-        // tie-break exactly.
+        // the destination in MD) straight out of the store in node-id order:
+        // no per-decision collect or sort. Strict `<` keeps the first minimum
+        // in node-id order.
         let adaptive = self.options.adaptive && ctx.first_hop;
         let mut best_overall: Option<(NodeId, f64)> = None;
         // Best-scored neighbour whose output queue is below the adaptive
         // threshold; if every improving port is congested, the overall best
         // wins (the paper's behaviour).
         let mut best_under: Option<(NodeId, f64)> = None;
-        for (node, coords) in &cands.one_hop {
+        for (node, coords, group) in self.store.one_hop(at) {
             if !self.active[node.index()] {
                 continue;
             }
-            let md = minimum_circular_distance(coords, dest_coords);
+            let md = slice_md(coords, dest_coords);
             if md >= current_md {
                 continue;
             }
-            let scored = score(*node, md);
+            let scored = score(group, md);
             if best_overall.is_none_or(|(_, best)| scored < best) {
-                best_overall = Some((*node, scored));
+                best_overall = Some((node, scored));
             }
             if adaptive
-                && loads.load(at, *node) < ctx.adaptive_threshold
+                && loads.load(at, node) < ctx.adaptive_threshold
                 && best_under.is_none_or(|(_, best)| scored < best)
             {
-                best_under = Some((*node, scored));
+                best_under = Some((node, scored));
             }
         }
 
@@ -348,10 +480,20 @@ impl RoutingProtocol for GreediestRouting {
     }
 
     fn virtual_channel(&self, at: NodeId, _next: NodeId, dest: NodeId) -> VirtualChannelId {
-        let at_coords = &self.coordinates[at.index()];
-        let dest_coords = &self.coordinates[dest.index()];
-        let (space, _) = at_coords.closest_space(dest_coords);
-        if dest_coords.coordinate(space) >= at_coords.coordinate(space) {
+        let at_coords = self.store.coords(at);
+        let dest_coords = self.store.coords(dest);
+        // The MD-defining space: the first one at minimum circular distance,
+        // as `CoordinateVector::closest_space` picks it.
+        let mut space = 0;
+        let mut closest = f64::INFINITY;
+        for (s, (&a, &d)) in at_coords.iter().zip(dest_coords).enumerate() {
+            let distance = circular_distance(a, d);
+            if distance < closest {
+                space = s;
+                closest = distance;
+            }
+        }
+        if dest_coords[space] >= at_coords[space] {
             VirtualChannelId::UP
         } else {
             VirtualChannelId::DOWN
@@ -364,7 +506,7 @@ mod tests {
     use super::*;
     use crate::protocol::{trace_route, trace_route_with_loads, TableLoad};
     use sf_topology::spaces::paper_figure3_example;
-    use sf_types::NetworkConfig;
+    use sf_types::{minimum_circular_distance, NetworkConfig};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -625,6 +767,38 @@ mod tests {
                 assert_eq!(vc == VirtualChannelId::UP, up);
             }
         }
+    }
+
+    #[test]
+    fn virtual_channel_takes_the_first_closest_space_on_ties() {
+        // Both spaces put the two nodes 0.25 apart: space 0 says up for
+        // 0 -> 1 and down for 1 -> 0, space 1 the opposite.
+        let coords = |a: f64, b: f64| {
+            CoordinateVector::new(vec![
+                Coordinate::new(a).unwrap(),
+                Coordinate::new(b).unwrap(),
+            ])
+        };
+        let spaces =
+            VirtualSpaces::from_coordinate_vectors(vec![coords(0.25, 0.5), coords(0.5, 0.25)])
+                .unwrap();
+        let mut graph = AdjacencyGraph::new(2);
+        graph
+            .add_edge(n(0), n(1), sf_topology::EdgeKind::Structured)
+            .unwrap();
+        let routing = GreediestRouting::from_parts(&graph, &spaces, GreediestOptions::default());
+        let (space, _) = spaces
+            .coordinates(n(0))
+            .closest_space(spaces.coordinates(n(1)));
+        assert_eq!(space.index(), 0);
+        assert_eq!(
+            routing.virtual_channel(n(0), n(1), n(1)),
+            VirtualChannelId::UP
+        );
+        assert_eq!(
+            routing.virtual_channel(n(1), n(0), n(0)),
+            VirtualChannelId::DOWN
+        );
     }
 
     #[test]

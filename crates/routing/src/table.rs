@@ -8,6 +8,12 @@
 //! 7-bit quantised coordinate in that space. Network reconfiguration only
 //! flips the blocking / valid / hop bits — entries are never added or removed
 //! after fabrication, which is what makes reconfiguration cheap.
+//!
+//! [`RoutingTable`] is the one definition of what a router stores.
+//! [`crate::GreediestRouting`] builds each router's table, flattens its
+//! entries into a forwarding store shared by all routers, and then drops the
+//! table. Storage accounting uses the row count and
+//! [`RoutingTable::entry_bits`].
 
 use serde::{Deserialize, Serialize};
 use sf_topology::{AdjacencyGraph, VirtualSpaces};
@@ -147,7 +153,9 @@ impl RoutingTable {
         self.owner
     }
 
-    /// All entries, in insertion order (one-hop first).
+    /// All entries, in insertion order: one-hop neighbours first, then two-hop
+    /// neighbours. Each neighbour has one entry per virtual space, in space
+    /// order.
     #[must_use]
     pub fn entries(&self) -> &[RoutingTableEntry] {
         &self.entries
@@ -303,11 +311,18 @@ impl RoutingTable {
         changed
     }
 
-    /// Storage cost of this table in bits, following the paper's per-entry
+    /// Storage cost of this table in bits: [`RoutingTable::entry_bits`] per
+    /// entry.
+    #[must_use]
+    pub fn storage_bits(&self, num_nodes: usize, ports: usize) -> u64 {
+        Self::entry_bits(num_nodes, ports) * self.entries.len() as u64
+    }
+
+    /// Storage cost of one entry in bits, following the paper's per-entry
     /// layout: `log2(N)` node number + 1 blocking + 1 valid + 1 hop +
     /// `ceil(log2(p/2))` space number + 7-bit coordinate.
     #[must_use]
-    pub fn storage_bits(&self, num_nodes: usize, ports: usize) -> u64 {
+    pub fn entry_bits(num_nodes: usize, ports: usize) -> u64 {
         let node_bits = (usize::BITS - (num_nodes.max(2) - 1).leading_zeros()) as u64;
         let spaces = (ports / 2).max(1);
         let space_bits = if spaces <= 1 {
@@ -315,8 +330,7 @@ impl RoutingTable {
         } else {
             (usize::BITS - (spaces - 1).leading_zeros()) as u64
         };
-        let per_entry = node_bits + 1 + 1 + 1 + space_bits + 7;
-        per_entry * self.entries.len() as u64
+        node_bits + 1 + 1 + 1 + space_bits + 7
     }
 }
 
