@@ -17,15 +17,16 @@
 //!   Both kernel probes time the cycle loop ([`NetworkSimulator::run`])
 //!   only; topology, routing tables and simulator are built untimed.
 //! - `fig10_quick` — the fig10 saturation study at `--quick` scale through
-//!   the real [`execute`] path: sweep pool, journal, sink and all.
-//! - `dispatch_overhead` — `dispatch --workers 1` minus a direct run of the
-//!   quick megasweep (trajectory only, never gated).
+//!   the real [`execute`] path: sweep pool, journal, sink and all. Each
+//!   sample gets a fresh topology cache, so every sample builds its
+//!   topologies cold.
 //!
 //! With `--baseline PATH` the fresh snapshot is diffed against a prior one;
 //! regressions (wall-clock beyond [`sf_obs::report::WALL_TOLERANCE`], RSS
 //! beyond [`sf_obs::report::RSS_TOLERANCE`]) exit non-zero so ci.sh can
 //! gate on the perf trajectory.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sf_netsim::{NetworkSimulator, UniformRandomTraffic};
@@ -34,7 +35,7 @@ use sf_obs::report::{BenchEntry, BenchReport};
 use sf_routing::GreediestRouting;
 use sf_topology::StringFigureTopology;
 use sf_types::{NetworkConfig, SimulationConfig, SystemConfig};
-use stringfigure::study::{execute, RunContext, StudyRegistry};
+use stringfigure::study::{execute, RunContext, StudyRegistry, TopologyCache};
 
 use crate::cli::CliArgs;
 
@@ -134,7 +135,6 @@ fn push_entry(entries: &mut Vec<BenchEntry>, progress: &Progress, name: &str, ru
         wall_ms,
         samples: runs.len() as u32,
         rate_per_s: None,
-        gated: true,
     });
 }
 
@@ -161,60 +161,7 @@ fn push_rate_entry(
         wall_ms,
         samples: runs.len() as u32,
         rate_per_s: Some(rate),
-        gated: true,
     });
-}
-
-/// The coordinator-tax probe: wall-clock delta between `dispatch --workers
-/// 1` and a direct `run` of the same quick megasweep, both as subprocesses
-/// of this binary so process startup cost cancels out. What remains is the
-/// dispatch fabric itself — worker spawn, heartbeat plumbing, the poll
-/// loop, and the merge. Returns the per-sample deltas, or `None` if a
-/// subprocess failed (the probe is then skipped, not fatal).
-fn dispatch_overhead_runs(samples: u32) -> Option<(Vec<Duration>, Vec<Duration>)> {
-    let exe = std::env::current_exe().ok()?;
-    let dir = std::env::temp_dir().join(format!("sf-bench-dispatch-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let run_one = |args: &[&str]| -> Option<Duration> {
-        let started = Instant::now();
-        let status = std::process::Command::new(&exe)
-            .args(args)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .ok()?;
-        status.success().then(|| started.elapsed())
-    };
-    let direct_csv = dir.join("direct.csv");
-    let dispatched_csv = dir.join("dispatched.csv");
-    let direct_args = [
-        "run",
-        "megasweep",
-        "--quick",
-        "--quiet",
-        "--no-resume",
-        "--csv",
-        direct_csv.to_str()?,
-    ];
-    let dispatch_args = [
-        "dispatch",
-        "--workers",
-        "1",
-        "--quiet",
-        "run",
-        "megasweep",
-        "--quick",
-        "--csv",
-        dispatched_csv.to_str()?,
-    ];
-    let mut direct = Vec::with_capacity(samples as usize);
-    let mut dispatched = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        direct.push(run_one(&direct_args)?);
-        dispatched.push(run_one(&dispatch_args)?);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Some((direct, dispatched))
 }
 
 /// Entry point for `sfbench bench`; returns the process exit code.
@@ -308,13 +255,18 @@ pub fn run(args: &CliArgs) -> i32 {
     }
     // The fig10 probe exercises the full study path (sweep pool, sink,
     // journal); its own notes and heartbeat are silenced so the probe
-    // measures the pipeline, not terminal I/O.
+    // measures the pipeline, not terminal I/O. Each sample runs in a context
+    // with its own fresh topology cache: through the process-wide cache every
+    // sample after the first would reuse warm topologies and time something
+    // other than the first.
     let registry = StudyRegistry::all();
     if let Some(study) = registry.get("fig10") {
         progress.configure(true);
-        let ctx = RunContext::new().quick(true);
         let mut failed = false;
-        let runs = timed(1, || {
+        let runs = timed(samples, || {
+            let ctx = RunContext::new()
+                .quick(true)
+                .with_build_cache(Arc::new(TopologyCache::new()));
             if let Err(e) = execute(study, &ctx) {
                 eprintln!("error: fig10_quick probe failed: {e}");
                 failed = true;
@@ -326,32 +278,6 @@ pub fn run(args: &CliArgs) -> i32 {
         }
         push_entry(&mut entries, progress, "fig10_quick", &runs);
     }
-    // Dispatch fabric tax: min(dispatch-of-1) - min(direct run), floored at
-    // zero. Recorded as a delta so the trajectory tracks the coordinator's
-    // own cost rather than megasweep's; minima rather than medians because
-    // subtracting two noisy medians of multi-second subprocess runs
-    // compounds their jitter into a delta that swings by tens of ms.
-    match dispatch_overhead_runs(samples) {
-        Some((direct, dispatched)) => {
-            let delta_ms =
-                (BenchReport::min_ms(&dispatched) - BenchReport::min_ms(&direct)).max(0.0);
-            progress.note(&format!(
-                "# bench dispatch_overhead: {delta_ms:.3} ms delta"
-            ));
-            entries.push(BenchEntry {
-                name: "dispatch_overhead".to_string(),
-                wall_ms: delta_ms,
-                samples,
-                rate_per_s: None,
-                // A delta of two multi-second subprocess walls: on a busy
-                // host the coordinator/worker contention alone swings this
-                // past any sane tolerance band, so it is trajectory-only.
-                gated: false,
-            });
-        }
-        None => eprintln!("# warning: dispatch_overhead probe skipped (worker subprocess failed)"),
-    }
-
     let report = BenchReport {
         label,
         peak_rss_kb: sf_obs::rss::peak_rss_kb().unwrap_or(0),

@@ -17,6 +17,9 @@
 //! and `sfbench run fig10 --quick --csv f.csv` emit byte-identical
 //! artifacts.
 //!
+//! An unknown command, an unknown flag of `list`, `run` or `bench`, or a
+//! boolean flag given a value exits with status 2 before any sweep starts.
+//!
 //! ## Checkpoint/resume
 //!
 //! `run` with `--csv PATH` journals every completed sweep job to
@@ -28,7 +31,6 @@
 //! `--csv` too); `--max-journal-bytes N` compacts an oversized append log
 //! to a kill-safe snapshot in place (mega-sweep hygiene).
 
-use sf_harness::fabric::{self, Partition};
 use stringfigure::study::{execute, print_result_table, RunContext, Study, StudyRegistry};
 
 /// Boolean flags `sfbench run` accepts.
@@ -45,7 +47,6 @@ pub const RUN_VALUE_FLAGS: &[&str] = &[
     "--metrics",
     "--telemetry",
     "--telemetry-every",
-    "--partition",
 ];
 
 /// Parsed command-line arguments: the one flag-parsing code path shared by
@@ -189,30 +190,16 @@ impl CliArgs {
     }
 }
 
-/// Builds the [`RunContext`] a `run` invocation describes. With a partition
-/// coordinate, every artifact path (`--csv`/`--json`/`--telemetry`, and the
-/// derived journal default) is rewritten to its shard name
-/// (`<path>.p<i>of<N>`), so N workers sharing one command line never clobber
-/// each other and `sfbench merge` can discover the shard set from the base
-/// path.
-fn context_from_args(args: &CliArgs, partition: Option<Partition>) -> RunContext {
-    let shard = |path: String| match partition {
-        Some(p) => fabric::shard_path(std::path::Path::new(&path), p)
-            .to_string_lossy()
-            .into_owned(),
-        None => path,
-    };
+/// Builds the [`RunContext`] a `run` invocation describes.
+fn context_from_args(args: &CliArgs) -> RunContext {
     let mut ctx = RunContext::new()
         .quick(args.flag("--quick"))
         .with_shards(args.usize_value("--shards").unwrap_or(0));
-    if let Some(p) = partition {
-        ctx = ctx.with_partition(p);
-    }
-    let csv = args.value("--csv").map(shard);
+    let csv = args.value("--csv");
     if let Some(path) = &csv {
         ctx = ctx.with_csv(path);
     }
-    if let Some(path) = args.value("--json").map(shard) {
+    if let Some(path) = args.value("--json") {
         ctx = ctx.with_json(path);
     }
     if let Some(path) = args.value("--checkpoint") {
@@ -220,7 +207,7 @@ fn context_from_args(args: &CliArgs, partition: Option<Partition>) -> RunContext
     } else if let (Some(csv), false) = (&csv, args.flag("--no-resume")) {
         ctx = ctx.with_checkpoint(format!("{csv}.journal"));
     }
-    let telemetry = args.value("--telemetry").map(shard);
+    let telemetry = args.value("--telemetry");
     if let Some(path) = &telemetry {
         ctx = ctx.with_telemetry(path);
     }
@@ -260,31 +247,6 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
         );
         return 2;
     }
-    // The partition gate: only single-sweep row-streaming studies have the
-    // "one row per point, one sweep per run" shape contiguous index slicing
-    // relies on; collected studies (normalised baselines, multi-sweep
-    // drivers) would produce shards that do not union back to the serial
-    // artifact.
-    let partition = match args.value("--partition") {
-        Some(text) => match Partition::parse(&text) {
-            Ok(p) => {
-                if !study.streams_rows() {
-                    eprintln!(
-                        "error: --partition only applies to row-streaming studies \
-                         (e.g. megasweep); '{}' collects its rows and cannot be sharded",
-                        study.name()
-                    );
-                    return 2;
-                }
-                Some(p)
-            }
-            Err(why) => {
-                eprintln!("error: bad --partition: {why}");
-                return 2;
-            }
-        },
-        None => None,
-    };
     let progress = sf_obs::progress::Progress::global();
     progress.configure(args.flag("--quiet"));
     let trace_path = args.value("--trace");
@@ -300,7 +262,7 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
     }
     progress.note(&format!("# {}: {}", study.artefact(), study.description()));
     crate::announce_pool(args.usize_value("--shards").unwrap_or(0));
-    let ctx = context_from_args(args, partition);
+    let ctx = context_from_args(args);
     let code = match execute(study, &ctx) {
         Ok(table) => {
             // The result table and figure extras are human-facing summaries;
@@ -384,52 +346,6 @@ fn metrics_document() -> String {
     out
 }
 
-/// Minimal JSON string escaping for the static study metadata `list --json`
-/// emits (quotes, backslashes, control characters).
-fn json_str(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The `list --json` document: one object per study with the machine-facing
-/// facts dispatch tooling needs to size partitions — point counts at quick
-/// and full scale — plus names, aliases, and whether the study streams rows
-/// (the precondition for `--partition`).
-fn registry_json(registry: &StudyRegistry) -> String {
-    let quick = RunContext::new().quick(true);
-    let full = RunContext::new();
-    let mut out = String::from("[");
-    for (i, study) in registry.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let aliases: Vec<String> = study.aliases().iter().map(|a| json_str(a)).collect();
-        out.push_str(&format!(
-            "\n  {{\"name\": {}, \"aliases\": [{}], \"artefact\": {}, \"description\": {}, \"streams_rows\": {}, \"quick_points\": {}, \"full_points\": {}}}",
-            json_str(study.name()),
-            aliases.join(", "),
-            json_str(study.artefact()),
-            json_str(study.description()),
-            study.streams_rows(),
-            study.grid(&quick).jobs(),
-            study.grid(&full).jobs(),
-        ));
-    }
-    out.push_str("\n]");
-    out
-}
-
 fn unknown_study(name: &str, registry: &StudyRegistry) -> i32 {
     eprintln!(
         "error: unknown study '{name}'; available: {}",
@@ -443,11 +359,9 @@ fn print_usage() {
         "usage: sfbench <command> [args]\n\
          \n\
          commands:\n\
-         \x20 list [--json]            studies in the registry (paper + extended scenarios)\n\
+         \x20 list                     studies in the registry (paper + extended scenarios)\n\
          \x20 grid <study> [--quick]   sweep axes and job count of a study\n\
          \x20 run <study> [options]    run a study\n\
-         \x20 merge [options]          stitch --partition shards into the serial artifact\n\
-         \x20 dispatch [options] run … spawn N partition workers, monitor, re-issue, merge\n\
          \x20 bench [options]          in-process perf probes; emits a BENCH_<n>.json snapshot\n\
          \x20 report [options]         analyze run artifacts into a markdown report\n\
          \n\
@@ -464,23 +378,6 @@ fn print_usage() {
          \x20 --metrics PATH           write the metrics + span-summary JSON document\n\
          \x20 --telemetry PATH         record the sf-telemetry/v1 time-series stream\n\
          \x20 --telemetry-every N      telemetry sample cadence in cycles (default 64)\n\
-         \x20 --partition i/N          run only partition i of N (row-streaming studies);\n\
-         \x20                          artifacts land at <path>.p<i>of<N> for 'sfbench merge'\n\
-         \n\
-         merge options:\n\
-         \x20 --csv PATH               merge PATH.p*of* CSV shards into PATH\n\
-         \x20 --json PATH              merge PATH.p*of* JSON shards into PATH\n\
-         \x20 --telemetry PATH         merge PATH.p*of* telemetry shards into PATH\n\
-         \x20 --allow-partial          with missing shards: journal present rows to\n\
-         \x20                          PATH.journal so a plain run resumes the rest\n\
-         \x20 --quiet                  suppress progress notes\n\
-         \n\
-         dispatch options (before the 'run' command):\n\
-         \x20 --workers N              number of partition worker processes\n\
-         \x20 --heartbeat-timeout SECS re-issue a worker silent for SECS (default 60)\n\
-         \x20 --max-retries K          re-issues per partition before giving up (default 2)\n\
-         \x20 --keep-shards            keep per-partition artifacts after the merge\n\
-         \x20 --quiet                  suppress the aggregate progress line\n\
          \n\
          report options:\n\
          \x20 --telemetry PATH         congestion heatmap from a telemetry stream\n\
@@ -511,18 +408,18 @@ pub fn main(args: Vec<String>) -> i32 {
     let mut args = args.into_iter();
     match args.next().as_deref() {
         Some("list") => {
-            let rest = CliArgs::new(args.collect());
-            if rest.flag("--json") {
-                println!("{}", registry_json(&registry));
-            } else {
-                for study in registry.iter() {
-                    println!(
-                        "{:<10} {:<30} {}",
-                        study.name(),
-                        study.artefact(),
-                        study.description()
-                    );
-                }
+            let unknown = CliArgs::new(args.collect()).unknown_flags(&[], &[]);
+            if !unknown.is_empty() {
+                eprintln!("error: 'list' takes no flags; got {}", unknown.join(", "));
+                return 2;
+            }
+            for study in registry.iter() {
+                println!(
+                    "{:<10} {:<30} {}",
+                    study.name(),
+                    study.artefact(),
+                    study.description()
+                );
             }
             0
         }
@@ -553,8 +450,6 @@ pub fn main(args: Vec<String>) -> i32 {
             };
             run_study(study, &CliArgs::new(args.collect()))
         }
-        Some("merge") => crate::dispatch::merge_main(&CliArgs::new(args.collect())),
-        Some("dispatch") => crate::dispatch::dispatch_main(args.collect()),
         Some("bench") => crate::benchprobe::run(&CliArgs::new(args.collect())),
         Some("report") => crate::report::run(&CliArgs::new(args.collect())),
         None | Some("help" | "--help" | "-h") => {
@@ -612,10 +507,7 @@ mod tests {
 
     #[test]
     fn max_journal_bytes_reaches_the_context() {
-        let ctx = context_from_args(
-            &args(&["--csv", "out.csv", "--max-journal-bytes", "4096"]),
-            None,
-        );
+        let ctx = context_from_args(&args(&["--csv", "out.csv", "--max-journal-bytes", "4096"]));
         assert!(ctx.checkpoint_path().is_some());
         let unknown =
             args(&["--max-journal-bytes", "4096"]).unknown_flags(RUN_BOOL_FLAGS, RUN_VALUE_FLAGS);
@@ -636,17 +528,17 @@ mod tests {
 
     #[test]
     fn context_wires_checkpoint_next_to_the_csv() {
-        let ctx = context_from_args(&args(&["--quick", "--csv", "out.csv"]), None);
+        let ctx = context_from_args(&args(&["--quick", "--csv", "out.csv"]));
         assert!(ctx.is_quick());
         assert_eq!(
             ctx.checkpoint_path().unwrap().to_str().unwrap(),
             "out.csv.journal"
         );
 
-        let none = context_from_args(&args(&["--quick", "--csv", "o.csv", "--no-resume"]), None);
+        let none = context_from_args(&args(&["--quick", "--csv", "o.csv", "--no-resume"]));
         assert!(none.checkpoint_path().is_none());
 
-        let explicit = context_from_args(&args(&["--checkpoint", "j.journal"]), None);
+        let explicit = context_from_args(&args(&["--checkpoint", "j.journal"]));
         assert_eq!(
             explicit.checkpoint_path().unwrap().to_str().unwrap(),
             "j.journal"
@@ -655,19 +547,16 @@ mod tests {
 
     #[test]
     fn telemetry_flags_reach_the_context() {
-        let ctx = context_from_args(
-            &args(&["--telemetry", "t.bin", "--telemetry-every", "32"]),
-            None,
-        );
+        let ctx = context_from_args(&args(&["--telemetry", "t.bin", "--telemetry-every", "32"]));
         assert_eq!(ctx.telemetry().unwrap().to_str().unwrap(), "t.bin");
         assert_eq!(ctx.telemetry_every(), 32);
         // The cadence flag alone is inert (warned, not wired); without a
         // stream path telemetry_every() reports the off state.
-        let inert = context_from_args(&args(&["--telemetry-every", "32"]), None);
+        let inert = context_from_args(&args(&["--telemetry-every", "32"]));
         assert!(inert.telemetry().is_none());
         assert_eq!(inert.telemetry_every(), 0);
         // Default cadence when only the path is given.
-        let default = context_from_args(&args(&["--telemetry=t.bin"]), None);
+        let default = context_from_args(&args(&["--telemetry=t.bin"]));
         assert_eq!(default.telemetry_every(), sf_obs::telemetry::DEFAULT_EVERY);
         let unknown = args(&["--telemetry", "t.bin", "--telemetry-every=32"])
             .unknown_flags(RUN_BOOL_FLAGS, RUN_VALUE_FLAGS);
@@ -706,6 +595,21 @@ mod tests {
     fn unknown_names_fail_with_usage_exit_codes() {
         assert_eq!(main(vec!["run".into(), "fig99".into()]), 2);
         assert_eq!(main(vec!["bogus".into()]), 2);
+        // Removed commands fall through to the unknown-command arm.
+        assert_eq!(
+            main(vec!["merge".into(), "--csv".into(), "x.csv".into()]),
+            2
+        );
+        assert_eq!(
+            main(vec![
+                "dispatch".into(),
+                "--workers".into(),
+                "2".into(),
+                "run".into(),
+                "megasweep".into()
+            ]),
+            2
+        );
         assert_eq!(main(vec!["list".into()]), 0);
         assert_eq!(
             main(vec!["grid".into(), "fig10".into(), "--quick".into()]),
@@ -739,6 +643,19 @@ mod tests {
             ]),
             2
         );
+        // Removed flags are unknown, not silently ignored: a stale
+        // `--partition` must not run the whole grid, and `list --json` must
+        // not hand the text table to a JSON consumer.
+        assert_eq!(
+            main(vec![
+                "run".into(),
+                "fig10".into(),
+                "--partition".into(),
+                "1/2".into()
+            ]),
+            2
+        );
+        assert_eq!(main(vec!["list".into(), "--json".into()]), 2);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 
 pub mod benchprobe;
 pub mod cli;
-pub mod dispatch;
-pub mod proto;
 pub mod report;
 
 pub use stringfigure::study::{fmt_f, fmt_percent, print_table};

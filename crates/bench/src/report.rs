@@ -829,7 +829,6 @@ mod tests {
                 wall_ms: 12.0,
                 samples: 3,
                 rate_per_s: None,
-                gated: true,
             }],
         };
         let table = render_trajectory(&[

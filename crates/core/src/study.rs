@@ -34,7 +34,6 @@ use crate::experiments::{
     workload_study_with_ctx, ExperimentScale, FaultResilienceRow, HopCountRow, LatencyPoint,
     MegasweepRow, PowerGateRow, SaturationRow, WorkloadRow,
 };
-use sf_harness::fabric::{self, Partition, ShardFormat, ShardMeta};
 use sf_harness::journal::{self, Journal};
 use sf_harness::pool::PoolConfig;
 use sf_harness::sink::RowSink;
@@ -300,7 +299,7 @@ pub type TopologyCache = BuildCache<(TopologyKind, usize, u64), NetworkInstance>
 
 /// Where a study's result table is written after the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Emitter {
+enum Emitter {
     /// Write the table's CSV form to this path.
     Csv(PathBuf),
     /// Write the table's JSON form to this path.
@@ -334,11 +333,6 @@ pub struct RunContext {
     max_journal_bytes: Option<u64>,
     telemetry: Option<PathBuf>,
     telemetry_every: Option<u64>,
-    partition: Option<Partition>,
-    /// Total point count of the last partitioned sweep (the *unpartitioned*
-    /// grid size), recorded by `run_jobs_streaming` so `execute` can stamp
-    /// shard metadata without re-deriving the grid. `u64::MAX` = unset.
-    partition_total: AtomicU64,
     journal: OnceLock<Journal>,
     sweep_seq: AtomicU64,
 }
@@ -365,8 +359,6 @@ impl RunContext {
             max_journal_bytes: None,
             telemetry: None,
             telemetry_every: None,
-            partition: None,
-            partition_total: AtomicU64::new(u64::MAX),
             journal: OnceLock::new(),
             sweep_seq: AtomicU64::new(0),
         }
@@ -467,26 +459,6 @@ impl RunContext {
         self
     }
 
-    /// Restricts every sweep this context runs to partition `p` of the
-    /// distributed fabric: only the points in the partition's contiguous
-    /// global index range execute, each keeping its **global** index (and
-    /// therefore its derived seed and journal key), so the union of all
-    /// partitions' rows is bit-identical to the unpartitioned run. Only
-    /// meaningful for single-sweep row-streaming studies — the CLI enforces
-    /// that gate.
-    #[must_use]
-    pub fn with_partition(mut self, p: Partition) -> Self {
-        self.partition = Some(p);
-        self
-    }
-
-    /// The partition configured with
-    /// [`with_partition`](Self::with_partition), if any.
-    #[must_use]
-    pub fn partition(&self) -> Option<Partition> {
-        self.partition
-    }
-
     /// The telemetry stream path configured with
     /// [`with_telemetry`](Self::with_telemetry), if any.
     #[must_use]
@@ -516,12 +488,6 @@ impl RunContext {
     #[must_use]
     pub fn pool(&self) -> &PoolConfig {
         &self.pool
-    }
-
-    /// The configured emitters.
-    #[must_use]
-    pub fn emitters(&self) -> &[Emitter] {
-        &self.emitters
     }
 
     /// The journal path configured with
@@ -657,86 +623,67 @@ impl RunContext {
         let mut failure: Option<SfError> = None;
         let mut delivered = 0usize;
         let points = points.into_iter();
-        // Partitioning slices the stream to a contiguous global index range;
-        // the index offset lifts job indices back to their grid-global
-        // values, so seeds, journal keys, and telemetry scopes are exactly
-        // the unpartitioned run's. (The `0..len` range of the unpartitioned
-        // case makes this one code path, not two.)
-        let total = points.len();
-        let range = match self.partition {
-            Some(p) => {
-                self.partition_total.store(total as u64, Ordering::Relaxed);
-                fabric::partition_range(total, p)
-            }
-            None => 0..total,
-        };
-        let points = points.skip(range.start).take(range.len());
         let progress = sf_obs::progress::Progress::global();
         progress.start_sweep(points.len());
-        LazySweep::new(points)
-            .with_index_offset(range.start)
-            .run_streaming(
-                &self.pool,
-                |jctx, point| {
-                    // Telemetry blocks this job's simulations submit are keyed
-                    // by (sweep, job index) so the collector can write them in
-                    // enumeration order, whatever worker ran the job.
-                    let _telemetry_scope = sf_obs::telemetry::job_scope(seq, jctx.index as u64);
-                    if let Some(journal) = journal {
-                        if let Some(cells) = journal.restored(seq, jctx.index as u64) {
-                            if let Some(row) = R::from_cells(cells) {
-                                return Ok(row);
-                            }
+        LazySweep::new(points).run_streaming(
+            &self.pool,
+            |jctx, point| {
+                // Telemetry blocks this job's simulations submit are keyed
+                // by (sweep, job index) so the collector can write them in
+                // enumeration order, whatever worker ran the job.
+                let _telemetry_scope = sf_obs::telemetry::job_scope(seq, jctx.index as u64);
+                if let Some(journal) = journal {
+                    if let Some(cells) = journal.restored(seq, jctx.index as u64) {
+                        if let Some(row) = R::from_cells(cells) {
+                            return Ok(row);
                         }
                     }
-                    let row = job(jctx, point)?;
-                    if let Some(journal) = journal {
-                        journal
-                            .record(seq, jctx.index as u64, &row.to_cells())
-                            .map_err(|e| SfError::Simulation {
-                                reason: format!("checkpoint journal write failed: {e}"),
-                            })?;
-                    }
-                    Ok(row)
-                },
-                |outcome| {
-                    // Ordered delivery means the first failure seen is the
-                    // lowest-indexed one — the error the old serial loops
-                    // surfaced. Returning false cancels the sweep, so a failed
-                    // mega-sweep stops instead of running the rest of its grid.
-                    match outcome.result {
-                        Ok(row) => match on_row(outcome.index, row) {
-                            Ok(()) => {
-                                delivered += 1;
-                                // This callback runs in enumeration order, so
-                                // flushing parked telemetry here pins the
-                                // stream's block order to the job order.
-                                sf_obs::telemetry::Collector::global()
-                                    .deliver_through(seq, outcome.index as u64);
-                                progress.tick(1, 1);
-                                true
-                            }
-                            Err(e) => {
-                                failure = Some(e);
-                                false
-                            }
-                        },
-                        Err(SweepError::Job(e)) => {
+                }
+                let row = job(jctx, point)?;
+                if let Some(journal) = journal {
+                    journal
+                        .record(seq, jctx.index as u64, &row.to_cells())
+                        .map_err(|e| SfError::Simulation {
+                            reason: format!("checkpoint journal write failed: {e}"),
+                        })?;
+                }
+                Ok(row)
+            },
+            |outcome| {
+                // Ordered delivery means the first failure seen is the
+                // lowest-indexed one — the error the old serial loops
+                // surfaced. Returning false cancels the sweep, so a failed
+                // mega-sweep stops instead of running the rest of its grid.
+                match outcome.result {
+                    Ok(row) => match on_row(outcome.index, row) {
+                        Ok(()) => {
+                            delivered += 1;
+                            // This callback runs in enumeration order, so
+                            // flushing parked telemetry here pins the
+                            // stream's block order to the job order.
+                            sf_obs::telemetry::Collector::global()
+                                .deliver_through(seq, outcome.index as u64);
+                            progress.tick(1, 1);
+                            true
+                        }
+                        Err(e) => {
                             failure = Some(e);
                             false
                         }
-                        Err(SweepError::Panic(message)) => {
-                            failure = Some(SfError::Simulation {
-                                reason: format!(
-                                    "experiment job {} panicked: {message}",
-                                    outcome.index
-                                ),
-                            });
-                            false
-                        }
+                    },
+                    Err(SweepError::Job(e)) => {
+                        failure = Some(e);
+                        false
                     }
-                },
-            );
+                    Err(SweepError::Panic(message)) => {
+                        failure = Some(SfError::Simulation {
+                            reason: format!("experiment job {} panicked: {message}", outcome.index),
+                        });
+                        false
+                    }
+                }
+            },
+        );
         progress.finish_sweep();
         match failure {
             Some(e) => Err(e),
@@ -961,10 +908,12 @@ pub trait Study: Send + Sync {
     }
 }
 
-/// The identity parts of running `study` in `ctx`, *without* any partition
-/// coordinate — the serial run's identity, shared by every shard of one
-/// distributed run.
-fn fingerprint_parts(study: &dyn Study, ctx: &RunContext) -> Vec<String> {
+/// The checkpoint fingerprint of running `study` in `ctx`: identifies the
+/// study and everything that changes its grid or rows, while deliberately
+/// excluding worker/shard counts (which never change output bytes), so a
+/// resume may use different parallelism than the interrupted run.
+#[must_use]
+pub fn study_fingerprint(study: &dyn Study, ctx: &RunContext) -> u64 {
     let mut parts: Vec<String> = vec![
         study.name().to_string(),
         if ctx.is_quick() { "quick" } else { "full" }.to_string(),
@@ -975,31 +924,7 @@ fn fingerprint_parts(study: &dyn Study, ctx: &RunContext) -> Vec<String> {
             scale.max_cycles, scale.warmup_cycles
         ));
     }
-    parts
-}
-
-/// The checkpoint fingerprint of running `study` in `ctx`: identifies the
-/// study and everything that changes its grid or rows, while deliberately
-/// excluding worker/shard counts (which never change output bytes), so a
-/// resume may use different parallelism than the interrupted run. A
-/// partitioned context additionally folds in its `i/N` coordinate, so a
-/// partition journal can never be misapplied to a different partition (or to
-/// the serial run).
-#[must_use]
-pub fn study_fingerprint(study: &dyn Study, ctx: &RunContext) -> u64 {
-    let mut parts = fingerprint_parts(study, ctx);
-    if let Some(p) = ctx.partition() {
-        parts.push(format!("partition:{p}"));
-    }
     journal::fingerprint(parts)
-}
-
-/// The **serial** (partition-free) fingerprint of running `study` in `ctx` —
-/// what shard metadata records and what a merged artifact's resume journal
-/// carries, identical across all partitions of one run.
-#[must_use]
-pub fn study_fingerprint_serial(study: &dyn Study, ctx: &RunContext) -> u64 {
-    journal::fingerprint(fingerprint_parts(study, ctx))
 }
 
 /// Runs `study` end to end inside `ctx`: opens the checkpoint journal (when
@@ -1056,12 +981,10 @@ fn execute_inner(study: &dyn Study, ctx: &RunContext) -> SfResult<Table> {
         if let Some(found) = journal::peek_fingerprint(path) {
             if found != expected_fp {
                 progress.note(&format!(
-                    "# checkpoint journal {} fingerprint mismatch: expected {expected_fp:016x} (study={} mode={}{}), found {found:016x} — discarding it and starting fresh",
+                    "# checkpoint journal {} fingerprint mismatch: expected {expected_fp:016x} (study={} mode={}), found {found:016x} — discarding it and starting fresh",
                     path.display(),
                     study.name(),
                     if ctx.is_quick() { "quick" } else { "full" },
-                    ctx.partition()
-                        .map_or_else(String::new, |p| format!(" partition={p}")),
                 ));
             }
         }
@@ -1094,53 +1017,7 @@ fn execute_inner(study: &dyn Study, ctx: &RunContext) -> SfResult<Table> {
             reason: format!("cannot remove checkpoint journal: {e}"),
         })?;
     }
-    write_shard_metadata(study, ctx)?;
     Ok(table)
-}
-
-/// After a successful partitioned run, stamps every emitted artifact (and
-/// the telemetry stream) with a [`ShardMeta`] sidecar carrying the study,
-/// mode, **serial** fingerprint, partition coordinate, and covered index
-/// range — everything `sfbench merge` needs to validate shard compatibility.
-/// A no-op for unpartitioned contexts.
-fn write_shard_metadata(study: &dyn Study, ctx: &RunContext) -> SfResult<()> {
-    let Some(partition) = ctx.partition() else {
-        return Ok(());
-    };
-    let total = ctx.partition_total.load(Ordering::Relaxed);
-    if total == u64::MAX {
-        // The study never ran a partitioned sweep (nothing streamed), so
-        // there is no shard to describe.
-        return Ok(());
-    }
-    let total = usize::try_from(total).expect("point count fits usize");
-    let meta = |format: ShardFormat| ShardMeta {
-        study: study.name().to_string(),
-        mode: if ctx.is_quick() { "quick" } else { "full" }.to_string(),
-        fingerprint: study_fingerprint_serial(study, ctx),
-        partition,
-        range: fabric::partition_range(total, partition),
-        total,
-        format,
-    };
-    let mut targets: Vec<(PathBuf, ShardFormat)> = Vec::new();
-    for emitter in ctx.emitters() {
-        match emitter {
-            Emitter::Csv(path) => targets.push((path.clone(), ShardFormat::Csv)),
-            Emitter::Json(path) => targets.push((path.clone(), ShardFormat::Json)),
-        }
-    }
-    if let Some(path) = ctx.telemetry() {
-        targets.push((path.to_path_buf(), ShardFormat::Telemetry));
-    }
-    for (path, format) in targets {
-        meta(format)
-            .write_for(&path)
-            .map_err(|e| SfError::Simulation {
-                reason: format!("cannot write shard metadata for {}: {e}", path.display()),
-            })?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -2608,67 +2485,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_megasweep_shards_merge_to_the_serial_bytes() {
-        let pid = std::process::id();
-        let dir = std::env::temp_dir();
-        let serial_csv = dir.join(format!("sf-partition-serial-{pid}.csv"));
-        let base_csv = dir.join(format!("sf-partition-out-{pid}.csv"));
-        let merged_csv = dir.join(format!("sf-partition-merged-{pid}.csv"));
-        let _ = std::fs::remove_file(&serial_csv);
-        let registry = StudyRegistry::extended();
-        let study = registry.get("megasweep").unwrap();
-        let serial_ctx = RunContext::new()
-            .quick(true)
-            .with_pool(PoolConfig::serial())
-            .with_csv(&serial_csv);
-        execute(study, &serial_ctx).unwrap();
-        let serial_fp = study_fingerprint(study, &serial_ctx);
-
-        let mut shards = Vec::new();
-        for index in 1..=3u32 {
-            let p = Partition::new(index, 3).unwrap();
-            let shard = fabric::shard_path(&base_csv, p);
-            let _ = std::fs::remove_file(&shard);
-            // Mixed pools on purpose: partition output must not depend on
-            // worker count any more than serial output does.
-            let ctx = RunContext::new()
-                .quick(true)
-                .with_pool(if index == 2 {
-                    PoolConfig::threads(3).with_chunk(2)
-                } else {
-                    PoolConfig::serial()
-                })
-                .with_csv(&shard)
-                .with_partition(p);
-            // A partition journal is keyed to its own coordinate, never the
-            // serial run's (or a sibling partition's).
-            assert_ne!(study_fingerprint(study, &ctx), serial_fp);
-            assert_eq!(study_fingerprint_serial(study, &ctx), serial_fp);
-            execute(study, &ctx).unwrap();
-            let meta = ShardMeta::read_for(&shard).unwrap();
-            assert_eq!(meta.fingerprint, serial_fp);
-            assert_eq!(meta.total, study.grid(&ctx).jobs());
-            assert_eq!(meta.range, fabric::partition_range(meta.total, p));
-            shards.push((shard, meta));
-        }
-        let plan = fabric::plan_merge(&shards).unwrap();
-        assert!(plan.missing.is_empty());
-        let rows = fabric::merge_csv(&shards, &merged_csv).unwrap();
-        assert_eq!(rows, plan.total);
-        assert_eq!(
-            std::fs::read(&merged_csv).unwrap(),
-            std::fs::read(&serial_csv).unwrap(),
-            "3-partition merge must be byte-identical to the serial run"
-        );
-        for (shard, _) in &shards {
-            std::fs::remove_file(shard).unwrap();
-            std::fs::remove_file(ShardMeta::path_for(shard)).unwrap();
-        }
-        std::fs::remove_file(&serial_csv).unwrap();
-        std::fs::remove_file(&merged_csv).unwrap();
-    }
-
-    #[test]
     fn fingerprint_separates_studies_and_scales() {
         let registry = StudyRegistry::paper();
         let fig05 = registry.get("fig05").unwrap();
@@ -2683,6 +2499,18 @@ mod tests {
             study_fingerprint(fig05, &quick),
             study_fingerprint(fig05, &full)
         );
+        // Pinned values: a journal is only resumed when its fingerprint
+        // matches, so a refactor that hashed different parts would silently
+        // discard every existing journal.
+        let scaled = RunContext::new().quick(true).with_scale(ExperimentScale {
+            max_cycles: 900,
+            warmup_cycles: 100,
+            shards: 0,
+            telemetry_every: 0,
+        });
+        assert_eq!(study_fingerprint(fig10, &quick), 0xf8a6_4e55_9cfc_0d25);
+        assert_eq!(study_fingerprint(fig10, &full), 0x6b99_f4b9_cafd_5185);
+        assert_eq!(study_fingerprint(fig10, &scaled), 0xdb04_2cc6_5f24_d526);
     }
 
     #[test]

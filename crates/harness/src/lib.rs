@@ -10,20 +10,20 @@
 //! points through shared mutable state*. This crate supplies the pieces that
 //! make that safe and reproducible:
 //!
-//! * [`sweep`] — the [`Sweep`](sweep::Sweep) / [`LazySweep`](sweep::LazySweep)
-//!   job abstraction: stream points from an iterator (or a materialised
-//!   `Vec`), derive a per-job seed from the job's index (never from
-//!   execution order), and run the closure over every point. The streaming
-//!   engine delivers results to an ordered callback
-//!   ([`run_streaming`](sweep::LazySweep::run_streaming)), so a sweep's peak
-//!   memory is bounded by the worker count, not the grid size.
+//! * [`sweep`] — the [`Sweep`] / [`LazySweep`] job abstraction: stream
+//!   points from an iterator (or a materialised `Vec`), derive a per-job
+//!   seed from the job's index (never from execution order), and run the
+//!   closure over every point. The streaming engine delivers results to an
+//!   ordered callback ([`run_streaming`](sweep::LazySweep::run_streaming)),
+//!   so a sweep's peak memory is bounded by the worker count, not the grid
+//!   size.
 //! * [`pool`] — a `std::thread`-based worker pool with chunked work
 //!   distribution and per-job panic isolation. Results are collected by job
 //!   index, so a run with 16 workers is **bit-identical** to a run with one.
-//! * [`table`] — typed result rows ([`Record`](table::Record)) collected into
-//!   a [`Table`](table::Table) with hand-rolled CSV and JSON emitters (and
-//!   matching parsers for round-trip tests), so bench binaries produce
-//!   machine-readable artifacts without external dependencies.
+//! * [`table`] — typed result rows ([`Record`]) collected into a [`Table`]
+//!   with hand-rolled CSV and JSON emitters (and matching parsers for
+//!   round-trip tests), so bench binaries produce machine-readable artifacts
+//!   without external dependencies.
 //! * [`cache`] — a sharded, thread-safe build-once cache so repeated points
 //!   at the same (kind, size, seed) reuse the generated topology instead of
 //!   regenerating it per job. Eviction is cost-aware LRU: cheap-to-rebuild
@@ -32,18 +32,12 @@
 //!   results, so interrupted mega-sweeps resume with bit-identical final
 //!   output instead of starting over; oversized logs compact in place to a
 //!   kill-safe snapshot.
-//! * [`sink`] — streaming CSV/JSON row emitters ([`RowSink`](sink::RowSink))
-//!   that write each row as it arrives and finalise atomically on close,
-//!   byte-identical to serialising the equivalent [`Table`](table::Table)
-//!   in one shot.
+//! * [`sink`] — streaming CSV/JSON row emitters ([`RowSink`]) that write
+//!   each row as it arrives and finalise atomically on close, byte-identical
+//!   to serialising the equivalent [`Table`] in one shot.
 //! * [`budget`] — the process-wide core budget shared between sweep-level
 //!   workers and the intra-job simulation shards of `sf-simcore`, so the two
 //!   parallelism layers never oversubscribe the machine together.
-//! * [`fabric`] — the distributed-sweep fabric: deterministic contiguous
-//!   partitioning of the point stream (`i/N` → a global index range),
-//!   fingerprint-guarded shard metadata, and merge routines that stitch
-//!   CSV/JSON/telemetry shards back into artifacts byte-identical to the
-//!   serial run.
 //!
 //! ## Example
 //!
@@ -66,7 +60,6 @@
 
 pub mod budget;
 pub mod cache;
-pub mod fabric;
 pub mod journal;
 pub mod pool;
 pub mod sink;

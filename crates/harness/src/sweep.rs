@@ -199,7 +199,6 @@ impl<R, E> SweepReport<R, E> {
 pub struct LazySweep<I> {
     points: I,
     base_seed: u64,
-    index_offset: usize,
 }
 
 impl<P, I> LazySweep<I>
@@ -213,7 +212,6 @@ where
         Self {
             points,
             base_seed: 0,
-            index_offset: 0,
         }
     }
 
@@ -221,17 +219,6 @@ where
     #[must_use]
     pub fn with_base_seed(mut self, base_seed: u64) -> Self {
         self.base_seed = base_seed;
-        self
-    }
-
-    /// Offsets every job's index (and therefore its derived seed) by
-    /// `offset` — the partitioned-sweep contract: a sweep over points
-    /// `[k, k+m)` of a larger grid with `with_index_offset(k)` hands each
-    /// point exactly the `JobCtx` the full sweep would have, so the union of
-    /// partition results is bit-identical to the unpartitioned run.
-    #[must_use]
-    pub fn with_index_offset(mut self, offset: usize) -> Self {
-        self.index_offset = offset;
         self
     }
 
@@ -265,16 +252,11 @@ where
         S: FnMut(JobOutcome<R, E>) -> bool + Send,
     {
         let base_seed = self.base_seed;
-        let index_offset = self.index_offset;
         let mut delivered = 0usize;
         run_stream_emit(
             config,
             self.points,
             |index, point| {
-                // The engine numbers pulled points from 0; the offset lifts
-                // them back to their global grid indices so a partitioned
-                // sweep derives the exact seeds the full sweep would.
-                let index = index + index_offset;
                 let ctx = JobCtx {
                     index,
                     seed: derive_seed(base_seed, index as u64),
@@ -538,32 +520,6 @@ mod tests {
         assert_eq!(produced.load(Ordering::Relaxed), 10_000);
         let rows = report.into_results().unwrap();
         assert_eq!(rows[4_321], 4_322);
-    }
-
-    #[test]
-    fn index_offset_reproduces_the_full_sweep_slice() {
-        // A partitioned sweep over points [k, k+m) with an index offset of k
-        // must hand out exactly the (index, seed) pairs — and therefore the
-        // results — of the full sweep's slice.
-        let job = |ctx: JobCtx, &n: &u64| {
-            Ok::<(usize, u64, u64), std::convert::Infallible>((ctx.index, ctx.seed, n))
-        };
-        let full: Vec<_> = LazySweep::new(0u64..40)
-            .with_base_seed(9)
-            .run(&PoolConfig::threads(3), job)
-            .into_results()
-            .unwrap();
-        let (start, end) = (13usize, 29usize);
-        let mut sliced = Vec::new();
-        let delivered = LazySweep::new((start as u64)..(end as u64))
-            .with_base_seed(9)
-            .with_index_offset(start)
-            .run_streaming(&PoolConfig::threads(2), job, |outcome| {
-                sliced.push(outcome.result.unwrap());
-                true
-            });
-        assert_eq!(delivered, end - start);
-        assert_eq!(sliced.as_slice(), &full[start..end]);
     }
 
     #[test]

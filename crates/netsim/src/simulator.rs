@@ -6,10 +6,9 @@
 //! credit-based: a packet only leaves a router when the downstream input queue
 //! for its link and virtual channel has a free slot, so congestion backs up
 //! exactly as in the RTL model the paper uses. Routing decisions are delegated
-//! to any [`RoutingProtocol`](sf_routing::RoutingProtocol) (String Figure's
-//! greediest routing, mesh routing, or look-up-table routing), which also
-//! receives live queue occupancies so adaptive protocols behave as they would
-//! in hardware.
+//! to any [`RoutingProtocol`] (String Figure's greediest routing, mesh
+//! routing, or look-up-table routing), which also receives live queue
+//! occupancies so adaptive protocols behave as they would in hardware.
 //!
 //! Two traffic modes are supported:
 //!

@@ -5,10 +5,10 @@
 //! - **Notes** — the `# …` status lines the pipeline has always printed
 //!   (`# wrote results.csv (64 rows)`, `# resuming fig10 …`). Notes print
 //!   unless quiet.
-//! - **Heartbeat** — a rate-limited live line during a sweep with jobs
-//!   done/total, rows/s, ETA, and current RSS. The heartbeat only runs when
-//!   the reporter has been explicitly configured verbose (a CLI run without
-//!   `--quiet`), so library consumers and `cargo test` stay silent.
+//! - **Heartbeat** — a rate-limited live stderr line during a sweep with
+//!   jobs done/total, rows/s, ETA, and current RSS. The heartbeat only runs
+//!   when the reporter has been explicitly configured verbose (a CLI run
+//!   without `--quiet`), so library consumers and `cargo test` stay silent.
 //!
 //! Precedence of controls: explicit `--quiet` beats everything; otherwise the
 //! `SF_PROGRESS` environment variable (`0`/`false` → quiet, `1`/`true` →
@@ -16,7 +16,6 @@
 //! notes but no heartbeat.
 
 use std::io::{self, Write};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -25,27 +24,6 @@ use crate::rss;
 
 /// Environment variable overriding progress verbosity (`0` quiet, `1` live).
 pub const PROGRESS_ENV: &str = "SF_PROGRESS";
-
-/// Environment variable naming a machine-readable heartbeat file. When set,
-/// every sweep writes a one-line JSON snapshot of its progress there
-/// (atomically, via temp + rename) regardless of the stderr mode — this is
-/// how `sfbench dispatch` workers report progress to the coordinator while
-/// running `--quiet`.
-pub const HEARTBEAT_FILE_ENV: &str = "SF_HEARTBEAT_FILE";
-
-/// Environment variable naming the pid of the supervising process (the
-/// `sfbench dispatch` coordinator sets it to its own pid when spawning
-/// workers). When set, every progress tick checks whether this process has
-/// been **reparented** — the supervisor died hard (`kill -9`, OOM) and could
-/// not tear its workers down — and exits with [`ORPHAN_EXIT_CODE`] instead
-/// of running on as an orphan. Graceful supervisor exits (panic, error
-/// return, Ctrl-C) kill workers directly via their RAII handles; this check
-/// is the backstop for the exits no userspace cleanup survives.
-pub const WATCH_PARENT_ENV: &str = "SF_WATCH_PARENT";
-
-/// Exit code of a worker that found itself orphaned (see
-/// [`WATCH_PARENT_ENV`]).
-pub const ORPHAN_EXIT_CODE: i32 = 3;
 
 const MODE_NOTES: u8 = 0; // unconfigured: notes yes, heartbeat no
 const MODE_QUIET: u8 = 1;
@@ -98,34 +76,6 @@ struct SweepState {
     started: Option<Instant>,
     beat: HeartbeatLimiter,
     line_open: bool,
-    /// Destination of the machine-readable heartbeat, from
-    /// [`HEARTBEAT_FILE_ENV`] at sweep start; `None` disables the channel.
-    heartbeat_path: Option<PathBuf>,
-    /// Separate limiter for the heartbeat file, so quiet workers still beat.
-    file_beat: HeartbeatLimiter,
-}
-
-/// Renders the one-line JSON heartbeat snapshot (`sf-heartbeat/v1`).
-#[must_use]
-pub fn heartbeat_line(
-    label: &str,
-    done: usize,
-    total: usize,
-    rows: usize,
-    elapsed_ms: u128,
-    finished: bool,
-) -> String {
-    let escaped: String = label
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            '\n' => vec!['\\', 'n'],
-            other => vec![other],
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"sf-heartbeat/v1\",\"label\":\"{escaped}\",\"done\":{done},\"total\":{total},\"rows\":{rows},\"elapsed_ms\":{elapsed_ms},\"finished\":{finished}}}\n"
-    )
 }
 
 /// Process-global progress reporter; obtain via [`Progress::global`].
@@ -216,31 +166,17 @@ impl Progress {
             total,
             started: Some(now),
             beat: HeartbeatLimiter::armed(now),
-            heartbeat_path: std::env::var_os(HEARTBEAT_FILE_ENV).map(PathBuf::from),
-            // Unarmed: the first in-sweep tick beats the file immediately,
-            // after the initial snapshot below.
-            file_beat: HeartbeatLimiter::armed(now),
             ..SweepState::default()
         };
-        Self::write_heartbeat(&state, Duration::ZERO, false);
     }
 
     /// Records finished jobs and emitted rows, emitting a stderr heartbeat
-    /// when due — and, with [`HEARTBEAT_FILE_ENV`] set, the machine-readable
-    /// heartbeat file *whatever the stderr mode* (dispatch workers run
-    /// `--quiet` yet must still report progress to their coordinator).
-    ///
-    /// With [`WATCH_PARENT_ENV`] set, every tick also verifies the
-    /// supervising process is still this process's parent, exiting with
-    /// [`ORPHAN_EXIT_CODE`] otherwise — the orphaned-worker backstop for a
-    /// coordinator killed too hard to clean up after itself.
+    /// when due. Inert unless the reporter is live.
     pub fn tick(&self, jobs_done: usize, rows_done: usize) {
-        exit_if_orphaned();
-        let live = self.mode() == MODE_LIVE;
-        let mut state = self.state.lock().expect("progress state poisoned");
-        if !live && state.heartbeat_path.is_none() {
+        if self.mode() != MODE_LIVE {
             return;
         }
+        let mut state = self.state.lock().expect("progress state poisoned");
         state.done += jobs_done;
         state.rows += rows_done;
         // A tick outside any sweep (start_sweep not called yet) has no
@@ -250,10 +186,7 @@ impl Progress {
             return;
         };
         let now = Instant::now();
-        if state.file_beat.due(now) {
-            Self::write_heartbeat(&state, now.duration_since(started), false);
-        }
-        if !live || !state.beat.due(now) {
+        if !state.beat.due(now) {
             return;
         }
         let secs = now.duration_since(started).as_secs_f64().max(1e-9);
@@ -273,39 +206,11 @@ impl Progress {
         state.line_open = true;
     }
 
-    /// Ends the current sweep, clearing any open heartbeat line and marking
-    /// the heartbeat file finished.
+    /// Ends the current sweep, clearing any open heartbeat line.
     pub fn finish_sweep(&self) {
         let mut state = self.state.lock().expect("progress state poisoned");
         Self::clear_line(&mut state);
-        let elapsed = state
-            .started
-            .map_or(Duration::ZERO, |started| started.elapsed());
-        Self::write_heartbeat(&state, elapsed, true);
         *state = SweepState::default();
-    }
-
-    /// Writes the heartbeat file atomically (temp sibling + rename), so the
-    /// coordinator never reads a torn snapshot. Failures are swallowed — the
-    /// heartbeat is advisory and must never fail a run.
-    fn write_heartbeat(state: &SweepState, elapsed: Duration, finished: bool) {
-        let Some(path) = &state.heartbeat_path else {
-            return;
-        };
-        let line = heartbeat_line(
-            &state.label,
-            state.done,
-            state.total,
-            state.rows,
-            elapsed.as_millis(),
-            finished,
-        );
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        if std::fs::write(&tmp, line).is_ok() {
-            let _ = std::fs::rename(&tmp, path);
-        }
     }
 
     fn clear_line(state: &mut SweepState) {
@@ -313,45 +218,6 @@ impl Progress {
             eprint!("\r\x1b[2K");
             let _ = io::stderr().flush();
             state.line_open = false;
-        }
-    }
-}
-
-/// Whether this process has been reparented away from `watched` — i.e. the
-/// supervising process named by [`WATCH_PARENT_ENV`] is gone and the kernel
-/// handed us to init (or the nearest subreaper). Always `false` on
-/// non-Unix targets.
-#[must_use]
-pub fn orphaned(watched: u32) -> bool {
-    #[cfg(unix)]
-    {
-        std::os::unix::process::parent_id() != watched
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = watched;
-        false
-    }
-}
-
-/// The pid parsed from [`WATCH_PARENT_ENV`], read once per process.
-fn watched_parent() -> Option<u32> {
-    static WATCHED: OnceLock<Option<u32>> = OnceLock::new();
-    *WATCHED.get_or_init(|| {
-        std::env::var(WATCH_PARENT_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-}
-
-/// Exits with [`ORPHAN_EXIT_CODE`] when the supervisor named by
-/// [`WATCH_PARENT_ENV`] is no longer this process's parent. A no-op when
-/// the variable is unset (the overwhelmingly common case: one atomic load
-/// after the first call).
-fn exit_if_orphaned() {
-    if let Some(watched) = watched_parent() {
-        if orphaned(watched) {
-            std::process::exit(ORPHAN_EXIT_CODE);
         }
     }
 }
@@ -398,21 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_line_is_one_json_object_with_escaped_label() {
-        let line = heartbeat_line("megasweep", 3, 24, 3, 1234, false);
-        assert_eq!(
-            line,
-            "{\"schema\":\"sf-heartbeat/v1\",\"label\":\"megasweep\",\"done\":3,\"total\":24,\"rows\":3,\"elapsed_ms\":1234,\"finished\":false}\n"
-        );
-        let hostile = heartbeat_line("we\"ird\\lab\nel", 0, 0, 0, 0, true);
-        assert!(hostile.contains("we\\\"ird\\\\lab\\nel"), "{hostile}");
-        assert!(
-            hostile.trim_end().ends_with("\"finished\":true}"),
-            "{hostile}"
-        );
-    }
-
-    #[test]
     fn heartbeat_limiter_armed_at_sweep_start_waits_a_full_interval() {
         let t0 = Instant::now();
         let mut armed = HeartbeatLimiter::armed(t0);
@@ -428,18 +279,6 @@ mod tests {
         // on the sweep having started before consulting the limiter.
         let mut fresh = HeartbeatLimiter::default();
         assert!(fresh.due(t0));
-    }
-
-    #[test]
-    fn orphan_detection_compares_against_the_actual_parent() {
-        #[cfg(unix)]
-        {
-            let real_parent = std::os::unix::process::parent_id();
-            assert!(!orphaned(real_parent));
-            // Pid 0 is never a process's parent — a watched supervisor that
-            // is gone looks exactly like this.
-            assert!(orphaned(0));
-        }
     }
 
     // Mode state is process-global; exercise the transitions in one test.

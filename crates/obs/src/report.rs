@@ -36,12 +36,6 @@ pub struct BenchEntry {
     /// the `kernel_cps/*` probes). Informational: recorded in the snapshot
     /// but never gated — the wall-clock comparison already covers it.
     pub rate_per_s: Option<f64>,
-    /// Whether this probe participates in regression gating and drift
-    /// estimation. Delta probes (the difference of two multi-second
-    /// subprocess walls, e.g. `dispatch_overhead`) set this to `false`:
-    /// their variance on a contended host exceeds the tolerance band by
-    /// construction, so they are recorded for trajectory visibility only.
-    pub gated: bool,
 }
 
 /// A full perf snapshot for one PR.
@@ -72,20 +66,6 @@ impl BenchReport {
         }
     }
 
-    /// Minimum of raw samples as milliseconds (empty → 0). The estimator of
-    /// choice for *delta* probes: wall-clock noise is strictly additive
-    /// (scheduling, cache pollution), so the minimum is the sample closest
-    /// to the true cost, and subtracting two minima doesn't compound two
-    /// medians' worth of jitter.
-    #[must_use]
-    pub fn min_ms(samples: &[Duration]) -> f64 {
-        samples
-            .iter()
-            .map(|d| d.as_secs_f64() * 1e3)
-            .min_by(f64::total_cmp)
-            .unwrap_or(0.0)
-    }
-
     /// Serialises the report; stable key order, one entry per line.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -101,13 +81,8 @@ impl BenchReport {
                 .rate_per_s
                 .map(|r| format!(", \"rate_per_s\": {r:.1}"))
                 .unwrap_or_default();
-            let gated = if entry.gated {
-                ""
-            } else {
-                ", \"gated\": false"
-            };
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"samples\": {}{rate}{gated}}}{comma}\n",
+                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"samples\": {}{rate}}}{comma}\n",
                 entry.name, entry.wall_ms, entry.samples
             ));
         }
@@ -116,8 +91,9 @@ impl BenchReport {
     }
 
     /// Parses [`BenchReport::to_json`] output (including reports written by
-    /// earlier PRs with the same schema tag). Returns `None` on a schema
-    /// mismatch or malformed document.
+    /// earlier PRs with the same schema tag; keys this writer no longer
+    /// emits, such as an old entry's `"gated": false`, are ignored). Returns
+    /// `None` on a schema mismatch or malformed document.
     #[must_use]
     pub fn parse(text: &str) -> Option<Self> {
         if extract_str(text, "schema")? != SCHEMA {
@@ -136,7 +112,6 @@ impl BenchReport {
                 wall_ms: extract_num(line, "wall_ms")?,
                 samples: extract_num(line, "samples")?.round() as u32,
                 rate_per_s: extract_num(line, "rate_per_s"),
-                gated: !line.contains("\"gated\": false"),
             });
         }
         Some(Self {
@@ -153,9 +128,7 @@ impl BenchReport {
     /// skipped — the trajectory may legitimately grow. A probe whose
     /// *baseline* sat below the jitter floor is also skipped: a near-zero
     /// recording means the probe was lost in measurement noise when the
-    /// baseline was taken, so any ratio against it is meaningless. Probes
-    /// marked ungated on either side (see [`BenchEntry::gated`]) are
-    /// recorded but never compared.
+    /// baseline was taken, so any ratio against it is meaningless.
     ///
     /// Peak RSS is gated only when the baseline ran every probe this
     /// snapshot ran: RSS is process-global, so a snapshot that added probes
@@ -179,7 +152,7 @@ impl BenchReport {
             let Some(base) = baseline.entries.iter().find(|b| b.name == entry.name) else {
                 continue;
             };
-            if base.wall_ms <= WALL_FLOOR_MS || !entry.gated || !base.gated {
+            if base.wall_ms <= WALL_FLOOR_MS {
                 continue;
             }
             let adjusted = base.wall_ms * drift;
@@ -214,7 +187,7 @@ impl BenchReport {
     }
 
     /// The machine-drift factor vs `baseline`: the median `new/old`
-    /// wall-clock ratio over gated probes present in both snapshots and
+    /// wall-clock ratio over probes present in both snapshots and
     /// above the jitter floor, clamped to at least 1.0. With fewer than four common
     /// probes a single regressing probe would drag the median itself, so
     /// small populations get no adjustment (factor 1.0).
@@ -225,8 +198,7 @@ impl BenchReport {
             .iter()
             .filter_map(|entry| {
                 let base = baseline.entries.iter().find(|b| b.name == entry.name)?;
-                (base.wall_ms > WALL_FLOOR_MS && entry.gated && base.gated)
-                    .then(|| entry.wall_ms / base.wall_ms)
+                (base.wall_ms > WALL_FLOOR_MS).then(|| entry.wall_ms / base.wall_ms)
             })
             .collect();
         if ratios.len() < 4 {
@@ -274,14 +246,12 @@ mod tests {
                     wall_ms: 12.5,
                     samples: 3,
                     rate_per_s: None,
-                    gated: true,
                 },
                 BenchEntry {
                     name: "fig10_quick".to_string(),
                     wall_ms: 850.0,
                     samples: 1,
                     rate_per_s: Some(87_654.3),
-                    gated: true,
                 },
             ],
         }
@@ -316,7 +286,6 @@ mod tests {
                 wall_ms: 0.4,
                 samples: 3,
                 rate_per_s: None,
-                gated: true,
             }],
             ..sample()
         };
@@ -334,7 +303,6 @@ mod tests {
             wall_ms: 5.0,
             samples: 3,
             rate_per_s: None,
-            gated: true,
         });
         assert!(grown.regressions_vs(&base).is_empty());
     }
@@ -350,7 +318,6 @@ mod tests {
             wall_ms: 0.0,
             samples: 3,
             rate_per_s: None,
-            gated: true,
         });
         let mut fresh = base.clone();
         fresh.entries[2].wall_ms = 21.7;
@@ -358,27 +325,52 @@ mod tests {
     }
 
     #[test]
-    fn ungated_probes_round_trip_and_never_fire() {
-        let mut base = sample();
-        base.entries.push(BenchEntry {
-            name: "dispatch_overhead".into(),
-            wall_ms: 12.0,
-            samples: 3,
-            rate_per_s: None,
-            gated: false,
-        });
-        // The flag survives serialisation (and old files without it parse
-        // as gated).
-        assert_eq!(BenchReport::parse(&base.to_json()), Some(base.clone()));
-        // A 4x blow-up on the ungated probe is recorded, not flagged.
-        let mut fresh = base.clone();
-        fresh.entries.last_mut().unwrap().wall_ms = 48.0;
+    fn committed_snapshots_with_ungated_lines_parse_and_gate() {
+        // BENCH_10..BENCH_12 carry entries marked `"gated": false`, a key
+        // this writer no longer emits (those probes are gone). The parser
+        // must still read every committed entry line, and a fresh snapshot
+        // without the ungated probe must gate against BENCH_12 cleanly.
+        let committed = [
+            include_str!("../../../BENCH_10.json"),
+            include_str!("../../../BENCH_11.json"),
+            include_str!("../../../BENCH_12.json"),
+        ];
+        let entry_lines = |text: &'static str| -> Vec<&'static str> {
+            text.lines().filter(|l| l.contains("\"wall_ms\"")).collect()
+        };
+        for text in committed {
+            let report = BenchReport::parse(text).expect("committed snapshot parses");
+            assert_eq!(
+                report.entries.len(),
+                entry_lines(text).len(),
+                "{}",
+                report.label
+            );
+        }
+        let base = BenchReport::parse(committed[2]).unwrap();
+        assert_eq!(base.label, "BENCH_12");
+        let lines = entry_lines(committed[2]);
+        let mut fresh = BenchReport {
+            label: "BENCH_13".into(),
+            entries: base
+                .entries
+                .iter()
+                .zip(&lines)
+                .filter(|(_, line)| !line.contains("\"gated\": false"))
+                .map(|(entry, _)| entry.clone())
+                .collect(),
+            ..base.clone()
+        };
+        assert_eq!(fresh.entries.len(), base.entries.len() - 1);
+        assert!(!fresh.to_json().contains("gated"));
         assert!(fresh.regressions_vs(&base).is_empty());
-        // Ungated on the *baseline* side alone also disarms: the fresh side
-        // may re-gate a probe only once a gated baseline exists.
-        let mut regated = fresh.clone();
-        regated.entries.last_mut().unwrap().gated = true;
-        assert!(regated.regressions_vs(&base).is_empty());
+        assert_eq!(fresh.drift_vs(&base), 1.0);
+        // The gate stays live against such a baseline.
+        let fig10 = fresh.entries.iter_mut().find(|e| e.name == "fig10_quick");
+        fig10.expect("fig10_quick recorded").wall_ms *= 2.0;
+        let problems = fresh.regressions_vs(&base);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("fig10_quick:"), "{}", problems[0]);
     }
 
     #[test]
@@ -393,7 +385,6 @@ mod tests {
             wall_ms: 650.0,
             samples: 3,
             rate_per_s: Some(670.0),
-            gated: true,
         });
         grown.peak_rss_kb = 40_000_000;
         assert!(grown.regressions_vs(&base).is_empty());
@@ -410,13 +401,6 @@ mod tests {
         assert!((BenchReport::median_ms(&odd) - 20.0).abs() < 1e-9);
         let even = [10, 20, 30, 40].map(Duration::from_millis);
         assert!((BenchReport::median_ms(&even) - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_picks_the_quietest_sample() {
-        assert_eq!(BenchReport::min_ms(&[]), 0.0);
-        let runs = [30, 10, 20].map(Duration::from_millis);
-        assert!((BenchReport::min_ms(&runs) - 10.0).abs() < 1e-9);
     }
 
     fn wide(label: &str, scale: f64) -> BenchReport {
@@ -437,7 +421,6 @@ mod tests {
                     wall_ms: ms * scale,
                     samples: 3,
                     rate_per_s: None,
-                    gated: true,
                 })
                 .collect(),
         }

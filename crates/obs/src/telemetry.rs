@@ -429,28 +429,6 @@ thread_local! {
     static JOB_SCOPE: Cell<Option<(u64, u64, u64)>> = const { Cell::new(None) };
 }
 
-/// Merges partition telemetry streams into one stream byte-identical to the
-/// serial run's: one magic header, then every input's block section in the
-/// given (partition) order. Works because the collector publishes blocks in
-/// job enumeration order within each partition, and partitions cover
-/// contiguous ascending index ranges — concatenation *is* the serial order.
-///
-/// Every input is structurally validated before any bytes are emitted.
-///
-/// # Errors
-///
-/// Returns a description of the first invalid input stream.
-pub fn merge_streams<B: AsRef<[u8]>>(parts: &[B]) -> Result<Vec<u8>, String> {
-    for (i, part) in parts.iter().enumerate() {
-        parse_stream(part.as_ref()).map_err(|e| format!("input stream {i}: {e}"))?;
-    }
-    let mut merged = MAGIC.to_vec();
-    for part in parts {
-        merged.extend_from_slice(&part.as_ref()[MAGIC.len()..]);
-    }
-    Ok(merged)
-}
-
 /// Cheap global gate the kernel checks before allocating a [`RunSeries`].
 /// True between a successful [`Collector::configure`] and the matching
 /// [`Collector::finish`]/[`Collector::abort`].
@@ -793,32 +771,6 @@ mod tests {
     #[test]
     fn empty_stream_parses_to_no_blocks() {
         assert_eq!(parse_stream(MAGIC).expect("magic only"), Vec::new());
-    }
-
-    #[test]
-    fn merge_streams_concatenates_to_the_serial_stream() {
-        // The serial run records blocks A, B, C in job order; partitions
-        // record (A, B) and (C). Merging the partition streams must yield
-        // the serial bytes, and an invalid input must be rejected up front.
-        let blocks: Vec<Vec<u8>> = (1..=3u64)
-            .map(|i| series_with(i as usize, i as usize, 2, i + 1).encode())
-            .collect();
-        let mut serial = MAGIC.to_vec();
-        let mut part_a = MAGIC.to_vec();
-        let mut part_b = MAGIC.to_vec();
-        for block in &blocks {
-            serial.extend_from_slice(block);
-        }
-        part_a.extend_from_slice(&blocks[0]);
-        part_a.extend_from_slice(&blocks[1]);
-        part_b.extend_from_slice(&blocks[2]);
-        let merged = merge_streams(&[part_a.clone(), part_b.clone()]).expect("merge");
-        assert_eq!(merged, serial);
-        // Magic-only partitions (no telemetry recorded) merge away cleanly.
-        let merged = merge_streams(&[part_a, MAGIC.to_vec(), part_b]).expect("merge");
-        assert_eq!(merged, serial);
-        let err = merge_streams(&[serial, b"not a stream".to_vec()]).unwrap_err();
-        assert!(err.contains("input stream 1"), "{err}");
     }
 
     // The collector is process-global, so its whole lifecycle runs in one

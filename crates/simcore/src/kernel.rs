@@ -23,7 +23,7 @@
 //! 2. **Minimal commit log**: the only side effects that genuinely need the
 //!    serial order — float energy accumulation (addition is not associative)
 //!    and reply packet-id assignment plus the reply heap push — are logged as
-//!    compact per-router [`CommitEntry`] records during the parallel phase
+//!    compact per-router `CommitEntry` records during the parallel phase
 //!    and replayed by a serial commit in router-id order, reproducing the
 //!    serial loop's exact operation order. Everything else (integer
 //!    counters, the in-flight hand-off) is commutative or order-free and

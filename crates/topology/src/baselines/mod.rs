@@ -10,10 +10,10 @@
 //! * [`jellyfish`] — a sufficiently-uniform random regular graph, used for
 //!   the Figure 5 path-length comparison.
 //!
-//! All baselines expose their link structure as an
-//! [`AdjacencyGraph`](crate::graph::AdjacencyGraph) through the
-//! [`MemoryNetworkTopology`] trait so that path-length analysis, bisection
-//! measurement, and the cycle-level simulator treat every topology uniformly.
+//! All baselines expose their link structure as an [`AdjacencyGraph`]
+//! through the [`MemoryNetworkTopology`] trait so that path-length analysis,
+//! bisection measurement, and the cycle-level simulator treat every topology
+//! uniformly.
 
 pub mod flattened_butterfly;
 pub mod jellyfish;

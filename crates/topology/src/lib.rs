@@ -8,8 +8,8 @@
 //!
 //! ## Modules
 //!
-//! * [`graph`] — the shared [`AdjacencyGraph`](graph::AdjacencyGraph) link
-//!   structure with per-node activity flags and per-edge construction kinds.
+//! * [`graph`] — the shared [`AdjacencyGraph`] link structure with per-node
+//!   activity flags and per-edge construction kinds.
 //! * [`spaces`] — virtual spaces: balanced random coordinates and ring
 //!   arithmetic.
 //! * [`stringfigure`] — the String Figure topology builder with shortcut

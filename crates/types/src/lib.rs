@@ -25,7 +25,7 @@
 //!   fault scenarios preserve the simulator's shard-count bit-identity.
 //! * [`rng`] — a small, fully deterministic xoshiro256** generator used for
 //!   reproducible topology generation and workload synthesis.
-//! * [`error`] — the shared [`SfError`](error::SfError) error type.
+//! * [`error`] — the shared [`SfError`] error type.
 //!
 //! ## Example
 //!
