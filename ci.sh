@@ -51,16 +51,16 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> sfbench run fig10 --quick smoke (2 sweep workers x 2 sim shards)"
     serial_csv="$(mktemp)"
     sharded_csv="$(mktemp)"
-    SF_HARNESS_THREADS=1 SF_SIM_SHARDS=1 \
-        "$sfbench" run fig10 --quick --no-resume --csv "$serial_csv" \
+    SF_HARNESS_THREADS=1 \
+        "$sfbench" run fig10 --quick --no-resume --shards 1 --csv "$serial_csv" \
         --telemetry "$serial_csv.telemetry.bin" --telemetry-every 32 \
         --metrics "$serial_csv.metrics.json" >/dev/null
     # The sharded run also exercises the observability sinks: tracing,
     # metrics, and the telemetry stream must stay strictly out-of-band
     # (identical CSV bytes), and the stream itself must be bit-identical
     # to the serial run's.
-    SF_HARNESS_THREADS=2 SF_SIM_SHARDS=2 \
-        "$sfbench" run fig10 --quick --no-resume --csv "$sharded_csv" \
+    SF_HARNESS_THREADS=2 \
+        "$sfbench" run fig10 --quick --no-resume --shards 2 --csv "$sharded_csv" \
         --telemetry "$sharded_csv.telemetry.bin" --telemetry-every 32 \
         --trace "$sharded_csv.trace.jsonl" --metrics "$sharded_csv.metrics.json" >/dev/null
     cmp "$serial_csv" "$sharded_csv"
@@ -76,8 +76,8 @@ if [[ "${1:-}" != "--quick" ]]; then
     # A telemetry-off run must reproduce the same golden CSV: recording is
     # observability, never simulation input.
     off_csv="$(mktemp)"
-    SF_HARNESS_THREADS=2 SF_SIM_SHARDS=2 \
-        "$sfbench" run fig10 --quick --no-resume --csv "$off_csv" >/dev/null
+    SF_HARNESS_THREADS=2 \
+        "$sfbench" run fig10 --quick --no-resume --shards 2 --csv "$off_csv" >/dev/null
     cmp "$serial_csv" "$off_csv"
     rm -f "$off_csv"
     echo "==> smoke artifacts byte-identical (telemetry on/off, serial vs sharded)"
@@ -176,10 +176,10 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> sfbench run fault_resilience --quick smoke (2 sweep workers x 2 sim shards)"
     fault_serial_csv="$(mktemp)"
     fault_sharded_csv="$(mktemp)"
-    SF_HARNESS_THREADS=1 SF_SIM_SHARDS=1 \
-        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_serial_csv" >/dev/null
-    SF_HARNESS_THREADS=2 SF_SIM_SHARDS=2 \
-        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_sharded_csv" >/dev/null
+    SF_HARNESS_THREADS=1 \
+        "$sfbench" run fault_resilience --quick --no-resume --shards 1 --csv "$fault_serial_csv" >/dev/null
+    SF_HARNESS_THREADS=2 \
+        "$sfbench" run fault_resilience --quick --no-resume --shards 2 --csv "$fault_sharded_csv" >/dev/null
     cmp "$fault_serial_csv" "$fault_sharded_csv"
     rm -f "$fault_serial_csv" "$fault_sharded_csv"
     echo "==> fault-scenario artifacts byte-identical"

@@ -37,17 +37,13 @@ pub fn announce_pool(shards_flag: usize) {
         sf_harness::PoolConfig::THREADS_ENV
     ));
     // Mirror resolve_shard_count's precedence: --shards beats the
-    // environment variable beats the automatic policy.
-    let env_shards = sf_netsim::shard::env_shard_override();
+    // automatic policy.
     let policy = if shards_flag > 0 {
         format!("{shards_flag} (from --shards)")
-    } else if let Some(shards) = env_shards {
-        format!("{shards} (from {})", sf_netsim::shard::SHARDS_ENV)
     } else {
         format!(
-            "auto over a {}-core budget (override with {}=N, --shards N, or {}=N)",
+            "auto over a {}-core budget (override with --shards N or {}=N)",
             sf_harness::budget::total_cores(),
-            sf_netsim::shard::SHARDS_ENV,
             sf_harness::budget::CORES_ENV,
         )
     };

@@ -94,9 +94,9 @@ impl Drop for WorkerReservation<'_> {
 static GLOBAL: CoreBudget = CoreBudget::new();
 
 /// Reads an environment variable as a positive integer; `0`, garbage, and
-/// unset all mean "not configured". The one parser behind every knob of the
-/// two parallelism layers (`SF_CORES`, `SF_HARNESS_THREADS`,
-/// `SF_SIM_SHARDS`), so they cannot drift in how they treat bad input.
+/// unset all mean "not configured". The one parser behind both environment
+/// knobs of the parallelism layers (`SF_CORES`, `SF_HARNESS_THREADS`), so
+/// they cannot drift in how they treat bad input.
 #[must_use]
 pub fn env_positive_usize(name: &str) -> Option<usize> {
     std::env::var(name)

@@ -15,11 +15,12 @@
 //!
 //! [`MetricsSnapshot::deterministic`]: sf_obs::metrics::MetricsSnapshot::deterministic
 
+use sf_harness::PoolConfig;
 use sf_obs::metrics::{self, MetricsSnapshot};
 use stringfigure::study::{execute, RunContext, StudyRegistry};
 
-// One #[test] on purpose: the registry, progress reporter, and the two
-// environment knobs are process-global state.
+// One #[test] on purpose: the metrics registry and the progress reporter
+// are process-global state.
 #[test]
 fn deterministic_metrics_are_bit_identical_across_worker_shard_matrix() {
     let registry = StudyRegistry::all();
@@ -31,12 +32,14 @@ fn deterministic_metrics_are_bit_identical_across_worker_shard_matrix() {
     progress.configure(true);
 
     let mut reference: Option<(String, MetricsSnapshot)> = None;
-    for workers in ["1", "4"] {
-        for shards in ["1", "2", "4"] {
-            std::env::set_var("SF_HARNESS_THREADS", workers);
-            std::env::set_var("SF_SIM_SHARDS", shards);
+    for workers in [1, 4] {
+        for shards in [1, 2, 4] {
             metrics::global().reset();
-            execute(study, &RunContext::new().quick(true)).expect("quick fault_resilience run");
+            let ctx = RunContext::new()
+                .quick(true)
+                .with_pool(PoolConfig::threads(workers))
+                .with_shards(shards);
+            execute(study, &ctx).expect("quick fault_resilience run");
             let snapshot = metrics::global().snapshot().deterministic();
 
             assert!(
@@ -78,8 +81,6 @@ fn deterministic_metrics_are_bit_identical_across_worker_shard_matrix() {
         }
     }
 
-    std::env::remove_var("SF_HARNESS_THREADS");
-    std::env::remove_var("SF_SIM_SHARDS");
     metrics::global().reset();
     progress.reset();
 }

@@ -13,10 +13,11 @@
 //! Like `merge_determinism.rs`, `stringfigure` is a dev-dependency here —
 //! the leaf crate tests the full stack it instruments.
 
+use sf_harness::PoolConfig;
 use stringfigure::study::{execute, RunContext, StudyRegistry};
 
-// One #[test] on purpose: the telemetry collector, progress reporter, and
-// the two environment knobs are process-global state.
+// One #[test] on purpose: the telemetry collector and the progress reporter
+// are process-global state.
 #[test]
 fn telemetry_streams_are_bit_identical_across_worker_shard_matrix() {
     let registry = StudyRegistry::all();
@@ -30,13 +31,15 @@ fn telemetry_streams_are_bit_identical_across_worker_shard_matrix() {
     std::fs::create_dir_all(&dir).expect("temp dir");
 
     let mut reference: Option<(String, Vec<u8>)> = None;
-    for workers in ["1", "4"] {
-        for shards in ["1", "2", "4"] {
-            std::env::set_var("SF_HARNESS_THREADS", workers);
-            std::env::set_var("SF_SIM_SHARDS", shards);
+    for workers in [1, 4] {
+        for shards in [1, 2, 4] {
             let label = format!("workers={workers} shards={shards}");
             let path = dir.join(format!("w{workers}-s{shards}.bin"));
-            let ctx = RunContext::new().quick(true).with_telemetry(&path);
+            let ctx = RunContext::new()
+                .quick(true)
+                .with_pool(PoolConfig::threads(workers))
+                .with_shards(shards)
+                .with_telemetry(&path);
             execute(study, &ctx).expect("quick fault_resilience run");
 
             let bytes = std::fs::read(&path).expect("telemetry stream published");
@@ -68,8 +71,6 @@ fn telemetry_streams_are_bit_identical_across_worker_shard_matrix() {
         }
     }
 
-    std::env::remove_var("SF_HARNESS_THREADS");
-    std::env::remove_var("SF_SIM_SHARDS");
     let _ = std::fs::remove_dir_all(&dir);
     progress.reset();
 }

@@ -3,7 +3,18 @@
 //! [`ShardedSimulator`] advances an input-queued, credit-based router network
 //! cycle by cycle, exactly like the reference serial simulator it replaces —
 //! but the expensive routing phase of each cycle is split across K shards of
-//! routers that run on their own worker threads.
+//! routers: the coordinating thread routes shard 0 and K − 1 worker threads
+//! route the rest.
+//!
+//! # One step path
+//!
+//! Every cycle goes through one `step`, whatever K and whether it comes
+//! from [`ShardedSimulator::run`] or [`ShardedSimulator::step_one`]: the
+//! serial pre-route phases, one routing phase over all shards, the serial
+//! commit. A run takes every shard guard once and holds it to the end. At
+//! K = 1 a cycle therefore takes no shard lock and crosses no barrier. At
+//! K > 1 the routing phase hands guards 1..K to the workers between two
+//! barrier crossings and takes them back; no guard `Vec` is built per cycle.
 //!
 //! # Determinism contract
 //!
@@ -58,7 +69,8 @@
 //! [`crate::pool`]): pushing recycles a freed slot instead of touching the
 //! heap, so once the simulation reaches its occupancy high-water mark, a
 //! cycle performs **zero heap allocations** (pinned by a counting-allocator
-//! integration test on the single-shard path). Pool occupancy is exported
+//! integration test through [`ShardedSimulator::step_one`], which runs the
+//! same `step` as [`ShardedSimulator::run`]). Pool occupancy is exported
 //! through the deterministic `sim.pool.*` metrics namespace: peak live
 //! packets / in-flight entries / commit entries (network-wide boundary
 //! totals) and total push counts are bit-identical for any worker × shard
@@ -94,6 +106,7 @@ use sf_types::{
     FaultPlan, NodeId, SfError, SfResult, SimulationConfig, SystemConfig, VirtualChannelId,
 };
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
@@ -145,20 +158,24 @@ enum CommitEntry {
     /// A read/write request was serviced by this node's DRAM model during
     /// the routing phase (the model is router-local, so the access itself
     /// needs no serialisation); the commit accumulates the float DRAM energy
-    /// and assigns the reply its packet id in serial order. The fields are
-    /// the request's routing residue — everything the reply needs.
-    Serviced {
-        /// DRAM service latency in cycles, from the router-local model.
-        service: u64,
-        /// The serviced request's source (the reply's destination).
-        source: NodeId,
-        /// The serviced request's destination (the reply's source).
-        destination: NodeId,
-        /// The request kind, determining the reply kind.
-        kind: PacketKind,
-        /// Issue cycle of the original request, for round-trip latency.
-        request_issued_at: u64,
-    },
+    /// and assigns the reply its packet id in serial order.
+    Serviced(ServiceResidue),
+}
+
+/// The routing residue of one serviced request — everything
+/// [`commit_serviced`] needs to build the reply.
+#[derive(Debug, Clone, Copy)]
+struct ServiceResidue {
+    /// DRAM service latency in cycles, from the router-local model.
+    service: u64,
+    /// The serviced request's source (the reply's destination).
+    source: NodeId,
+    /// The serviced request's destination (the reply's source).
+    destination: NodeId,
+    /// The request kind, determining the reply kind.
+    kind: PacketKind,
+    /// Issue cycle of the original request, for round-trip latency.
+    request_issued_at: u64,
 }
 
 /// Commutative integer statistics a router accumulates locally during the
@@ -214,14 +231,40 @@ struct ShardPools {
     backlog: u32,
 }
 
-/// One shard's routers, locked as a unit: by its worker during the routing
-/// phase, by the coordinator during the serial phases. The two never overlap
-/// (a barrier separates them), so the locks are always uncontended — they
+/// One shard's routers, locked as a unit: by the coordinator for the whole
+/// run (through a [`ShardGuard`]), and by the shard's worker during each
+/// routing phase of a multi-shard run, while the coordinator has let go.
+/// A barrier separates the two, so the locks are always uncontended — they
 /// exist to prove disjoint access to the borrow checker, not to arbitrate.
 #[derive(Debug)]
 struct ShardState {
     routers: Vec<RouterState>,
     pools: ShardPools,
+}
+
+/// The coordinator's hold on one shard, taken when a run (or a
+/// [`ShardedSimulator::step_one`] call) starts and kept through every
+/// serial phase. Only a multi-shard routing phase lets go of shards 1..K
+/// while the workers route them, and it retakes them before it returns.
+/// Dereferences to the shard state.
+struct ShardGuard<'a>(Option<MutexGuard<'a, ShardState>>);
+
+impl Deref for ShardGuard<'_> {
+    type Target = ShardState;
+
+    fn deref(&self) -> &ShardState {
+        self.0
+            .as_deref()
+            .expect("shard guard held outside the routing phase")
+    }
+}
+
+impl DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ShardState {
+        self.0
+            .as_deref_mut()
+            .expect("shard guard held outside the routing phase")
+    }
 }
 
 /// One undirected link as fault injection sees it: the directed input-queue
@@ -273,10 +316,11 @@ struct Shared {
     request_reply: bool,
     num_nodes: usize,
     active: Vec<bool>,
+    /// Each router's active neighbours, sorted and free of duplicates (the
+    /// graph keeps them in `BTreeSet`s). A neighbour's position in the list,
+    /// found by binary search, is the router's port for the link to or from
+    /// it: output-port index, input-queue group and credit-counter block.
     adjacency: Vec<Vec<NodeId>>,
-    /// For each node, maps a neighbouring node index to its position in the
-    /// adjacency list (= input-queue group index).
-    neighbor_index: Vec<HashMap<usize, usize>>,
     plan: ShardPlan,
     shards: Vec<Mutex<ShardState>>,
     /// Per-destination-shard arrival inboxes: packets in flight towards the
@@ -322,10 +366,13 @@ impl Shared {
             .is_some_and(|f| f.link_down[f.link_offset[to] + from_index].load(Ordering::Relaxed))
     }
 
-    fn lock_all(&self) -> Vec<MutexGuard<'_, ShardState>> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard state poisoned"))
+    fn lock(&self, s: usize) -> MutexGuard<'_, ShardState> {
+        self.shards[s].lock().expect("shard state poisoned")
+    }
+
+    fn lock_all(&self) -> Vec<ShardGuard<'_>> {
+        (0..self.shards.len())
+            .map(|s| ShardGuard(Some(self.lock(s))))
             .collect()
     }
 
@@ -353,6 +400,8 @@ impl Shared {
 /// timing is enabled and two relaxed loads when it is not.
 #[derive(Debug, Default)]
 struct PhaseTimers {
+    /// The routing phase over all shards, barrier crossings included (a
+    /// single-shard run has none).
     route: Duration,
     commit: Duration,
 }
@@ -397,7 +446,7 @@ impl PortLoadEstimator for AtomicLoadView<'_> {
     fn load(&self, from: NodeId, to: NodeId) -> f64 {
         // The sender observes the occupancy of the downstream input queue for
         // its link (what the credit counter tracks in hardware).
-        let Some(&idx) = self.shared.neighbor_index[to.index()].get(&from.index()) else {
+        let Ok(idx) = self.shared.adjacency[to.index()].binary_search(&from) else {
             return 0.0;
         };
         // A dead link or router reads as fully loaded, so adaptive protocols
@@ -480,15 +529,12 @@ impl ShardedSimulator {
         let adjacency: Vec<Vec<NodeId>> = (0..num_nodes)
             .map(|i| graph.active_neighbors(NodeId::new(i)))
             .collect();
-        let neighbor_index: Vec<HashMap<usize, usize>> = adjacency
-            .iter()
-            .map(|nbs| {
-                nbs.iter()
-                    .enumerate()
-                    .map(|(idx, n)| (n.index(), idx))
-                    .collect()
-            })
-            .collect();
+        debug_assert!(
+            adjacency
+                .iter()
+                .all(|nbs| nbs.windows(2).all(|w| w[0] < w[1])),
+            "port lookup binary-searches sorted, duplicate-free neighbour lists"
+        );
         let vcs = config.virtual_channels;
         let active_count = active.iter().filter(|&&a| a).count();
         let shard_count = resolve_shard_count(&config, active_count);
@@ -520,7 +566,10 @@ impl ShardedSimulator {
                 for x in nbs {
                     let x = x.index();
                     let key = (m.min(x), m.max(x));
-                    let slot = (x, neighbor_index[x][&m]);
+                    let from_index = adjacency[x]
+                        .binary_search(&NodeId::new(m))
+                        .expect("links are symmetric");
+                    let slot = (x, from_index);
                     match edge_index.get(&key) {
                         Some(&e) => edges[e].slots.push(slot),
                         None => {
@@ -593,7 +642,6 @@ impl ShardedSimulator {
                 num_nodes,
                 active,
                 adjacency,
-                neighbor_index,
                 plan,
                 shards,
                 inboxes,
@@ -654,12 +702,7 @@ impl ShardedSimulator {
     /// walking every queue.
     #[must_use]
     pub fn packets_outstanding(&self) -> u64 {
-        let guards = self.shared.lock_all();
-        let queued: u64 = guards
-            .iter()
-            .map(|shard| u64::from(shard.pools.packets.live()))
-            .sum();
-        queued + in_flight_total(&self.shared) + self.serial.pending_replies.len() as u64
+        outstanding(&self.shared, &self.serial, &self.shared.lock_all())
     }
 
     /// Per-node memory statistics (reads, writes, row hit rate), in node-id
@@ -677,25 +720,62 @@ impl ShardedSimulator {
     /// Runs the simulation with the given traffic model for the configured
     /// number of cycles and returns the collected statistics.
     ///
+    /// The coordinating thread takes every shard guard once, holds it for
+    /// the whole run and routes shard 0 itself; worker threads are spawned
+    /// for shards 1..K only (none at K = 1). Every cycle goes through the
+    /// same `step` as [`Self::step_one`].
+    ///
     /// # Errors
     ///
     /// Returns a routing error if the protocol cannot make a forwarding
-    /// decision (for example because the traffic model targets a gated node).
-    /// The error is the same one the serial reference would surface (the
-    /// lowest-id failing router wins), but a failed run's partial statistics
-    /// are unspecified.
+    /// decision (for example because the traffic model targets a gated node)
+    /// or panics while making one. The error is the same one the serial
+    /// reference would surface (the lowest-id failing router wins), but a
+    /// failed run's partial statistics are unspecified.
     pub fn run(&mut self, traffic: &mut dyn TrafficModel) -> SfResult<SimulationStats> {
         self.serial.stats.active_nodes = self.shared.active.iter().filter(|&&a| a).count();
-        if self.shared.plan.count() <= 1 {
-            run_serial(&self.shared, &mut self.serial, traffic)
-        } else {
-            self.run_on_workers(traffic)
-        }
+        let shared = &self.shared;
+        let serial = &mut self.serial;
+        let count = shared.plan.count();
+        let crew = (count > 1).then(|| Crew::new(count));
+        std::thread::scope(|scope| {
+            if let Some(crew) = &crew {
+                for s in 1..count {
+                    scope.spawn(move || crew.serve(shared, s));
+                }
+            }
+            // However the loop below ends (finished, failed, or unwinding
+            // from a panic in a serial phase), the parked workers are
+            // released so the scope can join them.
+            let _dismiss = crew.as_ref().map(Dismiss);
+            let crew = crew.as_ref();
+            let mut guards = shared.lock_all();
+            while serial.cycle < shared.config.max_cycles {
+                step(shared, serial, traffic, &mut guards, crew)?;
+            }
+            // Snapshot congestion state at the end of the injection phase:
+            // this is what the saturation heuristic looks at (draining would
+            // hide it).
+            serial.stats.in_flight_at_end = outstanding(shared, serial, &guards);
+            serial.stats.backlog_at_end = guards
+                .iter()
+                .map(|shard| u64::from(shard.pools.backlog))
+                .sum();
+            // Drain phase: stop injecting and let queued packets finish,
+            // bounded by another max_cycles to avoid infinite loops on
+            // saturated runs.
+            let drain_deadline = shared.config.max_cycles * 2;
+            while serial.cycle < drain_deadline && outstanding(shared, serial, &guards) > 0 {
+                step(shared, serial, &mut NoTraffic, &mut guards, crew)?;
+            }
+            finish_run(shared, serial, &mut guards)
+        })
     }
 
-    /// Advances a **single-shard** simulator by exactly one cycle. This is
-    /// the building block the allocation-free contract is pinned against:
-    /// after warm-up, a call performs zero heap allocations.
+    /// Advances a **single-shard** simulator by exactly one cycle, through
+    /// the same `step` as [`Self::run`]. This is the building block the
+    /// allocation-free contract is pinned against: after warm-up, a call
+    /// performs zero heap allocations.
     ///
     /// # Errors
     ///
@@ -711,144 +791,107 @@ impl ShardedSimulator {
                 ),
             });
         }
-        let mut guards = [self.shared.shards[0].lock().expect("shard state poisoned")];
-        step_serial(&self.shared, &mut self.serial, traffic, &mut guards)
+        let mut guards = [ShardGuard(Some(self.shared.lock(0)))];
+        step(&self.shared, &mut self.serial, traffic, &mut guards, None)
+    }
+}
+
+/// The worker threads of a multi-shard run, as the coordinator drives them:
+/// each cycle one barrier crossing releases them into the routing phase and
+/// a second one joins them. `cycle` and `stop` are stored (Release) before
+/// a releasing crossing and loaded (Acquire) after it.
+struct Crew {
+    barrier: Barrier,
+    /// The cycle the released workers route.
+    cycle: AtomicU64,
+    /// Set before the last release: the workers exit instead of routing.
+    stop: AtomicBool,
+    /// The workers' first failure this cycle (see [`first_failure`]).
+    failure: Mutex<Option<Failure>>,
+}
+
+impl Crew {
+    fn new(shards: usize) -> Self {
+        Self {
+            barrier: Barrier::new(shards),
+            cycle: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            failure: Mutex::new(None),
+        }
     }
 
-    /// Spawns the K−1 worker threads and runs the coordinator loop between
-    /// them. Workers only ever execute the routing phase of their own shard;
-    /// the barrier separates them from the coordinator's serial phases.
-    fn run_on_workers(&mut self, traffic: &mut dyn TrafficModel) -> SfResult<SimulationStats> {
-        let shared = &self.shared;
-        let serial = &mut self.serial;
-        let count = shared.plan.count();
-        let barrier = Barrier::new(count);
-        let stop = AtomicBool::new(false);
-        let epoch_cell = AtomicU64::new(0);
-        let worker_errors: Vec<Mutex<Option<(usize, SfError)>>> =
-            (0..count).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for s in 1..count {
-                let barrier = &barrier;
-                let stop = &stop;
-                let epoch_cell = &epoch_cell;
-                let worker_errors = &worker_errors;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let epoch = epoch_cell.load(Ordering::Acquire);
-                    if let Err(failure) = shard_routing_phase(shared, s, epoch - 1, epoch) {
-                        *worker_errors[s].lock().expect("error slot poisoned") = Some(failure);
-                    }
-                    barrier.wait();
-                });
+    /// Worker `s`: routes shard `s` once per release until dismissed. It
+    /// holds the shard's lock only between the two crossings, while the
+    /// coordinator has let go of it.
+    fn serve(&self, shared: &Shared, s: usize) {
+        loop {
+            self.barrier.wait();
+            if self.stop.load(Ordering::Acquire) {
+                return;
             }
-
-            let sync = StepSync {
-                barrier: &barrier,
-                epoch_cell: &epoch_cell,
-                worker_errors: &worker_errors,
-            };
-            let result = run_loop(shared, serial, traffic, &sync);
-            // Release the workers: they re-check `stop` right after the
-            // barrier they are all parked on.
-            stop.store(true, Ordering::Release);
-            barrier.wait();
-            result
-        })
-    }
-}
-
-/// Barrier plumbing the coordinator uses to drive the worker threads through
-/// one routing phase.
-struct StepSync<'a> {
-    barrier: &'a Barrier,
-    epoch_cell: &'a AtomicU64,
-    worker_errors: &'a [Mutex<Option<(usize, SfError)>>],
-}
-
-/// The single-shard run loop: the shard guard is taken **once** and held
-/// across the entire run, so steady-state cycles touch no locks beyond the
-/// (uncontended) inbox mutex and allocate nothing. Control flow — injection
-/// loop, congestion snapshot, drain loop — is identical to the reference
-/// serial simulator.
-fn run_serial(
-    shared: &Shared,
-    serial: &mut SerialState,
-    traffic: &mut dyn TrafficModel,
-) -> SfResult<SimulationStats> {
-    let mut guards = shared.lock_all();
-    while serial.cycle < shared.config.max_cycles {
-        step_serial(shared, serial, traffic, &mut guards)?;
-    }
-    snapshot_congestion(shared, serial, &guards);
-    let drain_deadline = shared.config.max_cycles * 2;
-    while serial.cycle < drain_deadline && outstanding_on(shared, serial, &guards) > 0 {
-        step_serial(shared, serial, &mut NoTraffic, &mut guards)?;
-    }
-    finish_run(shared, serial, &mut guards)
-}
-
-/// The multi-shard run loop: same control flow as [`run_serial`], but every
-/// cycle re-acquires the shard guards around its serial phases so the worker
-/// threads can take their own shard during the routing phase.
-fn run_loop(
-    shared: &Shared,
-    serial: &mut SerialState,
-    traffic: &mut dyn TrafficModel,
-    sync: &StepSync<'_>,
-) -> SfResult<SimulationStats> {
-    while serial.cycle < shared.config.max_cycles {
-        step(shared, serial, traffic, sync)?;
-    }
-    // Snapshot congestion state at the end of the injection phase: this is
-    // what the saturation heuristic looks at (draining would hide it).
-    {
-        let guards = shared.lock_all();
-        snapshot_congestion(shared, serial, &guards);
-    }
-    // Drain phase: stop injecting and let queued packets finish, bounded by
-    // another max_cycles to avoid infinite loops on saturated runs.
-    let drain_deadline = shared.config.max_cycles * 2;
-    loop {
-        if serial.cycle >= drain_deadline {
-            break;
+            let cycle = self.cycle.load(Ordering::Acquire);
+            let failure = route_shard(shared, &mut shared.lock(s), s, cycle);
+            if failure.is_some() {
+                let mut first = self.failure.lock().expect("failure slot poisoned");
+                *first = first_failure(first.take(), failure);
+            }
+            self.barrier.wait();
         }
-        let outstanding = {
-            let guards = shared.lock_all();
-            outstanding_on(shared, serial, &guards)
-        };
-        if outstanding == 0 {
-            break;
-        }
-        step(shared, serial, &mut NoTraffic, sync)?;
     }
-    let mut guards = shared.lock_all();
-    finish_run(shared, serial, &mut guards)
+
+    /// The coordinator's side of a multi-shard routing phase: let go of
+    /// shards 1..K, release the workers, route shard 0, join the workers and
+    /// take the shards back. Returns the first failure of any shard.
+    fn route<'a>(
+        &self,
+        shared: &'a Shared,
+        guards: &mut [ShardGuard<'a>],
+        cycle: u64,
+    ) -> Option<Failure> {
+        for guard in &mut guards[1..] {
+            guard.0 = None;
+        }
+        self.cycle.store(cycle, Ordering::Release);
+        self.barrier.wait();
+        let own = route_shard(shared, &mut guards[0], 0, cycle);
+        self.barrier.wait();
+        for (s, guard) in guards.iter_mut().enumerate().skip(1) {
+            guard.0 = Some(shared.lock(s));
+        }
+        let workers = self.failure.lock().expect("failure slot poisoned").take();
+        first_failure(own, workers)
+    }
 }
 
-/// Records the end-of-injection congestion state the saturation heuristic
-/// looks at (draining would hide it).
-fn snapshot_congestion(
-    shared: &Shared,
-    serial: &mut SerialState,
-    guards: &[MutexGuard<'_, ShardState>],
-) {
-    let (queued, backlog) = queue_census_on(guards);
-    serial.stats.in_flight_at_end =
-        queued + backlog + in_flight_total(shared) + serial.pending_replies.len() as u64;
-    serial.stats.backlog_at_end = backlog;
+/// Dismisses a [`Crew`] when dropped: the workers, parked at the barrier,
+/// see `stop` on this last release and exit.
+struct Dismiss<'a>(&'a Crew);
+
+impl Drop for Dismiss<'_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::Release);
+        self.0.barrier.wait();
+    }
 }
 
-/// End-of-run bookkeeping shared by both loops: fold the per-router
-/// counters, export the pool metrics, flush telemetry and phase timers.
+/// A routing failure: the failing router's id and its error.
+type Failure = (usize, SfError);
+
+/// The failure at the lower router id, which the serial id-order loop would
+/// hit first — so the surfaced error does not depend on the shard count.
+fn first_failure(a: Option<Failure>, b: Option<Failure>) -> Option<Failure> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
+        (a, b) => a.or(b),
+    }
+}
+
+/// End-of-run bookkeeping: fold the per-router counters, export the pool
+/// metrics, flush telemetry and phase timers.
 fn finish_run(
     shared: &Shared,
     serial: &mut SerialState,
-    guards: &mut [MutexGuard<'_, ShardState>],
+    guards: &mut [ShardGuard<'_>],
 ) -> SfResult<SimulationStats> {
     merge_local_stats(shared, serial, guards);
     serial.stats.cycles = serial.cycle;
@@ -871,11 +914,7 @@ fn finish_run(
 /// are order-independent, which is exactly why these counters never needed
 /// the serial per-cycle replay. Counters are drained so a repeated run
 /// cannot double-count.
-fn merge_local_stats(
-    shared: &Shared,
-    serial: &mut SerialState,
-    guards: &mut [MutexGuard<'_, ShardState>],
-) {
+fn merge_local_stats(shared: &Shared, serial: &mut SerialState, guards: &mut [ShardGuard<'_>]) {
     for (_, shard, slot) in shared.plan.locations() {
         let local = std::mem::take(&mut guards[shard].routers[slot].local);
         let stats = &mut serial.stats;
@@ -894,11 +933,7 @@ fn merge_local_stats(
 /// occupancy peaks and lifetime push totals — invariant under the worker ×
 /// shard matrix) and the layout-dependent `sched.pool_*` companions (slab
 /// capacities and grow counts legitimately depend on K).
-fn record_pool_metrics(
-    shared: &Shared,
-    serial: &SerialState,
-    guards: &[MutexGuard<'_, ShardState>],
-) {
+fn record_pool_metrics(shared: &Shared, serial: &SerialState, guards: &[ShardGuard<'_>]) {
     let metrics = sf_obs::metrics::global();
     metrics.gauge_max("sim.pool.packets_peak", serial.peaks.packets);
     metrics.gauge_max("sim.pool.in_flight_peak", serial.peaks.in_flight);
@@ -927,19 +962,13 @@ fn record_pool_metrics(
     metrics.counter_add("sched.pool_grows", grows);
 }
 
-/// Network-queue occupancy as (in-network queued, injection backlog).
-/// O(shards): both numbers come from counters the pools maintain on
-/// push/pop, never from walking queues.
-fn queue_census_on(guards: &[MutexGuard<'_, ShardState>]) -> (u64, u64) {
-    let mut queued = 0u64;
-    let mut backlog = 0u64;
-    for shard in guards {
-        let live = u64::from(shard.pools.packets.live());
-        let b = u64::from(shard.pools.backlog);
-        queued += live - b;
-        backlog += b;
-    }
-    (queued, backlog)
+/// Live packets across the shards' pools: queued at router inputs or in
+/// injection queues. O(shards): the pools count live slots on push/pop.
+fn queued_total(guards: &[ShardGuard<'_>]) -> u64 {
+    guards
+        .iter()
+        .map(|shard| u64::from(shard.pools.packets.live()))
+        .sum()
 }
 
 /// Packets currently traversing links, summed over the arrival inboxes.
@@ -951,28 +980,18 @@ fn in_flight_total(shared: &Shared) -> u64 {
         .sum()
 }
 
-fn outstanding_on(
-    shared: &Shared,
-    serial: &SerialState,
-    guards: &[MutexGuard<'_, ShardState>],
-) -> u64 {
-    let (queued, backlog) = queue_census_on(guards);
-    queued + backlog + in_flight_total(shared) + serial.pending_replies.len() as u64
+/// Packets queued, in flight, or awaiting DRAM service: the one census
+/// behind [`ShardedSimulator::packets_outstanding`], the drain loop and the
+/// end-of-injection congestion snapshot.
+fn outstanding(shared: &Shared, serial: &SerialState, guards: &[ShardGuard<'_>]) -> u64 {
+    queued_total(guards) + in_flight_total(shared) + serial.pending_replies.len() as u64
 }
 
 /// Folds this boundary's pool occupancy into the run's peaks. Sampled after
 /// the serial pre-route phases with the routing workers parked, so every
 /// total is the serial-equivalent network-wide state — invariant under K.
-fn track_pool_peaks(
-    shared: &Shared,
-    serial: &mut SerialState,
-    guards: &[MutexGuard<'_, ShardState>],
-) {
-    let live: u64 = guards
-        .iter()
-        .map(|shard| u64::from(shard.pools.packets.live()))
-        .sum();
-    serial.peaks.packets = serial.peaks.packets.max(live);
+fn track_pool_peaks(shared: &Shared, serial: &mut SerialState, guards: &[ShardGuard<'_>]) {
+    serial.peaks.packets = serial.peaks.packets.max(queued_total(guards));
     serial.peaks.in_flight = serial.peaks.in_flight.max(in_flight_total(shared));
 }
 
@@ -991,11 +1010,7 @@ fn track_pool_peaks(
 /// show up in the link-occupancy columns, not the router depths), which is
 /// what keeps the series K-invariant now that draining happens inside the
 /// routing phase.
-fn maybe_sample_telemetry(
-    shared: &Shared,
-    serial: &mut SerialState,
-    guards: &[MutexGuard<'_, ShardState>],
-) {
+fn maybe_sample_telemetry(shared: &Shared, serial: &mut SerialState, guards: &[ShardGuard<'_>]) {
     let (network_pj, dram_pj) = serial.stats.energy_breakdown_pj();
     let cycle = serial.cycle;
     let Some(series) = serial.telemetry.as_deref_mut() else {
@@ -1020,45 +1035,29 @@ fn maybe_sample_telemetry(
     }
 }
 
-/// Advances a multi-shard simulation by one cycle, parking and releasing the
-/// worker threads around the routing phase.
-fn step(
-    shared: &Shared,
+/// Advances the simulation by one cycle: the serial pre-route phases, one
+/// routing phase over all shards, the serial commit. The one step path for
+/// every shard count; `crew` is `None` exactly when there is one shard.
+fn step<'a>(
+    shared: &'a Shared,
     serial: &mut SerialState,
     traffic: &mut dyn TrafficModel,
-    sync: &StepSync<'_>,
+    guards: &mut [ShardGuard<'a>],
+    crew: Option<&Crew>,
 ) -> SfResult<()> {
-    let cycle = serial.cycle;
-    let epoch = cycle + 1;
-    {
-        let mut guards = shared.lock_all();
-        pre_route_phases(shared, serial, &mut guards, traffic)?;
-        // Telemetry sampling shares this boundary with fault injection:
-        // every router quiescent, all state serial-equivalent, so the
-        // sample is bit-identical for any worker x shard count.
-        maybe_sample_telemetry(shared, serial, &guards);
-        track_pool_peaks(shared, serial, &guards);
-    }
+    pre_route_phases(shared, serial, guards, traffic)?;
+    // Telemetry sampling shares this boundary with fault injection: every
+    // router quiescent, all state serial-equivalent, so the sample is
+    // bit-identical for any worker x shard count.
+    maybe_sample_telemetry(shared, serial, guards);
+    track_pool_peaks(shared, serial, guards);
 
-    // Routing phase: every shard processes its routers, wavefront-ordered.
+    // Routing phase: every shard routes its routers, wavefront-ordered.
     let route_timer = sf_obs::span::timing_start();
-    sync.epoch_cell.store(epoch, Ordering::Release);
-    sync.barrier.wait();
-    let own = shard_routing_phase(shared, 0, cycle, epoch).err();
-    sync.barrier.wait();
-    // Deterministic error selection: the lowest failing router id wins,
-    // exactly like the serial loop's first-error-encountered.
-    let mut failure = own;
-    for slot in sync.worker_errors {
-        if let Some(candidate) = slot.lock().expect("error slot poisoned").take() {
-            let better = failure
-                .as_ref()
-                .is_none_or(|current| candidate.0 < current.0);
-            if better {
-                failure = Some(candidate);
-            }
-        }
-    }
+    let failure = match crew {
+        None => route_shard(shared, &mut guards[0], 0, serial.cycle),
+        Some(crew) => crew.route(shared, guards, serial.cycle),
+    };
     if let Some(started) = route_timer {
         serial.timers.route += started.elapsed();
     }
@@ -1067,43 +1066,6 @@ fn step(
     }
 
     // Serial commit: replay every router's commit log in id order.
-    {
-        let commit_timer = sf_obs::span::timing_start();
-        let mut guards = shared.lock_all();
-        let entries = commit_phase(shared, serial, &mut guards);
-        serial.peaks.commit_entries = serial.peaks.commit_entries.max(entries);
-        if let Some(started) = commit_timer {
-            serial.timers.commit += started.elapsed();
-        }
-    }
-    serial.cycle += 1;
-    Ok(())
-}
-
-/// Advances a single-shard simulation by one cycle with the shard guard
-/// already held — no locking, no thread hand-off, and (after warm-up) no
-/// heap allocation.
-fn step_serial(
-    shared: &Shared,
-    serial: &mut SerialState,
-    traffic: &mut dyn TrafficModel,
-    guards: &mut [MutexGuard<'_, ShardState>],
-) -> SfResult<()> {
-    let cycle = serial.cycle;
-    let epoch = cycle + 1;
-    pre_route_phases(shared, serial, guards, traffic)?;
-    maybe_sample_telemetry(shared, serial, guards);
-    track_pool_peaks(shared, serial, guards);
-
-    let route_timer = sf_obs::span::timing_start();
-    let failure = shard_routing_locked(shared, &mut guards[0], 0, cycle, epoch);
-    if let Some(started) = route_timer {
-        serial.timers.route += started.elapsed();
-    }
-    if let Some((_, error)) = failure {
-        return Err(error);
-    }
-
     let commit_timer = sf_obs::span::timing_start();
     let entries = commit_phase(shared, serial, guards);
     serial.peaks.commit_entries = serial.peaks.commit_entries.max(entries);
@@ -1120,7 +1082,7 @@ fn step_serial(
 fn pre_route_phases(
     shared: &Shared,
     serial: &mut SerialState,
-    guards: &mut [MutexGuard<'_, ShardState>],
+    guards: &mut [ShardGuard<'_>],
     traffic: &mut dyn TrafficModel,
 ) -> SfResult<()> {
     let cycle = serial.cycle;
@@ -1172,11 +1134,7 @@ fn pre_route_phases(
 /// have come due (in strike order), then the wave striking at this cycle, if
 /// any. Runs on the coordinating thread while the workers are parked, so the
 /// liveness flags it writes are constant throughout the routing phase.
-fn apply_fault_boundary(
-    shared: &Shared,
-    serial: &mut SerialState,
-    guards: &mut [MutexGuard<'_, ShardState>],
-) {
+fn apply_fault_boundary(shared: &Shared, serial: &mut SerialState, guards: &mut [ShardGuard<'_>]) {
     let Some(fault) = &shared.fault else {
         return;
     };
@@ -1300,7 +1258,7 @@ fn drop_in_flight(
 fn enqueue_request(
     shared: &Shared,
     serial: &mut SerialState,
-    guards: &mut [MutexGuard<'_, ShardState>],
+    guards: &mut [ShardGuard<'_>],
     source: usize,
     request: TrafficRequest,
     cycle: u64,
@@ -1354,8 +1312,12 @@ fn enqueue_request(
     let ShardState { routers, pools } = &mut *guards[shard];
     let router = &mut routers[slot];
     if source == dest.index() {
-        // Local access: no network traversal, service memory directly.
-        apply_eject(shared, serial, router, packet, cycle, measuring);
+        // Local access: no network traversal, service memory directly. The
+        // DRAM energy and reply id apply now, at the same point in the
+        // serial order the reference simulator used.
+        if let Some(residue) = deliver(router, &packet, cycle, measuring) {
+            commit_serviced(shared, serial, residue, cycle, measuring);
+        }
         return Ok(());
     }
     router.injection.push_back(&mut pools.packets, packet);
@@ -1363,85 +1325,63 @@ fn enqueue_request(
     Ok(())
 }
 
-/// The routing phase of one shard for one cycle.
+/// The routing phase of one shard for one cycle, run by the coordinator for
+/// shard 0 and by the workers for the others: drain the shard's due
+/// arrivals, then route its routers in increasing id order, each once its
+/// cross-shard smaller-id neighbours have published this cycle's epoch.
 ///
-/// Routers are processed in increasing id order; before each router, its
-/// cross-shard smaller-id neighbours must have published this epoch. Every
-/// router's epoch is published even on failure (or a panic), so sibling
-/// shards can never spin forever.
-fn shard_routing_phase(
-    shared: &Shared,
-    s: usize,
-    cycle: u64,
-    epoch: u64,
-) -> Result<(), (usize, SfError)> {
+/// Returns the shard's lowest-id failure; after one the shard routes no
+/// further routers. Every router's epoch is published regardless, so
+/// sibling shards never spin forever. A panic (say, inside the protocol's
+/// `next_hop`) is reported as the failure of the router being routed, so
+/// the error is the same for every shard count.
+fn route_shard(shared: &Shared, state: &mut ShardState, s: usize, cycle: u64) -> Option<Failure> {
+    let epoch = cycle + 1;
+    // The router being routed; `usize::MAX` while the arrivals drain.
+    let mut routing = usize::MAX;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut state = shared.shards[s].lock().expect("shard state poisoned");
-        shard_routing_locked(shared, &mut state, s, cycle, epoch)
-    }));
-    match outcome {
-        Ok(None) => Ok(()),
-        Ok(Some(failure)) => Err(failure),
-        Err(_panic) => {
-            // The mutex guard unwound mid-phase; publish all epochs so other
-            // shards cannot deadlock, then surface a deterministic-enough
-            // error (the run aborts without a commit either way).
-            for &node in shared.plan.members(s) {
-                shared.done[node].store(epoch, Ordering::Release);
-            }
-            Err((
-                usize::MAX,
-                SfError::Simulation {
-                    reason: format!("routing phase of shard {s} panicked"),
-                },
-            ))
-        }
-    }
-}
-
-/// The body of one shard's routing phase, with the shard guard already held:
-/// drain the shard's due arrivals, then route every router in id order under
-/// the wavefront. Returns the lowest-id routing failure, if any; every
-/// router's epoch is published regardless so sibling shards never spin
-/// forever.
-fn shard_routing_locked(
-    shared: &Shared,
-    state: &mut ShardState,
-    s: usize,
-    cycle: u64,
-    epoch: u64,
-) -> Option<(usize, SfError)> {
-    drain_arrivals(shared, state, s, cycle);
-    let ShardState { routers, pools } = state;
-    let mut failed: Option<(usize, SfError)> = None;
-    for router in routers.iter_mut() {
-        let node = router.node;
-        // A fault-gated router skips its routing step (its queues were
-        // drained when it went down) but still publishes its epoch.
-        if shared.active[node] && !shared.router_faulted(node) && failed.is_none() {
-            for &dep in shared.plan.wait_for(node) {
-                let mut spins = 0u32;
-                while shared.done[dep].load(Ordering::Acquire) < epoch {
-                    // A short spin burst covers the common case (the
-                    // dependency is a few routers from done); after that,
-                    // yield every iteration so an oversubscribed machine
-                    // — more shards than idle cores — makes progress
-                    // instead of burning a scheduling quantum.
-                    spins = spins.saturating_add(1);
-                    if spins < 32 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
+        drain_arrivals(shared, state, s, cycle);
+        let ShardState { routers, pools } = state;
+        let mut failed = None;
+        for router in routers.iter_mut() {
+            let node = router.node;
+            // A fault-gated router skips its routing step (its queues were
+            // drained when it went down) but still publishes its epoch.
+            if shared.active[node] && !shared.router_faulted(node) && failed.is_none() {
+                for &dep in shared.plan.wait_for(node) {
+                    let mut spins = 0u32;
+                    while shared.done[dep].load(Ordering::Acquire) < epoch {
+                        // A short spin burst covers the common case (the
+                        // dependency is a few routers from done); after that,
+                        // yield every iteration so an oversubscribed machine
+                        // — more shards than idle cores — makes progress
+                        // instead of burning a scheduling quantum.
+                        spins = spins.saturating_add(1);
+                        if spins < 32 {
+                            std::hint::spin_loop();
+                        } else {
+                            std::thread::yield_now();
+                        }
                     }
                 }
+                routing = node;
+                if let Err(error) = route_node(shared, pools, router, cycle) {
+                    failed = Some((node, error));
+                }
             }
-            if let Err(error) = route_node(shared, pools, router, cycle) {
-                failed = Some((node, error));
-            }
+            shared.done[node].store(epoch, Ordering::Release);
         }
-        shared.done[node].store(epoch, Ordering::Release);
-    }
-    failed
+        failed
+    }));
+    outcome.unwrap_or_else(|_panic| {
+        // The run aborts without a commit; publish every epoch so sibling
+        // shards cannot deadlock.
+        for &node in shared.plan.members(s) {
+            shared.done[node].store(epoch, Ordering::Release);
+        }
+        let reason = format!("routing of router {routing} panicked");
+        Some((routing, SfError::Simulation { reason }))
+    })
 }
 
 /// Moves every arrival due at `cycle` from the shard's inbox into the
@@ -1523,15 +1463,7 @@ fn route_node(
             }
             continue;
         }
-        if try_forward(
-            shared,
-            &mut pools.commits,
-            &mut router.commit,
-            node,
-            &packet,
-            &mut router.used_outputs,
-            cycle,
-        )? {
+        if try_forward(shared, &mut pools.commits, router, &packet, cycle)? {
             router.queues[idx].pop_front(&mut pools.packets);
             router.queued_net -= 1;
             shared.occ(node, link, vc).fetch_sub(1, Ordering::Relaxed);
@@ -1551,15 +1483,7 @@ fn route_node(
                 .expect("head");
             pools.backlog -= 1;
             eject_in_phase(shared, &mut pools.commits, router, packet, cycle);
-        } else if try_forward(
-            shared,
-            &mut pools.commits,
-            &mut router.commit,
-            node,
-            &packet,
-            &mut router.used_outputs,
-            cycle,
-        )? {
+        } else if try_forward(shared, &mut pools.commits, router, &packet, cycle)? {
             router.injection.pop_front(&mut pools.packets);
             pools.backlog -= 1;
         } else if cycle >= shared.config.warmup_cycles {
@@ -1569,11 +1493,10 @@ fn route_node(
     Ok(())
 }
 
-/// Delivery at the destination during the parallel routing phase: folds the
-/// commutative integer statistics into the router's local counters and runs
-/// the (router-local) DRAM access for request packets. The float DRAM energy
-/// and the reply's packet-id assignment still need the serial order, so they
-/// travel to the commit as a [`CommitEntry::Serviced`].
+/// Delivery at the destination during the parallel routing phase. The float
+/// DRAM energy and the reply's packet-id assignment need the serial order,
+/// so a serviced request travels to the commit as a
+/// [`CommitEntry::Serviced`].
 fn eject_in_phase(
     shared: &Shared,
     commits: &mut Pool<CommitEntry>,
@@ -1582,42 +1505,50 @@ fn eject_in_phase(
     cycle: u64,
 ) {
     let measuring = cycle >= shared.config.warmup_cycles;
-    fold_delivery(&mut router.local, &packet, cycle, measuring);
-    if matches!(
-        packet.kind,
-        PacketKind::ReadRequest | PacketKind::WriteRequest
-    ) {
-        let address = packet.id.wrapping_mul(64) % (1 << 33);
-        let service = router
-            .memory
-            .access(address, packet.kind == PacketKind::WriteRequest);
-        router.commit.push_back(
-            commits,
-            CommitEntry::Serviced {
-                service,
-                source: packet.source,
-                destination: packet.destination,
-                kind: packet.kind,
-                request_issued_at: packet.request_issued_at,
-            },
-        );
+    if let Some(residue) = deliver(router, &packet, cycle, measuring) {
+        router
+            .commit
+            .push_back(commits, CommitEntry::Serviced(residue));
     }
 }
 
-/// Folds one delivered packet's integer statistics into `local`.
-fn fold_delivery(local: &mut LocalStats, packet: &Packet, cycle: u64, measuring: bool) {
-    if !measuring {
-        return;
+/// Delivers `packet` at `router`: folds its integer statistics into the
+/// router's local counters and, for a request, runs the router-local DRAM
+/// access. Returns the residue a request's reply needs; its float energy
+/// and packet id wait for [`commit_serviced`].
+fn deliver(
+    router: &mut RouterState,
+    packet: &Packet,
+    cycle: u64,
+    measuring: bool,
+) -> Option<ServiceResidue> {
+    if measuring {
+        let local = &mut router.local;
+        let latency = cycle.saturating_sub(packet.injected_at);
+        local.delivered += 1;
+        local.total_latency_cycles += latency;
+        local.max_latency_cycles = local.max_latency_cycles.max(latency);
+        local.total_hops += u64::from(packet.hops);
+        if matches!(packet.kind, PacketKind::ReadReply | PacketKind::WriteAck) {
+            local.completed_requests += 1;
+            local.total_round_trip_cycles += cycle.saturating_sub(packet.request_issued_at);
+        }
     }
-    let latency = cycle.saturating_sub(packet.injected_at);
-    local.delivered += 1;
-    local.total_latency_cycles += latency;
-    local.max_latency_cycles = local.max_latency_cycles.max(latency);
-    local.total_hops += u64::from(packet.hops);
-    if matches!(packet.kind, PacketKind::ReadReply | PacketKind::WriteAck) {
-        local.completed_requests += 1;
-        local.total_round_trip_cycles += cycle.saturating_sub(packet.request_issued_at);
+    if !matches!(
+        packet.kind,
+        PacketKind::ReadRequest | PacketKind::WriteRequest
+    ) {
+        return None;
     }
+    let address = packet.id.wrapping_mul(64) % (1 << 33);
+    let write = packet.kind == PacketKind::WriteRequest;
+    Some(ServiceResidue {
+        service: router.memory.access(address, write),
+        source: packet.source,
+        destination: packet.destination,
+        kind: packet.kind,
+        request_issued_at: packet.request_issued_at,
+    })
 }
 
 /// Attempts to forward `packet` out of `node`; returns `true` if the packet
@@ -1627,12 +1558,11 @@ fn fold_delivery(local: &mut LocalStats, packet: &Packet, cycle: u64, measuring:
 fn try_forward(
     shared: &Shared,
     commits: &mut Pool<CommitEntry>,
-    commit: &mut List,
-    node: usize,
+    router: &mut RouterState,
     packet: &Packet,
-    used_outputs: &mut [bool],
     cycle: u64,
 ) -> SfResult<bool> {
+    let node = router.node;
     let ctx = RoutingContext {
         first_hop: packet.hops == 0,
         adaptive_threshold: shared.config.adaptive_threshold,
@@ -1641,7 +1571,7 @@ fn try_forward(
     let next = shared
         .protocol
         .next_hop(NodeId::new(node), packet.destination, &loads, &ctx)?;
-    let Some(&out_idx) = shared.neighbor_index[node].get(&next.index()) else {
+    let Ok(out_idx) = shared.adjacency[node].binary_search(&next) else {
         return Err(SfError::Simulation {
             reason: format!(
                 "protocol {} chose non-neighbour {next} from node {node}",
@@ -1649,7 +1579,7 @@ fn try_forward(
             ),
         });
     };
-    if used_outputs[out_idx] {
+    if router.used_outputs[out_idx] {
         return Ok(false);
     }
     let vc = shared
@@ -1658,7 +1588,9 @@ fn try_forward(
         .index() as usize;
     let vc = vc.min(shared.config.virtual_channels - 1);
     // Credit check on the downstream input queue.
-    let down_idx = shared.neighbor_index[next.index()][&node];
+    let down_idx = shared.adjacency[next.index()]
+        .binary_search(&NodeId::new(node))
+        .expect("links are symmetric");
     // A dead next hop or dead link blocks the forward; the packet waits for
     // the repair (or for adaptive routing to pick another port next cycle).
     if shared.router_faulted(next.index()) || shared.link_faulted(next.index(), down_idx) {
@@ -1675,7 +1607,7 @@ fn try_forward(
     // shard's inbox. The inbox mutex is held for one slab write; the energy
     // contribution is logged (not applied) because float accumulation must
     // replay in id order.
-    used_outputs[out_idx] = true;
+    router.used_outputs[out_idx] = true;
     shared
         .occ(next.index(), down_idx, vc)
         .fetch_add(1, Ordering::Relaxed);
@@ -1697,7 +1629,7 @@ fn try_forward(
             moved,
         );
     if cycle >= shared.config.warmup_cycles {
-        commit.push_back(
+        router.commit.push_back(
             commits,
             CommitEntry::LinkEnergy {
                 size_bits: moved.kind.size_bits(shared.system.cacheline_bytes),
@@ -1715,11 +1647,7 @@ fn try_forward(
 /// shard-locally (see [`LocalStats`]) and merged at run end. Returns the
 /// number of entries replayed (for the `sim.pool.commit_entries_peak`
 /// gauge).
-fn commit_phase(
-    shared: &Shared,
-    serial: &mut SerialState,
-    guards: &mut [MutexGuard<'_, ShardState>],
-) -> u64 {
+fn commit_phase(shared: &Shared, serial: &mut SerialState, guards: &mut [ShardGuard<'_>]) -> u64 {
     let cycle = serial.cycle;
     let measuring = cycle >= shared.config.warmup_cycles;
     let mut entries = 0u64;
@@ -1734,37 +1662,13 @@ fn commit_phase(
                     serial.stats.network_energy_pj +=
                         shared.system.energy.network_energy_pj(size_bits, 1);
                 }
-                CommitEntry::Serviced {
-                    service,
-                    source,
-                    destination,
-                    kind,
-                    request_issued_at,
-                } => {
-                    let residue = ServiceResidue {
-                        service,
-                        source,
-                        destination,
-                        kind,
-                        request_issued_at,
-                    };
+                CommitEntry::Serviced(residue) => {
                     commit_serviced(shared, serial, residue, cycle, measuring);
                 }
             }
         }
     }
     entries
-}
-
-/// The routing residue of one serviced request — everything
-/// [`commit_serviced`] needs to build the reply.
-#[derive(Debug, Clone, Copy)]
-struct ServiceResidue {
-    service: u64,
-    source: NodeId,
-    destination: NodeId,
-    kind: PacketKind,
-    request_issued_at: u64,
 }
 
 /// The serial half of a DRAM access: float energy accumulation and the
@@ -1800,39 +1704,6 @@ fn commit_serviced(
             node: residue.destination.index(),
             packet: reply,
         });
-    }
-}
-
-/// Delivery of a packet that never enters the network (source == destination,
-/// handled inline by the coordinator during the injection phase): integer
-/// statistics fold into the router's local counters like any other delivery,
-/// while the DRAM energy and reply id are applied immediately — the same
-/// point in the serial order the reference simulator used.
-fn apply_eject(
-    shared: &Shared,
-    serial: &mut SerialState,
-    router: &mut RouterState,
-    packet: Packet,
-    cycle: u64,
-    measuring: bool,
-) {
-    fold_delivery(&mut router.local, &packet, cycle, measuring);
-    if matches!(
-        packet.kind,
-        PacketKind::ReadRequest | PacketKind::WriteRequest
-    ) {
-        let address = packet.id.wrapping_mul(64) % (1 << 33);
-        let service = router
-            .memory
-            .access(address, packet.kind == PacketKind::WriteRequest);
-        let residue = ServiceResidue {
-            service,
-            source: packet.source,
-            destination: packet.destination,
-            kind: packet.kind,
-            request_issued_at: packet.request_issued_at,
-        };
-        commit_serviced(shared, serial, residue, cycle, measuring);
     }
 }
 
@@ -1894,10 +1765,20 @@ mod tests {
     use sf_types::NetworkConfig;
 
     fn sim(nodes: usize, shards: usize, max_cycles: u64) -> ShardedSimulator {
+        sim_routed(nodes, shards, max_cycles, |routing| Box::new(routing))
+    }
+
+    /// Like [`sim`], with the greediest protocol wrapped by `wrap`.
+    fn sim_routed(
+        nodes: usize,
+        shards: usize,
+        max_cycles: u64,
+        wrap: impl FnOnce(GreediestRouting) -> Box<dyn RoutingProtocol>,
+    ) -> ShardedSimulator {
         let topo = StringFigureTopology::generate(&NetworkConfig::new(nodes, 4).unwrap()).unwrap();
         ShardedSimulator::new(
             topo.graph().clone(),
-            Box::new(GreediestRouting::new(&topo)),
+            wrap(GreediestRouting::new(&topo)),
             SystemConfig::default(),
             SimulationConfig {
                 max_cycles,
@@ -2070,5 +1951,65 @@ mod tests {
         let e1 = sim(16, 1, 400).run(&mut TargetInvalid).unwrap_err();
         let e4 = sim(16, 4, 400).run(&mut TargetInvalid).unwrap_err();
         assert_eq!(e1.to_string(), e4.to_string());
+
+        /// Greediest routing, except at router 13: it panics there, or
+        /// forwards to router 13 itself, which is no neighbour of it.
+        struct Misrouting {
+            inner: GreediestRouting,
+            panics: bool,
+        }
+        impl RoutingProtocol for Misrouting {
+            fn name(&self) -> &'static str {
+                "misrouting"
+            }
+            fn next_hop(
+                &self,
+                at: NodeId,
+                dest: NodeId,
+                loads: &dyn PortLoadEstimator,
+                ctx: &RoutingContext,
+            ) -> SfResult<NodeId> {
+                if at.index() != 13 {
+                    return self.inner.next_hop(at, dest, loads, ctx);
+                }
+                assert!(!self.panics, "router 13 cannot route");
+                Ok(at)
+            }
+        }
+        for (panics, expected) in [
+            (true, "routing of router 13 panicked"),
+            (
+                false,
+                "protocol misrouting chose non-neighbour n13 from node 13",
+            ),
+        ] {
+            for shards in [1usize, 2, 3, 5] {
+                let error = sim_routed(48, shards, 400, |inner| {
+                    Box::new(Misrouting { inner, panics })
+                })
+                .run(&mut UniformRandomTraffic::new(48, 0.08, 11))
+                .unwrap_err();
+                let expected = format!("simulation error: {expected}");
+                assert_eq!(error.to_string(), expected, "shards={shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn serial_phase_panics_unwind_for_every_shard_count() {
+        // A panic on the coordinating thread must release the parked
+        // workers, or the run would never return.
+        struct Exploding;
+        impl TrafficModel for Exploding {
+            fn maybe_inject(&mut self, cycle: u64, _source: NodeId) -> Option<TrafficRequest> {
+                assert!(cycle < 50, "traffic model exploded");
+                None
+            }
+        }
+        for shards in [1usize, 3] {
+            let mut s = sim(48, shards, 400);
+            let outcome = catch_unwind(AssertUnwindSafe(|| s.run(&mut Exploding)));
+            assert!(outcome.is_err(), "shards={shards}");
+        }
     }
 }

@@ -26,8 +26,8 @@
 //! * [`memory`] — the per-node DRAM service model (row-buffer behaviour and
 //!   Table I timing).
 //! * [`shard`] — shard planning: round-robin ownership, per-router wait
-//!   lists, and the shard-count resolution policy (`SF_SIM_SHARDS`, core
-//!   budget, explicit config).
+//!   lists, and the shard-count resolution policy (explicit config, else
+//!   the core budget).
 //! * [`pool`] — index-linked free-list slabs ([`pool::Pool`], [`pool::List`],
 //!   [`pool::InFlightPool`]) that make steady-state cycles allocation-free.
 //! * [`kernel`] — the [`ShardedSimulator`] itself.
@@ -51,5 +51,5 @@ pub mod stats;
 pub use kernel::{ShardedSimulator, UniformRandomTraffic};
 pub use memory::{MemoryNodeModel, MemoryNodeStats};
 pub use packet::{Packet, PacketKind, TrafficModel, TrafficRequest};
-pub use shard::{resolve_shard_count, ShardPlan, SHARDS_ENV};
+pub use shard::{resolve_shard_count, ShardPlan};
 pub use stats::SimulationStats;

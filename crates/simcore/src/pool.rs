@@ -7,8 +7,9 @@
 //! structures so that a steady-state cycle performs **zero heap
 //! allocations**:
 //!
-//! * [`Pool<T>`] — a slab of `T` plus a `u32` free list. Allocation pops the
-//!   free list; freeing pushes it back. The slab only grows while the
+//! * [`Pool<T>`] — a slab of `T` slots, each with a `u32` link that chains
+//!   the free list or a [`List`]. Allocation pops the free list; freeing
+//!   pushes it back. The slab only grows while the
 //!   simulation is still discovering its high-water mark; after warm-up every
 //!   alloc recycles a previously freed slot.
 //! * [`List`] — a 12-byte FIFO handle (`head`/`tail`/`len`) chaining slots of
@@ -36,18 +37,26 @@ const NIL: u32 = u32::MAX;
 /// A slab allocator of `T` with an intrusive `u32` free list.
 ///
 /// `T: Copy` keeps `alloc`/`free` a plain slot write/read with no drop glue —
-/// exactly the layout discipline (SoA-ish dense slabs, index links instead of
+/// exactly the layout discipline (dense slabs, index links instead of
 /// pointers) the BookSim/gem5 lineage of simulators uses for packet storage.
+/// Each value sits next to its link in one `Vec`: a slab that grows is one
+/// buffer that can extend in place, not two parallel ones that block each
+/// other's growth and leave a trail of moved-out holes in the heap.
 #[derive(Debug, Clone)]
 pub struct Pool<T: Copy> {
-    slots: Vec<T>,
-    /// `next[i]` — free-list successor when slot `i` is free, FIFO successor
-    /// when it is live inside a [`List`].
-    next: Vec<u32>,
+    slots: Vec<Slot<T>>,
     free_head: u32,
     live: u32,
     pushes: u64,
     grows: u64,
+}
+
+/// One pool slot: its value and its link — the free-list successor when
+/// the slot is free, the FIFO successor when it is live inside a [`List`].
+#[derive(Debug, Clone, Copy)]
+struct Slot<T> {
+    value: T,
+    next: u32,
 }
 
 impl<T: Copy> Default for Pool<T> {
@@ -62,7 +71,6 @@ impl<T: Copy> Pool<T> {
     pub fn new() -> Self {
         Self {
             slots: Vec::new(),
-            next: Vec::new(),
             free_head: NIL,
             live: 0,
             pushes: 0,
@@ -76,20 +84,18 @@ impl<T: Copy> Pool<T> {
         if self.free_head == NIL {
             self.grows += 1;
             let idx = self.slots.len() as u32;
-            self.slots.push(value);
-            self.next.push(NIL);
+            self.slots.push(Slot { value, next: NIL });
             return idx;
         }
         let idx = self.free_head;
-        self.free_head = self.next[idx as usize];
-        self.slots[idx as usize] = value;
-        self.next[idx as usize] = NIL;
+        self.free_head = self.slots[idx as usize].next;
+        self.slots[idx as usize] = Slot { value, next: NIL };
         idx
     }
 
     fn free(&mut self, idx: u32) -> T {
-        let value = self.slots[idx as usize];
-        self.next[idx as usize] = self.free_head;
+        let value = self.slots[idx as usize].value;
+        self.slots[idx as usize].next = self.free_head;
         self.free_head = idx;
         self.live -= 1;
         value
@@ -157,7 +163,7 @@ impl List {
         if self.tail == NIL {
             self.head = idx;
         } else {
-            pool.next[self.tail as usize] = idx;
+            pool.slots[self.tail as usize].next = idx;
         }
         self.tail = idx;
         self.len += 1;
@@ -169,7 +175,7 @@ impl List {
             return None;
         }
         let idx = self.head;
-        self.head = pool.next[idx as usize];
+        self.head = pool.slots[idx as usize].next;
         if self.head == NIL {
             self.tail = NIL;
         }
@@ -183,7 +189,7 @@ impl List {
         if self.head == NIL {
             return None;
         }
-        Some(&pool.slots[self.head as usize])
+        Some(&pool.slots[self.head as usize].value)
     }
 
     /// Number of queued values.

@@ -35,9 +35,6 @@
 
 use sf_types::SimulationConfig;
 
-/// Environment variable overriding the shard count (`0`/unset = auto).
-pub const SHARDS_ENV: &str = "SF_SIM_SHARDS";
-
 /// Below this many active routers automatic selection stays serial: a cycle
 /// of a small network is microseconds, and two barrier crossings per cycle
 /// would cost more than the sharded work saves.
@@ -49,36 +46,22 @@ pub const AUTO_NODES_PER_SHARD: usize = 96;
 
 /// Resolves the shard count for a simulation over `active_nodes` routers.
 ///
-/// Priority: an explicit `config.shards`, then the [`SHARDS_ENV`] environment
-/// variable, then the automatic policy — serial below [`AUTO_MIN_NODES`]
-/// routers, otherwise the intra-job share of the process core budget (see
-/// `sf_harness::budget`), capped so each shard keeps at least
-/// [`AUTO_NODES_PER_SHARD`] routers. The result is always in
+/// An explicit `config.shards` wins; `0` selects the automatic policy —
+/// serial below [`AUTO_MIN_NODES`] routers, otherwise the intra-job share of
+/// the process core budget (see `sf_harness::budget`), capped so each shard
+/// keeps at least [`AUTO_NODES_PER_SHARD`] routers. The result is always in
 /// `1..=active_nodes` and never affects simulation output, only wall-clock
 /// time.
 #[must_use]
 pub fn resolve_shard_count(config: &SimulationConfig, active_nodes: usize) -> usize {
-    let explicit = if config.shards > 0 {
-        Some(config.shards)
+    let count = if config.shards > 0 {
+        config.shards
+    } else if active_nodes < AUTO_MIN_NODES {
+        1
     } else {
-        env_shard_override()
+        sf_harness::budget::intra_job_share().min(active_nodes / AUTO_NODES_PER_SHARD)
     };
-    let count = explicit.unwrap_or_else(|| {
-        if active_nodes < AUTO_MIN_NODES {
-            1
-        } else {
-            sf_harness::budget::intra_job_share().min(active_nodes / AUTO_NODES_PER_SHARD)
-        }
-    });
     count.clamp(1, active_nodes.max(1))
-}
-
-/// The [`SHARDS_ENV`] override, if set to a positive integer — the same
-/// lookup [`resolve_shard_count`] performs, exposed so callers that describe
-/// the policy (e.g. the bench binaries' announcement) cannot drift from it.
-#[must_use]
-pub fn env_shard_override() -> Option<usize> {
-    sf_harness::budget::env_positive_usize(SHARDS_ENV)
 }
 
 /// The static schedule of one sharded simulation: ownership plus per-router
@@ -259,14 +242,12 @@ mod tests {
 
     #[test]
     fn auto_policy_keeps_small_networks_serial() {
-        // Explicit shards take priority; with shards = 0 and no env override
-        // a small network resolves to 1 regardless of the machine.
+        // Explicit shards take priority; with shards = 0 a small network
+        // resolves to 1 regardless of the machine.
         let auto = SimulationConfig {
             shards: 0,
             ..SimulationConfig::default()
         };
-        if std::env::var(SHARDS_ENV).is_err() {
-            assert_eq!(resolve_shard_count(&auto, AUTO_MIN_NODES - 1), 1);
-        }
+        assert_eq!(resolve_shard_count(&auto, AUTO_MIN_NODES - 1), 1);
     }
 }
