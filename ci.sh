@@ -43,54 +43,52 @@ git diff --exit-code -- benchmark/ BENCHMARK.json
 if [[ "${1:-}" != "--quick" ]]; then
     sfbench=./target/release/sfbench
 
-    # Smoke the full stack through the unified CLI with BOTH parallelism
-    # layers forced on: a 2-worker sweep pool around 2-shard cycle-level
-    # simulations. The run's artifact must be byte-identical to the fully
-    # serial run — that is the determinism contract of sf-harness and
-    # sf-simcore.
-    echo "==> sfbench run fig10 --quick smoke (2 sweep workers x 2 sim shards)"
+    # Smoke the full stack through the unified CLI on a 2-worker sweep pool.
+    # The run's artifact must be byte-identical to the serial run — that is
+    # the determinism contract of sf-harness.
+    echo "==> sfbench run fig10 --quick smoke (1 vs 2 sweep workers)"
     serial_csv="$(mktemp)"
-    sharded_csv="$(mktemp)"
+    parallel_csv="$(mktemp)"
     SF_HARNESS_THREADS=1 \
-        "$sfbench" run fig10 --quick --no-resume --shards 1 --csv "$serial_csv" \
+        "$sfbench" run fig10 --quick --no-resume --csv "$serial_csv" \
         --telemetry "$serial_csv.telemetry.bin" --telemetry-every 32 \
         --metrics "$serial_csv.metrics.json" >/dev/null
-    # The sharded run also exercises the observability sinks: tracing,
+    # The parallel run also exercises the observability sinks: tracing,
     # metrics, and the telemetry stream must stay strictly out-of-band
     # (identical CSV bytes), and the stream itself must be bit-identical
     # to the serial run's.
     SF_HARNESS_THREADS=2 \
-        "$sfbench" run fig10 --quick --no-resume --shards 2 --csv "$sharded_csv" \
-        --telemetry "$sharded_csv.telemetry.bin" --telemetry-every 32 \
-        --trace "$sharded_csv.trace.jsonl" --metrics "$sharded_csv.metrics.json" >/dev/null
-    cmp "$serial_csv" "$sharded_csv"
+        "$sfbench" run fig10 --quick --no-resume --csv "$parallel_csv" \
+        --telemetry "$parallel_csv.telemetry.bin" --telemetry-every 32 \
+        --trace "$parallel_csv.trace.jsonl" --metrics "$parallel_csv.metrics.json" >/dev/null
+    cmp "$serial_csv" "$parallel_csv"
     # The pooled kernel must still hit the committed golden bytes — not just
-    # agree with itself across worker/shard layouts.
+    # agree with itself across worker counts.
     cmp "$serial_csv" crates/bench/tests/golden/fig10_saturation.quick.csv
-    cmp "$serial_csv.telemetry.bin" "$sharded_csv.telemetry.bin"
-    head -c 15 "$sharded_csv.telemetry.bin" | grep -q 'sf-telemetry/v1'
-    test -s "$sharded_csv.trace.jsonl"
-    grep -q '"schema": "sf-metrics/v1"' "$sharded_csv.metrics.json"
-    grep -q '"sim.delivered"' "$sharded_csv.metrics.json"
-    grep -q '"sim.telemetry_samples"' "$sharded_csv.metrics.json"
+    cmp "$serial_csv.telemetry.bin" "$parallel_csv.telemetry.bin"
+    head -c 15 "$parallel_csv.telemetry.bin" | grep -q 'sf-telemetry/v1'
+    test -s "$parallel_csv.trace.jsonl"
+    grep -q '"schema": "sf-metrics/v1"' "$parallel_csv.metrics.json"
+    grep -q '"sim.delivered"' "$parallel_csv.metrics.json"
+    grep -q '"sim.telemetry_samples"' "$parallel_csv.metrics.json"
     # A telemetry-off run must reproduce the same golden CSV: recording is
     # observability, never simulation input.
     off_csv="$(mktemp)"
     SF_HARNESS_THREADS=2 \
-        "$sfbench" run fig10 --quick --no-resume --shards 2 --csv "$off_csv" >/dev/null
+        "$sfbench" run fig10 --quick --no-resume --csv "$off_csv" >/dev/null
     cmp "$serial_csv" "$off_csv"
     rm -f "$off_csv"
-    echo "==> smoke artifacts byte-identical (telemetry on/off, serial vs sharded)"
+    echo "==> smoke artifacts byte-identical (telemetry on/off, 1 vs 2 workers)"
 
     # Analyzer smoke: sfbench report over the artifacts the smoke just
     # produced must exit 0 and emit a markdown document with every section.
     echo "==> sfbench report smoke (span tree + heatmap + diff + trajectory)"
     report_md="$(mktemp)"
     "$sfbench" report \
-        --trace "$sharded_csv.trace.jsonl" \
-        --telemetry "$sharded_csv.telemetry.bin" \
+        --trace "$parallel_csv.trace.jsonl" \
+        --telemetry "$parallel_csv.telemetry.bin" \
         --heatmap-csv "$report_md.heatmap.csv" \
-        --diff "$serial_csv.metrics.json" "$sharded_csv.metrics.json" \
+        --diff "$serial_csv.metrics.json" "$parallel_csv.metrics.json" \
         --bench-dir . \
         --out "$report_md" --quiet
     test -s "$report_md"
@@ -100,9 +98,9 @@ if [[ "${1:-}" != "--quick" ]]; then
     grep -q '^## Perf trajectory' "$report_md"
     grep -q '^router,mean_queue,max_queue,stalls$' "$report_md.heatmap.csv"
     rm -f "$report_md" "$report_md.heatmap.csv"
-    rm -f "$serial_csv" "$sharded_csv" "$sharded_csv.trace.jsonl" \
-        "$serial_csv.metrics.json" "$sharded_csv.metrics.json" \
-        "$serial_csv.telemetry.bin" "$sharded_csv.telemetry.bin"
+    rm -f "$serial_csv" "$parallel_csv" "$parallel_csv.trace.jsonl" \
+        "$serial_csv.metrics.json" "$parallel_csv.metrics.json" \
+        "$serial_csv.telemetry.bin" "$parallel_csv.telemetry.bin"
     echo "==> report sections present and heatmap CSV exported"
 
     # Checkpoint/resume smoke: start a run, kill -9 it after the journal has
@@ -171,17 +169,17 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> mega-sweep artifacts byte-identical (serial vs interrupted+compacted+resumed)"
 
     # Extended-scenario smoke: the fault-injection study must uphold the
-    # same determinism contract — a 2-worker x 2-shard run of a faulty
-    # network produces bytes identical to the fully serial run.
-    echo "==> sfbench run fault_resilience --quick smoke (2 sweep workers x 2 sim shards)"
+    # same determinism contract — a 2-worker run of a faulty network
+    # produces bytes identical to the serial run.
+    echo "==> sfbench run fault_resilience --quick smoke (1 vs 2 sweep workers)"
     fault_serial_csv="$(mktemp)"
-    fault_sharded_csv="$(mktemp)"
+    fault_parallel_csv="$(mktemp)"
     SF_HARNESS_THREADS=1 \
-        "$sfbench" run fault_resilience --quick --no-resume --shards 1 --csv "$fault_serial_csv" >/dev/null
+        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_serial_csv" >/dev/null
     SF_HARNESS_THREADS=2 \
-        "$sfbench" run fault_resilience --quick --no-resume --shards 2 --csv "$fault_sharded_csv" >/dev/null
-    cmp "$fault_serial_csv" "$fault_sharded_csv"
-    rm -f "$fault_serial_csv" "$fault_sharded_csv"
+        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_parallel_csv" >/dev/null
+    cmp "$fault_serial_csv" "$fault_parallel_csv"
+    rm -f "$fault_serial_csv" "$fault_parallel_csv"
     echo "==> fault-scenario artifacts byte-identical"
 
     # Perf trajectory: record this change's in-process bench snapshot and

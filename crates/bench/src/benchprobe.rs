@@ -5,17 +5,12 @@
 //! `/proc/self/status` (no external `/usr/bin/time` race, no `0 kB`
 //! fallback):
 //!
-//! - `shard_sync/<k>` — a 128-node String Figure simulation with 1, 2, and
-//!   4 router shards (the per-cycle synchronisation tax probe).
 //! - `simulator_throughput/<n>` — cycle-level throughput on 64- and
 //!   256-node networks.
 //! - `topology_build/1296` — String Figure generation at the paper's scale.
-//! - `kernel_cps/<n>` — cycles/sec of one shard at 1296 and 2048 nodes.
-//! - `kernel_shards/<k>` — the 1296-node kernel across the `--shards`
-//!   matrix (default 1, 2, 4, 8).
-//!
-//!   Both kernel probes time the cycle loop ([`NetworkSimulator::run`])
-//!   only; topology, routing tables and simulator are built untimed.
+//! - `kernel_cps/<n>` — kernel cycles/sec at 1296 and 2048 nodes. It times
+//!   the cycle loop ([`NetworkSimulator::run`]) only; topology, routing
+//!   tables and simulator are built untimed.
 //! - `fig10_quick` — the fig10 saturation study at `--quick` scale through
 //!   the real [`execute`] path: sweep pool, journal, sink and all. Each
 //!   sample gets a fresh topology cache, so every sample builds its
@@ -43,17 +38,13 @@ use crate::cli::CliArgs;
 pub const BENCH_BOOL_FLAGS: &[&str] = &["--quiet"];
 
 /// Value-carrying flags `sfbench bench` accepts.
-pub const BENCH_VALUE_FLAGS: &[&str] = &["--out", "--baseline", "--samples", "--label", "--shards"];
+pub const BENCH_VALUE_FLAGS: &[&str] = &["--out", "--baseline", "--samples", "--label"];
 
 const DEFAULT_SAMPLES: u32 = 3;
 
-/// Default shard counts for the `kernel_shards/<k>` scaling matrix.
-const DEFAULT_SHARD_MATRIX: &[usize] = &[1, 2, 4, 8];
-
 /// Runs one String Figure simulation under uniform random traffic at 0.1
-/// packets/node/cycle (seed 11) — the `shard_sync` and
-/// `simulator_throughput` probes.
-fn run_sim(nodes: usize, ports: usize, shards: usize, max_cycles: u64, warmup_cycles: u64) {
+/// packets/node/cycle (seed 11) — the `simulator_throughput` probe.
+fn run_sim(nodes: usize, ports: usize, max_cycles: u64, warmup_cycles: u64) {
     let topo = StringFigureTopology::generate(
         &NetworkConfig::new(nodes, ports).expect("bench network config"),
     )
@@ -65,7 +56,6 @@ fn run_sim(nodes: usize, ports: usize, shards: usize, max_cycles: u64, warmup_cy
         SimulationConfig {
             max_cycles,
             warmup_cycles,
-            shards,
             ..SimulationConfig::default()
         },
     )
@@ -84,7 +74,6 @@ fn run_sim(nodes: usize, ports: usize, shards: usize, max_cycles: u64, warmup_cy
 fn timed_kernel(
     samples: u32,
     nodes: usize,
-    shards: usize,
     max_cycles: u64,
     warmup_cycles: u64,
 ) -> (Vec<Duration>, u64) {
@@ -102,7 +91,6 @@ fn timed_kernel(
             SimulationConfig {
                 max_cycles,
                 warmup_cycles,
-                shards,
                 ..SimulationConfig::default()
             },
         )
@@ -186,18 +174,9 @@ pub fn run(args: &CliArgs) -> i32 {
     let label = args.value("--label").unwrap_or_else(|| "BENCH".to_string());
 
     let mut entries = Vec::new();
-    for &shards in &[1usize, 2, 4] {
-        let runs = timed(samples, || run_sim(128, 4, shards, 800, 100));
-        push_entry(
-            &mut entries,
-            progress,
-            &format!("shard_sync/{shards}"),
-            &runs,
-        );
-    }
     for &nodes in &[64usize, 256] {
         let ports = if nodes <= 128 { 4 } else { 8 };
-        let runs = timed(samples, || run_sim(nodes, ports, 0, 2_000, 200));
+        let runs = timed(samples, || run_sim(nodes, ports, 2_000, 200));
         push_entry(
             &mut entries,
             progress,
@@ -217,38 +196,13 @@ pub fn run(args: &CliArgs) -> i32 {
     });
     push_entry(&mut entries, progress, "topology_build/1296", &runs);
     // Raw kernel throughput at the paper's evaluated scale and above:
-    // cycles/sec through the pooled allocation-free hot loop, single shard
-    // (the serial reference path every other configuration must reproduce
-    // bit for bit).
+    // cycles/sec through the pooled allocation-free hot loop.
     for &nodes in &[1296usize, 2048] {
-        let (runs, cycles) = timed_kernel(samples, nodes, 1, 400, 100);
+        let (runs, cycles) = timed_kernel(samples, nodes, 400, 100);
         push_rate_entry(
             &mut entries,
             progress,
             &format!("kernel_cps/{nodes}"),
-            &runs,
-            cycles,
-        );
-    }
-    // Shard-scaling matrix at 1296 nodes: how the same workload behaves as
-    // the router partition widens. On a single-CPU host the wider points
-    // measure synchronisation tax rather than speedup; the curve is recorded
-    // either way so multi-core hosts show the crossover.
-    let shard_matrix: Vec<usize> = args.value("--shards").map_or_else(
-        || DEFAULT_SHARD_MATRIX.to_vec(),
-        |list| {
-            list.split(',')
-                .filter_map(|tok| tok.trim().parse().ok())
-                .filter(|&k| k >= 1)
-                .collect()
-        },
-    );
-    for &shards in &shard_matrix {
-        let (runs, cycles) = timed_kernel(samples, 1296, shards, 160, 40);
-        push_rate_entry(
-            &mut entries,
-            progress,
-            &format!("kernel_shards/{shards}"),
             &runs,
             cycles,
         );
@@ -347,6 +301,12 @@ mod tests {
         assert_eq!(
             bad.unknown_flags(BENCH_BOOL_FLAGS, BENCH_VALUE_FLAGS),
             vec!["--quick".to_string()]
+        );
+        // The kernel is single-threaded: there is no shard matrix to sweep.
+        let shards = CliArgs::new(vec!["--shards".to_string(), "1,2".to_string()]);
+        assert_eq!(
+            shards.unknown_flags(BENCH_BOOL_FLAGS, BENCH_VALUE_FLAGS),
+            vec!["--shards".to_string()]
         );
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! sfbench list
 //! sfbench grid fig10 --quick
-//! sfbench run fig10 --quick --shards 2 --csv out.csv
+//! sfbench run fig10 --quick --csv out.csv
 //! ```
 //!
 //! `run` with `--csv PATH` checkpoints completed sweep jobs to

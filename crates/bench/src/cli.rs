@@ -38,7 +38,6 @@ pub const RUN_BOOL_FLAGS: &[&str] = &["--quick", "--no-resume", "--quiet"];
 
 /// Value-carrying flags `sfbench run` accepts.
 pub const RUN_VALUE_FLAGS: &[&str] = &[
-    "--shards",
     "--csv",
     "--json",
     "--checkpoint",
@@ -192,9 +191,7 @@ impl CliArgs {
 
 /// Builds the [`RunContext`] a `run` invocation describes.
 fn context_from_args(args: &CliArgs) -> RunContext {
-    let mut ctx = RunContext::new()
-        .quick(args.flag("--quick"))
-        .with_shards(args.usize_value("--shards").unwrap_or(0));
+    let mut ctx = RunContext::new().quick(args.flag("--quick"));
     let csv = args.value("--csv");
     if let Some(path) = &csv {
         ctx = ctx.with_csv(path);
@@ -261,7 +258,7 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
         }
     }
     progress.note(&format!("# {}: {}", study.artefact(), study.description()));
-    crate::announce_pool(args.usize_value("--shards").unwrap_or(0));
+    crate::announce_pool();
     let ctx = context_from_args(args);
     let code = match execute(study, &ctx) {
         Ok(table) => {
@@ -367,7 +364,6 @@ fn print_usage() {
          \n\
          run options:\n\
          \x20 --quick                  reduced smoke scale\n\
-         \x20 --shards N               intra-simulation router shards (0 = auto)\n\
          \x20 --csv PATH               write the result table as CSV\n\
          \x20 --json PATH              write the result table as JSON\n\
          \x20 --checkpoint PATH        journal completed jobs at PATH\n\
@@ -474,11 +470,11 @@ mod tests {
 
     #[test]
     fn flags_and_values_parse_in_both_forms() {
-        let a = args(&["--quick", "--csv", "out.csv", "--shards=2"]);
+        let a = args(&["--quick", "--csv", "out.csv", "--telemetry-every=2"]);
         assert!(a.flag("--quick"));
         assert!(!a.flag("--fast"));
         assert_eq!(a.value("--csv").as_deref(), Some("out.csv"));
-        assert_eq!(a.usize_value("--shards"), Some(2));
+        assert_eq!(a.usize_value("--telemetry-every"), Some(2));
         assert_eq!(a.value("--json"), None);
 
         let eq = args(&["--csv=x.csv"]);
@@ -495,8 +491,8 @@ mod tests {
         assert_eq!(se.value("--csv").as_deref(), Some("b.csv"));
         let es = args(&["--csv=a.csv", "--csv", "b.csv"]);
         assert_eq!(es.value("--csv").as_deref(), Some("b.csv"));
-        let ee = args(&["--shards=1", "--shards=3"]);
-        assert_eq!(ee.usize_value("--shards"), Some(3));
+        let ee = args(&["--telemetry-every=1", "--telemetry-every=3"]);
+        assert_eq!(ee.usize_value("--telemetry-every"), Some(3));
         // A malformed final occurrence is ignored; the earlier value stays.
         let torn = args(&["--csv", "a.csv", "--csv"]);
         assert_eq!(torn.value("--csv").as_deref(), Some("a.csv"));
@@ -518,7 +514,10 @@ mod tests {
     fn missing_or_bad_values_are_treated_as_absent() {
         assert_eq!(args(&["--csv"]).value("--csv"), None);
         assert_eq!(args(&["--csv", "--quick"]).value("--csv"), None);
-        assert_eq!(args(&["--shards", "many"]).usize_value("--shards"), None);
+        assert_eq!(
+            args(&["--telemetry-every", "many"]).usize_value("--telemetry-every"),
+            None
+        );
         // The `=` form accepts values that start with dashes.
         assert_eq!(
             args(&["--csv=--odd-name"]).value("--csv").as_deref(),
@@ -656,11 +655,29 @@ mod tests {
             2
         );
         assert_eq!(main(vec!["list".into(), "--json".into()]), 2);
+        // The kernel is single-threaded: a stale `--shards` must not run at
+        // all rather than run with the flag silently dropped.
+        assert_eq!(
+            main(vec![
+                "run".into(),
+                "fig10".into(),
+                "--quick".into(),
+                "--shards".into(),
+                "2".into()
+            ]),
+            2
+        );
     }
 
     #[test]
     fn unknown_flag_scan_skips_values_and_positionals() {
-        let a = args(&["--quick", "--csv", "out.csv", "--shards=2", "positional"]);
+        let a = args(&[
+            "--quick",
+            "--csv",
+            "out.csv",
+            "--telemetry-every=2",
+            "positional",
+        ]);
         assert!(a.unknown_flags(RUN_BOOL_FLAGS, RUN_VALUE_FLAGS).is_empty());
         // A value flag's missing value does not swallow the next flag.
         let b = args(&["--csv", "--weird"]);

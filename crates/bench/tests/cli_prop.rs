@@ -99,16 +99,17 @@ proptest! {
         prop_assert!(swallowed.flag(next));
     }
 
-    /// `--shards` round-trips any unsigned integer through both forms, and
-    /// rejects non-numeric values as absent.
+    /// `--max-journal-bytes` round-trips any unsigned integer through both
+    /// forms, and rejects non-numeric values as absent.
     #[test]
     fn prop_usize_values_round_trip(n in any::<u32>()) {
-        let spaced = args(&["--shards".to_string(), n.to_string()]);
-        prop_assert_eq!(spaced.usize_value("--shards"), Some(n as usize));
-        let equals = args(&[format!("--shards={n}")]);
-        prop_assert_eq!(equals.usize_value("--shards"), Some(n as usize));
-        let junk = args(&[format!("--shards=x{n}")]);
-        prop_assert_eq!(junk.usize_value("--shards"), None);
+        let flag = "--max-journal-bytes";
+        let spaced = args(&[flag.to_string(), n.to_string()]);
+        prop_assert_eq!(spaced.usize_value(flag), Some(n as usize));
+        let equals = args(&[format!("{flag}={n}")]);
+        prop_assert_eq!(equals.usize_value(flag), Some(n as usize));
+        let junk = args(&[format!("{flag}=x{n}")]);
+        prop_assert_eq!(junk.usize_value(flag), None);
     }
 
     /// The `report` subcommand's two-value `--diff` parses identically in
@@ -179,12 +180,10 @@ fn every_advertised_flag_round_trips_for_every_registered_study() {
         let trace = format!("{}.trace.jsonl", study.name());
         let metrics = format!("{}.metrics.json", study.name());
         let telemetry = format!("{}.telemetry.bin", study.name());
-        let shards = (i % 4) + 1;
         let invocation = args(&[
             "--quick".to_string(),
             "--no-resume".to_string(),
             "--quiet".to_string(),
-            format!("--shards={shards}"),
             "--csv".to_string(),
             csv.clone(),
             "--json".to_string(),
@@ -202,7 +201,6 @@ fn every_advertised_flag_round_trips_for_every_registered_study() {
         for flag in RUN_BOOL_FLAGS {
             assert!(invocation.flag(flag), "{}: {flag}", study.name());
         }
-        assert_eq!(invocation.usize_value("--shards"), Some(shards));
         assert_eq!(invocation.value("--csv").as_deref(), Some(csv.as_str()));
         assert_eq!(invocation.value("--json").as_deref(), Some(json.as_str()));
         assert_eq!(

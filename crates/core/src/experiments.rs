@@ -81,12 +81,8 @@ pub struct ExperimentScale {
     pub max_cycles: u64,
     /// Warm-up cycles excluded from the statistics.
     pub warmup_cycles: u64,
-    /// Router shards the cycle loop of each simulation is split across
-    /// (`0` = auto from the shared core budget). Any value produces
-    /// bit-identical rows; the knob only trades wall-clock time.
-    pub shards: usize,
     /// Telemetry sampling stride in cycles (`0` = off). Strictly
-    /// out-of-band: like `shards`, it never changes a row.
+    /// out-of-band: it never changes a row.
     pub telemetry_every: u64,
 }
 
@@ -97,7 +93,6 @@ impl ExperimentScale {
         Self {
             max_cycles: 1_200,
             warmup_cycles: 200,
-            shards: 0,
             telemetry_every: 0,
         }
     }
@@ -108,17 +103,8 @@ impl ExperimentScale {
         Self {
             max_cycles: 20_000,
             warmup_cycles: 2_000,
-            shards: 0,
             telemetry_every: 0,
         }
-    }
-
-    /// Returns a copy with an explicit intra-simulation shard count
-    /// (`0` restores automatic selection).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Returns a copy with a telemetry sampling stride in cycles
@@ -135,7 +121,6 @@ impl ExperimentScale {
         SimulationConfig {
             max_cycles: self.max_cycles,
             warmup_cycles: self.warmup_cycles,
-            shards: self.shards,
             telemetry_every: self.telemetry_every,
             ..SimulationConfig::default()
         }

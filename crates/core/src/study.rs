@@ -9,8 +9,7 @@
 //!
 //! * the sweep worker pool (`sf-harness`),
 //! * the shared topology [`BuildCache`],
-//! * the [`ExperimentScale`] policy (quick vs. paper scale, simulation
-//!   shards),
+//! * the [`ExperimentScale`] policy (quick vs. paper scale),
 //! * the artifact emitters (CSV / JSON paths), and
 //! * an optional **checkpoint journal** for resumable mega-sweeps: every
 //!   completed sweep job is appended to `<csv>.journal`, so an interrupted
@@ -317,15 +316,13 @@ enum Emitter {
 ///
 /// let ctx = RunContext::new()
 ///     .with_pool(PoolConfig::serial())
-///     .quick(true)
-///     .with_shards(2);
+///     .quick(true);
 /// assert!(ctx.is_quick());
 /// ```
 #[derive(Debug)]
 pub struct RunContext {
     pool: PoolConfig,
     quick: bool,
-    shards: usize,
     scale_override: Option<ExperimentScale>,
     cache: Option<Arc<TopologyCache>>,
     emitters: Vec<Emitter>,
@@ -351,7 +348,6 @@ impl RunContext {
         Self {
             pool: PoolConfig::auto(),
             quick: false,
-            shards: 0,
             scale_override: None,
             cache: None,
             emitters: Vec::new(),
@@ -375,14 +371,6 @@ impl RunContext {
     #[must_use]
     pub fn quick(mut self, quick: bool) -> Self {
         self.quick = quick;
-        self
-    }
-
-    /// Forces an intra-simulation router shard count (`0` = automatic).
-    /// Sharding only trades wall-clock time; rows are bit-identical.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -429,8 +417,8 @@ impl RunContext {
     /// Caps the checkpoint journal's append log: once it outgrows `bytes`,
     /// it is compacted in place to a kill-safe snapshot (and an oversized
     /// journal found on resume is compacted before the run continues). The
-    /// cap changes only disk usage, never output bytes, so it is — like
-    /// worker and shard counts — excluded from the resume fingerprint.
+    /// cap changes only disk usage, never output bytes, so it is — like the
+    /// worker count — excluded from the resume fingerprint.
     #[must_use]
     pub fn with_max_journal_bytes(mut self, bytes: u64) -> Self {
         self.max_journal_bytes = Some(bytes);
@@ -441,10 +429,10 @@ impl RunContext {
     /// runs at `path` (written via the atomic `.part`-rename pattern).
     /// Telemetry is strictly out-of-band — result artifacts are
     /// byte-identical with it on or off — and the stream itself is, like
-    /// every other artifact, bit-identical for any worker or shard count.
-    /// Like those parallelism knobs it is excluded from the resume
-    /// fingerprint; note a resumed run skips restored jobs' simulations, so
-    /// stream comparisons should use fresh (`--no-resume`) runs.
+    /// every other artifact, bit-identical for any worker count. Like the
+    /// worker count it is excluded from the resume fingerprint; note a
+    /// resumed run skips restored jobs' simulations, so stream comparisons
+    /// should use fresh (`--no-resume`) runs.
     #[must_use]
     pub fn with_telemetry(mut self, path: impl Into<PathBuf>) -> Self {
         self.telemetry = Some(path.into());
@@ -499,7 +487,7 @@ impl RunContext {
 
     /// Resolves the simulation scale a study should run at: the explicit
     /// override if one was set, else quick or the study's own `full` scale,
-    /// with the context's shard count applied on top.
+    /// with the context's telemetry stride applied on top.
     #[must_use]
     pub fn scale(&self, full: ExperimentScale) -> ExperimentScale {
         let base = self.scale_override.unwrap_or(if self.quick {
@@ -507,11 +495,6 @@ impl RunContext {
         } else {
             full
         });
-        let base = if self.shards > 0 {
-            base.with_shards(self.shards)
-        } else {
-            base
-        };
         base.with_telemetry_every(self.telemetry_every())
     }
 
@@ -910,7 +893,7 @@ pub trait Study: Send + Sync {
 
 /// The checkpoint fingerprint of running `study` in `ctx`: identifies the
 /// study and everything that changes its grid or rows, while deliberately
-/// excluding worker/shard counts (which never change output bytes), so a
+/// excluding the worker count (which never changes output bytes), so a
 /// resume may use different parallelism than the interrupted run.
 #[must_use]
 pub fn study_fingerprint(study: &dyn Study, ctx: &RunContext) -> u64 {
@@ -2505,7 +2488,6 @@ mod tests {
         let scaled = RunContext::new().quick(true).with_scale(ExperimentScale {
             max_cycles: 900,
             warmup_cycles: 100,
-            shards: 0,
             telemetry_every: 0,
         });
         assert_eq!(study_fingerprint(fig10, &quick), 0xf8a6_4e55_9cfc_0d25);

@@ -35,9 +35,6 @@
 //! * [`sink`] — streaming CSV/JSON row emitters ([`RowSink`]) that write
 //!   each row as it arrives and finalise atomically on close, byte-identical
 //!   to serialising the equivalent [`Table`] in one shot.
-//! * [`budget`] — the process-wide core budget shared between sweep-level
-//!   workers and the intra-job simulation shards of `sf-simcore`, so the two
-//!   parallelism layers never oversubscribe the machine together.
 //!
 //! ## Example
 //!
@@ -58,7 +55,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod budget;
 pub mod cache;
 pub mod journal;
 pub mod pool;
@@ -66,7 +62,6 @@ pub mod sink;
 pub mod sweep;
 pub mod table;
 
-pub use budget::CoreBudget;
 pub use cache::BuildCache;
 pub use journal::Journal;
 pub use pool::{JobError, PoolConfig};

@@ -46,15 +46,13 @@ impl PoolConfig {
         Self::threads(1)
     }
 
-    /// One worker per core of the shared budget (`SF_CORES`, default: the
-    /// number of available CPUs), overridable via
-    /// [`SF_HARNESS_THREADS`](Self::THREADS_ENV). Respecting the budget here
-    /// keeps the pool consistent with what `budget::total_cores` declares to
-    /// the intra-simulation shard layer.
+    /// [`SF_HARNESS_THREADS`](Self::THREADS_ENV) workers when it is set to a
+    /// positive integer, otherwise one per available CPU.
     #[must_use]
     pub fn auto() -> Self {
-        let threads = crate::budget::env_positive_usize(Self::THREADS_ENV)
-            .unwrap_or_else(crate::budget::total_cores);
+        let threads = env_positive_usize(Self::THREADS_ENV).unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
         Self::threads(threads)
     }
 
@@ -70,6 +68,16 @@ impl Default for PoolConfig {
     fn default() -> Self {
         Self::auto()
     }
+}
+
+/// Reads an environment variable as a positive integer; `0`, garbage, and
+/// unset all mean "not configured".
+#[must_use]
+fn env_positive_usize(name: &str) -> Option<usize> {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
 }
 
 /// Why a job produced no result.
@@ -137,10 +145,9 @@ impl Drop for NotifyOnDrop<'_> {
 /// buffer drains (backpressure), which bounds the buffer even for wildly
 /// uneven job costs.
 ///
-/// When the iterator reports an exact size, the worker count (and its
-/// reservation against the shared core budget) is clamped to it, so a
-/// two-point sweep on a 16-core host claims two workers, not sixteen —
-/// leaving the rest of the budget to intra-job simulation shards.
+/// When the iterator reports an exact size, the worker count is clamped to
+/// it, so a two-point sweep on a 16-core host starts two workers, not
+/// sixteen.
 ///
 /// `execute` must not panic; per-job panic isolation is the caller's
 /// responsibility (the sweep engines wrap jobs in `catch_unwind`). `emit` is
@@ -184,11 +191,6 @@ where
     // pauses (it only waits *before* pulling new work), so the drain that
     // wakes everyone is always coming.
     let high_water = workers.saturating_mul(chunk).saturating_mul(4).max(16);
-    // Claim this sweep's workers from the shared core budget so intra-job
-    // simulation shards (sf-simcore) size themselves to the leftover cores
-    // instead of oversubscribing the machine. Released on drop, even if a
-    // worker's job panics.
-    let _reservation = crate::budget::reserve_workers(workers);
     let source = Mutex::new(stream.enumerate());
     let sink = Mutex::new(EmitState {
         pending: BTreeMap::new(),

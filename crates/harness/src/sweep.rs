@@ -240,8 +240,7 @@ where
     /// stops within `O(workers × chunk)` jobs instead of running the rest
     /// of the grid.
     ///
-    /// Scheduling (and the worker reservation against the shared core
-    /// budget) is the pool's `run_stream_emit` engine — the same machine
+    /// Scheduling is the pool's `run_stream_emit` engine — the same machine
     /// `run_indexed` and the eager [`Sweep`] use.
     pub fn run_streaming<R, E, F, S>(self, config: &PoolConfig, job: F, mut on_result: S) -> usize
     where
@@ -297,8 +296,8 @@ where
 }
 
 /// Restores the exact length that `flat_map` destroys, so the pool's worker
-/// clamp (and its core-budget reservation) still applies to lazy cross
-/// products: a 2-point product claims 2 workers, not the whole pool.
+/// clamp still applies to lazy cross products: a 2-point product starts 2
+/// workers, not the whole pool.
 #[derive(Debug)]
 struct KnownLen<I> {
     inner: I,
@@ -445,8 +444,8 @@ mod tests {
 
     #[test]
     fn lazy_cross_products_report_their_exact_length() {
-        // The exact size hint is what lets the pool clamp its workers (and
-        // budget reservation) for small lazy sweeps.
+        // The exact size hint is what lets the pool clamp its workers for
+        // small lazy sweeps.
         let mut points = cross2_lazy(vec![1, 2, 3], vec!['a', 'b']);
         assert_eq!(points.len(), 6);
         points.next();
@@ -489,18 +488,6 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(report.succeeded(), 19);
-    }
-
-    #[test]
-    fn lazy_sweep_reserves_its_workers_from_the_core_budget() {
-        // Jobs observe at least this sweep's own reservation (other tests
-        // may add to the global ledger concurrently, never subtract below
-        // ours), so intra-job shard sizing sees the sweep's workers.
-        let report = LazySweep::new(0u64..8).run(&PoolConfig::threads(3), |_, &n| {
-            assert!(crate::budget::reserved_workers() >= 3);
-            Ok::<u64, std::convert::Infallible>(n)
-        });
-        assert_eq!(report.succeeded(), 8);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! (Table I).
 //!
 //! Since the `sf-simcore` refactor the simulation engine itself lives in
-//! [`sf_simcore`]: a sharded, deterministic kernel whose results are
-//! bit-identical for any shard count. This crate is the stable facade —
+//! [`sf_simcore`]: a deterministic kernel that runs each simulation on one
+//! thread. This crate is the stable facade —
 //! [`NetworkSimulator`] keeps its original API and the packet/memory/stats
 //! modules are re-exported from the kernel crate, so downstream code is
 //! unaffected by where the engine lives.
@@ -21,7 +21,7 @@
 //!   the workload generators implement (re-exported from `sf-simcore`).
 //! * [`memory`] — the per-node DRAM service model (row-buffer behaviour and
 //!   Table I timing; re-exported from `sf-simcore`).
-//! * [`simulator`] — the [`NetworkSimulator`] facade over the sharded kernel.
+//! * [`simulator`] — the [`NetworkSimulator`] facade over the kernel.
 //! * [`stats`] — [`SimulationStats`] and derived metrics (latency, accepted
 //!   throughput, energy-delay product, saturation heuristic; re-exported from
 //!   `sf-simcore`).
@@ -55,7 +55,6 @@ pub mod simulator;
 pub use sf_obs::telemetry;
 pub use sf_simcore::memory;
 pub use sf_simcore::packet;
-pub use sf_simcore::shard;
 pub use sf_simcore::stats;
 
 pub use memory::{MemoryNodeModel, MemoryNodeStats};

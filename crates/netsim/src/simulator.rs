@@ -19,10 +19,8 @@
 //!   a memory node are serviced by its DRAM model and generate a reply; the
 //!   simulator additionally measures round-trip latency and DRAM energy.
 //!
-//! Execution is delegated to [`sf_simcore::ShardedSimulator`]: the cycle loop
-//! runs across `SimulationConfig::shards` router shards (0 = auto from the
-//! shared core budget) with **bit-identical results for any shard count** —
-//! one shard reproduces the historical serial simulator exactly.
+//! Execution is delegated to [`sf_simcore::ShardedSimulator`], whose cycle
+//! loop routes every router on one thread, in id order.
 
 use crate::packet::TrafficModel;
 use crate::stats::SimulationStats;
@@ -33,8 +31,8 @@ use sf_types::{SfResult, SimulationConfig, SystemConfig};
 
 pub use sf_simcore::kernel::UniformRandomTraffic;
 
-/// The cycle-level network simulator: the stable facade over the sharded
-/// simulation kernel.
+/// The cycle-level network simulator: the stable facade over the simulation
+/// kernel.
 ///
 /// # Examples
 ///
@@ -115,7 +113,7 @@ impl NetworkSimulator {
         self.inner.current_cycle()
     }
 
-    /// Number of router shards the cycle loop runs across.
+    /// Number of router shards the cycle loop runs across: always 1.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.inner.shard_count()
@@ -149,9 +147,9 @@ impl NetworkSimulator {
 }
 
 /// Folds one finished run's integer statistics into the global `sim.*`
-/// metrics namespace. Every value here is an integer the kernel already
-/// guarantees bit-identical across shard counts, and counter merge is
-/// commutative, so the aggregated metrics inherit the determinism contract.
+/// metrics namespace. Every value here is an integer that a run determines
+/// exactly, and counter merge is commutative, so the aggregated metrics are
+/// the same for any sweep worker count.
 fn record_run_metrics(stats: &SimulationStats) {
     let metrics = sf_obs::metrics::global();
     metrics.counter_add("sim.runs", 1);
@@ -343,7 +341,7 @@ mod tests {
         let dbg = format!("{sim:?}");
         assert!(dbg.contains("NetworkSimulator"));
         assert_eq!(sim.current_cycle(), 0);
-        assert!(sim.shard_count() >= 1);
+        assert_eq!(sim.shard_count(), 1);
         assert_eq!(sim.packets_outstanding(), 0);
     }
 }

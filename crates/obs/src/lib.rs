@@ -8,13 +8,13 @@
 //!   fixed-bucket histograms). Metric *values that describe simulation
 //!   behaviour* (packets delivered, journal appends, sink rows) are integer
 //!   quantities whose merge operators are commutative and associative, so the
-//!   merged totals are bit-identical regardless of worker or shard count.
+//!   merged totals are bit-identical regardless of the worker count.
 //!   Names under the `time.` or `sched.` prefixes are explicitly
 //!   *nondeterministic* (wall-clock durations, scheduling-dependent counts
 //!   such as cache hits or journal compactions) and are excluded from
 //!   determinism guarantees — see [`metrics::is_deterministic_name`].
 //! - [`span`]: low-overhead span-based phase timing (`topology_build`,
-//!   `kernel_cycle_phases`, `commit_replay`, `journal_io`, `sink_flush`,
+//!   `kernel_cycle_phases`, `journal_io`, `sink_flush`,
 //!   `pool_backpressure_wait`) with an optional JSON-lines trace emitter and
 //!   an aggregate summary table. When timing is disabled (the default) an
 //!   instrumentation site costs one relaxed atomic load.
@@ -27,8 +27,8 @@
 //!   regression comparison.
 //! - [`telemetry`]: the in-simulator `sf-telemetry/v1` time-series stream —
 //!   per-router queue occupancy, per-link utilisation, credit stalls, and
-//!   energy, sampled at cycle boundaries on the coordinating thread so the
-//!   recorded bytes are bit-identical for any worker x shard count.
+//!   energy, sampled at cycle boundaries so the recorded bytes are
+//!   bit-identical for any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,15 +7,15 @@
 //! `journal.appends`, `sched.cache_hits`, `time.run_wall_us`). Everything is
 //! deterministic by default: counters are integer sums, histograms are
 //! integer bucket counts, and both merge with commutative, associative
-//! operators, so merged totals are bit-identical for any worker or shard
-//! count. Two top-level prefixes opt *out* of that guarantee:
+//! operators, so merged totals are bit-identical for any worker count. Two
+//! top-level prefixes opt *out* of that guarantee:
 //!
 //! - `time.` — wall-clock quantities; inherently nondeterministic.
 //! - `sched.` — counts that depend on scheduling order (topology-cache
 //!   hits/misses, journal compactions triggered by append interleaving).
 //!
 //! [`MetricsSnapshot::deterministic`] filters to the guaranteed namespace —
-//! that filtered view is what the cross worker×shard property test pins.
+//! that filtered view is what the cross-worker determinism test pins.
 //!
 //! Workers accumulate into a lock-free-to-share [`LocalMetrics`] and merge
 //! into the global [`Registry`] when done; [`Registry::absorb_ordered`]

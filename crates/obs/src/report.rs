@@ -26,7 +26,7 @@ const WALL_FLOOR_MS: f64 = 2.0;
 /// One named probe result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
-    /// Probe name, e.g. `shard_sync/4` or `fig10_quick`.
+    /// Probe name, e.g. `kernel_cps/1296` or `fig10_quick`.
     pub name: String,
     /// Median wall-clock milliseconds across samples.
     pub wall_ms: f64,
@@ -242,7 +242,7 @@ mod tests {
             peak_rss_kb: 50_000,
             entries: vec![
                 BenchEntry {
-                    name: "shard_sync/1".to_string(),
+                    name: "simulator_throughput/64".to_string(),
                     wall_ms: 12.5,
                     samples: 3,
                     rate_per_s: None,

@@ -182,7 +182,7 @@ impl Tracer {
 
     /// Like [`Tracer::add_duration`], but also emits one synthetic trace
     /// event when a trace sink is attached — so locally-aggregated phase
-    /// totals (the kernel's per-cycle route/commit timers) show up in
+    /// totals (the kernel's per-cycle routing timer) show up in
     /// `sfbench report`'s span tree, not just the summary table.
     ///
     /// Synthetic events are placed on a reserved thread lane behind a

@@ -2,11 +2,10 @@
 //!
 //! A [`RunSeries`] records per-router queue occupancy, per-link credit
 //! occupancy, per-router credit-stall counts, and the two energy
-//! accumulators, sampled every `every` cycles **on the coordinating thread
-//! at a cycle boundary** (the same seam fault injection uses, with all
-//! routing workers parked). Sampling therefore observes exactly the state
-//! the serial reference simulator would hold, which makes the recorded
-//! bytes bit-identical for any worker x shard count — and because nothing
+//! accumulators, sampled every `every` cycles **at a cycle boundary**,
+//! before the cycle's arrivals drain and its routers route. A simulation
+//! runs on one thread, so the recorded bytes are a pure function of the
+//! run and bit-identical for any sweep worker count — and because nothing
 //! in the simulation ever reads the series, telemetry is strictly
 //! out-of-band: result artifacts are byte-identical with it on or off.
 //!

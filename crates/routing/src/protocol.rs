@@ -17,14 +17,10 @@ use sf_types::{NodeId, SfError, SfResult, VirtualChannelId};
 /// Reports the current load (queue occupancy fraction, `0.0..=1.0`) of the
 /// outgoing link from one node towards a neighbouring node.
 ///
-/// **Sharded-simulation restriction:** while deciding a hop for a packet at
-/// node `n`, a protocol must only query `load(n, x)` — its *own* outgoing
-/// links. The sharded kernel's wavefront schedule orders each router after
-/// exactly its smaller-id graph neighbours, which makes those counters (and
-/// only those) serial-equivalent at decision time; reading the load of some
-/// other pair of nodes would observe scheduling-dependent state and break
-/// the kernel's bit-identical-for-any-shard-count guarantee. Every protocol
-/// in this workspace obeys the restriction.
+/// **Locality restriction:** while deciding a hop for a packet at node `n`,
+/// a protocol must only query `load(n, x)` — its *own* outgoing links, the
+/// credit counters a router holds in hardware. Every protocol in this
+/// workspace obeys the restriction.
 pub trait PortLoadEstimator {
     /// Occupancy fraction of the output queue from `from` towards `to`.
     fn load(&self, from: NodeId, to: NodeId) -> f64;
@@ -91,11 +87,11 @@ impl Default for RoutingContext {
 
 /// A memory-network routing protocol.
 ///
-/// Protocols are `Send + Sync`: the sharded simulation kernel shares one
-/// protocol instance across all shard workers, so forwarding decisions must
-/// be computable from `&self`. Mutable diagnostics (decision counters and the
+/// Protocols are `Send + Sync`, so simulators and the networks that hold
+/// them can cross sweep-worker threads, and forwarding decisions are
+/// computed from `&self`. Mutable diagnostics (decision counters and the
 /// like) use atomics, and their values must never feed back into forwarding
-/// decisions (their update order varies across shard schedules).
+/// decisions.
 ///
 /// When deciding a hop at node `n`, only query the estimator for `n`'s own
 /// outgoing links (`loads.load(n, candidate)`) — see the restriction on

@@ -1,11 +1,9 @@
 //! Index-linked free-list pools backing the kernel's hot-loop storage.
 //!
-//! The sharded kernel used to keep every router input queue as its own
-//! `VecDeque<Packet>`, every injection queue as another, and every cycle's
-//! commit log as a freshly grown `Vec` — thousands of little heap objects
-//! churned per cycle. This module replaces all of them with three slab
-//! structures so that a steady-state cycle performs **zero heap
-//! allocations**:
+//! A router input queue as its own `VecDeque<Packet>`, and an injection
+//! queue as another, would churn thousands of little heap objects per cycle.
+//! This module replaces them with three slab structures so that a
+//! steady-state cycle performs **zero heap allocations**:
 //!
 //! * [`Pool<T>`] — a slab of `T` slots, each with a `u32` link that chains
 //!   the free list or a [`List`]. Allocation pops the free list; freeing
@@ -13,21 +11,18 @@
 //!   simulation is still discovering its high-water mark; after warm-up every
 //!   alloc recycles a previously freed slot.
 //! * [`List`] — a 12-byte FIFO handle (`head`/`tail`/`len`) chaining slots of
-//!   a [`Pool`]. Hundreds of queues share one pool: a router's input queues,
-//!   its injection queue, and its commit log are each a [`List`] over their
-//!   shard's pool.
-//! * [`InFlightPool`] — the shard's arrival inbox: a struct-of-arrays slab of
-//!   in-flight link traversals (arrival cycles, destinations, and packets in
-//!   separate columns, so the per-cycle due-scan touches only the metadata
-//!   columns) with a single built-in FIFO chain and a one-pass
+//!   a [`Pool`]. Hundreds of queues share one pool: every router's input
+//!   queues and its injection queue are each a [`List`] over the simulator's
+//!   packet pool.
+//! * [`InFlightPool`] — the kernel's one in-flight queue: a struct-of-arrays
+//!   slab of in-flight link traversals (arrival cycles, destinations, and
+//!   packets in separate columns, so the per-cycle due-scan touches only the
+//!   metadata columns) with a single built-in FIFO chain and a one-pass
 //!   [`extract_if`](InFlightPool::extract_if) that unlinks matching entries
 //!   in place — the primitive behind both arrival draining and fault purges.
 //!
-//! Slot indices are internal bookkeeping: two runs may lay the same logical
-//! queue out in different slots (the sharded kernel's inboxes are filled in
-//! nondeterministic cross-shard order), but the *values* observed through
-//! `push`/`pop`/`front` are what the determinism contract pins, and those
-//! depend only on per-list FIFO order.
+//! Slot indices are internal bookkeeping; the *values* observed through
+//! `push`/`pop`/`front` depend only on per-list FIFO order.
 
 use crate::packet::Packet;
 
@@ -132,7 +127,7 @@ impl<T: Copy> Pool<T> {
 ///
 /// A `List` must always be used with the pool its slots were allocated from;
 /// mixing pools corrupts both (the kernel enforces this by construction —
-/// every list of a shard chains through that shard's pool).
+/// every queue chains through the simulator's one packet pool).
 #[derive(Debug, Clone, Copy)]
 pub struct List {
     head: u32,
@@ -220,15 +215,12 @@ pub struct InFlightMeta {
     pub vc: u32,
 }
 
-/// A shard's arrival inbox: packets in flight towards this shard's routers,
-/// stored as a struct-of-arrays slab with one built-in FIFO chain.
+/// The packets in flight on links, stored as a struct-of-arrays slab with one
+/// built-in FIFO chain.
 ///
-/// Pushed by *any* shard at forward time (under the inbox mutex), drained by
-/// the owning shard at the start of its routing phase. Push order across
-/// source shards is nondeterministic, but every (router, port, vc) input
-/// queue receives at most one packet per cycle, so the extraction order
-/// across *distinct* queues is unobservable — see the kernel's determinism
-/// notes.
+/// Pushed at forward time, in the kernel's routing order, so the push order
+/// is deterministic; drained of due arrivals before each cycle's routing and
+/// purged of fault victims at cycle boundaries.
 #[derive(Debug)]
 pub struct InFlightPool {
     arrival: Vec<u64>,
@@ -252,7 +244,7 @@ impl Default for InFlightPool {
 }
 
 impl InFlightPool {
-    /// Creates an empty inbox.
+    /// Creates an empty in-flight queue.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -271,7 +263,7 @@ impl InFlightPool {
         }
     }
 
-    /// Appends one in-flight entry to the inbox.
+    /// Appends one in-flight entry.
     pub fn push(&mut self, meta: InFlightMeta, packet: Packet) {
         self.len += 1;
         self.pushes += 1;
@@ -348,13 +340,13 @@ impl InFlightPool {
         }
     }
 
-    /// Number of packets currently in flight towards this shard.
+    /// Number of packets currently in flight.
     #[must_use]
     pub fn len(&self) -> u32 {
         self.len
     }
 
-    /// Whether the inbox is empty.
+    /// Whether nothing is in flight.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0

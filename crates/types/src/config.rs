@@ -346,22 +346,19 @@ pub struct SimulationConfig {
     pub warmup_cycles: u64,
     /// Seed for simulator randomness (injection jitter, tie breaking).
     pub seed: u64,
-    /// Number of router shards the cycle loop is split across (`0` = auto:
-    /// derive from the machine's core budget, minus whatever the sweep-level
-    /// worker pool already claimed). Results are bit-identical for any value
-    /// — this knob only trades wall-clock time, never output.
+    /// Router shards of the cycle loop. The kernel routes every router on
+    /// one thread, so only `0` and `1` are valid (both mean one); the field
+    /// stays for callers that still set it.
     pub shards: usize,
     /// Optional deterministic fault-injection plan (link-down and router
     /// power-gate waves). `None` — the default — is the healthy network and
     /// is guaranteed behaviour-identical to a simulator without any fault
-    /// machinery; `Some` plans are pure functions of `(seed, cycle)`, so the
-    /// shard-count bit-identity contract extends to faulty runs.
+    /// machinery; `Some` plans are pure functions of `(seed, cycle)`.
     pub fault: Option<FaultPlan>,
     /// Telemetry sampling stride in cycles (`0` — the default — disables
-    /// recording). Sampling happens at cycle boundaries on the coordinating
-    /// thread, so it is strictly out-of-band: it never affects simulation
-    /// results, and the recorded stream is itself bit-identical for any
-    /// worker or shard count.
+    /// recording). Sampling happens at cycle boundaries, so it is strictly
+    /// out-of-band: it never affects simulation results, and the recorded
+    /// stream is itself bit-identical for any sweep worker count.
     pub telemetry_every: u64,
 }
 
@@ -385,14 +382,6 @@ impl Default for SimulationConfig {
 }
 
 impl SimulationConfig {
-    /// Returns a copy of this configuration with an explicit shard count
-    /// (`0` restores automatic selection).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Returns a copy of this configuration with a fault-injection plan
     /// (`None` restores the healthy network).
     #[must_use]
@@ -415,8 +404,8 @@ impl SimulationConfig {
     /// # Errors
     ///
     /// Returns [`SfError::InvalidConfiguration`] when queue capacity or
-    /// virtual-channel count is zero, or the adaptive threshold is outside
-    /// `(0, 1]`.
+    /// virtual-channel count is zero, the adaptive threshold is outside
+    /// `(0, 1]`, or `shards` is above 1.
     pub fn validate(&self) -> SfResult<()> {
         if self.virtual_channels == 0 {
             return Err(SfError::InvalidConfiguration {
@@ -439,6 +428,14 @@ impl SimulationConfig {
         if self.warmup_cycles >= self.max_cycles {
             return Err(SfError::InvalidConfiguration {
                 reason: "warm-up must be shorter than the total simulated cycles".to_string(),
+            });
+        }
+        if self.shards > 1 {
+            return Err(SfError::InvalidConfiguration {
+                reason: format!(
+                    "shards must be 0 or 1 (the kernel is single-threaded), got {}",
+                    self.shards
+                ),
             });
         }
         if let Some(fault) = &self.fault {
@@ -559,6 +556,23 @@ mod tests {
         let mut c = SimulationConfig::default();
         c.warmup_cycles = c.max_cycles;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn shard_counts_above_one_are_rejected() {
+        for shards in [0, 1] {
+            let c = SimulationConfig {
+                shards,
+                ..SimulationConfig::default()
+            };
+            assert!(c.validate().is_ok(), "shards={shards}");
+        }
+        let c = SimulationConfig {
+            shards: 2,
+            ..SimulationConfig::default()
+        };
+        let error = c.validate().unwrap_err().to_string();
+        assert!(error.contains("shards"), "{error}");
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! power-gated, and when each fault is repaired — as a **pure function of
 //! `(seed, cycle)`**. The plan itself holds no mutable state: given the same
 //! plan, every consumer derives the same fault schedule, which is what lets
-//! the sharded simulation kernel apply faults at cycle boundaries (on the
-//! coordinating thread, before the routing wavefront) while keeping results
-//! bit-identical for every shard count and every worker count.
+//! the simulation kernel apply faults at cycle boundaries while keeping
+//! results bit-identical for every sweep worker count.
 //!
 //! The schedule is organised in *waves*: starting at
 //! [`FaultPlan::start_cycle`], every [`FaultPlan::period`] cycles a wave

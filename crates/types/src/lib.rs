@@ -22,7 +22,7 @@
 //!   construction and simulation parameters.
 //! * [`fault`] — deterministic fault-injection plans: link-down and router
 //!   power-gate schedules that are pure functions of `(seed, cycle)`, so
-//!   fault scenarios preserve the simulator's shard-count bit-identity.
+//!   fault scenarios stay bit-identical for any sweep worker count.
 //! * [`rng`] — a small, fully deterministic xoshiro256** generator used for
 //!   reproducible topology generation and workload synthesis.
 //! * [`error`] — the shared [`SfError`] error type.

@@ -1,9 +1,11 @@
 //! End-to-end integration: topology generation -> routing -> cycle-level
 //! simulation, across several network sizes and port counts.
 
+use sf_harness::pool::PoolConfig;
 use sf_types::{NodeId, SimulationConfig};
 use sf_workloads::SyntheticPattern;
-use stringfigure::{StringFigureBuilder, StringFigureNetwork};
+use stringfigure::experiments::{saturation_study_with_ctx, ExperimentScale};
+use stringfigure::{RunContext, StringFigureBuilder, StringFigureNetwork, TopologyKind};
 
 fn quick_sim() -> SimulationConfig {
     SimulationConfig {
@@ -112,4 +114,26 @@ fn eight_port_routers_shorten_paths() {
     let four = StringFigureBuilder::new(200).ports(4).build().unwrap();
     let eight = StringFigureBuilder::new(200).ports(8).build().unwrap();
     assert!(eight.path_stats().average < four.path_stats().average);
+}
+
+#[test]
+fn worker_count_never_changes_rows() {
+    // A saturation study on a parallel sweep pool must match the serial run
+    // bit for bit, whatever the worker count and chunking.
+    let rates = [0.05, 0.2, 0.4];
+    let run = |pool: PoolConfig| {
+        saturation_study_with_ctx(
+            &RunContext::new().with_pool(pool),
+            &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
+            48,
+            SyntheticPattern::Tornado,
+            &rates,
+            ExperimentScale::quick(),
+            7,
+        )
+        .unwrap()
+    };
+    let golden = run(PoolConfig::serial());
+    assert_eq!(run(PoolConfig::threads(2).with_chunk(1)), golden);
+    assert_eq!(run(PoolConfig::threads(4)), golden);
 }
