@@ -17,8 +17,9 @@
 //! and `sfbench run fig10 --quick --csv f.csv` emit byte-identical
 //! artifacts.
 //!
-//! An unknown command, an unknown flag of `list`, `run` or `bench`, or a
-//! boolean flag given a value exits with status 2 before any sweep starts.
+//! An unknown command, an unknown flag of `list`, `grid`, `run` or `bench`,
+//! or a boolean flag given a value exits with status 2 before any sweep
+//! starts.
 //!
 //! ## Checkpoint/resume
 //!
@@ -28,8 +29,7 @@
 //! final CSV is byte-identical to an uninterrupted run. The journal is
 //! removed once the artifact is written. `--no-resume` disables the journal;
 //! `--checkpoint PATH` picks an explicit journal location (works without
-//! `--csv` too); `--max-journal-bytes N` compacts an oversized append log
-//! to a kill-safe snapshot in place (mega-sweep hygiene).
+//! `--csv` too).
 
 use stringfigure::study::{execute, print_result_table, RunContext, Study, StudyRegistry};
 
@@ -41,7 +41,6 @@ pub const RUN_VALUE_FLAGS: &[&str] = &[
     "--csv",
     "--json",
     "--checkpoint",
-    "--max-journal-bytes",
     "--trace",
     "--metrics",
     "--telemetry",
@@ -210,23 +209,10 @@ fn context_from_args(args: &CliArgs) -> RunContext {
     }
     if let Some(every) = args.usize_value("--telemetry-every") {
         if telemetry.is_none() {
-            // Same inert-flag policy as --max-journal-bytes below: a cadence
-            // without a stream path would silently do nothing.
+            // A cadence without a stream path would silently do nothing.
             eprintln!("# warning: --telemetry-every has no effect without --telemetry PATH");
         } else {
             ctx = ctx.with_telemetry_every(every as u64);
-        }
-    }
-    if let Some(bytes) = args.usize_value("--max-journal-bytes") {
-        if ctx.checkpoint_path().is_none() {
-            // Without --csv or --checkpoint no journal ever opens, so the
-            // cap would be silently inert — tell the user instead.
-            eprintln!(
-                "# warning: --max-journal-bytes has no effect without a checkpoint journal \
-                 (add --csv or --checkpoint, and drop --no-resume)"
-            );
-        } else {
-            ctx = ctx.with_max_journal_bytes(bytes as u64);
         }
     }
     ctx
@@ -312,7 +298,7 @@ fn finish_observability(progress: &sf_obs::progress::Progress, metrics_path: Opt
     }
     // The in-process peak-RSS probe (VmHWM from /proc/self/status): exact
     // where an external sampler races the process teardown, and available
-    // without GNU time. ci.sh reads this note for its memory trend line.
+    // without GNU time.
     if let Some(kb) = sf_obs::rss::peak_rss_kb() {
         progress.note(&format!("# peak RSS: {kb} kB"));
     }
@@ -368,7 +354,6 @@ fn print_usage() {
          \x20 --json PATH              write the result table as JSON\n\
          \x20 --checkpoint PATH        journal completed jobs at PATH\n\
          \x20 --no-resume              do not journal/resume alongside --csv\n\
-         \x20 --max-journal-bytes N    compact the journal once it exceeds N bytes\n\
          \x20 --quiet                  suppress progress output and result tables\n\
          \x20 --trace PATH             write a JSONL span trace (phase timing)\n\
          \x20 --metrics PATH           write the metrics + span-summary JSON document\n\
@@ -428,6 +413,14 @@ pub fn main(args: Vec<String>) -> i32 {
                 return unknown_study(&name, &registry);
             };
             let rest = CliArgs::new(args.collect());
+            let unknown = rest.unknown_flags(&["--quick"], &[]);
+            if !unknown.is_empty() {
+                eprintln!(
+                    "error: unknown or malformed flag(s) {}; 'grid' takes only --quick",
+                    unknown.join(", ")
+                );
+                return 2;
+            }
             let ctx = RunContext::new().quick(rest.flag("--quick"));
             let grid = study.grid(&ctx);
             for (axis, points) in &grid.axes {
@@ -499,15 +492,6 @@ mod tests {
         let swallow = args(&["--csv=a.csv", "--csv", "--quick"]);
         assert_eq!(swallow.value("--csv").as_deref(), Some("a.csv"));
         assert!(swallow.flag("--quick"));
-    }
-
-    #[test]
-    fn max_journal_bytes_reaches_the_context() {
-        let ctx = context_from_args(&args(&["--csv", "out.csv", "--max-journal-bytes", "4096"]));
-        assert!(ctx.checkpoint_path().is_some());
-        let unknown =
-            args(&["--max-journal-bytes", "4096"]).unknown_flags(RUN_BOOL_FLAGS, RUN_VALUE_FLAGS);
-        assert!(unknown.is_empty(), "{unknown:?}");
     }
 
     #[test]
@@ -655,6 +639,28 @@ mod tests {
             2
         );
         assert_eq!(main(vec!["list".into(), "--json".into()]), 2);
+        // `grid` answers at full scale without --quick, so a misspelt or
+        // malformed --quick must not print the full-scale grid.
+        assert_eq!(
+            main(vec!["grid".into(), "fig10".into(), "--quik".into()]),
+            2
+        );
+        assert_eq!(
+            main(vec!["grid".into(), "fig10".into(), "--quick=1".into()]),
+            2
+        );
+        // Deleted features are unknown: the journal compaction cap, and the
+        // megasweep study.
+        assert_eq!(
+            main(vec![
+                "run".into(),
+                "fig10".into(),
+                "--max-journal-bytes".into(),
+                "4096".into()
+            ]),
+            2
+        );
+        assert_eq!(main(vec!["run".into(), "megasweep".into()]), 2);
         // The kernel is single-threaded: a stale `--shards` must not run at
         // all rather than run with the flag silently dropped.
         assert_eq!(

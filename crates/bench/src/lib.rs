@@ -10,8 +10,8 @@
 //! bench` ([`benchprobe`]) measures the cost of the core operations
 //! themselves (topology generation, simulator cycles, the fig10 study).
 //!
-//! Flag parsing lives in [`cli::CliArgs`]. Table rendering lives in
-//! `stringfigure::study` and is re-exported here for compatibility.
+//! Flag parsing lives in [`cli::CliArgs`]; table rendering lives in
+//! `stringfigure::study`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -19,8 +19,6 @@
 pub mod benchprobe;
 pub mod cli;
 pub mod report;
-
-pub use stringfigure::study::{fmt_f, fmt_percent, print_table};
 
 /// Prints how many sweep-level workers (`sf-harness`) will execute this run
 /// and the knob that overrides it. The sweep pool is the only parallelism
@@ -32,27 +30,4 @@ pub fn announce_pool() {
         pool.threads,
         sf_harness::PoolConfig::THREADS_ENV
     ));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_f(1.23456), "1.235");
-        assert_eq!(fmt_percent(Some(62.0)), "62%");
-        assert_eq!(fmt_percent(None), "saturated");
-    }
-
-    #[test]
-    fn print_table_does_not_panic() {
-        print_table(
-            &["a", "b"],
-            &[
-                vec!["1".to_string(), "2".to_string()],
-                vec!["33".to_string(), "4".to_string()],
-            ],
-        );
-    }
 }

@@ -99,11 +99,11 @@ proptest! {
         prop_assert!(swallowed.flag(next));
     }
 
-    /// `--max-journal-bytes` round-trips any unsigned integer through both
+    /// `--telemetry-every` round-trips any unsigned integer through both
     /// forms, and rejects non-numeric values as absent.
     #[test]
     fn prop_usize_values_round_trip(n in any::<u32>()) {
-        let flag = "--max-journal-bytes";
+        let flag = "--telemetry-every";
         let spaced = args(&[flag.to_string(), n.to_string()]);
         prop_assert_eq!(spaced.usize_value(flag), Some(n as usize));
         let equals = args(&[format!("{flag}={n}")]);
@@ -189,14 +189,13 @@ fn every_advertised_flag_round_trips_for_every_registered_study() {
             "--json".to_string(),
             json.clone(),
             format!("--checkpoint={checkpoint}"),
-            "--max-journal-bytes".to_string(),
-            "4096".to_string(),
             "--trace".to_string(),
             trace.clone(),
             format!("--metrics={metrics}"),
             "--telemetry".to_string(),
             telemetry.clone(),
-            format!("--telemetry-every={}", 16 * (i + 1)),
+            "--telemetry-every".to_string(),
+            (16 * (i + 1)).to_string(),
         ]);
         for flag in RUN_BOOL_FLAGS {
             assert!(invocation.flag(flag), "{}: {flag}", study.name());
@@ -207,7 +206,6 @@ fn every_advertised_flag_round_trips_for_every_registered_study() {
             invocation.value("--checkpoint").as_deref(),
             Some(checkpoint.as_str())
         );
-        assert_eq!(invocation.usize_value("--max-journal-bytes"), Some(4096));
         assert_eq!(invocation.value("--trace").as_deref(), Some(trace.as_str()));
         assert_eq!(
             invocation.value("--metrics").as_deref(),

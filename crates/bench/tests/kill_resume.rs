@@ -1,12 +1,12 @@
 //! Kill-and-resume against the real `sfbench` binary: a run SIGKILLed while
 //! its checkpoint journal is being written must, when the same command is
 //! rerun, restore the journalled jobs, compute the rest and emit exactly the
-//! bytes of an uninterrupted run (the golden megasweep fixture).
+//! bytes of an uninterrupted run (the golden fig10 fixture).
 
 use std::path::PathBuf;
 use std::process::Command;
 
-const GOLDEN: &str = include_str!("golden/megasweep.quick.csv");
+const GOLDEN: &str = include_str!("golden/fig10_saturation.quick.csv");
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sf-kill-resume-{tag}-{}", std::process::id()));
@@ -17,14 +17,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn a_killed_run_resumes_from_its_journal_to_the_golden_bytes() {
-    let dir = temp_dir("megasweep");
-    let csv = dir.join("mega.csv");
-    let journal = dir.join("mega.csv.journal");
+    let dir = temp_dir("fig10");
+    let csv = dir.join("fig10.csv");
+    let journal = dir.join("fig10.csv.journal");
     let run = || {
         let mut command = Command::new(env!("CARGO_BIN_EXE_sfbench"));
         command.args([
             "run",
-            "megasweep",
+            "fig10",
             "--quick",
             "--quiet",
             "--csv",

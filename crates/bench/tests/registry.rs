@@ -8,10 +8,12 @@
 //!   the golden fixture under `tests/golden/` (the paper goldens were
 //!   captured before the PR-3 redesign; the scenario goldens pin the
 //!   studies introduced with the fault-injection subsystem).
-//! * A run resumed from a truncated (interrupted) checkpoint journal must
-//!   produce the same bytes as an uninterrupted run.
+//! * A run resumed from a truncated (interrupted) checkpoint journal, on a
+//!   different worker count, must produce the same bytes as an
+//!   uninterrupted run.
 
 use sf_bench::cli;
+use sf_harness::PoolConfig;
 use stringfigure::study::{execute, study_fingerprint, RunContext, Study, StudyRegistry};
 
 #[test]
@@ -27,8 +29,8 @@ fn registry_covers_every_artefact_in_the_experiments_doc_table() {
     }
     assert_eq!(
         drivers.len(),
-        12,
-        "experiments.rs doc table should list the eight paper artefacts plus the four scenarios"
+        11,
+        "experiments.rs doc table should list the eight paper artefacts plus the three scenarios"
     );
     let paper = StudyRegistry::paper();
     let extended = StudyRegistry::extended();
@@ -175,52 +177,6 @@ fn scaleout_2048_quick_csv_matches_its_golden() {
 }
 
 #[test]
-fn megasweep_quick_csv_matches_its_golden() {
-    assert_eq!(
-        run_quick_csv("megasweep"),
-        include_str!("golden/megasweep.quick.csv")
-    );
-}
-
-#[test]
-fn megasweep_quick_csv_is_worker_count_independent_with_compaction() {
-    // The acceptance matrix of the streaming pipeline: {1, 4} workers ×
-    // {uninterrupted, compacted journal} all produce identical row bytes.
-    let pid = std::process::id();
-    let reference = include_str!("golden/megasweep.quick.csv");
-    for (workers, cap) in [(1usize, None), (4, None), (1, Some(200u64)), (4, Some(200))] {
-        let csv = std::env::temp_dir().join(format!(
-            "sfbench-megasweep-{pid}-{workers}-{}.csv",
-            cap.unwrap_or(0)
-        ));
-        let journal = std::env::temp_dir().join(format!(
-            "sfbench-megasweep-{pid}-{workers}-{}.journal",
-            cap.unwrap_or(0)
-        ));
-        let _ = std::fs::remove_file(&csv);
-        let _ = std::fs::remove_file(&journal);
-        let registry = StudyRegistry::extended();
-        let study = registry.get("megasweep").unwrap();
-        let mut ctx = RunContext::new()
-            .quick(true)
-            .with_pool(sf_harness::PoolConfig::threads(workers).with_chunk(2))
-            .with_csv(&csv)
-            .with_checkpoint(&journal);
-        if let Some(bytes) = cap {
-            ctx = ctx.with_max_journal_bytes(bytes);
-        }
-        execute(study, &ctx).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&csv).unwrap(),
-            reference,
-            "workers={workers} cap={cap:?}"
-        );
-        assert!(!journal.exists());
-        std::fs::remove_file(&csv).unwrap();
-    }
-}
-
-#[test]
 fn interrupted_fig08_run_resumes_bit_identically() {
     let pid = std::process::id();
     let journal = std::env::temp_dir().join(format!("sfbench-resume-{pid}.journal"));
@@ -234,10 +190,13 @@ fn interrupted_fig08_run_resumes_bit_identically() {
     // Reference: uninterrupted run, no checkpointing.
     let reference = study.run(&RunContext::new().quick(true)).unwrap();
 
-    // Full run with a journal, without `execute`'s cleanup — then truncate
-    // the journal to the header plus five completed jobs, simulating a kill
-    // partway through.
-    let first = RunContext::new().quick(true).with_checkpoint(&journal);
+    // Full serial run with a journal, without `execute`'s cleanup — then
+    // truncate the journal to the header plus five completed jobs,
+    // simulating a kill partway through.
+    let first = RunContext::new()
+        .quick(true)
+        .with_pool(PoolConfig::serial())
+        .with_checkpoint(&journal);
     first
         .resume_checkpoint(study_fingerprint(study, &first))
         .unwrap();
@@ -246,10 +205,12 @@ fn interrupted_fig08_run_resumes_bit_identically() {
     let kept: Vec<&str> = text.lines().take(6).collect();
     std::fs::write(&journal, format!("{}\n", kept.join("\n"))).unwrap();
 
-    // Resume: restores the five journalled jobs, recomputes the rest, and
-    // must emit exactly the reference bytes before removing the journal.
+    // Resume on a different worker count and chunk size: restores the five
+    // journalled jobs, recomputes the rest, and must emit exactly the
+    // reference bytes before removing the journal.
     let resumed_ctx = RunContext::new()
         .quick(true)
+        .with_pool(PoolConfig::threads(4).with_chunk(2))
         .with_checkpoint(&journal)
         .with_csv(&csv);
     let resumed = execute(study, &resumed_ctx).unwrap();

@@ -21,14 +21,18 @@
 //! | [`fault_resilience_study_with_ctx`]       | Scenario: fault injection |
 //! | [`adversarial_saturation_study_with_ctx`] | Scenario: adversarial traffic |
 //! | [`scaleout_study_with_ctx`]               | Scenario: scale-out beyond 1296 nodes |
-//! | [`megasweep_study_with_ctx`]              | Scenario: streaming mega-sweep |
+//!
+//! Every row type is declared once with the module's `row!` schema, which
+//! derives the row's [`Record`] columns and values and its
+//! [`CheckpointRow`] journal encoding from the one field list: each field is
+//! one column, named after the field, in declaration order.
 
 use crate::comparison::{NetworkInstance, TopologyKind};
 use crate::network::StringFigureNetwork;
 use crate::power::PowerManager;
-use crate::study::RunContext;
+use crate::study::{CheckpointRow, RunContext};
 use serde::{Deserialize, Serialize};
-use sf_harness::sweep::{cross2, cross2_lazy, cross3_lazy};
+use sf_harness::sweep::{cross2, cross3};
 use sf_harness::table::{Record, Value};
 use sf_harness::BuildCache;
 use sf_netsim::SimulationStats;
@@ -39,6 +43,118 @@ use sf_workloads::{
     WorkloadTraffic,
 };
 use std::sync::{Arc, OnceLock};
+
+// ---------------------------------------------------------------------------
+// Result rows: one declaration per row type
+// ---------------------------------------------------------------------------
+
+/// One typed field of a result row: the table cell it renders as, and the
+/// exact decode back from that cell (`from_cell(&x.to_cell()) == Some(x)`).
+pub(crate) trait Cell: Sized {
+    /// This field as a table cell.
+    fn to_cell(&self) -> Value;
+    /// The field a cell encodes; `None` for a cell of the wrong type.
+    fn from_cell(cell: &Value) -> Option<Self>;
+}
+
+/// `Cell` for types stored directly in one [`Value`] variant.
+macro_rules! variant_cell {
+    ($($ty:ty => $variant:ident),*) => {$(
+        impl Cell for $ty {
+            fn to_cell(&self) -> Value {
+                Value::$variant(*self)
+            }
+            fn from_cell(cell: &Value) -> Option<Self> {
+                match cell {
+                    Value::$variant(x) => Some(*x),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+/// `Cell` for enums rendered by `name()` and parsed back by `from_name`.
+macro_rules! named_cell {
+    ($($ty:ty),*) => {$(
+        impl Cell for $ty {
+            fn to_cell(&self) -> Value {
+                self.name().into()
+            }
+            fn from_cell(cell: &Value) -> Option<Self> {
+                match cell {
+                    Value::Str(name) => Self::from_name(name),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+variant_cell!(f64 => Float, u64 => UInt, bool => Bool);
+named_cell!(TopologyKind, SyntheticPattern, ApplicationModel);
+
+impl Cell for usize {
+    fn to_cell(&self) -> Value {
+        (*self).into()
+    }
+    fn from_cell(cell: &Value) -> Option<Self> {
+        u64::from_cell(cell).and_then(|u| usize::try_from(u).ok())
+    }
+}
+
+impl Cell for Option<f64> {
+    fn to_cell(&self) -> Value {
+        (*self).into()
+    }
+    fn from_cell(cell: &Value) -> Option<Self> {
+        match cell {
+            Value::Null => Some(None),
+            other => f64::from_cell(other).map(Some),
+        }
+    }
+}
+
+/// Declares a result row once: the struct, its [`Record`] impl (one column
+/// per field, named after the field, in declaration order) and its
+/// [`CheckpointRow`] impl, whose decode accepts exactly the row's arity and
+/// field types and returns `None` for anything else.
+macro_rules! row {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty),*
+        }
+
+        impl Record for $name {
+            fn columns() -> Vec<&'static str> {
+                vec![$(stringify!($field)),*]
+            }
+            fn values(&self) -> Vec<Value> {
+                vec![$(Cell::to_cell(&self.$field)),*]
+            }
+        }
+
+        impl CheckpointRow for $name {
+            fn to_cells(&self) -> Vec<Value> {
+                self.values()
+            }
+            fn from_cells(cells: &[Value]) -> Option<Self> {
+                let mut cells = cells.iter();
+                let row = Self {
+                    $($field: Cell::from_cell(cells.next()?)?),*
+                };
+                cells.next().is_none().then_some(row)
+            }
+        }
+    };
+}
 
 // ---------------------------------------------------------------------------
 // Harness plumbing: worker pool, topology cache, outcome collection
@@ -131,17 +247,18 @@ impl ExperimentScale {
 // Figure 5: sufficiently-uniform-random-graph path-length comparison
 // ---------------------------------------------------------------------------
 
-/// One row of the Figure 5 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurgRow {
-    /// Network size.
-    pub nodes: usize,
-    /// Average shortest path length of Jellyfish.
-    pub jellyfish: f64,
-    /// Average shortest path length of S2.
-    pub s2: f64,
-    /// Average shortest path length of String Figure.
-    pub string_figure: f64,
+row! {
+    /// One row of the Figure 5 comparison.
+    pub struct SurgRow {
+        /// Network size.
+        pub nodes: usize,
+        /// Average shortest path length of Jellyfish.
+        pub jellyfish: f64,
+        /// Average shortest path length of S2.
+        pub s2: f64,
+        /// Average shortest path length of String Figure.
+        pub string_figure: f64,
+    }
 }
 
 /// Reproduces Figure 5: average shortest path lengths of Jellyfish, S2, and
@@ -163,14 +280,13 @@ pub fn surg_path_length_study_with_ctx(
         TopologyKind::SpaceShuffle,
         TopologyKind::StringFigure,
     ];
-    // One job per (size, topology seed, design), streamed lazily in
-    // row-major order — the same enumeration the eager product built;
+    // One job per (size, topology seed, design) in row-major order;
     // aggregation back into one row per size happens serially below, in
     // enumeration order, so the float accumulation order matches the old
     // nested loops exactly.
     let seed_list: Vec<u64> = (0..seeds.max(1)).collect();
-    let points = cross3_lazy(sizes.to_vec(), seed_list.clone(), KINDS.to_vec());
-    let lengths = ctx.run_jobs(points, |_, &(nodes, seed, kind)| {
+    let points = cross3(sizes, &seed_list, &KINDS);
+    let lengths = ctx.run_jobs(points, |(nodes, seed, kind)| {
         Ok(ctx.instance(kind, nodes, seed + 1)?.average_shortest_path())
     })?;
 
@@ -199,19 +315,20 @@ pub fn surg_path_length_study_with_ctx(
 // Figure 9(a): average hop counts across designs and scales
 // ---------------------------------------------------------------------------
 
-/// One row of the Figure 9(a) hop-count study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HopCountRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Average shortest-path length (graph metric).
-    pub average_shortest_path: f64,
-    /// Average hop count actually taken by the design's routing protocol.
-    pub average_routed_hops: f64,
-    /// Router ports this design needs at this scale.
-    pub router_ports: usize,
+row! {
+    /// One row of the Figure 9(a) hop-count study.
+    pub struct HopCountRow {
+        /// Network design.
+        pub kind: TopologyKind,
+        /// Network size.
+        pub nodes: usize,
+        /// Average shortest-path length (graph metric).
+        pub average_shortest_path: f64,
+        /// Average hop count actually taken by the design's routing protocol.
+        pub average_routed_hops: f64,
+        /// Router ports this design needs at this scale.
+        pub router_ports: usize,
+    }
 }
 
 /// Reproduces Figure 9(a): average hop counts of every design across network
@@ -230,37 +347,35 @@ pub fn hop_count_study_with_ctx(
     samples: usize,
     seed: u64,
 ) -> SfResult<Vec<HopCountRow>> {
-    ctx.run_jobs(
-        cross2_lazy(sizes.to_vec(), kinds.to_vec()),
-        |_, &(nodes, kind)| {
-            let instance = ctx.instance(kind, nodes, seed)?;
-            Ok(HopCountRow {
-                kind,
-                nodes,
-                average_shortest_path: instance.average_shortest_path(),
-                average_routed_hops: instance.average_routed_hops(samples)?,
-                router_ports: instance.router_ports(),
-            })
-        },
-    )
+    ctx.run_jobs(cross2(sizes, kinds), |(nodes, kind)| {
+        let instance = ctx.instance(kind, nodes, seed)?;
+        Ok(HopCountRow {
+            kind,
+            nodes,
+            average_shortest_path: instance.average_shortest_path(),
+            average_routed_hops: instance.average_routed_hops(samples)?,
+            router_ports: instance.router_ports(),
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Figure 10: network saturation points
 // ---------------------------------------------------------------------------
 
-/// One saturation measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SaturationRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Traffic pattern evaluated.
-    pub pattern: SyntheticPattern,
-    /// Highest injection rate (as a percentage) that did not saturate the
-    /// network; `None` when even the lowest rate saturated.
-    pub saturation_percent: Option<f64>,
+row! {
+    /// One saturation measurement.
+    pub struct SaturationRow {
+        /// Network design.
+        pub kind: TopologyKind,
+        /// Network size.
+        pub nodes: usize,
+        /// Traffic pattern evaluated.
+        pub pattern: SyntheticPattern,
+        /// Highest injection rate (as a percentage) that did not saturate the
+        /// network; `None` when even the lowest rate saturated.
+        pub saturation_percent: Option<f64>,
+    }
 }
 
 /// Reproduces Figure 10: sweeps injection rates and reports the saturation
@@ -287,7 +402,7 @@ pub fn saturation_study_with_ctx(
     scale: ExperimentScale,
     seed: u64,
 ) -> SfResult<Vec<SaturationRow>> {
-    ctx.run_jobs(kinds.to_vec(), |_, &kind| {
+    ctx.run_jobs(kinds.to_vec(), |kind| {
         let instance = ctx.instance(kind, nodes, seed)?;
         let mut best: Option<f64> = None;
         let mut base_latency: Option<f64> = None;
@@ -331,17 +446,18 @@ pub fn run_pattern_on(
 // Figure 11: latency versus injection rate curves
 // ---------------------------------------------------------------------------
 
-/// One point of a latency-versus-injection-rate curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyPoint {
-    /// Injection rate (packets per node per cycle).
-    pub injection_rate: f64,
-    /// Average packet latency in cycles.
-    pub average_latency_cycles: f64,
-    /// Accepted throughput (delivered packets per node per cycle).
-    pub accepted_throughput: f64,
-    /// Whether the run saturated.
-    pub saturated: bool,
+row! {
+    /// One point of a latency-versus-injection-rate curve.
+    pub struct LatencyPoint {
+        /// Injection rate (packets per node per cycle).
+        pub injection_rate: f64,
+        /// Average packet latency in cycles.
+        pub average_latency_cycles: f64,
+        /// Accepted throughput (delivered packets per node per cycle).
+        pub accepted_throughput: f64,
+        /// Whether the run saturated.
+        pub saturated: bool,
+    }
 }
 
 /// Reproduces one curve of Figure 11: average packet latency of `kind` under
@@ -364,7 +480,7 @@ pub fn latency_curve_with_ctx(
     seed: u64,
 ) -> SfResult<Vec<LatencyPoint>> {
     let instance = ctx.instance(kind, nodes, seed)?;
-    ctx.run_jobs(rates.to_vec(), |_, &rate| {
+    ctx.run_jobs(rates.to_vec(), |rate| {
         let stats = run_pattern_on(&instance, pattern, rate, scale, seed)?;
         let measured = scale.max_cycles - scale.warmup_cycles;
         Ok(LatencyPoint {
@@ -380,22 +496,23 @@ pub fn latency_curve_with_ctx(
 // Figure 12: real-workload throughput and energy
 // ---------------------------------------------------------------------------
 
-/// Result of one design running one application workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Application evaluated.
-    pub workload: ApplicationModel,
-    /// Completed memory requests per cycle (the throughput proxy the
-    /// normalised Figure 12(a) bars are derived from).
-    pub requests_per_cycle: f64,
-    /// Average memory-request round-trip latency in cycles.
-    pub average_round_trip_cycles: f64,
-    /// Dynamic memory energy per completed request, in picojoules.
-    pub energy_per_request_pj: f64,
-    /// Total dynamic energy, in picojoules.
-    pub total_energy_pj: f64,
+row! {
+    /// Result of one design running one application workload.
+    pub struct WorkloadRow {
+        /// Network design.
+        pub kind: TopologyKind,
+        /// Application evaluated.
+        pub workload: ApplicationModel,
+        /// Completed memory requests per cycle (the throughput proxy the
+        /// normalised Figure 12(a) bars are derived from).
+        pub requests_per_cycle: f64,
+        /// Average memory-request round-trip latency in cycles.
+        pub average_round_trip_cycles: f64,
+        /// Dynamic memory energy per completed request, in picojoules.
+        pub energy_per_request_pj: f64,
+        /// Total dynamic energy, in picojoules.
+        pub total_energy_pj: f64,
+    }
 }
 
 /// Reproduces Figure 12: runs each application on each design in
@@ -419,23 +536,20 @@ pub fn workload_study_with_ctx(
     seed: u64,
 ) -> SfResult<Vec<WorkloadRow>> {
     let injectors = socket_nodes(nodes, socket_count);
-    ctx.run_jobs(
-        cross2_lazy(kinds.to_vec(), workloads.to_vec()),
-        |_, &(kind, workload)| {
-            let instance = ctx.instance(kind, nodes, seed)?;
-            let stats = run_workload_on(&instance, workload, &injectors, scale, seed)?;
-            let measured = scale.max_cycles - scale.warmup_cycles;
-            let completed = stats.completed_requests.max(1);
-            Ok(WorkloadRow {
-                kind,
-                workload,
-                requests_per_cycle: stats.completed_requests as f64 / measured as f64,
-                average_round_trip_cycles: stats.average_round_trip_cycles(),
-                energy_per_request_pj: stats.total_energy_pj() / completed as f64,
-                total_energy_pj: stats.total_energy_pj(),
-            })
-        },
-    )
+    ctx.run_jobs(cross2(kinds, workloads), |(kind, workload)| {
+        let instance = ctx.instance(kind, nodes, seed)?;
+        let stats = run_workload_on(&instance, workload, &injectors, scale, seed)?;
+        let measured = scale.max_cycles - scale.warmup_cycles;
+        let completed = stats.completed_requests.max(1);
+        Ok(WorkloadRow {
+            kind,
+            workload,
+            requests_per_cycle: stats.completed_requests as f64 / measured as f64,
+            average_round_trip_cycles: stats.average_round_trip_cycles(),
+            energy_per_request_pj: stats.total_energy_pj() / completed as f64,
+            total_energy_pj: stats.total_energy_pj(),
+        })
+    })
 }
 
 /// Runs one application workload on a pre-built instance.
@@ -475,19 +589,20 @@ pub fn socket_nodes(nodes: usize, count: usize) -> Vec<NodeId> {
 // Figure 9(b): power-gating energy-delay product
 // ---------------------------------------------------------------------------
 
-/// One point of the Figure 9(b) power-management study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PowerGateRow {
-    /// Fraction of memory nodes gated off.
-    pub gated_fraction: f64,
-    /// Number of nodes actually gated.
-    pub gated_nodes: usize,
-    /// Energy-delay product of the run (pJ · cycles).
-    pub energy_delay_product: f64,
-    /// EDP normalised to the un-gated run (lower is better).
-    pub normalized_edp: f64,
-    /// Average request round-trip latency in cycles.
-    pub average_round_trip_cycles: f64,
+row! {
+    /// One point of the Figure 9(b) power-management study.
+    pub struct PowerGateRow {
+        /// Fraction of memory nodes gated off.
+        pub gated_fraction: f64,
+        /// Number of nodes actually gated.
+        pub gated_nodes: usize,
+        /// Energy-delay product of the run (pJ · cycles).
+        pub energy_delay_product: f64,
+        /// EDP normalised to the un-gated run (lower is better).
+        pub normalized_edp: f64,
+        /// Average request round-trip latency in cycles.
+        pub average_round_trip_cycles: f64,
+    }
 }
 
 /// Reproduces Figure 9(b): runs `workload` on a String Figure network while
@@ -514,7 +629,7 @@ pub fn power_gating_study_with_ctx(
     scale: ExperimentScale,
     seed: u64,
 ) -> SfResult<Vec<PowerGateRow>> {
-    let mut rows = ctx.run_jobs(fractions.to_vec(), |_, &fraction| {
+    let mut rows = ctx.run_jobs(fractions.to_vec(), |fraction| {
         let mut network = StringFigureNetwork::builder(nodes)
             .seed(seed)
             .simulation(scale.simulation_config())
@@ -605,17 +720,18 @@ impl sf_netsim::TrafficModel for RemappedWorkload {
 // Bisection bandwidth and configuration tables
 // ---------------------------------------------------------------------------
 
-/// One row of the bisection-bandwidth study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BisectionRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Empirical minimum bisection bandwidth (links across the cut).
-    pub minimum: u64,
-    /// Mean bisection bandwidth over the sampled cuts.
-    pub average: f64,
+row! {
+    /// One row of the bisection-bandwidth study.
+    pub struct BisectionRow {
+        /// Network design.
+        pub kind: TopologyKind,
+        /// Network size.
+        pub nodes: usize,
+        /// Empirical minimum bisection bandwidth (links across the cut).
+        pub minimum: u64,
+        /// Mean bisection bandwidth over the sampled cuts.
+        pub average: f64,
+    }
 }
 
 /// Reproduces the bisection-bandwidth methodology of Section V (50 random
@@ -635,13 +751,10 @@ pub fn bisection_study_with_ctx(
     topologies: u64,
 ) -> SfResult<Vec<BisectionRow>> {
     let seed_list: Vec<u64> = (0..topologies.max(1)).collect();
-    let samples = ctx.run_jobs(
-        cross2_lazy(kinds.to_vec(), seed_list.clone()),
-        |_, &(kind, seed)| {
-            let instance = ctx.instance(kind, nodes, seed + 1)?;
-            Ok(instance.bisection_bandwidth(cuts, seed + 100))
-        },
-    )?;
+    let samples = ctx.run_jobs(cross2(kinds, &seed_list), |(kind, seed)| {
+        let instance = ctx.instance(kind, nodes, seed + 1)?;
+        Ok(instance.bisection_bandwidth(cuts, seed + 100))
+    })?;
 
     let denom = topologies.max(1);
     let per_kind = seed_list.len();
@@ -663,21 +776,22 @@ pub fn bisection_study_with_ctx(
     Ok(rows)
 }
 
-/// One row of the Figure 8 / Table II configuration summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfigurationRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Router ports required.
-    pub router_ports: usize,
-    /// Total links in the network.
-    pub links: usize,
-    /// Whether the design needs high-radix routers (Table II).
-    pub requires_high_radix: bool,
-    /// Whether the design supports reconfigurable scaling (Table II).
-    pub supports_reconfiguration: bool,
+row! {
+    /// One row of the Figure 8 / Table II configuration summary.
+    pub struct ConfigurationRow {
+        /// Network design.
+        pub kind: TopologyKind,
+        /// Network size.
+        pub nodes: usize,
+        /// Router ports required.
+        pub router_ports: usize,
+        /// Total links in the network.
+        pub links: usize,
+        /// Whether the design needs high-radix routers (Table II).
+        pub requires_high_radix: bool,
+        /// Whether the design supports reconfigurable scaling (Table II).
+        pub supports_reconfiguration: bool,
+    }
 }
 
 /// Reproduces the Figure 8 configuration table plus Table II's feature
@@ -694,55 +808,53 @@ pub fn configuration_table_with_ctx(
     sizes: &[usize],
     seed: u64,
 ) -> SfResult<Vec<ConfigurationRow>> {
-    ctx.run_jobs(
-        cross2_lazy(sizes.to_vec(), kinds.to_vec()),
-        |_, &(nodes, kind)| {
-            let instance = ctx.instance(kind, nodes, seed)?;
-            Ok(ConfigurationRow {
-                kind,
-                nodes,
-                router_ports: instance.router_ports(),
-                links: instance.graph().num_edges(),
-                requires_high_radix: kind.requires_high_radix(),
-                supports_reconfiguration: kind.supports_reconfiguration(),
-            })
-        },
-    )
+    ctx.run_jobs(cross2(sizes, kinds), |(nodes, kind)| {
+        let instance = ctx.instance(kind, nodes, seed)?;
+        Ok(ConfigurationRow {
+            kind,
+            nodes,
+            router_ports: instance.router_ports(),
+            links: instance.graph().num_edges(),
+            requires_high_radix: kind.requires_high_radix(),
+            supports_reconfiguration: kind.supports_reconfiguration(),
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Scenario: fault injection, adversarial traffic, scale-out
 // ---------------------------------------------------------------------------
 
-/// One row of the fault-resilience scenario study: one design under one
-/// fault severity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultResilienceRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Undirected links taken down per fault wave.
-    pub links_per_wave: usize,
-    /// Routers power-gated per fault wave.
-    pub routers_per_wave: usize,
-    /// Link-down fault events the run applied.
-    pub link_down_events: u64,
-    /// Router power-gate fault events the run applied.
-    pub router_down_events: u64,
-    /// Memory requests injected during the measured phase.
-    pub injected: u64,
-    /// Requests whose reply made it back during the measured phase — the
-    /// end-to-end survivors.
-    pub completed_requests: u64,
-    /// Packets lost to fault injection over the whole run.
-    pub dropped_packets: u64,
-    /// Completed requests / injected requests (the survival metric of the
-    /// scenario; can slightly exceed 1 on a healthy network because warm-up
-    /// requests complete inside the measured window).
-    pub completion_ratio: f64,
-    /// Average request round-trip latency in cycles.
-    pub average_round_trip_cycles: f64,
+row! {
+    /// One row of the fault-resilience scenario study: one design under one
+    /// fault severity.
+    pub struct FaultResilienceRow {
+        /// Network design.
+        pub kind: TopologyKind,
+        /// Network size.
+        pub nodes: usize,
+        /// Undirected links taken down per fault wave.
+        pub links_per_wave: usize,
+        /// Routers power-gated per fault wave.
+        pub routers_per_wave: usize,
+        /// Link-down fault events the run applied.
+        pub link_down_events: u64,
+        /// Router power-gate fault events the run applied.
+        pub router_down_events: u64,
+        /// Memory requests injected during the measured phase.
+        pub injected: u64,
+        /// Requests whose reply made it back during the measured phase — the
+        /// end-to-end survivors.
+        pub completed_requests: u64,
+        /// Packets lost to fault injection over the whole run.
+        pub dropped_packets: u64,
+        /// Completed requests / injected requests (the survival metric of the
+        /// scenario; can slightly exceed 1 on a healthy network because warm-up
+        /// requests complete inside the measured window).
+        pub completion_ratio: f64,
+        /// Average request round-trip latency in cycles.
+        pub average_round_trip_cycles: f64,
+    }
 }
 
 impl FaultResilienceRow {
@@ -775,8 +887,7 @@ pub fn fault_resilience_study_with_ctx(
     seed: u64,
 ) -> SfResult<Vec<FaultResilienceRow>> {
     let measured = (scale.max_cycles - scale.warmup_cycles).max(1);
-    let points = cross2_lazy(kinds.to_vec(), severities.to_vec());
-    ctx.run_jobs(points, |_, &(kind, (links, routers))| {
+    ctx.run_jobs(cross2(kinds, severities), |(kind, (links, routers))| {
         let instance = ctx.instance(kind, nodes, seed)?;
         let plan = (links > 0 || routers > 0).then(|| {
             FaultPlan::new(seed ^ 0x00fa_0175)
@@ -853,123 +964,6 @@ pub fn scaleout_study_with_ctx(
     hop_count_study_with_ctx(ctx, kinds, sizes, samples, seed)
 }
 
-/// One point of the streaming mega-sweep: one design at one size, driven at
-/// one injection rate with one topology seed, at a quick-capped simulation
-/// scale. These rows are never collected — they stream straight from the
-/// sweep to the artifact sinks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MegasweepRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Injection rate (packets per node per cycle).
-    pub injection_rate: f64,
-    /// Topology seed of this point.
-    pub seed: u64,
-    /// Average packet latency in cycles.
-    pub average_latency_cycles: f64,
-    /// Accepted throughput (delivered packets per node per cycle).
-    pub accepted_throughput: f64,
-    /// Whether the run saturated.
-    pub saturated: bool,
-}
-
-/// Per-design aggregate of a mega-sweep — the only thing the streaming run
-/// holds in memory (one slot per design, not per point).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MegasweepSummaryRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Points swept for this design.
-    pub points: u64,
-    /// Points whose run saturated.
-    pub saturated_points: u64,
-    /// Mean average latency over the design's points, in cycles.
-    pub mean_latency_cycles: f64,
-    /// Mean accepted throughput over the design's points.
-    pub mean_throughput: f64,
-}
-
-/// Scenario study: the streaming mega-sweep over design × size × injection
-/// rate × topology seed. Unlike every other study, the full-scale grid
-/// (~10⁵ points) is never materialised and the rows are never collected:
-/// points stream in through the lazy cross product, each completed row is
-/// journalled and written to the context's emitters in enumeration order,
-/// and only the per-design [`MegasweepSummaryRow`] aggregate comes back —
-/// the whole pipeline runs in `O(workers)` memory.
-///
-/// The driver behind the `megasweep` study, and the only driver that
-/// **requires** the streaming pipeline: it refuses to exist as a
-/// collect-then-emit loop.
-///
-/// # Errors
-///
-/// Propagates construction, simulation, and artifact-sink errors.
-pub fn megasweep_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    rates: &[f64],
-    seeds: u64,
-    scale: ExperimentScale,
-) -> SfResult<Vec<MegasweepSummaryRow>> {
-    let mut stream = ctx.open_row_stream(&MegasweepRow::columns())?;
-    let seed_list: Vec<u64> = (0..seeds.max(1)).collect();
-    // Row-major over (kind, nodes) × (rate, seed): the outer product is tiny
-    // and the inner product is one design-point's rate ladder, so the
-    // composition streams the 4-axis grid with O(rates × seeds) transient
-    // state — never O(grid).
-    let points = cross2_lazy(cross2(kinds, sizes), cross2(rates, &seed_list));
-    let mut aggregates = vec![(0u64, 0u64, 0.0f64, 0.0f64); kinds.len()];
-    ctx.run_jobs_streaming(
-        points,
-        |_, &((kind, nodes), (rate, seed))| {
-            let instance = ctx.instance(kind, nodes, seed + 1)?;
-            let stats = run_pattern_on(
-                &instance,
-                SyntheticPattern::UniformRandom,
-                rate,
-                scale,
-                seed,
-            )?;
-            let measured = (scale.max_cycles - scale.warmup_cycles).max(1);
-            Ok(MegasweepRow {
-                kind,
-                nodes,
-                injection_rate: rate,
-                seed,
-                average_latency_cycles: stats.average_latency_cycles(),
-                accepted_throughput: stats.accepted_throughput(measured),
-                saturated: stats.is_saturated(),
-            })
-        },
-        |_, row| {
-            let slot = kinds.iter().position(|k| *k == row.kind).unwrap_or(0);
-            let (points, saturated, latency, throughput) = &mut aggregates[slot];
-            *points += 1;
-            *saturated += u64::from(row.saturated);
-            *latency += row.average_latency_cycles;
-            *throughput += row.accepted_throughput;
-            stream.push(&row.values())
-        },
-    )?;
-    stream.finish()?;
-    Ok(kinds
-        .iter()
-        .zip(aggregates)
-        .map(
-            |(&kind, (points, saturated, latency, throughput))| MegasweepSummaryRow {
-                kind,
-                points,
-                saturated_points: saturated,
-                mean_latency_cycles: latency / points.max(1) as f64,
-                mean_throughput: throughput / points.max(1) as f64,
-            },
-        )
-        .collect())
-}
-
 /// Average-path-length summary of a partially gated String Figure network,
 /// used by the reconfiguration examples and tests.
 ///
@@ -985,238 +979,6 @@ pub fn gated_path_length(
     let mut pm = PowerManager::new(&mut network);
     pm.gate_fraction(fraction, seed)?;
     Ok(network.path_stats())
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable artifacts: every row type is an sf-harness Record
-// ---------------------------------------------------------------------------
-
-impl Record for SurgRow {
-    fn columns() -> Vec<&'static str> {
-        vec!["nodes", "jellyfish", "s2", "string_figure"]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.nodes.into(),
-            self.jellyfish.into(),
-            self.s2.into(),
-            self.string_figure.into(),
-        ]
-    }
-}
-
-impl Record for HopCountRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "average_shortest_path",
-            "average_routed_hops",
-            "router_ports",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.average_shortest_path.into(),
-            self.average_routed_hops.into(),
-            self.router_ports.into(),
-        ]
-    }
-}
-
-impl Record for SaturationRow {
-    fn columns() -> Vec<&'static str> {
-        vec!["kind", "nodes", "pattern", "saturation_percent"]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.pattern.to_string().into(),
-            self.saturation_percent.into(),
-        ]
-    }
-}
-
-impl Record for LatencyPoint {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "injection_rate",
-            "average_latency_cycles",
-            "accepted_throughput",
-            "saturated",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.injection_rate.into(),
-            self.average_latency_cycles.into(),
-            self.accepted_throughput.into(),
-            self.saturated.into(),
-        ]
-    }
-}
-
-impl Record for WorkloadRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "workload",
-            "requests_per_cycle",
-            "average_round_trip_cycles",
-            "energy_per_request_pj",
-            "total_energy_pj",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.workload.name().into(),
-            self.requests_per_cycle.into(),
-            self.average_round_trip_cycles.into(),
-            self.energy_per_request_pj.into(),
-            self.total_energy_pj.into(),
-        ]
-    }
-}
-
-impl Record for PowerGateRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "gated_fraction",
-            "gated_nodes",
-            "energy_delay_product",
-            "normalized_edp",
-            "average_round_trip_cycles",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.gated_fraction.into(),
-            self.gated_nodes.into(),
-            self.energy_delay_product.into(),
-            self.normalized_edp.into(),
-            self.average_round_trip_cycles.into(),
-        ]
-    }
-}
-
-impl Record for BisectionRow {
-    fn columns() -> Vec<&'static str> {
-        vec!["kind", "nodes", "minimum", "average"]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.minimum.into(),
-            self.average.into(),
-        ]
-    }
-}
-
-impl Record for FaultResilienceRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "links_per_wave",
-            "routers_per_wave",
-            "link_down_events",
-            "router_down_events",
-            "injected",
-            "completed_requests",
-            "dropped_packets",
-            "completion_ratio",
-            "average_round_trip_cycles",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.links_per_wave.into(),
-            self.routers_per_wave.into(),
-            self.link_down_events.into(),
-            self.router_down_events.into(),
-            self.injected.into(),
-            self.completed_requests.into(),
-            self.dropped_packets.into(),
-            self.completion_ratio.into(),
-            self.average_round_trip_cycles.into(),
-        ]
-    }
-}
-
-impl Record for MegasweepRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "injection_rate",
-            "seed",
-            "average_latency_cycles",
-            "accepted_throughput",
-            "saturated",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.injection_rate.into(),
-            self.seed.into(),
-            self.average_latency_cycles.into(),
-            self.accepted_throughput.into(),
-            self.saturated.into(),
-        ]
-    }
-}
-
-impl Record for MegasweepSummaryRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "points",
-            "saturated_points",
-            "mean_latency_cycles",
-            "mean_throughput",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.points.into(),
-            self.saturated_points.into(),
-            self.mean_latency_cycles.into(),
-            self.mean_throughput.into(),
-        ]
-    }
-}
-
-impl Record for ConfigurationRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "router_ports",
-            "links",
-            "requires_high_radix",
-            "supports_reconfiguration",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.router_ports.into(),
-            self.links.into(),
-            self.requires_high_radix.into(),
-            self.supports_reconfiguration.into(),
-        ]
-    }
 }
 
 #[cfg(test)]

@@ -11,11 +11,17 @@
 //! * the shared topology [`BuildCache`],
 //! * the [`ExperimentScale`] policy (quick vs. paper scale),
 //! * the artifact emitters (CSV / JSON paths), and
-//! * an optional **checkpoint journal** for resumable mega-sweeps: every
-//!   completed sweep job is appended to `<csv>.journal`, so an interrupted
-//!   run restarted with the same command restores finished jobs instead of
-//!   recomputing them — and the final artifact is **byte-identical** to an
-//!   uninterrupted run (job results round-trip exactly through the journal).
+//! * an optional **checkpoint journal**: every completed sweep job is
+//!   appended to `<csv>.journal`, so an interrupted run restarted with the
+//!   same command restores finished jobs instead of recomputing them — and
+//!   the final artifact is **byte-identical** to an uninterrupted run (job
+//!   results round-trip exactly through the journal).
+//!
+//! Every study runs one path: [`RunContext::run_jobs`] hands its points to
+//! [`sf_harness::sweep::run`] (ordered delivery, per-job panic isolation,
+//! cancel on the first error), restores or journals each job, and
+//! [`execute`] publishes the study's [`Table`] through
+//! [`RunContext::emit`].
 //!
 //! Beyond the paper, [`StudyRegistry::extended`] groups the scenario
 //! studies (fault injection, adversarial traffic, scale-out past 1296
@@ -28,15 +34,14 @@ use crate::comparison::{NetworkInstance, TopologyKind};
 use crate::experiments::{
     self, adversarial_saturation_study_with_ctx, bisection_study_with_ctx,
     configuration_table_with_ctx, fault_resilience_study_with_ctx, hop_count_study_with_ctx,
-    latency_curve_with_ctx, megasweep_study_with_ctx, power_gating_study_with_ctx,
-    saturation_study_with_ctx, scaleout_study_with_ctx, surg_path_length_study_with_ctx,
-    workload_study_with_ctx, ExperimentScale, FaultResilienceRow, HopCountRow, LatencyPoint,
-    MegasweepRow, PowerGateRow, SaturationRow, WorkloadRow,
+    latency_curve_with_ctx, power_gating_study_with_ctx, saturation_study_with_ctx,
+    scaleout_study_with_ctx, surg_path_length_study_with_ctx, workload_study_with_ctx, Cell,
+    ExperimentScale, LatencyPoint, PowerGateRow,
 };
 use sf_harness::journal::{self, Journal};
 use sf_harness::pool::PoolConfig;
-use sf_harness::sink::RowSink;
-use sf_harness::sweep::{JobCtx, LazySweep, SweepError};
+use sf_harness::sink::{self, Format};
+use sf_harness::sweep::{self, SweepError};
 use sf_harness::table::{Record, Table, Value};
 use sf_harness::BuildCache;
 use sf_topology::analysis::BisectionBandwidth;
@@ -54,7 +59,10 @@ use std::sync::{Arc, OnceLock};
 ///
 /// `from_cells(to_cells(r)) == Some(r)` must hold **exactly** (floats are
 /// journalled with shortest-roundtrip formatting), which is what makes a
-/// resumed run's artifact byte-identical to an uninterrupted one.
+/// resumed run's artifact byte-identical to an uninterrupted one. Result
+/// rows get this impl from their `row!` declaration in
+/// [`crate::experiments`]; only job results that are not rows implement it
+/// by hand.
 pub trait CheckpointRow: Sized {
     /// Encodes this result as journal cells.
     fn to_cells(&self) -> Vec<Value>;
@@ -62,153 +70,24 @@ pub trait CheckpointRow: Sized {
     fn from_cells(cells: &[Value]) -> Option<Self>;
 }
 
-fn cell_f64(cell: &Value) -> Option<f64> {
-    match cell {
-        Value::Float(x) => Some(*x),
-        _ => None,
-    }
-}
-
-fn cell_u64(cell: &Value) -> Option<u64> {
-    match cell {
-        Value::UInt(u) => Some(*u),
-        _ => None,
-    }
-}
-
-fn cell_usize(cell: &Value) -> Option<usize> {
-    cell_u64(cell).map(|u| u as usize)
-}
-
-fn cell_bool(cell: &Value) -> Option<bool> {
-    match cell {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-fn cell_str(cell: &Value) -> Option<&str> {
-    match cell {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn cell_opt_f64(cell: &Value) -> Option<Option<f64>> {
-    match cell {
-        Value::Null => Some(None),
-        Value::Float(x) => Some(Some(*x)),
-        _ => None,
-    }
-}
-
 impl CheckpointRow for f64 {
     fn to_cells(&self) -> Vec<Value> {
-        vec![(*self).into()]
+        vec![self.to_cell()]
     }
     fn from_cells(cells: &[Value]) -> Option<Self> {
         match cells {
-            [cell] => cell_f64(cell),
+            [cell] => Self::from_cell(cell),
             _ => None,
         }
-    }
-}
-
-impl CheckpointRow for HopCountRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, asp, hops, ports] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            average_shortest_path: cell_f64(asp)?,
-            average_routed_hops: cell_f64(hops)?,
-            router_ports: cell_usize(ports)?,
-        })
-    }
-}
-
-impl CheckpointRow for SaturationRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, pattern, point] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            pattern: SyntheticPattern::from_name(cell_str(pattern)?)?,
-            saturation_percent: cell_opt_f64(point)?,
-        })
-    }
-}
-
-impl CheckpointRow for LatencyPoint {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [rate, latency, throughput, saturated] = cells else {
-            return None;
-        };
-        Some(Self {
-            injection_rate: cell_f64(rate)?,
-            average_latency_cycles: cell_f64(latency)?,
-            accepted_throughput: cell_f64(throughput)?,
-            saturated: cell_bool(saturated)?,
-        })
-    }
-}
-
-impl CheckpointRow for WorkloadRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, workload, rpc, rtt, epr, total] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            workload: ApplicationModel::from_name(cell_str(workload)?)?,
-            requests_per_cycle: cell_f64(rpc)?,
-            average_round_trip_cycles: cell_f64(rtt)?,
-            energy_per_request_pj: cell_f64(epr)?,
-            total_energy_pj: cell_f64(total)?,
-        })
-    }
-}
-
-impl CheckpointRow for PowerGateRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [fraction, gated, edp, norm, rtt] = cells else {
-            return None;
-        };
-        Some(Self {
-            gated_fraction: cell_f64(fraction)?,
-            gated_nodes: cell_usize(gated)?,
-            energy_delay_product: cell_f64(edp)?,
-            normalized_edp: cell_f64(norm)?,
-            average_round_trip_cycles: cell_f64(rtt)?,
-        })
     }
 }
 
 impl CheckpointRow for BisectionBandwidth {
     fn to_cells(&self) -> Vec<Value> {
         vec![
-            self.minimum.into(),
-            self.average.into(),
-            self.samples.into(),
+            self.minimum.to_cell(),
+            self.average.to_cell(),
+            self.samples.to_cell(),
         ]
     }
     fn from_cells(cells: &[Value]) -> Option<Self> {
@@ -216,74 +95,9 @@ impl CheckpointRow for BisectionBandwidth {
             return None;
         };
         Some(Self {
-            minimum: cell_u64(minimum)?,
-            average: cell_f64(average)?,
-            samples: cell_usize(samples)?,
-        })
-    }
-}
-
-impl CheckpointRow for FaultResilienceRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, links, routers, link_ev, router_ev, injected, completed, dropped, ratio, rtt] =
-            cells
-        else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            links_per_wave: cell_usize(links)?,
-            routers_per_wave: cell_usize(routers)?,
-            link_down_events: cell_u64(link_ev)?,
-            router_down_events: cell_u64(router_ev)?,
-            injected: cell_u64(injected)?,
-            completed_requests: cell_u64(completed)?,
-            dropped_packets: cell_u64(dropped)?,
-            completion_ratio: cell_f64(ratio)?,
-            average_round_trip_cycles: cell_f64(rtt)?,
-        })
-    }
-}
-
-impl CheckpointRow for MegasweepRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, rate, seed, latency, throughput, saturated] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            injection_rate: cell_f64(rate)?,
-            seed: cell_u64(seed)?,
-            average_latency_cycles: cell_f64(latency)?,
-            accepted_throughput: cell_f64(throughput)?,
-            saturated: cell_bool(saturated)?,
-        })
-    }
-}
-
-impl CheckpointRow for crate::experiments::ConfigurationRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, ports, links, radix, reconf] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            router_ports: cell_usize(ports)?,
-            links: cell_usize(links)?,
-            requires_high_radix: cell_bool(radix)?,
-            supports_reconfiguration: cell_bool(reconf)?,
+            minimum: Cell::from_cell(minimum)?,
+            average: Cell::from_cell(average)?,
+            samples: Cell::from_cell(samples)?,
         })
     }
 }
@@ -295,15 +109,6 @@ impl CheckpointRow for crate::experiments::ConfigurationRow {
 /// The build-once topology cache studies share: `(design, nodes, seed)` →
 /// generated [`NetworkInstance`].
 pub type TopologyCache = BuildCache<(TopologyKind, usize, u64), NetworkInstance>;
-
-/// Where a study's result table is written after the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Emitter {
-    /// Write the table's CSV form to this path.
-    Csv(PathBuf),
-    /// Write the table's JSON form to this path.
-    Json(PathBuf),
-}
 
 /// Everything a study runs inside: worker pool, topology cache, scale
 /// policy, artifact emitters, and the optional checkpoint journal.
@@ -325,9 +130,8 @@ pub struct RunContext {
     quick: bool,
     scale_override: Option<ExperimentScale>,
     cache: Option<Arc<TopologyCache>>,
-    emitters: Vec<Emitter>,
+    emitters: Vec<(Format, PathBuf)>,
     checkpoint_path: Option<PathBuf>,
-    max_journal_bytes: Option<u64>,
     telemetry: Option<PathBuf>,
     telemetry_every: Option<u64>,
     journal: OnceLock<Journal>,
@@ -352,7 +156,6 @@ impl RunContext {
             cache: None,
             emitters: Vec::new(),
             checkpoint_path: None,
-            max_journal_bytes: None,
             telemetry: None,
             telemetry_every: None,
             journal: OnceLock::new(),
@@ -393,14 +196,14 @@ impl RunContext {
     /// Adds a CSV emitter for the study's result table.
     #[must_use]
     pub fn with_csv(mut self, path: impl Into<PathBuf>) -> Self {
-        self.emitters.push(Emitter::Csv(path.into()));
+        self.emitters.push((Format::Csv, path.into()));
         self
     }
 
     /// Adds a JSON emitter for the study's result table.
     #[must_use]
     pub fn with_json(mut self, path: impl Into<PathBuf>) -> Self {
-        self.emitters.push(Emitter::Json(path.into()));
+        self.emitters.push((Format::Json, path.into()));
         self
     }
 
@@ -411,17 +214,6 @@ impl RunContext {
     #[must_use]
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Caps the checkpoint journal's append log: once it outgrows `bytes`,
-    /// it is compacted in place to a kill-safe snapshot (and an oversized
-    /// journal found on resume is compacted before the run continues). The
-    /// cap changes only disk usage, never output bytes, so it is — like the
-    /// worker count — excluded from the resume fingerprint.
-    #[must_use]
-    pub fn with_max_journal_bytes(mut self, bytes: u64) -> Self {
-        self.max_journal_bytes = Some(bytes);
         self
     }
 
@@ -533,24 +325,9 @@ impl RunContext {
         if let Some(journal) = self.journal.get() {
             return Ok(journal.restored_count());
         }
-        let journal =
-            Journal::open_with_limit(path, fingerprint, self.max_journal_bytes).map_err(|e| {
-                SfError::Simulation {
-                    reason: format!("cannot open checkpoint journal {}: {e}", path.display()),
-                }
-            })?;
-        // An interrupted mega-sweep can leave a log far past the cap; settle
-        // it to a snapshot before appending more.
-        let compacted = journal.maybe_compact().map_err(|e| SfError::Simulation {
-            reason: format!("cannot compact checkpoint journal {}: {e}", path.display()),
+        let journal = Journal::open(path, fingerprint).map_err(|e| SfError::Simulation {
+            reason: format!("cannot open checkpoint journal {}: {e}", path.display()),
         })?;
-        if compacted {
-            sf_obs::progress::Progress::global().note(&format!(
-                "# compacted checkpoint journal {} to {} byte(s)",
-                path.display(),
-                journal.len_bytes()
-            ));
-        }
         let restored = journal.restored_count();
         let _ = self.journal.set(journal);
         Ok(restored)
@@ -564,234 +341,89 @@ impl RunContext {
         self.journal.get()
     }
 
-    /// Runs one streaming sweep of `points` through the worker pool,
-    /// delivering each completed row to `on_row` **in enumeration order**
-    /// without collecting the rows — **the** single execution path every
-    /// study driver uses (the collecting [`run_jobs`](Self::run_jobs) is a
-    /// thin wrapper). This is the bounded-memory pipeline: points stream in
-    /// from the iterator, rows stream out through the callback, and the
-    /// engine only buffers the out-of-order window, so a million-point
-    /// mega-sweep peaks at `O(workers × chunk)` memory.
+    /// Runs `job` over every point through the worker pool and returns the
+    /// rows in enumeration order — **the** single execution path every
+    /// study driver uses, over [`sf_harness::sweep::run`].
     ///
     /// With a checkpoint journal open, jobs completed by a previous
-    /// interrupted run are restored from the journal instead of recomputed
-    /// (and still flow through `on_row` in order), and every newly completed
-    /// job is journalled (and flushed) before its row is delivered — which
-    /// is what makes `kill -9` at any point resumable with bit-identical
-    /// final output. Returns the number of rows delivered.
+    /// interrupted run are restored from the journal instead of recomputed,
+    /// and every newly completed job is journalled (and flushed) before its
+    /// row is delivered — which is what makes `kill -9` at any point
+    /// resumable with bit-identical final output.
     ///
     /// # Errors
     ///
     /// Returns the lowest-indexed job error (panics inside a job surface as
-    /// [`SfError::Simulation`] tagged with the job index) or the first error
-    /// `on_row` returned. The first error **cancels the sweep**: no further
-    /// points are pulled, so a failed mega-sweep stops within the in-flight
-    /// window instead of computing the rest of its grid.
-    pub fn run_jobs_streaming<I, P, R, F, S>(
-        &self,
-        points: I,
-        job: F,
-        mut on_row: S,
-    ) -> SfResult<usize>
+    /// [`SfError::Simulation`] tagged with the job index). The first error
+    /// cancels the sweep: no further points are started.
+    pub fn run_jobs<P, R, F>(&self, points: Vec<P>, job: F) -> SfResult<Vec<R>>
     where
-        I: IntoIterator<Item = P>,
-        I::IntoIter: ExactSizeIterator + Send,
         P: Send,
         R: CheckpointRow + Send,
-        F: Fn(JobCtx, &P) -> SfResult<R> + Sync,
-        S: FnMut(usize, R) -> SfResult<()> + Send,
+        F: Fn(P) -> SfResult<R> + Sync,
     {
         let seq = self.sweep_seq.fetch_add(1, Ordering::Relaxed);
         let journal = self.journal.get();
-        let mut failure: Option<SfError> = None;
-        let mut delivered = 0usize;
-        let points = points.into_iter();
         let progress = sf_obs::progress::Progress::global();
         progress.start_sweep(points.len());
-        LazySweep::new(points).run_streaming(
+        let mut rows = Vec::with_capacity(points.len());
+        let result = sweep::run(
             &self.pool,
-            |jctx, point| {
+            points,
+            |index, point| {
                 // Telemetry blocks this job's simulations submit are keyed
                 // by (sweep, job index) so the collector can write them in
                 // enumeration order, whatever worker ran the job.
-                let _telemetry_scope = sf_obs::telemetry::job_scope(seq, jctx.index as u64);
-                if let Some(journal) = journal {
-                    if let Some(cells) = journal.restored(seq, jctx.index as u64) {
-                        if let Some(row) = R::from_cells(cells) {
-                            return Ok(row);
-                        }
-                    }
+                let _telemetry_scope = sf_obs::telemetry::job_scope(seq, index as u64);
+                let restored = journal.and_then(|j| j.restored(seq, index as u64));
+                if let Some(row) = restored.and_then(R::from_cells) {
+                    return Ok(row);
                 }
-                let row = job(jctx, point)?;
+                let row = job(point)?;
                 if let Some(journal) = journal {
                     journal
-                        .record(seq, jctx.index as u64, &row.to_cells())
+                        .record(seq, index as u64, &row.to_cells())
                         .map_err(|e| SfError::Simulation {
                             reason: format!("checkpoint journal write failed: {e}"),
                         })?;
                 }
                 Ok(row)
             },
-            |outcome| {
-                // Ordered delivery means the first failure seen is the
-                // lowest-indexed one — the error the old serial loops
-                // surfaced. Returning false cancels the sweep, so a failed
-                // mega-sweep stops instead of running the rest of its grid.
-                match outcome.result {
-                    Ok(row) => match on_row(outcome.index, row) {
-                        Ok(()) => {
-                            delivered += 1;
-                            // This callback runs in enumeration order, so
-                            // flushing parked telemetry here pins the
-                            // stream's block order to the job order.
-                            sf_obs::telemetry::Collector::global()
-                                .deliver_through(seq, outcome.index as u64);
-                            progress.tick(1, 1);
-                            true
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            false
-                        }
-                    },
-                    Err(SweepError::Job(e)) => {
-                        failure = Some(e);
-                        false
-                    }
-                    Err(SweepError::Panic(message)) => {
-                        failure = Some(SfError::Simulation {
-                            reason: format!("experiment job {} panicked: {message}", outcome.index),
-                        });
-                        false
-                    }
-                }
+            |index, row| {
+                rows.push(row);
+                // Rows arrive in enumeration order, so flushing parked
+                // telemetry here pins the stream's block order to the job
+                // order.
+                sf_obs::telemetry::Collector::global().deliver_through(seq, index as u64);
+                progress.tick(1, 1);
             },
         );
         progress.finish_sweep();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(delivered),
+        match result {
+            Ok(()) => Ok(rows),
+            Err((_, SweepError::Job(e))) => Err(e),
+            Err((index, SweepError::Panic(message))) => Err(SfError::Simulation {
+                reason: format!("experiment job {index} panicked: {message}"),
+            }),
         }
     }
 
-    /// [`run_jobs_streaming`](Self::run_jobs_streaming) collecting the rows
-    /// into a `Vec` — the path for studies whose grids are small enough to
-    /// hold (every `Vec<P>` also streams through here, which keeps old
-    /// drivers compiling unchanged).
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed job error; panics inside a job surface as
-    /// [`SfError::Simulation`] tagged with the job index.
-    pub fn run_jobs<I, P, R, F>(&self, points: I, job: F) -> SfResult<Vec<R>>
-    where
-        I: IntoIterator<Item = P>,
-        I::IntoIter: ExactSizeIterator + Send,
-        P: Send,
-        R: CheckpointRow + Send,
-        F: Fn(JobCtx, &P) -> SfResult<R> + Sync,
-    {
-        let mut rows = Vec::new();
-        self.run_jobs_streaming(points, job, |_, row| {
-            rows.push(row);
-            Ok(())
-        })?;
-        Ok(rows)
-    }
-
-    /// Opens one streaming [`RowSink`] per configured emitter, all sharing
-    /// `columns` — the artifact end of the bounded-memory pipeline. With no
-    /// emitters configured the stream is an empty no-op.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces filesystem failures as [`SfError::Simulation`].
-    pub fn open_row_stream<S: AsRef<str>>(&self, columns: &[S]) -> SfResult<RowStream> {
-        let mut sinks = Vec::with_capacity(self.emitters.len());
-        for emitter in &self.emitters {
-            let (path, sink) = match emitter {
-                Emitter::Csv(path) => (path, RowSink::csv(path, columns)),
-                Emitter::Json(path) => (path, RowSink::json(path, columns)),
-            };
-            sinks.push(sink.map_err(|e| SfError::Simulation {
-                reason: format!("cannot open artifact {}: {e}", path.display()),
-            })?);
-        }
-        Ok(RowStream { sinks })
-    }
-
-    /// Writes `table` through every configured emitter — the post-hoc path
-    /// for studies that aggregate before emitting. Runs over the same
-    /// streaming sinks as [`open_row_stream`](Self::open_row_stream), so
-    /// both paths produce identical bytes.
+    /// Publishes `table` through every configured emitter, each artifact
+    /// atomically (written to `<path>.part`, then renamed into place).
     ///
     /// # Errors
     ///
     /// Surfaces filesystem failures as [`SfError::Simulation`].
     pub fn emit(&self, table: &Table) -> SfResult<()> {
-        let mut stream = self.open_row_stream(&table.columns)?;
-        for row in &table.rows {
-            stream.push(row)?;
-        }
-        stream.finish()
-    }
-}
-
-/// The artifact end of a streaming run: every pushed row goes to each of the
-/// context's emitters incrementally, and [`finish`](Self::finish) finalises
-/// all artifacts atomically. Created by
-/// [`RunContext::open_row_stream`]; dropping without `finish` discards the
-/// partial artifacts and leaves the destinations untouched.
-#[derive(Debug)]
-pub struct RowStream {
-    sinks: Vec<RowSink>,
-}
-
-impl RowStream {
-    /// Appends one row to every open sink.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces filesystem failures as [`SfError::Simulation`].
-    pub fn push(&mut self, cells: &[Value]) -> SfResult<()> {
-        for sink in &mut self.sinks {
-            // Error context is formatted only on failure — push runs once
-            // per row per sink inside the serialised emit section, so the
-            // success path must not allocate.
-            if let Err(e) = sink.push(cells) {
-                return Err(SfError::Simulation {
-                    reason: format!("cannot write artifact {}: {e}", sink.path().display()),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of sinks this stream writes to.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether the stream has no sinks (no emitters configured).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-
-    /// Finalises and atomically publishes every artifact.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces filesystem failures as [`SfError::Simulation`].
-    pub fn finish(self) -> SfResult<()> {
-        for sink in self.sinks {
-            let path = sink.path().display().to_string();
-            let rows = sink.rows();
-            sink.finish().map_err(|e| SfError::Simulation {
-                reason: format!("cannot write artifact {path}: {e}"),
+        for (format, path) in &self.emitters {
+            sink::publish(path, table, *format).map_err(|e| SfError::Simulation {
+                reason: format!("cannot write artifact {}: {e}", path.display()),
             })?;
-            sf_obs::progress::Progress::global().note(&format!("# wrote {path} ({rows} rows)"));
+            sf_obs::progress::Progress::global().note(&format!(
+                "# wrote {} ({} rows)",
+                path.display(),
+                table.len()
+            ));
         }
         Ok(())
     }
@@ -802,7 +434,7 @@ impl RowStream {
 // ---------------------------------------------------------------------------
 
 /// The parameter grid a study will sweep at a given scale: named axes and
-/// their point counts, enumerable lazily in row-major order.
+/// their point counts, outermost axis first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyGrid {
     /// `(axis name, point count)` pairs, outermost axis first.
@@ -820,27 +452,6 @@ impl StudyGrid {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.axes.iter().map(|(_, n)| *n).product()
-    }
-
-    /// Streams every grid point as per-axis indices (row-major, outermost
-    /// axis first) without materialising the grid.
-    pub fn points(&self) -> impl ExactSizeIterator<Item = Vec<usize>> + Send + '_ {
-        let sizes: Vec<usize> = self.axes.iter().map(|(_, n)| *n).collect();
-        (0..self.jobs()).map(move |mut flat| {
-            let mut coords = vec![0usize; sizes.len()];
-            for (slot, &size) in coords.iter_mut().zip(&sizes).rev() {
-                *slot = flat % size.max(1);
-                flat /= size.max(1);
-            }
-            coords
-        })
-    }
-
-    /// The grid as a streaming [`LazySweep`] over its points — the shape a
-    /// million-point mega-sweep runs in.
-    #[must_use]
-    pub fn lazy_sweep(&self) -> LazySweep<impl ExactSizeIterator<Item = Vec<usize>> + Send + '_> {
-        LazySweep::new(self.points())
     }
 }
 
@@ -875,14 +486,6 @@ pub trait Study: Send + Sync {
     ///
     /// Propagates construction, workload, and simulation errors.
     fn run(&self, ctx: &RunContext) -> SfResult<Table>;
-
-    /// Whether [`run`](Self::run) streams its rows straight to the context's
-    /// emitters while the sweep executes, returning only a summary table —
-    /// the shape mega-sweeps take, whose row sets must never be collected.
-    /// [`execute`] then skips the post-hoc emission of the returned table.
-    fn streams_rows(&self) -> bool {
-        false
-    }
 
     /// Prints any extra derived tables the old binary showed on stdout
     /// (normalised figures, feature matrices). Default: nothing.
@@ -982,19 +585,14 @@ fn execute_inner(study: &dyn Study, ctx: &RunContext) -> SfResult<Table> {
         ));
     }
     let table = study.run(ctx)?;
-    // Streaming studies already wrote their artifacts row by row; emitting
-    // the summary table over them would clobber the real rows.
-    if !study.streams_rows() {
-        ctx.emit(&table)?;
-    }
+    ctx.emit(&table)?;
     if let Some(journal) = ctx.journal() {
         // Journal health — reported before the (successful) run deletes it.
         progress.note(&format!(
-            "# journal {}: {} byte(s), {} job(s) restored, {} compaction(s)",
+            "# journal {}: {} byte(s), {} job(s) restored",
             journal.path().display(),
             journal.len_bytes(),
             journal.restored_count(),
-            journal.compactions(),
         ));
         journal.finish().map_err(|e| SfError::Simulation {
             reason: format!("cannot remove checkpoint journal: {e}"),
@@ -1054,7 +652,6 @@ impl StudyRegistry {
         registry.register(Box::new(FaultResilience));
         registry.register(Box::new(AdversarialSaturation));
         registry.register(Box::new(Scaleout2048));
-        registry.register(Box::new(Megasweep));
         registry
     }
 
@@ -1146,15 +743,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 #[must_use]
 pub fn fmt_f(value: f64) -> String {
     format!("{value:.3}")
-}
-
-/// Formats an optional percentage (used for saturation points).
-#[must_use]
-pub fn fmt_percent(value: Option<f64>) -> String {
-    match value {
-        Some(v) => format!("{v:.0}%"),
-        None => "saturated".to_string(),
-    }
 }
 
 /// Renders one table cell for terminal display (floats at three decimals).
@@ -1635,7 +1223,7 @@ impl Fig12Workloads {
                 matches!(&row[0], Value::Str(k) if k == kind.name())
                     && matches!(&row[1], Value::Str(w) if w == workload)
             })
-            .and_then(|row| cell_f64(&row[col]))
+            .and_then(|row| f64::from_cell(&row[col]))
     }
 }
 
@@ -1969,79 +1557,6 @@ impl Study for Scaleout2048 {
     }
 }
 
-/// Scenario: the streaming mega-sweep — design × size × injection rate ×
-/// topology seed at ~10⁵ quick-capped points full-scale. The only study
-/// that exists *because of* the bounded-memory pipeline: its grid streams
-/// through the lazy cross product, its rows stream to the emitters, and its
-/// `run` returns only a per-design summary.
-#[derive(Debug, Clone, Copy)]
-pub struct Megasweep;
-
-impl Megasweep {
-    #[allow(clippy::type_complexity)]
-    fn params(
-        ctx: &RunContext,
-    ) -> (
-        Vec<TopologyKind>,
-        Vec<usize>,
-        Vec<f64>,
-        u64,
-        ExperimentScale,
-    ) {
-        let (kinds, sizes, rates, seeds) = if ctx.is_quick() {
-            (
-                vec![TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-                vec![16, 32],
-                vec![0.05, 0.2, 0.4],
-                2,
-            )
-        } else {
-            (
-                TopologyKind::ALL.to_vec(),
-                vec![16, 32, 48, 64, 96, 128],
-                (1..=20).map(|i| f64::from(i) * 0.045).collect(),
-                150,
-            )
-        };
-        // Every point is quick-capped: the sweep's scale comes from its
-        // breadth (~10^5 points full-scale), not from long simulations.
-        let scale = ctx.scale(ExperimentScale::quick());
-        (kinds, sizes, rates, seeds, scale)
-    }
-}
-
-impl Study for Megasweep {
-    fn name(&self) -> &'static str {
-        "megasweep"
-    }
-    fn artefact(&self) -> &'static str {
-        "Scenario: streaming mega-sweep"
-    }
-    fn description(&self) -> &'static str {
-        "bounded-memory design-space sweep over design x size x injection rate x seed; rows stream to the emitters"
-    }
-    fn driver(&self) -> &'static str {
-        "megasweep_study_with_ctx"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        let (kinds, sizes, rates, seeds, _) = Self::params(ctx);
-        StudyGrid::new(vec![
-            ("design", kinds.len()),
-            ("nodes", sizes.len()),
-            ("injection rate", rates.len()),
-            ("topology seed", seeds as usize),
-        ])
-    }
-    fn streams_rows(&self) -> bool {
-        true
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (kinds, sizes, rates, seeds, scale) = Self::params(ctx);
-        let summary = megasweep_study_with_ctx(ctx, &kinds, &sizes, &rates, seeds, scale)?;
-        Ok(Table::from_records(&summary))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2079,8 +1594,7 @@ mod tests {
             vec![
                 "fault_resilience",
                 "adversarial_saturation",
-                "scaleout_2048",
-                "megasweep"
+                "scaleout_2048"
             ]
         );
         for study in extended.iter() {
@@ -2118,14 +1632,6 @@ mod tests {
                 "{} quick grid must not exceed full",
                 study.name()
             );
-            // The streaming enumeration visits every point exactly once.
-            let points: Vec<Vec<usize>> = grid.points().collect();
-            assert_eq!(points.len(), grid.jobs());
-            assert_eq!(points.first().unwrap(), &vec![0; grid.axes.len()]);
-            let report = grid.lazy_sweep().run(&PoolConfig::serial(), |_, p| {
-                Ok::<usize, std::convert::Infallible>(p.len())
-            });
-            assert_eq!(report.outcomes.len(), grid.jobs());
         }
     }
 
@@ -2134,7 +1640,7 @@ mod tests {
         let path = temp_journal("resume");
         let _ = std::fs::remove_file(&path);
         let points: Vec<u64> = (0..12).collect();
-        let job = |_: JobCtx, &n: &u64| Ok(n as f64 * 0.1 + 0.7);
+        let job = |n: u64| Ok(n as f64 * 0.1 + 0.7);
 
         // Reference: uninterrupted, no checkpointing.
         let reference: Vec<f64> = RunContext::new()
@@ -2148,13 +1654,13 @@ mod tests {
             .with_checkpoint(&path);
         interrupted.resume_checkpoint(99).unwrap();
         let done = AtomicUsize::new(0);
-        let result: SfResult<Vec<f64>> = interrupted.run_jobs(points.clone(), |ctx, n| {
+        let result: SfResult<Vec<f64>> = interrupted.run_jobs(points.clone(), |n| {
             if done.fetch_add(1, Ordering::SeqCst) >= 5 {
                 return Err(SfError::Simulation {
                     reason: "killed".into(),
                 });
             }
-            job(ctx, n)
+            job(n)
         });
         assert!(result.is_err());
         assert!(path.exists(), "journal must survive the failed run");
@@ -2166,10 +1672,10 @@ mod tests {
         assert_eq!(resumed_ctx.resume_checkpoint(99).unwrap(), 5);
         let executed = AtomicUsize::new(0);
         let resumed: Vec<f64> = resumed_ctx
-            .run_jobs(points.clone(), |ctx, n| {
-                assert!(ctx.index >= 5, "restored job {} recomputed", ctx.index);
+            .run_jobs(points.clone(), |n| {
+                assert!(n >= 5, "restored job {n} recomputed");
                 executed.fetch_add(1, Ordering::SeqCst);
-                job(ctx, n)
+                job(n)
             })
             .unwrap();
         assert_eq!(executed.load(Ordering::SeqCst), points.len() - 5);
@@ -2185,9 +1691,7 @@ mod tests {
             .with_pool(PoolConfig::serial())
             .with_checkpoint(&path);
         ctx.resume_checkpoint(1).unwrap();
-        let _rows: Vec<f64> = ctx
-            .run_jobs(vec![1u64, 2, 3], |_, &n| Ok(n as f64))
-            .unwrap();
+        let _rows: Vec<f64> = ctx.run_jobs(vec![1u64, 2, 3], |n| Ok(n as f64)).unwrap();
 
         let other = RunContext::new()
             .with_pool(PoolConfig::serial())
@@ -2204,9 +1708,9 @@ mod tests {
             .with_pool(PoolConfig::serial())
             .with_checkpoint(&path);
         ctx.resume_checkpoint(7).unwrap();
-        let a: Vec<f64> = ctx.run_jobs(vec![0u64, 1], |_, &n| Ok(n as f64)).unwrap();
+        let a: Vec<f64> = ctx.run_jobs(vec![0u64, 1], |n| Ok(n as f64)).unwrap();
         let b: Vec<f64> = ctx
-            .run_jobs(vec![0u64, 1], |_, &n| Ok(n as f64 + 10.0))
+            .run_jobs(vec![0u64, 1], |n| Ok(n as f64 + 10.0))
             .unwrap();
 
         // A resumed context replays both sweeps from the journal without
@@ -2216,12 +1720,12 @@ mod tests {
             .with_checkpoint(&path);
         assert_eq!(resumed.resume_checkpoint(7).unwrap(), 4);
         let a2: Vec<f64> = resumed
-            .run_jobs(vec![0u64, 1], |_, _| {
+            .run_jobs(vec![0u64, 1], |_| -> SfResult<f64> {
                 panic!("first sweep should be fully restored")
             })
             .unwrap();
         let b2: Vec<f64> = resumed
-            .run_jobs(vec![0u64, 1], |_, _| {
+            .run_jobs(vec![0u64, 1], |_| -> SfResult<f64> {
                 panic!("second sweep should be fully restored")
             })
             .unwrap();
@@ -2230,43 +1734,89 @@ mod tests {
         resumed.journal().unwrap().finish().unwrap();
     }
 
+    /// Encodes `row`, demands the exact row back, and checks the decode
+    /// refuses a cell too many, a cell too few and a wrong-typed cell.
+    fn assert_round_trip<R: CheckpointRow + PartialEq + std::fmt::Debug>(row: &R) {
+        let cells = row.to_cells();
+        assert_eq!(R::from_cells(&cells).as_ref(), Some(row));
+        let mut longer = cells.clone();
+        longer.push(Value::Null);
+        assert!(R::from_cells(&longer).is_none(), "{row:?}: extra cell");
+        assert!(
+            R::from_cells(&cells[..cells.len() - 1]).is_none(),
+            "{row:?}: missing cell"
+        );
+        let mut wrong = cells;
+        wrong[0] = Value::Bool(true);
+        assert!(R::from_cells(&wrong).is_none(), "{row:?}: wrong type");
+    }
+
     #[test]
     fn checkpoint_rows_round_trip_through_cells() {
-        let hop = HopCountRow {
+        use crate::experiments::{
+            BisectionRow, ConfigurationRow, FaultResilienceRow, HopCountRow, SaturationRow,
+            SurgRow, WorkloadRow,
+        };
+        // 0.1 + 0.2 is the float whose shortest round-trip text has 17
+        // significant digits.
+        let odd = 0.1 + 0.2;
+        assert_round_trip(&SurgRow {
+            nodes: 400,
+            jellyfish: odd,
+            s2: 3.25,
+            string_figure: 1.0 / 3.0,
+        });
+        assert_round_trip(&HopCountRow {
             kind: TopologyKind::StringFigure,
             nodes: 128,
             average_shortest_path: 3.25,
-            average_routed_hops: 0.1 + 0.2,
+            average_routed_hops: odd,
             router_ports: 8,
-        };
-        assert_eq!(HopCountRow::from_cells(&hop.to_cells()).unwrap(), hop);
-
-        let sat = SaturationRow {
-            kind: TopologyKind::DistributedMesh,
-            nodes: 64,
-            pattern: SyntheticPattern::Tornado,
-            saturation_percent: None,
-        };
-        assert_eq!(SaturationRow::from_cells(&sat.to_cells()).unwrap(), sat);
-
-        let gate = PowerGateRow {
+        });
+        for saturation_percent in [None, Some(20.0)] {
+            assert_round_trip(&SaturationRow {
+                kind: TopologyKind::DistributedMesh,
+                nodes: 64,
+                pattern: SyntheticPattern::HotspotStorm,
+                saturation_percent,
+            });
+        }
+        assert_round_trip(&LatencyPoint {
+            injection_rate: 0.05,
+            average_latency_cycles: odd,
+            accepted_throughput: 0.0425,
+            saturated: true,
+        });
+        assert_round_trip(&WorkloadRow {
+            kind: TopologyKind::AdaptedFlattenedButterfly,
+            workload: ApplicationModel::Redis,
+            requests_per_cycle: odd,
+            average_round_trip_cycles: 24.5,
+            energy_per_request_pj: 1.5e9,
+            total_energy_pj: 0.0,
+        });
+        assert_round_trip(&PowerGateRow {
             gated_fraction: 0.3,
             gated_nodes: 19,
             energy_delay_product: 1.5e9,
-            normalized_edp: 0.0,
+            normalized_edp: odd,
             average_round_trip_cycles: 24.5,
-        };
-        assert_eq!(PowerGateRow::from_cells(&gate.to_cells()).unwrap(), gate);
-
-        let bb = BisectionBandwidth {
+        });
+        assert_round_trip(&BisectionRow {
+            kind: TopologyKind::Jellyfish,
+            nodes: 64,
             minimum: 50,
-            average: 59.333,
-            samples: 10,
-        };
-        assert_eq!(BisectionBandwidth::from_cells(&bb.to_cells()).unwrap(), bb);
-        assert!(HopCountRow::from_cells(&[Value::Null]).is_none());
-
-        let fault = FaultResilienceRow {
+            average: odd,
+        });
+        assert_round_trip(&ConfigurationRow {
+            kind: TopologyKind::FlattenedButterfly,
+            nodes: 1296,
+            router_ports: 70,
+            links: 45_360,
+            requires_high_radix: true,
+            supports_reconfiguration: false,
+        });
+        assert_round_trip(&FaultResilienceRow {
             kind: TopologyKind::StringFigure,
             nodes: 256,
             links_per_wave: 2,
@@ -2277,194 +1827,17 @@ mod tests {
             completed_requests: 12_001,
             dropped_packets: 98,
             completion_ratio: 12_001.0 / 12_345.0,
-            average_round_trip_cycles: 0.1 + 0.2,
-        };
-        assert_eq!(
-            FaultResilienceRow::from_cells(&fault.to_cells()).unwrap(),
-            fault
-        );
-        assert!(FaultResilienceRow::from_cells(&[Value::Null]).is_none());
-
-        let adversarial = SaturationRow {
-            kind: TopologyKind::StringFigure,
-            nodes: 128,
-            pattern: SyntheticPattern::HotspotStorm,
-            saturation_percent: Some(20.0),
-        };
-        assert_eq!(
-            SaturationRow::from_cells(&adversarial.to_cells()).unwrap(),
-            adversarial
-        );
-
-        let mega = MegasweepRow {
-            kind: TopologyKind::SpaceShuffle,
-            nodes: 96,
-            injection_rate: 0.315,
-            seed: 149,
-            average_latency_cycles: 0.1 + 0.2,
-            accepted_throughput: 0.0425,
-            saturated: true,
-        };
-        assert_eq!(MegasweepRow::from_cells(&mega.to_cells()).unwrap(), mega);
-        assert!(MegasweepRow::from_cells(&[Value::Null]).is_none());
-    }
-
-    #[test]
-    fn run_jobs_streaming_delivers_ordered_rows_without_collecting() {
-        // The bounded-memory acceptance check at the study layer: a
-        // 10^5+-point sweep runs through a sink that counts rows but never
-        // stores them (no Vec<P> or Vec<R> of grid size anywhere).
-        const POINTS: usize = 110_000;
-        let ctx = RunContext::new().with_pool(PoolConfig::threads(4).with_chunk(64));
-        let mut rows = 0usize;
-        let mut last_index = None;
-        let delivered = ctx
-            .run_jobs_streaming(
-                (0..POINTS).map(|i| i as u64),
-                |_, &n| Ok(n as f64 * 0.5),
-                |index, row| {
-                    assert_eq!(
-                        Some(index),
-                        last_index.map_or(Some(0), |i: usize| Some(i + 1))
-                    );
-                    assert!((row - index as f64 * 0.5).abs() < 1e-12);
-                    last_index = Some(index);
-                    rows += 1;
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert_eq!(delivered, POINTS);
-        assert_eq!(rows, POINTS);
-    }
-
-    #[test]
-    fn streaming_sink_errors_abort_the_run() {
-        let ctx = RunContext::new().with_pool(PoolConfig::serial());
-        let result = ctx.run_jobs_streaming(
-            vec![1u64, 2, 3],
-            |_, &n| Ok(n as f64),
-            |index, _row| {
-                if index == 1 {
-                    Err(SfError::Simulation {
-                        reason: "sink full".into(),
-                    })
-                } else {
-                    Ok(())
-                }
-            },
-        );
-        match result {
-            Err(SfError::Simulation { reason }) => assert_eq!(reason, "sink full"),
-            other => panic!("unexpected: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn megasweep_streams_rows_and_resumes_bit_identically() {
-        let pid = std::process::id();
-        let dir = std::env::temp_dir();
-        let clean_csv = dir.join(format!("sf-megasweep-clean-{pid}.csv"));
-        let resumed_csv = dir.join(format!("sf-megasweep-resumed-{pid}.csv"));
-        let journal = dir.join(format!("sf-megasweep-{pid}.journal"));
-        for p in [&clean_csv, &resumed_csv, &journal] {
-            let _ = std::fs::remove_file(p);
-        }
-        let registry = StudyRegistry::extended();
-        let study = registry.get("megasweep").unwrap();
-        assert!(study.streams_rows());
-
-        // Reference: uninterrupted streaming run.
-        let clean_ctx = RunContext::new()
-            .quick(true)
-            .with_pool(PoolConfig::serial())
-            .with_csv(&clean_csv);
-        let summary = execute(study, &clean_ctx).unwrap();
-        // The returned table is the per-design summary, NOT the row stream:
-        // the CSV has one line per sweep point (plus header).
-        let clean = std::fs::read_to_string(&clean_csv).unwrap();
-        assert_eq!(clean.lines().count(), study.grid(&clean_ctx).jobs() + 1);
-        assert_eq!(summary.len(), 2, "one summary row per quick design");
-
-        // Interrupted run with a tiny journal cap: dies mid-sweep, leaving a
-        // (compacted) journal and no finished artifact.
-        let first = RunContext::new()
-            .quick(true)
-            .with_pool(PoolConfig::serial())
-            .with_csv(&resumed_csv)
-            .with_checkpoint(&journal)
-            .with_max_journal_bytes(160);
-        first
-            .resume_checkpoint(study_fingerprint(study, &first))
-            .unwrap();
-        let killed = AtomicUsize::new(0);
-        let result = first.run_jobs_streaming(
-            vec![0usize; study.grid(&first).jobs()],
-            |jctx, _| {
-                if killed.fetch_add(1, Ordering::SeqCst) >= 7 {
-                    return Err(SfError::Simulation {
-                        reason: "killed".into(),
-                    });
-                }
-                // Mirror the megasweep job exactly so the journal entries
-                // it leaves behind are valid for the real resumed run.
-                let (kinds, sizes, rates, seeds, scale) = Megasweep::params(&first);
-                let per_kind = sizes.len() * rates.len() * seeds as usize;
-                let kind = kinds[jctx.index / per_kind];
-                let rest = jctx.index % per_kind;
-                let nodes = sizes[rest / (rates.len() * seeds as usize)];
-                let rest = rest % (rates.len() * seeds as usize);
-                let rate = rates[rest / seeds as usize];
-                let seed = (rest % seeds as usize) as u64;
-                let instance = first.instance(kind, nodes, seed + 1).unwrap();
-                let stats = crate::experiments::run_pattern_on(
-                    &instance,
-                    SyntheticPattern::UniformRandom,
-                    rate,
-                    scale,
-                    seed,
-                )
-                .unwrap();
-                let measured = (scale.max_cycles - scale.warmup_cycles).max(1);
-                Ok(MegasweepRow {
-                    kind,
-                    nodes,
-                    injection_rate: rate,
-                    seed,
-                    average_latency_cycles: stats.average_latency_cycles(),
-                    accepted_throughput: stats.accepted_throughput(measured),
-                    saturated: stats.is_saturated(),
-                })
-            },
-            |_, _| Ok(()),
-        );
-        assert!(result.is_err());
-        assert!(journal.exists(), "journal must survive the killed run");
-        assert!(
-            first.journal().unwrap().compactions() >= 1,
-            "the tiny cap must have forced a compaction mid-run"
-        );
-        assert!(
-            !resumed_csv.exists(),
-            "no artifact may appear before a run finishes"
-        );
-
-        // Resume through the real execute path: restores the journalled
-        // jobs (from a compacted snapshot), computes the rest, and the CSV
-        // bytes must equal the uninterrupted run's.
-        let resumed_ctx = RunContext::new()
-            .quick(true)
-            .with_pool(PoolConfig::threads(3).with_chunk(2))
-            .with_csv(&resumed_csv)
-            .with_checkpoint(&journal)
-            .with_max_journal_bytes(160);
-        let resumed_summary = execute(study, &resumed_ctx).unwrap();
-        assert_eq!(resumed_summary, summary);
-        assert_eq!(std::fs::read_to_string(&resumed_csv).unwrap(), clean);
-        assert!(!journal.exists(), "journal must be removed after success");
-        for p in [&clean_csv, &resumed_csv] {
-            std::fs::remove_file(p).unwrap();
-        }
+            average_round_trip_cycles: odd,
+        });
+        // The two job results that are not rows keep hand-written impls.
+        assert_round_trip(&BisectionBandwidth {
+            minimum: 50,
+            average: 59.333,
+            samples: 10,
+        });
+        assert_eq!(f64::from_cells(&odd.to_cells()), Some(odd));
+        assert!(f64::from_cells(&[]).is_none());
+        assert!(f64::from_cells(&[Value::UInt(1)]).is_none());
     }
 
     #[test]
@@ -2520,11 +1893,16 @@ mod tests {
     #[test]
     fn render_helpers_format_cells() {
         assert_eq!(fmt_f(1.23456), "1.235");
-        assert_eq!(fmt_percent(Some(62.0)), "62%");
-        assert_eq!(fmt_percent(None), "saturated");
         assert_eq!(render_cell(&Value::Float(2.0)), "2.000");
         assert_eq!(render_cell(&Value::Null), "-");
         assert_eq!(render_cell(&Value::Str("SF".into())), "SF");
         print_result_table(&Table::with_columns(&["a"]));
+        print_table(
+            &["a", "b"],
+            &[
+                vec!["1".to_string(), "2".to_string()],
+                vec!["33".to_string(), "4".to_string()],
+            ],
+        );
     }
 }

@@ -26,22 +26,9 @@
 //!   loader only trusts newline-terminated lines, which makes a torn final
 //!   write indistinguishable from "job never finished".
 //!
-//! ## Compaction
-//!
-//! A multi-gigabyte mega-sweep accumulates an append log far larger than its
-//! live state (duplicate keys from resumed runs, undecodable torn lines).
-//! [`Journal::compact`] rewrites the log as a **snapshot**: the same
-//! fingerprint-guarded format with a ` snapshot` marker appended to the
-//! header, holding exactly one line per live `(sweep, index)` key in sorted
-//! key order. The rewrite is kill-safe — the snapshot is written to a
-//! temporary sibling file, synced, then atomically renamed over the log, so
-//! a death at any instant leaves either the old log or the complete
-//! snapshot, never a torn hybrid. The loader accepts a snapshot anywhere it
-//! accepts the append log it replaced (same fingerprint rules), and appends
-//! continue after the snapshot lines. With a byte limit configured
-//! ([`Journal::open_with_limit`]), [`Journal::record`] auto-compacts when
-//! the log outgrows the limit (with a doubling guard so incompressible logs
-//! are not rewritten per append).
+//! A journal whose header carries anything after the fingerprint — such as
+//! the ` snapshot` marker older builds wrote when they compacted a log — is
+//! unusable: it is discarded and the run starts fresh, never misapplied.
 
 use crate::table::{decode_csv_line, encode_csv_line, Value};
 use std::collections::BTreeMap;
@@ -52,9 +39,6 @@ use std::sync::Mutex;
 
 /// Magic prefix of the journal header line.
 const HEADER_PREFIX: &str = "#sf-journal v1 fp=";
-
-/// Marker appended to the header of a compacted snapshot.
-const SNAPSHOT_SUFFIX: &str = " snapshot";
 
 /// FNV-1a hash over the given identity parts, separated by `\x1f` so part
 /// boundaries cannot collide. Used to stamp a journal with the run
@@ -83,26 +67,7 @@ where
 pub fn peek_fingerprint(path: &Path) -> Option<u64> {
     let text = std::fs::read_to_string(path).ok()?;
     let header = text.split_inclusive('\n').next()?.strip_suffix('\n')?;
-    let stamp = header.strip_prefix(HEADER_PREFIX)?;
-    let stamp = stamp.strip_suffix(SNAPSHOT_SUFFIX).unwrap_or(stamp);
-    u64::from_str_radix(stamp, 16).ok()
-}
-
-/// The append handle plus the byte accounting auto-compaction needs; one
-/// mutex so appends and compaction rewrites serialise.
-#[derive(Debug)]
-struct Writer {
-    file: File,
-    /// Bytes currently in the journal file (trusted prefix at open, plus
-    /// every append since).
-    bytes: u64,
-    /// Size of the file right after the last compaction (0 = never
-    /// compacted). Auto-compaction waits for the log to double past this,
-    /// so a log that is already mostly live state is not rewritten on every
-    /// append.
-    compacted_bytes: u64,
-    /// Number of compactions this handle has performed.
-    compactions: u64,
+    u64::from_str_radix(header.strip_prefix(HEADER_PREFIX)?, 16).ok()
 }
 
 /// An append-only record of completed sweep jobs, keyed by
@@ -110,15 +75,13 @@ struct Writer {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    fingerprint: u64,
-    max_bytes: Option<u64>,
     restored: BTreeMap<(u64, u64), Vec<Value>>,
-    writer: Mutex<Writer>,
+    file: Mutex<File>,
 }
 
 impl Journal {
     /// Opens (or creates) the journal at `path` for a run identified by
-    /// `fingerprint`, without an auto-compaction limit.
+    /// `fingerprint`.
     ///
     /// An existing file with a matching fingerprint has its complete lines
     /// loaded as restorable results; a missing, empty, corrupt, or
@@ -128,21 +91,6 @@ impl Journal {
     ///
     /// Propagates filesystem errors from opening or creating the file.
     pub fn open(path: impl Into<PathBuf>, fingerprint: u64) -> io::Result<Self> {
-        Self::open_with_limit(path, fingerprint, None)
-    }
-
-    /// [`open`](Self::open) with an auto-compaction byte limit: once the
-    /// append log exceeds `max_bytes`, [`record`](Self::record) compacts it
-    /// to a snapshot in place (see the module docs for the growth guard).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from opening or creating the file.
-    pub fn open_with_limit(
-        path: impl Into<PathBuf>,
-        fingerprint: u64,
-        max_bytes: Option<u64>,
-    ) -> io::Result<Self> {
         let path = path.into();
         let mut restored = BTreeMap::new();
         let mut valid_len = 0u64;
@@ -155,34 +103,22 @@ impl Journal {
                 valid_len = existing.rfind('\n').map_or(0, |i| i + 1) as u64;
             }
         }
-        let mut file = if restored.is_empty() {
-            File::create(&path)?
+        let file = if restored.is_empty() {
+            let mut file = File::create(&path)?;
+            file.write_all(format!("{HEADER_PREFIX}{fingerprint:016x}\n").as_bytes())?;
+            file.flush()?;
+            file
         } else {
             let file = OpenOptions::new().append(true).open(&path)?;
             file.set_len(valid_len)?;
-            file
-        };
-        if restored.is_empty() {
-            let header = format!("{HEADER_PREFIX}{fingerprint:016x}\n");
-            file.write_all(header.as_bytes())?;
-            file.flush()?;
-            valid_len = header.len() as u64;
-        }
-        if !restored.is_empty() {
             sf_obs::metrics::global()
                 .counter_add("journal.restored_entries", restored.len() as u64);
-        }
+            file
+        };
         Ok(Self {
             path,
-            fingerprint,
-            max_bytes,
             restored,
-            writer: Mutex::new(Writer {
-                file,
-                bytes: valid_len,
-                compacted_bytes: 0,
-                compactions: 0,
-            }),
+            file: Mutex::new(file),
         })
     }
 
@@ -205,123 +141,30 @@ impl Journal {
         self.restored.get(&(sweep, index)).map(Vec::as_slice)
     }
 
-    /// Bytes currently in the journal file.
+    /// Bytes currently in the journal file (0 once it is gone).
     #[must_use]
     pub fn len_bytes(&self) -> u64 {
-        self.writer.lock().expect("journal writer poisoned").bytes
-    }
-
-    /// Number of compactions this journal has performed since open.
-    #[must_use]
-    pub fn compactions(&self) -> u64 {
-        self.writer
-            .lock()
-            .expect("journal writer poisoned")
-            .compactions
+        std::fs::metadata(&self.path).map_or(0, |m| m.len())
     }
 
     /// Appends one completed job's result cells and flushes, so the entry
-    /// survives the process dying right after this call returns. With a
-    /// byte limit configured, an oversized log is compacted before the call
-    /// returns.
+    /// survives the process dying right after this call returns.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from the append (or the compaction).
+    /// Propagates filesystem errors from the append.
     pub fn record(&self, sweep: u64, index: u64, cells: &[Value]) -> io::Result<()> {
         let io_timer = sf_obs::span::timing_start();
         let line = format!("{sweep},{index},{}\n", encode_csv_line(cells));
-        let mut writer = self.writer.lock().expect("journal writer poisoned");
-        writer.file.write_all(line.as_bytes())?;
-        writer.file.flush()?;
-        writer.bytes += line.len() as u64;
+        let mut file = self.file.lock().expect("journal writer poisoned");
+        file.write_all(line.as_bytes())?;
+        file.flush()?;
+        drop(file);
         sf_obs::span::timing_add("journal_io", io_timer, 1);
         let metrics = sf_obs::metrics::global();
         metrics.counter_add("journal.appends", 1);
         metrics.counter_add("journal.bytes_appended", line.len() as u64);
-        if let Some(limit) = self.max_bytes {
-            // The doubling guard: a snapshot that is still over the limit
-            // (all live state) must not trigger a rewrite per append.
-            let threshold = limit.max(writer.compacted_bytes.saturating_mul(2));
-            if writer.bytes > threshold {
-                self.compact_locked(&mut writer)?;
-            }
-        }
         Ok(())
-    }
-
-    /// Rewrites the append log as a fingerprint-guarded snapshot holding one
-    /// line per live `(sweep, index)` key, via write-temp + rename so a kill
-    /// at any instant leaves a loadable journal. Returns the snapshot size
-    /// in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; on error the original log is intact.
-    pub fn compact(&self) -> io::Result<u64> {
-        let mut writer = self.writer.lock().expect("journal writer poisoned");
-        self.compact_locked(&mut writer)
-    }
-
-    /// Compacts only when a configured byte limit is exceeded (the resume
-    /// path's entry point). Returns whether a compaction ran.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the compaction.
-    pub fn maybe_compact(&self) -> io::Result<bool> {
-        let Some(limit) = self.max_bytes else {
-            return Ok(false);
-        };
-        let mut writer = self.writer.lock().expect("journal writer poisoned");
-        if writer.bytes <= limit {
-            return Ok(false);
-        }
-        self.compact_locked(&mut writer)?;
-        Ok(true)
-    }
-
-    /// The compaction body; the caller holds the writer lock, so no append
-    /// can interleave with the rewrite.
-    fn compact_locked(&self, writer: &mut Writer) -> io::Result<u64> {
-        // Compaction count depends on append interleaving across workers, so
-        // the counter lives in the nondeterministic `sched.` namespace.
-        let compact_timer = sf_obs::span::timing_start();
-        sf_obs::metrics::global().counter_add("sched.journal_compactions", 1);
-        writer.file.flush()?;
-        // The journal keeps no in-memory copy of entries recorded this run,
-        // so the live state is re-read from the log itself: restored map
-        // semantics (last duplicate wins, torn lines dropped) are exactly
-        // the loader's.
-        let text = std::fs::read_to_string(&self.path)?;
-        let entries = parse_existing(&text, self.fingerprint).unwrap_or_default();
-        let mut snapshot = format!(
-            "{HEADER_PREFIX}{:016x}{SNAPSHOT_SUFFIX}\n",
-            self.fingerprint
-        );
-        for ((sweep, index), cells) in &entries {
-            snapshot.push_str(&format!("{sweep},{index},{}\n", encode_csv_line(cells)));
-        }
-        // Append to the full file name (never `with_extension`, which would
-        // collapse `sweep.a` and `sweep.b` onto one temp file and let two
-        // journals clobber each other's snapshots).
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".compact-tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(snapshot.as_bytes())?;
-            file.sync_all()?;
-        }
-        // The atomic cut-over: before the rename the old log is authoritative,
-        // after it the snapshot is — there is no in-between state on disk.
-        std::fs::rename(&tmp, &self.path)?;
-        writer.file = OpenOptions::new().append(true).open(&self.path)?;
-        writer.bytes = snapshot.len() as u64;
-        writer.compacted_bytes = writer.bytes;
-        writer.compactions += 1;
-        sf_obs::span::timing_add("journal_compact", compact_timer, 1);
-        Ok(writer.bytes)
     }
 
     /// Deletes the journal file — call once the run's final artifact has been
@@ -340,15 +183,11 @@ impl Journal {
 
 /// Parses an existing journal file; `None` means "unusable, start fresh"
 /// (wrong header or fingerprint). Undecodable or truncated data lines are
-/// skipped individually — every line is self-contained. Accepts both the
-/// append-log header and the ` snapshot`-marked header a compaction writes:
-/// a snapshot is equivalent to the log it replaced.
+/// skipped individually — every line is self-contained.
 fn parse_existing(text: &str, fingerprint: u64) -> Option<BTreeMap<(u64, u64), Vec<Value>>> {
     let mut lines = text.split_inclusive('\n');
     let header = lines.next()?.strip_suffix('\n')?;
-    let stamp = header.strip_prefix(HEADER_PREFIX)?;
-    let stamp = stamp.strip_suffix(SNAPSHOT_SUFFIX).unwrap_or(stamp);
-    if u64::from_str_radix(stamp, 16) != Ok(fingerprint) {
+    if u64::from_str_radix(header.strip_prefix(HEADER_PREFIX)?, 16) != Ok(fingerprint) {
         return None;
     }
     let mut restored = BTreeMap::new();
@@ -456,122 +295,18 @@ mod tests {
     }
 
     #[test]
-    fn compaction_snapshot_is_equivalent_to_the_log_it_replaced() {
-        let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
-        let fp = fingerprint(["compact"]);
-        {
-            let journal = Journal::open(&path, fp).unwrap();
-            for i in 0..10u64 {
-                journal
-                    .record(0, i, &[Value::Float(i as f64 * 0.3 + 0.1), Value::UInt(i)])
-                    .unwrap();
-            }
-            // Duplicate keys (a rewritten entry): the snapshot keeps one.
-            journal.record(0, 3, &[Value::Str("dup".into())]).unwrap();
-            let before = journal.len_bytes();
-            let after = journal.compact().unwrap();
-            assert!(after < before, "snapshot {after} vs log {before}");
-            assert_eq!(journal.compactions(), 1);
-            // Appends continue after the snapshot.
-            journal.record(1, 0, &[Value::Bool(true)]).unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("#sf-journal v1 fp="));
-        assert!(text.lines().next().unwrap().ends_with(" snapshot"));
+    fn snapshot_journals_from_older_builds_are_discarded() {
+        // Older builds compacted a log into a snapshot whose header ends in
+        // " snapshot"; its lines must never be restored into a run.
+        let path = temp_path("snapshot");
+        let fp = fingerprint(["fig10", "quick"]);
+        std::fs::write(&path, format!("{HEADER_PREFIX}{fp:016x} snapshot\n0,0,1\n")).unwrap();
+        assert_eq!(peek_fingerprint(&path), None);
         let journal = Journal::open(&path, fp).unwrap();
-        assert_eq!(journal.restored_count(), 11);
-        for i in 0..10u64 {
-            if i == 3 {
-                assert_eq!(journal.restored(0, i).unwrap(), &[Value::Str("dup".into())]);
-            } else {
-                assert_eq!(
-                    journal.restored(0, i).unwrap(),
-                    &[Value::Float(i as f64 * 0.3 + 0.1), Value::UInt(i)]
-                );
-            }
-        }
-        assert_eq!(journal.restored(1, 0).unwrap(), &[Value::Bool(true)]);
-        // A snapshot from a different run's fingerprint is still discarded.
-        let other = Journal::open(&path, fp ^ 1).unwrap();
-        assert_eq!(other.restored_count(), 0);
-        other.finish().unwrap();
-    }
-
-    #[test]
-    fn records_auto_compact_past_the_byte_limit() {
-        let path = temp_path("auto-compact");
-        let _ = std::fs::remove_file(&path);
-        let fp = fingerprint(["auto"]);
-        let journal = Journal::open_with_limit(&path, fp, Some(128)).unwrap();
-        for i in 0..40u64 {
-            journal
-                .record(0, i, &[Value::UInt(i), Value::Str(format!("row-{i}"))])
-                .unwrap();
-        }
-        assert!(
-            journal.compactions() >= 1,
-            "a tiny limit must force at least one compaction"
-        );
-        // The doubling guard keeps the rewrite count far below one per
-        // append even though every snapshot stays over the limit.
-        assert!(journal.compactions() < 20, "{}", journal.compactions());
+        assert_eq!(journal.restored_count(), 0);
         drop(journal);
-        let journal = Journal::open_with_limit(&path, fp, Some(128)).unwrap();
-        assert_eq!(journal.restored_count(), 40);
-        // maybe_compact on resume: the reopened log is over the limit.
-        assert!(journal.maybe_compact().unwrap());
-        assert!(!journal.maybe_compact().unwrap() || journal.len_bytes() > 128);
-        journal.finish().unwrap();
-    }
-
-    #[test]
-    fn sibling_journals_compact_without_clobbering_each_other() {
-        // `sweep.a` and `sweep.b` share a stem; their compaction temp files
-        // must not collide (the temp name appends to the full file name).
-        let base = temp_path("siblings");
-        let path_a = base.with_extension("a");
-        let path_b = base.with_extension("b");
-        let _ = std::fs::remove_file(&path_a);
-        let _ = std::fs::remove_file(&path_b);
-        let a = Journal::open(&path_a, 1).unwrap();
-        let b = Journal::open(&path_b, 2).unwrap();
-        a.record(0, 0, &[Value::UInt(10)]).unwrap();
-        b.record(0, 0, &[Value::UInt(20)]).unwrap();
-        // Interleave many compactions from two threads: with a shared temp
-        // name one journal's snapshot could land under the other's path (or
-        // a rename could fail on a stolen temp file).
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for i in 1..40u64 {
-                    a.record(0, i, &[Value::UInt(10 + i)]).unwrap();
-                    a.compact().unwrap();
-                }
-            });
-            scope.spawn(|| {
-                for i in 1..40u64 {
-                    b.record(0, i, &[Value::UInt(20 + i)]).unwrap();
-                    b.compact().unwrap();
-                }
-            });
-        });
-        drop((a, b));
-        let a = Journal::open(&path_a, 1).unwrap();
-        let b = Journal::open(&path_b, 2).unwrap();
-        assert_eq!(a.restored(0, 0).unwrap(), &[Value::UInt(10)]);
-        assert_eq!(b.restored(0, 0).unwrap(), &[Value::UInt(20)]);
-        a.finish().unwrap();
-        b.finish().unwrap();
-    }
-
-    #[test]
-    fn maybe_compact_is_a_no_op_without_a_limit() {
-        let path = temp_path("no-limit");
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::open(&path, 9).unwrap();
-        journal.record(0, 0, &[Value::UInt(1)]).unwrap();
-        assert!(!journal.maybe_compact().unwrap());
-        assert_eq!(journal.compactions(), 0);
-        journal.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, format!("{HEADER_PREFIX}{fp:016x}\n"));
+        std::fs::remove_file(&path).unwrap();
     }
 }

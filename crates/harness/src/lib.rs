@@ -10,16 +10,14 @@
 //! points through shared mutable state*. This crate supplies the pieces that
 //! make that safe and reproducible:
 //!
-//! * [`sweep`] — the [`Sweep`] / [`LazySweep`] job abstraction: stream
-//!   points from an iterator (or a materialised `Vec`), derive a per-job
-//!   seed from the job's index (never from execution order), and run the
-//!   closure over every point. The streaming engine delivers results to an
-//!   ordered callback ([`run_streaming`](sweep::LazySweep::run_streaming)),
-//!   so a sweep's peak memory is bounded by the worker count, not the grid
-//!   size.
+//! * [`sweep`] — the one sweep entry point, [`sweep::run`]: map a job over
+//!   every point of a grid and receive the rows in enumeration order, with
+//!   each job's failure or panic isolated to that job and the first failure
+//!   cancelling the rest. [`sweep::cross2`] / [`sweep::cross3`] enumerate
+//!   grids row-major.
 //! * [`pool`] — a `std::thread`-based worker pool with chunked work
-//!   distribution and per-job panic isolation. Results are collected by job
-//!   index, so a run with 16 workers is **bit-identical** to a run with one.
+//!   distribution, per-job panic isolation and a reorder buffer, so a run
+//!   with 16 workers is **bit-identical** to a run with one.
 //! * [`table`] — typed result rows ([`Record`]) collected into a [`Table`]
 //!   with hand-rolled CSV and JSON emitters (and matching parsers for
 //!   round-trip tests), so bench binaries produce machine-readable artifacts
@@ -29,26 +27,28 @@
 //!   regenerating it per job. Eviction is cost-aware LRU: cheap-to-rebuild
 //!   entries go first, so paper-scale topologies stay resident.
 //! * [`journal`] — an append-only checkpoint journal of completed job
-//!   results, so interrupted mega-sweeps resume with bit-identical final
-//!   output instead of starting over; oversized logs compact in place to a
-//!   kill-safe snapshot.
-//! * [`sink`] — streaming CSV/JSON row emitters ([`RowSink`]) that write
-//!   each row as it arrives and finalise atomically on close, byte-identical
-//!   to serialising the equivalent [`Table`] in one shot.
+//!   results, so an interrupted run resumes with bit-identical final output
+//!   instead of starting over.
+//! * [`sink`] — atomic artifact publication: a table's CSV or JSON goes to
+//!   `<path>.part` and is renamed over the destination, so a killed run never
+//!   leaves a torn artifact.
 //!
 //! ## Example
 //!
 //! ```
 //! use sf_harness::pool::PoolConfig;
-//! use sf_harness::sweep::Sweep;
+//! use sf_harness::sweep;
 //!
-//! // Square every point of a sweep in parallel; output order matches the
-//! // enumeration order, not the completion order.
-//! let sweep = Sweep::new((0u64..100).collect::<Vec<_>>());
-//! let report = sweep.run(&PoolConfig::threads(4), |ctx, &n| {
-//!     Ok::<u64, std::convert::Infallible>(n * n + ctx.seed % 1)
-//! });
-//! let squares = report.into_results().unwrap();
+//! // Square every point of a sweep in parallel; rows arrive in enumeration
+//! // order, not completion order.
+//! let mut squares = Vec::new();
+//! sweep::run(
+//!     &PoolConfig::threads(4),
+//!     0u64..100,
+//!     |_, n| Ok::<u64, std::convert::Infallible>(n * n),
+//!     |_, square| squares.push(square),
+//! )
+//! .unwrap();
 //! assert_eq!(squares[9], 81);
 //! ```
 
@@ -64,7 +64,5 @@ pub mod table;
 
 pub use cache::BuildCache;
 pub use journal::Journal;
-pub use pool::{JobError, PoolConfig};
-pub use sink::RowSink;
-pub use sweep::{derive_seed, JobCtx, JobOutcome, LazySweep, Sweep, SweepReport};
+pub use pool::PoolConfig;
 pub use table::{Record, Table, Value};

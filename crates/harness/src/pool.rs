@@ -1,18 +1,18 @@
-//! `std::thread`-based worker pool with chunked distribution and per-job
-//! panic isolation.
+//! `std::thread`-based worker pool: chunked distribution, per-job panic
+//! isolation and ordered delivery.
 //!
-//! The pool executes `n` indexed jobs by handing out contiguous chunks of the
-//! index space through a shared atomic cursor: a worker grabs
-//! `[cursor, cursor + chunk)`, runs those jobs, and comes back for more.
-//! Chunking keeps the atomic traffic negligible for cheap jobs while the
-//! work-stealing-ish dynamic assignment keeps long jobs (large topologies)
-//! from serialising behind a static partition.
+//! The scheduler behind [`crate::sweep::run`] keeps the job iterator behind
+//! a mutex. A worker locks it, takes the next `chunk` items together with
+//! their enumeration indices, runs them without holding any lock, and comes
+//! back for more. Chunking keeps the lock traffic negligible for cheap jobs,
+//! while the dynamic assignment keeps long jobs (large topologies) from
+//! serialising behind a static partition.
 //!
-//! Every job runs under `catch_unwind`, so a panicking job is reported as a
-//! [`JobError::Panic`] for *that index only* — the rest of the sweep
-//! completes. Results land in a slot vector indexed by job id, which is what
-//! makes a parallel run bit-identical to a serial one: output order is
-//! enumeration order, never completion order.
+//! Every job runs under `catch_unwind`, so a panicking job becomes an error
+//! for *that index only* and the pool itself is never poisoned. Finished
+//! results pass through a reorder buffer that emits them strictly in index
+//! order, which is what makes a parallel run bit-identical to a serial one:
+//! output order is enumeration order, never completion order.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,7 +23,7 @@ use std::sync::{Condvar, Mutex};
 pub struct PoolConfig {
     /// Number of worker threads; `1` runs inline on the caller thread.
     pub threads: usize,
-    /// Jobs handed to a worker per grab of the shared cursor.
+    /// Jobs a worker takes from the shared job iterator per pull.
     pub chunk: usize,
 }
 
@@ -80,25 +80,7 @@ fn env_positive_usize(name: &str) -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// Why a job produced no result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobError {
-    /// The job panicked; the payload is the panic message when it was a
-    /// string, or a placeholder otherwise.
-    Panic(String),
-}
-
-impl std::fmt::Display for JobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Panic(msg) => write!(f, "job panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
-
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -113,8 +95,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// been emitted. The emit callback lives inside the same mutex, so calls are
 /// serialised *and* ordered without a dedicated consumer thread. `stop`
 /// latches when the callback cancels the run — workers observe it before
-/// pulling more points, so a failed mega-sweep does not burn through the
-/// rest of its grid.
+/// pulling more points, so a failed sweep does not burn through the rest of
+/// its grid.
 struct EmitState<T, S> {
     pending: BTreeMap<usize, T>,
     next_emit: usize,
@@ -132,38 +114,38 @@ impl Drop for NotifyOnDrop<'_> {
     }
 }
 
-/// The one chunk-pulling scheduler behind [`run_indexed`] and the sweep
-/// engines (`Sweep`/`LazySweep` in [`crate::sweep`]).
+/// The one chunk-pulling scheduler behind [`crate::sweep::run`].
 ///
 /// Pulls `(index, item)` pairs from `stream` under a lock, runs `execute` on
-/// worker threads, and hands each result to `emit` **in pull (= enumeration)
-/// order** — regardless of which worker ran what, which is the determinism
-/// contract. Results are never collected: a completed result is buffered only
-/// while some smaller index is still in flight, so the peak memory of a
-/// mega-sweep is `O(workers × chunk)`, not `O(points)`. Workers that race too
-/// far ahead of the slowest in-flight index park on a condvar until the
-/// buffer drains (backpressure), which bounds the buffer even for wildly
-/// uneven job costs.
+/// worker threads under `catch_unwind`, and hands each result to `emit`
+/// **in pull (= enumeration) order** — regardless of which worker ran what,
+/// which is the determinism contract. A panicking job reaches `emit` as
+/// `Err(panic message)`. A completed result is buffered only while some
+/// smaller index is still in flight; workers that race too far ahead of the
+/// slowest in-flight index park on a condvar until the buffer drains
+/// (backpressure), which bounds the buffer at `O(workers × chunk)` even for
+/// wildly uneven job costs.
 ///
 /// When the iterator reports an exact size, the worker count is clamped to
 /// it, so a two-point sweep on a 16-core host starts two workers, not
 /// sixteen.
 ///
-/// `execute` must not panic; per-job panic isolation is the caller's
-/// responsibility (the sweep engines wrap jobs in `catch_unwind`). `emit` is
-/// called at most once per item, with strictly increasing indices; returning
-/// `false` cancels the run — no further points are pulled, in-flight chunks
-/// finish computing but their results are discarded unemitted. A sweep whose
-/// sink fails therefore stops in `O(workers × chunk)` jobs instead of
-/// grinding through the rest of a mega-grid.
+/// `emit` is called at most once per item, with strictly increasing indices;
+/// returning `false` cancels the run — no further points are pulled, and
+/// in-flight chunks finish computing but their results are discarded
+/// unemitted.
 pub(crate) fn run_stream_emit<P, T, I, F, S>(config: &PoolConfig, stream: I, execute: F, emit: S)
 where
     I: Iterator<Item = P> + Send,
     P: Send,
     T: Send,
     F: Fn(usize, P) -> T + Sync,
-    S: FnMut(usize, T) -> bool + Send,
+    S: FnMut(usize, Result<T, String>) -> bool + Send,
 {
+    let execute = |index: usize, item: P| {
+        catch_unwind(AssertUnwindSafe(|| execute(index, item)))
+            .map_err(|payload| panic_message(payload.as_ref()))
+    };
     let exact_len = match stream.size_hint() {
         (lower, Some(upper)) if lower == upper => Some(upper),
         _ => None,
@@ -233,7 +215,7 @@ where
                 if pulled.is_empty() {
                     break;
                 }
-                let results: Vec<(usize, T)> = pulled
+                let results: Vec<(usize, Result<T, String>)> = pulled
                     .into_iter()
                     .map(|(index, item)| (index, execute(index, item)))
                     .collect();
@@ -280,44 +262,28 @@ where
     });
 }
 
-/// [`run_stream_emit`] collecting the ordered results into a `Vec` — the
-/// eager convenience used by [`run_indexed`] and small sweeps (never
-/// cancels).
-pub(crate) fn run_stream<P, T, I, F>(config: &PoolConfig, stream: I, execute: F) -> Vec<T>
-where
-    I: Iterator<Item = P> + Send,
-    P: Send,
-    T: Send,
-    F: Fn(usize, P) -> T + Sync,
-{
-    let mut results = Vec::new();
-    run_stream_emit(config, stream, execute, |_, result| {
-        results.push(result);
-        true
-    });
-    results
-}
-
-/// Runs `count` indexed jobs through `run`, returning one slot per index.
-///
-/// `run(i)` is called exactly once for every `i in 0..count`; the returned
-/// vector holds index `i`'s result at position `i` regardless of which worker
-/// executed it or when it finished. Panics inside `run` are captured as
-/// [`JobError::Panic`] in that job's slot.
-pub fn run_indexed<T, F>(config: &PoolConfig, count: usize, run: F) -> Vec<Result<T, JobError>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_stream(config, 0..count, |index, _| {
-        catch_unwind(AssertUnwindSafe(|| run(index)))
-            .map_err(|payload| JobError::Panic(panic_message(payload.as_ref())))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `count` indexed jobs and collects what `emit` receives.
+    fn collect<T: Send>(
+        config: &PoolConfig,
+        count: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> Vec<(usize, Result<T, String>)> {
+        let mut emitted = Vec::new();
+        run_stream_emit(
+            config,
+            0..count,
+            |_, i| job(i),
+            |index, result| {
+                emitted.push((index, result));
+                true
+            },
+        );
+        emitted
+    }
 
     #[test]
     fn auto_pool_has_at_least_one_thread() {
@@ -329,34 +295,40 @@ mod tests {
 
     #[test]
     fn parallel_results_are_in_index_order() {
-        let config = PoolConfig::threads(8).with_chunk(3);
-        let results = run_indexed(&config, 100, |i| i * 2);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r.as_ref().unwrap(), i * 2);
+        let results = collect(&PoolConfig::threads(8).with_chunk(3), 100, |i| {
+            if i % 2 == 0 {
+                std::thread::yield_now();
+            }
+            i * 2
+        });
+        assert_eq!(results.len(), 100);
+        for (position, (index, result)) in results.into_iter().enumerate() {
+            assert_eq!(index, position);
+            assert_eq!(result.unwrap(), position * 2);
         }
     }
 
     #[test]
     fn panics_are_isolated_to_their_slot() {
-        let config = PoolConfig::threads(4);
-        let results = run_indexed(&config, 10, |i| {
-            assert!(i != 7, "job seven exploded");
-            i
-        });
-        for (i, r) in results.iter().enumerate() {
-            if i == 7 {
-                let err = r.as_ref().unwrap_err();
-                let JobError::Panic(msg) = err;
-                assert!(msg.contains("job seven exploded"), "{msg}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i);
+        for config in [PoolConfig::serial(), PoolConfig::threads(4)] {
+            let results = collect(&config, 10, |i| {
+                assert!(i != 7, "job seven exploded");
+                i
+            });
+            assert_eq!(results.len(), 10);
+            for (index, result) in results {
+                if index == 7 {
+                    let msg = result.unwrap_err();
+                    assert!(msg.contains("job seven exploded"), "{msg}");
+                } else {
+                    assert_eq!(result.unwrap(), index);
+                }
             }
         }
     }
 
     #[test]
     fn zero_jobs_is_fine() {
-        let results = run_indexed(&PoolConfig::threads(4), 0, |i| i);
-        assert!(results.is_empty());
+        assert!(collect(&PoolConfig::threads(4), 0, |i| i).is_empty());
     }
 }

@@ -355,7 +355,7 @@ pub fn decode_csv_line(line: &str) -> Result<Vec<Value>, ParseError> {
         .collect())
 }
 
-pub(crate) fn csv_escape(cell: &str) -> String {
+fn csv_escape(cell: &str) -> String {
     if cell.contains(',') || cell.contains('"') || cell.contains('\n') || cell.contains('\r') {
         format!("\"{}\"", cell.replace('"', "\"\""))
     } else {
@@ -366,7 +366,7 @@ pub(crate) fn csv_escape(cell: &str) -> String {
 /// Renders one data cell. `Str` cells whose text would be re-typed by
 /// [`infer_value`] (e.g. "17", "true", "2.0", "") are force-quoted so the
 /// parser can tell a string apart from the value it resembles.
-pub(crate) fn csv_cell(value: &Value) -> String {
+fn csv_cell(value: &Value) -> String {
     let rendered = value.render();
     if let Value::Str(_) = value {
         let ambiguous = !matches!(infer_value(&rendered), Value::Str(_));
@@ -490,7 +490,7 @@ fn looks_like_float(cell: &str) -> bool {
 
 // -- JSON helpers ----------------------------------------------------------
 
-pub(crate) fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -510,7 +510,7 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
-pub(crate) fn json_value(value: &Value) -> String {
+fn json_value(value: &Value) -> String {
     match value {
         Value::Str(s) => json_string(s),
         Value::Int(i) => i.to_string(),

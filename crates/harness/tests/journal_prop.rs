@@ -2,10 +2,7 @@
 //! process death at **any byte offset** of the journal file — including the
 //! middle of the header, the middle of a data line, or a torn final write —
 //! must never panic on reopen, and a resume driven by the surviving journal
-//! must emit a CSV **byte-identical** to an uninterrupted run. The same
-//! contract extends through compaction: kill → compact → resume is
-//! byte-identical too, and a snapshot torn by a later kill degrades
-//! line by line exactly like the append log.
+//! must emit a CSV **byte-identical** to an uninterrupted run.
 
 use proptest::prelude::*;
 use sf_harness::journal::{fingerprint, Journal};
@@ -96,101 +93,6 @@ proptest! {
         let replay = artifact(jobs, |i| reopened.restored(0, i).unwrap().to_vec());
         prop_assert_eq!(&replay, &reference);
         reopened.finish().unwrap();
-    }
-
-    /// Kill at an arbitrary offset, **compact the survivors to a snapshot**,
-    /// resume on top of the snapshot, and demand the final CSV bytes of an
-    /// uninterrupted run — the journal fingerprint scheme must accept a
-    /// compacted snapshot as fully equivalent to the append log it replaced.
-    #[test]
-    fn prop_compaction_after_truncation_resumes_byte_identically(
-        jobs in 3u64..24,
-        cut_sel in any::<u32>(),
-        auto_limit in any::<bool>(),
-    ) {
-        let path = temp_path(&format!("compact-cut-{jobs}-{cut_sel}-{auto_limit}"));
-        let _ = std::fs::remove_file(&path);
-        let fp = fingerprint(["prop-study", "compacted"]);
-        let reference = artifact(jobs, job_cells);
-
-        {
-            let journal = Journal::open(&path, fp).unwrap();
-            for i in 0..jobs {
-                journal.record(0, i, &job_cells(i)).unwrap();
-            }
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        let cut = (cut_sel as usize) % (bytes.len() + 1);
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-
-        // Reopen the torn log — with a tiny auto-compaction cap on one arm,
-        // so compaction also fires *during* the resumed appends — and
-        // snapshot the survivors immediately.
-        let limit = if auto_limit { Some(64) } else { None };
-        let journal = Journal::open_with_limit(&path, fp, limit).unwrap();
-        let survivors: Vec<u64> = (0..jobs).filter(|&i| journal.restored(0, i).is_some()).collect();
-        journal.compact().unwrap();
-        prop_assert!(journal.compactions() >= 1);
-
-        // The snapshot must hold exactly the surviving entries, unchanged.
-        drop(journal);
-        let journal = Journal::open_with_limit(&path, fp, limit).unwrap();
-        prop_assert_eq!(journal.restored_count(), survivors.len());
-        for &i in &survivors {
-            prop_assert_eq!(journal.restored(0, i).unwrap(), job_cells(i).as_slice());
-        }
-
-        // Resume on top of the snapshot: restored jobs come from it, the
-        // rest recompute and append (possibly auto-compacting again).
-        let resumed = artifact(jobs, |i| match journal.restored(0, i) {
-            Some(cells) => cells.to_vec(),
-            None => {
-                let cells = job_cells(i);
-                journal.record(0, i, &cells).unwrap();
-                cells
-            }
-        });
-        prop_assert_eq!(&resumed, &reference);
-
-        // A third run (post-compaction, post-append) still replays fully.
-        drop(journal);
-        let reopened = Journal::open(&path, fp).unwrap();
-        prop_assert_eq!(reopened.restored_count(), jobs as usize);
-        let replay = artifact(jobs, |i| reopened.restored(0, i).unwrap().to_vec());
-        prop_assert_eq!(&replay, &reference);
-        reopened.finish().unwrap();
-    }
-
-    /// A snapshot torn by a second kill obeys the same kill-safety contract
-    /// as the append log: reopening never panics and surviving entries are
-    /// exact.
-    #[test]
-    fn prop_truncated_snapshot_never_panics_or_corrupts(
-        jobs in 2u64..16,
-        cut_sel in any::<u32>(),
-    ) {
-        let path = temp_path(&format!("snap-cut-{jobs}-{cut_sel}"));
-        let _ = std::fs::remove_file(&path);
-        let fp = fingerprint(["prop-study", "snap"]);
-        {
-            let journal = Journal::open(&path, fp).unwrap();
-            for i in 0..jobs {
-                journal.record(0, i, &job_cells(i)).unwrap();
-            }
-            journal.compact().unwrap();
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        let cut = (cut_sel as usize) % (bytes.len() + 1);
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-
-        let journal = Journal::open(&path, fp).unwrap();
-        prop_assert!(journal.restored_count() <= jobs as usize);
-        for i in 0..jobs {
-            if let Some(cells) = journal.restored(0, i) {
-                prop_assert_eq!(cells, job_cells(i).as_slice(), "job {}", i);
-            }
-        }
-        journal.finish().unwrap();
     }
 
     /// Garbage appended after a kill (torn multi-line writes, partial UTF-8

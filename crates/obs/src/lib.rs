@@ -11,7 +11,7 @@
 //!   merged totals are bit-identical regardless of the worker count.
 //!   Names under the `time.` or `sched.` prefixes are explicitly
 //!   *nondeterministic* (wall-clock durations, scheduling-dependent counts
-//!   such as cache hits or journal compactions) and are excluded from
+//!   such as topology-cache hits) and are excluded from
 //!   determinism guarantees — see [`metrics::is_deterministic_name`].
 //! - [`span`]: low-overhead span-based phase timing (`topology_build`,
 //!   `kernel_cycle_phases`, `journal_io`, `sink_flush`,

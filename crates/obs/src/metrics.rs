@@ -12,7 +12,7 @@
 //!
 //! - `time.` — wall-clock quantities; inherently nondeterministic.
 //! - `sched.` — counts that depend on scheduling order (topology-cache
-//!   hits/misses, journal compactions triggered by append interleaving).
+//!   hits/misses: which worker reaches a key first).
 //!
 //! [`MetricsSnapshot::deterministic`] filters to the guaranteed namespace —
 //! that filtered view is what the cross-worker determinism test pins.
