@@ -31,3 +31,19 @@ pub fn announce_pool() {
         sf_harness::PoolConfig::THREADS_ENV
     ));
 }
+
+#[cfg(test)]
+mod tests {
+    use stringfigure::study::print_table;
+
+    #[test]
+    fn print_table_does_not_panic() {
+        print_table(
+            &["a", "b"],
+            &[
+                vec!["1".to_string(), "2".to_string()],
+                vec!["33".to_string(), "4".to_string()],
+            ],
+        );
+    }
+}

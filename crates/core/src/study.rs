@@ -1897,12 +1897,5 @@ mod tests {
         assert_eq!(render_cell(&Value::Null), "-");
         assert_eq!(render_cell(&Value::Str("SF".into())), "SF");
         print_result_table(&Table::with_columns(&["a"]));
-        print_table(
-            &["a", "b"],
-            &[
-                vec!["1".to_string(), "2".to_string()],
-                vec!["33".to_string(), "4".to_string()],
-            ],
-        );
     }
 }
