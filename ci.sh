@@ -134,17 +134,24 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     # Extended-scenario smoke: the fault-injection study must uphold the
     # same determinism contract — a 2-worker run of a faulty network
-    # produces bytes identical to the serial run.
-    echo "==> sfbench run fault_resilience --quick smoke (1 vs 2 sweep workers)"
+    # produces bytes identical to the serial run and to the committed
+    # golden, and so does its telemetry stream, recorded on the fault path.
+    echo "==> sfbench run fault_resilience --quick smoke (1 vs 2 sweep workers, telemetry on)"
     fault_serial_csv="$(mktemp)"
     fault_parallel_csv="$(mktemp)"
     SF_HARNESS_THREADS=1 \
-        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_serial_csv" >/dev/null
+        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_serial_csv" \
+        --telemetry "$fault_serial_csv.telemetry.bin" >/dev/null
     SF_HARNESS_THREADS=2 \
-        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_parallel_csv" >/dev/null
+        "$sfbench" run fault_resilience --quick --no-resume --csv "$fault_parallel_csv" \
+        --telemetry "$fault_parallel_csv.telemetry.bin" >/dev/null
     cmp "$fault_serial_csv" "$fault_parallel_csv"
-    rm -f "$fault_serial_csv" "$fault_parallel_csv"
-    echo "==> fault-scenario artifacts byte-identical"
+    cmp "$fault_serial_csv" crates/bench/tests/golden/fault_resilience.quick.csv
+    cmp "$fault_serial_csv.telemetry.bin" "$fault_parallel_csv.telemetry.bin"
+    head -c 15 "$fault_serial_csv.telemetry.bin" | grep -q 'sf-telemetry/v1'
+    rm -f "$fault_serial_csv" "$fault_parallel_csv" \
+        "$fault_serial_csv.telemetry.bin" "$fault_parallel_csv.telemetry.bin"
+    echo "==> fault-scenario artifacts and telemetry streams byte-identical"
 
     # Perf trajectory: record this change's in-process bench snapshot and
     # gate against the newest committed BENCH_<n>.json (wall-clock > +25% on

@@ -13,15 +13,14 @@
 //!   tables and simulator are built untimed.
 //! - `fig10_quick` — the fig10 saturation study at `--quick` scale through
 //!   the real [`execute`] path: sweep pool, journal, sink and all. Each
-//!   sample gets a fresh topology cache, so every sample builds its
-//!   topologies cold.
+//!   sample runs in a new context, whose topology cache starts empty, so
+//!   every sample builds its topologies cold.
 //!
 //! With `--baseline PATH` the fresh snapshot is diffed against a prior one;
 //! regressions (wall-clock beyond [`sf_obs::report::WALL_TOLERANCE`], RSS
 //! beyond [`sf_obs::report::RSS_TOLERANCE`]) exit non-zero so ci.sh can
 //! gate on the perf trajectory.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sf_netsim::{NetworkSimulator, UniformRandomTraffic};
@@ -30,7 +29,7 @@ use sf_obs::report::{BenchEntry, BenchReport};
 use sf_routing::GreediestRouting;
 use sf_topology::StringFigureTopology;
 use sf_types::{NetworkConfig, SimulationConfig, SystemConfig};
-use stringfigure::study::{execute, RunContext, StudyRegistry, TopologyCache};
+use stringfigure::study::{execute, RunContext, StudyRegistry};
 
 use crate::cli::CliArgs;
 
@@ -209,18 +208,14 @@ pub fn run(args: &CliArgs) -> i32 {
     }
     // The fig10 probe exercises the full study path (sweep pool, sink,
     // journal); its own notes and heartbeat are silenced so the probe
-    // measures the pipeline, not terminal I/O. Each sample runs in a context
-    // with its own fresh topology cache: through the process-wide cache every
-    // sample after the first would reuse warm topologies and time something
-    // other than the first.
+    // measures the pipeline, not terminal I/O. Each sample runs in a new
+    // context, so it builds its topologies cold like the first.
     let registry = StudyRegistry::all();
     if let Some(study) = registry.get("fig10") {
         progress.configure(true);
         let mut failed = false;
         let runs = timed(samples, || {
-            let ctx = RunContext::new()
-                .quick(true)
-                .with_build_cache(Arc::new(TopologyCache::new()));
+            let ctx = RunContext::new().quick(true);
             if let Err(e) = execute(study, &ctx) {
                 eprintln!("error: fig10_quick probe failed: {e}");
                 failed = true;

@@ -17,9 +17,9 @@
 //! and `sfbench run fig10 --quick --csv f.csv` emit byte-identical
 //! artifacts.
 //!
-//! An unknown command, an unknown flag of `list`, `grid`, `run` or `bench`,
-//! or a boolean flag given a value exits with status 2 before any sweep
-//! starts.
+//! An unknown command, an unknown flag of `list`, `grid`, `run`, `bench` or
+//! `report`, or a boolean flag given a value exits with status 2 before any
+//! sweep starts.
 //!
 //! ## Checkpoint/resume
 //!

@@ -205,12 +205,12 @@ fn interrupted_fig08_run_resumes_bit_identically() {
     let kept: Vec<&str> = text.lines().take(6).collect();
     std::fs::write(&journal, format!("{}\n", kept.join("\n"))).unwrap();
 
-    // Resume on a different worker count and chunk size: restores the five
+    // Resume on a different worker count: restores the five
     // journalled jobs, recomputes the rest, and must emit exactly the
     // reference bytes before removing the journal.
     let resumed_ctx = RunContext::new()
         .quick(true)
-        .with_pool(PoolConfig::threads(4).with_chunk(2))
+        .with_pool(PoolConfig::threads(4))
         .with_checkpoint(&journal)
         .with_csv(&csv);
     let resumed = execute(study, &resumed_ctx).unwrap();

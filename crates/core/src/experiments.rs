@@ -28,13 +28,12 @@
 //! one column, named after the field, in declaration order.
 
 use crate::comparison::{NetworkInstance, TopologyKind};
-use crate::network::StringFigureNetwork;
+use crate::network::{ActiveNodeTraffic, StringFigureNetwork};
 use crate::power::PowerManager;
 use crate::study::{CheckpointRow, RunContext};
 use serde::{Deserialize, Serialize};
 use sf_harness::sweep::{cross2, cross3};
 use sf_harness::table::{Record, Value};
-use sf_harness::BuildCache;
 use sf_netsim::SimulationStats;
 use sf_topology::analysis;
 use sf_types::{FaultPlan, NodeId, SfResult, SimulationConfig, SystemConfig};
@@ -42,7 +41,6 @@ use sf_workloads::{
     AddressMapper, ApplicationModel, CacheHierarchy, PatternTraffic, SyntheticPattern,
     WorkloadTraffic,
 };
-use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Result rows: one declaration per row type
@@ -157,49 +155,22 @@ macro_rules! row {
 }
 
 // ---------------------------------------------------------------------------
-// Harness plumbing: worker pool, topology cache, outcome collection
+// Simulation scale
 // ---------------------------------------------------------------------------
-
-/// Process-wide cache of generated [`NetworkInstance`]s keyed by
-/// `(kind, nodes, seed)`. Construction is a pure function of the key, so
-/// sharing instances across jobs (and across studies) never changes results
-/// — it only removes redundant topology generation from sweeps that revisit
-/// the same network point.
-fn topology_cache() -> &'static BuildCache<(TopologyKind, usize, u64), NetworkInstance> {
-    static CACHE: OnceLock<BuildCache<(TopologyKind, usize, u64), NetworkInstance>> =
-        OnceLock::new();
-    CACHE.get_or_init(BuildCache::new)
-}
-
-/// Builds or reuses the network design `kind` at scale `nodes` with `seed`.
-///
-/// # Errors
-///
-/// Propagates topology construction errors.
-pub fn cached_instance(
-    kind: TopologyKind,
-    nodes: usize,
-    seed: u64,
-) -> SfResult<Arc<NetworkInstance>> {
-    topology_cache().get_or_build((kind, nodes, seed), || {
-        NetworkInstance::build(kind, nodes, seed)
-    })
-}
 
 /// Controls how long the cycle-level simulations of an experiment run.
 ///
 /// The paper's RTL runs use 100,000 operations; integration tests use the
 /// `quick` scale so the whole suite stays fast, while the bench harness uses
-/// `paper` scale.
+/// `paper` scale. The scale holds only what changes a row: telemetry is
+/// recorded by the [`RunContext`] that runs the study, never configured
+/// here.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentScale {
     /// Simulated cycles per run.
     pub max_cycles: u64,
     /// Warm-up cycles excluded from the statistics.
     pub warmup_cycles: u64,
-    /// Telemetry sampling stride in cycles (`0` = off). Strictly
-    /// out-of-band: it never changes a row.
-    pub telemetry_every: u64,
 }
 
 impl ExperimentScale {
@@ -209,7 +180,6 @@ impl ExperimentScale {
         Self {
             max_cycles: 1_200,
             warmup_cycles: 200,
-            telemetry_every: 0,
         }
     }
 
@@ -219,16 +189,7 @@ impl ExperimentScale {
         Self {
             max_cycles: 20_000,
             warmup_cycles: 2_000,
-            telemetry_every: 0,
         }
-    }
-
-    /// Returns a copy with a telemetry sampling stride in cycles
-    /// (`0` disables recording).
-    #[must_use]
-    pub fn with_telemetry_every(mut self, every: u64) -> Self {
-        self.telemetry_every = every;
-        self
     }
 
     /// The corresponding simulator configuration.
@@ -237,7 +198,6 @@ impl ExperimentScale {
         SimulationConfig {
             max_cycles: self.max_cycles,
             warmup_cycles: self.warmup_cycles,
-            telemetry_every: self.telemetry_every,
             ..SimulationConfig::default()
         }
     }
@@ -640,25 +600,17 @@ pub fn power_gating_study_with_ctx(
         } else {
             Vec::new()
         };
-        // Processor sockets attach to nodes that remain powered.
+        // The workload runs over the dense ids of the nodes that remain
+        // powered: processor sockets spread over them and data is
+        // redistributed across them.
         let active: Vec<NodeId> = network.topology().graph().active_nodes().collect();
-        let injectors: Vec<NodeId> = socket_nodes(active.len(), socket_count)
-            .iter()
-            .map(|i| active[i.index()])
-            .collect();
-        // Data is redistributed over the remaining nodes.
+        let injectors = socket_nodes(active.len(), socket_count);
         let mapper = AddressMapper::paper_default(active.len())?;
         let cache = CacheHierarchy::tiny()?;
-        let mut traffic = RemappedWorkload {
-            inner: WorkloadTraffic::with_cache(
-                workload,
-                mapper,
-                &remap_injectors(&injectors, &active),
-                seed,
-                &cache,
-            )?,
-            active: active.clone(),
-        };
+        let mut traffic = ActiveNodeTraffic::new(
+            active,
+            WorkloadTraffic::with_cache(workload, mapper, &injectors, seed, &cache)?,
+        );
         let stats = network.run_traffic(&mut traffic, scale.simulation_config(), true)?;
         Ok(PowerGateRow {
             gated_fraction: fraction,
@@ -676,44 +628,6 @@ pub fn power_gating_study_with_ctx(
         row.normalized_edp = row.energy_delay_product / base;
     }
     Ok(rows)
-}
-
-/// Maps injector node ids (positions within the active set) back to dense
-/// indices for the shrunken address space.
-fn remap_injectors(injectors: &[NodeId], active: &[NodeId]) -> Vec<NodeId> {
-    injectors
-        .iter()
-        .map(|n| {
-            let pos = active.iter().position(|a| a == n).unwrap_or(0);
-            NodeId::new(pos)
-        })
-        .collect()
-}
-
-/// Wraps a [`WorkloadTraffic`] built over the dense active-node index space
-/// and translates its sources/destinations back to the real node ids of a
-/// partially gated network.
-#[derive(Debug)]
-struct RemappedWorkload {
-    inner: WorkloadTraffic,
-    active: Vec<NodeId>,
-}
-
-impl sf_netsim::TrafficModel for RemappedWorkload {
-    fn maybe_inject(&mut self, cycle: u64, source: NodeId) -> Option<sf_netsim::TrafficRequest> {
-        // Translate the physical source id to its dense index; silent when the
-        // source is not an active node.
-        let dense = NodeId::new(self.active.iter().position(|a| *a == source)?);
-        let request = self.inner.maybe_inject(cycle, dense)?;
-        Some(sf_netsim::TrafficRequest {
-            destination: self.active[request.destination.index()],
-            write: request.write,
-        })
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.inner.is_exhausted()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1235,7 +1149,7 @@ mod tests {
     #[test]
     fn studies_are_bit_identical_serial_vs_parallel() {
         let serial = RunContext::new().with_pool(PoolConfig::serial());
-        let parallel = RunContext::new().with_pool(PoolConfig::threads(4).with_chunk(2));
+        let parallel = RunContext::new().with_pool(PoolConfig::threads(4));
 
         let surg_a = surg_path_length_study_with_ctx(&serial, &[64, 100], 3).unwrap();
         let surg_b = surg_path_length_study_with_ctx(&parallel, &[64, 100], 3).unwrap();
@@ -1367,12 +1281,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_instances_are_shared_and_consistent() {
-        let first = cached_instance(TopologyKind::StringFigure, 40, 11).unwrap();
-        let second = cached_instance(TopologyKind::StringFigure, 40, 11).unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
+    fn context_instances_are_shared_and_consistent() {
+        let ctx = RunContext::new();
+        let first = ctx.instance(TopologyKind::StringFigure, 40, 11).unwrap();
+        let second = ctx.instance(TopologyKind::StringFigure, 40, 11).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&first, &second));
         let fresh = NetworkInstance::build(TopologyKind::StringFigure, 40, 11).unwrap();
         assert_eq!(first.graph().edges(), fresh.graph().edges());
+        // Another context builds its own copy: the cache belongs to the run.
+        let other = RunContext::new()
+            .instance(TopologyKind::StringFigure, 40, 11)
+            .unwrap();
+        assert!(!std::sync::Arc::ptr_eq(&first, &other));
     }
 
     #[test]

@@ -322,16 +322,8 @@ impl StringFigureNetwork {
     ) -> SfResult<SimulationStats> {
         let mut sim = self.simulator(self.simulation.clone())?;
         let active: Vec<NodeId> = self.topology.graph().active_nodes().collect();
-        let mut traffic = ActiveNodePattern {
-            inner: PatternTraffic::new(pattern, active.len(), injection_rate, seed),
-            dense_of: active
-                .iter()
-                .enumerate()
-                .map(|(dense, node)| (node.index(), dense))
-                .collect(),
-            active,
-        };
-        sim.run(&mut traffic)
+        let inner = PatternTraffic::new(pattern, active.len(), injection_rate, seed);
+        sim.run(&mut ActiveNodeTraffic::new(active, inner))
     }
 
     /// Runs an application workload injected from the given processor-attached
@@ -395,24 +387,51 @@ impl StringFigureNetwork {
     }
 }
 
-/// Wraps a [`PatternTraffic`] defined over the dense index space of active
-/// nodes and translates sources/destinations to the physical node ids of a
-/// possibly down-scaled network.
+/// Runs a traffic model defined over the dense ids `0..active.len()` of a
+/// possibly gated network's live nodes: a live node's physical id maps to
+/// its dense id by one table lookup, and a dense destination back to its
+/// physical id by another. Sources that are not live inject nothing.
 #[derive(Debug)]
-struct ActiveNodePattern {
-    inner: PatternTraffic,
+pub(crate) struct ActiveNodeTraffic<T> {
+    inner: T,
+    /// Physical id of each dense id, ascending.
     active: Vec<NodeId>,
-    dense_of: std::collections::HashMap<usize, usize>,
+    /// Dense id of each physical id; `None` for a gated node.
+    dense_of: Vec<Option<NodeId>>,
 }
 
-impl TrafficModel for ActiveNodePattern {
+impl<T: TrafficModel> ActiveNodeTraffic<T> {
+    /// Wraps `inner`, whose node ids are positions in `active`.
+    pub(crate) fn new(active: Vec<NodeId>, inner: T) -> Self {
+        let span = active
+            .iter()
+            .map(|node| node.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut dense_of = vec![None; span];
+        for (dense, node) in active.iter().enumerate() {
+            dense_of[node.index()] = Some(NodeId::new(dense));
+        }
+        Self {
+            inner,
+            active,
+            dense_of,
+        }
+    }
+}
+
+impl<T: TrafficModel> TrafficModel for ActiveNodeTraffic<T> {
     fn maybe_inject(&mut self, cycle: u64, source: NodeId) -> Option<sf_netsim::TrafficRequest> {
-        let dense = *self.dense_of.get(&source.index())?;
-        let request = self.inner.maybe_inject(cycle, NodeId::new(dense))?;
+        let dense = (*self.dense_of.get(source.index())?)?;
+        let request = self.inner.maybe_inject(cycle, dense)?;
         Some(sf_netsim::TrafficRequest {
             destination: self.active[request.destination.index()],
             write: request.write,
         })
+    }
+
+    fn is_exhausted(&self) -> bool {
+        self.inner.is_exhausted()
     }
 }
 

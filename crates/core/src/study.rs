@@ -8,9 +8,10 @@
 //! [`RunContext`] owning everything an experiment needs:
 //!
 //! * the sweep worker pool (`sf-harness`),
-//! * the shared topology [`BuildCache`],
+//! * its own topology [`BuildCache`], shared by every job of the run,
 //! * the [`ExperimentScale`] policy (quick vs. paper scale),
-//! * the artifact emitters (CSV / JSON paths), and
+//! * the artifact emitters (CSV / JSON paths),
+//! * an optional telemetry stream, recorded job by job, and
 //! * an optional **checkpoint journal**: every completed sweep job is
 //!   appended to `<csv>.journal`, so an interrupted run restarted with the
 //!   same command restores finished jobs instead of recomputing them — and
@@ -32,11 +33,11 @@
 
 use crate::comparison::{NetworkInstance, TopologyKind};
 use crate::experiments::{
-    self, adversarial_saturation_study_with_ctx, bisection_study_with_ctx,
-    configuration_table_with_ctx, fault_resilience_study_with_ctx, hop_count_study_with_ctx,
-    latency_curve_with_ctx, power_gating_study_with_ctx, saturation_study_with_ctx,
-    scaleout_study_with_ctx, surg_path_length_study_with_ctx, workload_study_with_ctx, Cell,
-    ExperimentScale, LatencyPoint, PowerGateRow,
+    adversarial_saturation_study_with_ctx, bisection_study_with_ctx, configuration_table_with_ctx,
+    fault_resilience_study_with_ctx, hop_count_study_with_ctx, latency_curve_with_ctx,
+    power_gating_study_with_ctx, saturation_study_with_ctx, scaleout_study_with_ctx,
+    surg_path_length_study_with_ctx, workload_study_with_ctx, Cell, ExperimentScale, LatencyPoint,
+    PowerGateRow,
 };
 use sf_harness::journal::{self, Journal};
 use sf_harness::pool::PoolConfig;
@@ -44,12 +45,13 @@ use sf_harness::sink::{self, Format};
 use sf_harness::sweep::{self, SweepError};
 use sf_harness::table::{Record, Table, Value};
 use sf_harness::BuildCache;
+use sf_obs::telemetry::StreamWriter;
 use sf_topology::analysis::BisectionBandwidth;
 use sf_types::{SfError, SfResult};
 use sf_workloads::{ApplicationModel, SyntheticPattern};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Checkpointable job results
@@ -106,12 +108,17 @@ impl CheckpointRow for BisectionBandwidth {
 // RunContext
 // ---------------------------------------------------------------------------
 
-/// The build-once topology cache studies share: `(design, nodes, seed)` →
-/// generated [`NetworkInstance`].
+/// The build-once topology cache the jobs of a run share: `(design, nodes,
+/// seed)` → generated [`NetworkInstance`].
 pub type TopologyCache = BuildCache<(TopologyKind, usize, u64), NetworkInstance>;
 
 /// Everything a study runs inside: worker pool, topology cache, scale
-/// policy, artifact emitters, and the optional checkpoint journal.
+/// policy, artifact emitters, telemetry stream, and the optional checkpoint
+/// journal.
+///
+/// Nothing a run records is shared with another context: two contexts in
+/// one process — even running at the same time — build their own
+/// topologies and write their own streams.
 ///
 /// Built builder-style:
 ///
@@ -129,11 +136,14 @@ pub struct RunContext {
     pool: PoolConfig,
     quick: bool,
     scale_override: Option<ExperimentScale>,
-    cache: Option<Arc<TopologyCache>>,
+    cache: Arc<TopologyCache>,
     emitters: Vec<(Format, PathBuf)>,
     checkpoint_path: Option<PathBuf>,
     telemetry: Option<PathBuf>,
     telemetry_every: Option<u64>,
+    /// The stream [`execute`] opened at `telemetry`; jobs record into it
+    /// only while it is open and recording.
+    telemetry_stream: Mutex<Option<StreamWriter>>,
     journal: OnceLock<Journal>,
     sweep_seq: AtomicU64,
 }
@@ -145,19 +155,20 @@ impl Default for RunContext {
 }
 
 impl RunContext {
-    /// A context with the default worker pool, full (paper) scale, no
-    /// emitters, and no checkpointing.
+    /// A context with the default worker pool, full (paper) scale, an empty
+    /// topology cache, no emitters, no telemetry and no checkpointing.
     #[must_use]
     pub fn new() -> Self {
         Self {
             pool: PoolConfig::auto(),
             quick: false,
             scale_override: None,
-            cache: None,
+            cache: Arc::new(TopologyCache::new()),
             emitters: Vec::new(),
             checkpoint_path: None,
             telemetry: None,
             telemetry_every: None,
+            telemetry_stream: Mutex::new(None),
             journal: OnceLock::new(),
             sweep_seq: AtomicU64::new(0),
         }
@@ -185,11 +196,12 @@ impl RunContext {
         self
     }
 
-    /// Uses a private topology [`BuildCache`] instead of the process-wide
-    /// one (useful for isolation in tests).
+    /// Replaces this context's own (initially empty) topology cache with
+    /// `cache`, e.g. one the caller filled beforehand so the run finds its
+    /// topologies already built.
     #[must_use]
     pub fn with_build_cache(mut self, cache: Arc<TopologyCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -217,14 +229,14 @@ impl RunContext {
         self
     }
 
-    /// Records an `sf-telemetry/v1` stream of every simulation this context
-    /// runs at `path` (written via the atomic `.part`-rename pattern).
-    /// Telemetry is strictly out-of-band — result artifacts are
-    /// byte-identical with it on or off — and the stream itself is, like
-    /// every other artifact, bit-identical for any worker count. Like the
-    /// worker count it is excluded from the resume fingerprint; note a
-    /// resumed run skips restored jobs' simulations, so stream comparisons
-    /// should use fresh (`--no-resume`) runs.
+    /// Records an `sf-telemetry/v1` stream of every simulation the sweep
+    /// jobs of an [`execute`] run at `path` (written via the atomic
+    /// `.part`-rename pattern). Telemetry is strictly out-of-band — result
+    /// artifacts are byte-identical with it on or off — and the stream
+    /// itself is, like every other artifact, bit-identical for any worker
+    /// count. Like the worker count it is excluded from the resume
+    /// fingerprint; note a resumed run skips restored jobs' simulations, so
+    /// stream comparisons should use fresh (`--no-resume`) runs.
     #[must_use]
     pub fn with_telemetry(mut self, path: impl Into<PathBuf>) -> Self {
         self.telemetry = Some(path.into());
@@ -278,16 +290,14 @@ impl RunContext {
     }
 
     /// Resolves the simulation scale a study should run at: the explicit
-    /// override if one was set, else quick or the study's own `full` scale,
-    /// with the context's telemetry stride applied on top.
+    /// override if one was set, else quick or the study's own `full` scale.
     #[must_use]
     pub fn scale(&self, full: ExperimentScale) -> ExperimentScale {
-        let base = self.scale_override.unwrap_or(if self.quick {
+        self.scale_override.unwrap_or(if self.quick {
             ExperimentScale::quick()
         } else {
             full
-        });
-        base.with_telemetry_every(self.telemetry_every())
+        })
     }
 
     /// Builds or reuses the network design `kind` at scale `nodes` with
@@ -302,12 +312,9 @@ impl RunContext {
         nodes: usize,
         seed: u64,
     ) -> SfResult<Arc<NetworkInstance>> {
-        match &self.cache {
-            Some(cache) => cache.get_or_build((kind, nodes, seed), || {
-                NetworkInstance::build(kind, nodes, seed)
-            }),
-            None => experiments::cached_instance(kind, nodes, seed),
-        }
+        self.cache.get_or_build((kind, nodes, seed), || {
+            NetworkInstance::build(kind, nodes, seed)
+        })
     }
 
     /// Opens the checkpoint journal for a run identified by `fingerprint`,
@@ -351,6 +358,11 @@ impl RunContext {
     /// row is delivered — which is what makes `kill -9` at any point
     /// resumable with bit-identical final output.
     ///
+    /// With a telemetry stream open, each computed job runs inside a
+    /// [`sf_obs::telemetry::capture`]; its blocks travel with its row and
+    /// are appended to the stream as the row is delivered, so the stream's
+    /// block order is the job order for any worker count.
+    ///
     /// # Errors
     ///
     /// Returns the lowest-indexed job error (panics inside a job surface as
@@ -371,15 +383,15 @@ impl RunContext {
             &self.pool,
             points,
             |index, point| {
-                // Telemetry blocks this job's simulations submit are keyed
-                // by (sweep, job index) so the collector can write them in
-                // enumeration order, whatever worker ran the job.
-                let _telemetry_scope = sf_obs::telemetry::job_scope(seq, index as u64);
                 let restored = journal.and_then(|j| j.restored(seq, index as u64));
                 if let Some(row) = restored.and_then(R::from_cells) {
-                    return Ok(row);
+                    return Ok((row, Vec::new()));
                 }
-                let row = job(point)?;
+                let (row, blocks) = match self.recording_stride() {
+                    Some(every) => sf_obs::telemetry::capture(every, || job(point)),
+                    None => (job(point), Vec::new()),
+                };
+                let row = row?;
                 if let Some(journal) = journal {
                     journal
                         .record(seq, index as u64, &row.to_cells())
@@ -387,14 +399,18 @@ impl RunContext {
                             reason: format!("checkpoint journal write failed: {e}"),
                         })?;
                 }
-                Ok(row)
+                Ok((row, blocks))
             },
-            |index, row| {
+            |_, (row, blocks)| {
                 rows.push(row);
-                // Rows arrive in enumeration order, so flushing parked
-                // telemetry here pins the stream's block order to the job
+                // Rows arrive in enumeration order, so appending each job's
+                // blocks here pins the stream's block order to the job
                 // order.
-                sf_obs::telemetry::Collector::global().deliver_through(seq, index as u64);
+                if let Some(stream) = self.stream().as_mut() {
+                    for block in &blocks {
+                        stream.append(block);
+                    }
+                }
                 progress.tick(1, 1);
             },
         );
@@ -406,6 +422,22 @@ impl RunContext {
                 reason: format!("experiment job {index} panicked: {message}"),
             }),
         }
+    }
+
+    fn stream(&self) -> std::sync::MutexGuard<'_, Option<StreamWriter>> {
+        self.telemetry_stream
+            .lock()
+            .expect("telemetry stream poisoned")
+    }
+
+    /// The stride a job records telemetry at: `Some` while the stream
+    /// [`execute`] opened is still recording.
+    fn recording_stride(&self) -> Option<u64> {
+        let recording = self
+            .stream()
+            .as_ref()
+            .is_some_and(StreamWriter::is_recording);
+        recording.then(|| self.telemetry_every())
     }
 
     /// Publishes `table` through every configured emitter, each artifact
@@ -528,30 +560,24 @@ pub fn execute(study: &dyn Study, ctx: &RunContext) -> SfResult<Table> {
     // before any simulation and publishes atomically only on success, so a
     // failed run leaves no partial stream behind.
     if let Some(path) = ctx.telemetry() {
-        sf_obs::telemetry::Collector::global()
-            .configure(path)
-            .map_err(|e| SfError::Simulation {
-                reason: format!("cannot open telemetry stream {}: {e}", path.display()),
-            })?;
+        let stream = StreamWriter::create(path).map_err(|e| SfError::Simulation {
+            reason: format!("cannot open telemetry stream {}: {e}", path.display()),
+        })?;
+        *ctx.stream() = Some(stream);
     }
     let result = execute_inner(study, ctx);
-    if ctx.telemetry().is_some() {
-        let collector = sf_obs::telemetry::Collector::global();
-        if result.is_ok() {
-            match collector.finish() {
-                Ok(Some((path, blocks))) => progress.note(&format!(
-                    "# wrote {} ({blocks} telemetry block(s))",
-                    path.display()
-                )),
-                Ok(None) => {}
-                Err(e) => {
-                    return Err(SfError::Simulation {
-                        reason: format!("cannot write telemetry stream: {e}"),
-                    });
-                }
-            }
-        } else {
-            collector.abort();
+    // Taking the stream out closes it; dropping it unpublished (on failure)
+    // removes its .part.
+    let stream = ctx.stream().take();
+    if let (Ok(_), Some(stream)) = (&result, stream) {
+        let published = stream.finish().map_err(|e| SfError::Simulation {
+            reason: format!("cannot write telemetry stream: {e}"),
+        })?;
+        if let Some((path, blocks)) = published {
+            progress.note(&format!(
+                "# wrote {} ({blocks} telemetry block(s))",
+                path.display()
+            ));
         }
     }
     result
@@ -944,7 +970,6 @@ impl Fig09bPowerGating {
         let scale = ctx.scale(ExperimentScale {
             max_cycles: 8_000,
             warmup_cycles: 1_000,
-            ..ExperimentScale::paper()
         });
         (nodes, workloads, scale)
     }
@@ -1048,7 +1073,6 @@ impl Fig10Saturation {
         let scale = ctx.scale(ExperimentScale {
             max_cycles: 6_000,
             warmup_cycles: 800,
-            ..ExperimentScale::paper()
         });
         (sizes, rates, scale)
     }
@@ -1132,7 +1156,6 @@ impl Fig11LatencyCurves {
         let scale = ctx.scale(ExperimentScale {
             max_cycles: 6_000,
             warmup_cycles: 800,
-            ..ExperimentScale::paper()
         });
         (nodes, rates, kinds, patterns, scale)
     }
@@ -1208,7 +1231,6 @@ impl Fig12Workloads {
         let scale = ctx.scale(ExperimentScale {
             max_cycles: 8_000,
             warmup_cycles: 1_000,
-            ..ExperimentScale::paper()
         });
         (nodes, workloads, scale)
     }
@@ -1418,7 +1440,6 @@ impl FaultResilience {
         let scale = ctx.scale(ExperimentScale {
             max_cycles: 6_000,
             warmup_cycles: 800,
-            ..ExperimentScale::paper()
         });
         (kinds, nodes, severities, scale)
     }
@@ -1474,7 +1495,6 @@ impl AdversarialSaturation {
         let scale = ctx.scale(ExperimentScale {
             max_cycles: 6_000,
             warmup_cycles: 800,
-            ..ExperimentScale::paper()
         });
         (TopologyKind::ALL.to_vec(), nodes, rates, scale)
     }
@@ -1861,7 +1881,6 @@ mod tests {
         let scaled = RunContext::new().quick(true).with_scale(ExperimentScale {
             max_cycles: 900,
             warmup_cycles: 100,
-            telemetry_every: 0,
         });
         assert_eq!(study_fingerprint(fig10, &quick), 0xf8a6_4e55_9cfc_0d25);
         assert_eq!(study_fingerprint(fig10, &full), 0x6b99_f4b9_cafd_5185);
@@ -1888,6 +1907,77 @@ mod tests {
         assert_eq!(written, table.to_csv());
         assert!(!journal.exists(), "journal must be removed after success");
         std::fs::remove_file(&csv).unwrap();
+    }
+
+    /// A study whose first two jobs simulate (and so record telemetry) and
+    /// whose third fails, noting whether the stream's `.part` was open.
+    struct FailsAfterRecording {
+        part: PathBuf,
+        part_open: std::sync::atomic::AtomicBool,
+    }
+
+    impl Study for FailsAfterRecording {
+        fn name(&self) -> &'static str {
+            "fails_after_recording"
+        }
+        fn artefact(&self) -> &'static str {
+            "test"
+        }
+        fn description(&self) -> &'static str {
+            "two simulations, then a failing job"
+        }
+        fn driver(&self) -> &'static str {
+            "run_pattern_on"
+        }
+        fn grid(&self, _: &RunContext) -> StudyGrid {
+            StudyGrid::new(vec![("job", 3)])
+        }
+        fn run(&self, ctx: &RunContext) -> SfResult<Table> {
+            let rows: Vec<f64> = ctx.run_jobs(vec![0u64, 1, 2], |n| {
+                if n == 2 {
+                    self.part_open.store(self.part.exists(), Ordering::SeqCst);
+                    return Err(SfError::Simulation {
+                        reason: "job 2 failed".into(),
+                    });
+                }
+                let instance = ctx.instance(TopologyKind::StringFigure, 16, 3)?;
+                let stats = crate::experiments::run_pattern_on(
+                    &instance,
+                    SyntheticPattern::UniformRandom,
+                    0.1,
+                    ExperimentScale::quick(),
+                    n,
+                )?;
+                Ok(stats.delivered as f64)
+            })?;
+            let mut table = Table::with_columns(&["delivered"]);
+            for row in rows {
+                table.push_row(vec![row.into()]);
+            }
+            Ok(table)
+        }
+    }
+
+    #[test]
+    fn failed_telemetry_run_publishes_nothing() {
+        let dir = std::env::temp_dir();
+        let stream = dir.join(format!("sf-study-failed-{}.bin", std::process::id()));
+        let part = dir.join(format!("sf-study-failed-{}.bin.part", std::process::id()));
+        let study = FailsAfterRecording {
+            part: part.clone(),
+            part_open: std::sync::atomic::AtomicBool::new(false),
+        };
+        let ctx = RunContext::new()
+            .with_pool(PoolConfig::serial())
+            .with_telemetry(&stream);
+        let error = execute(&study, &ctx).unwrap_err();
+        assert!(error.to_string().contains("job 2 failed"), "{error}");
+        assert!(
+            study.part_open.load(Ordering::SeqCst),
+            "the stream was not open while the jobs ran"
+        );
+        assert!(!stream.exists(), "a failed run published its stream");
+        assert!(!part.exists(), "a failed run left its .part behind");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sharded, thread-safe build-once cache for expensive sweep artefacts.
+//! Thread-safe build-once cache for expensive sweep artefacts.
 //!
 //! A parameter sweep frequently revisits the same topology: a saturation grid
 //! evaluates ten injection rates against one `(kind, nodes, seed)` graph, a
@@ -6,73 +6,19 @@
 //! rebuild identical networks per pattern. [`BuildCache`] memoises those
 //! builds behind `Arc`s so concurrent jobs share one generated instance.
 //!
-//! The cache is sharded by key hash to keep lock contention off the worker
-//! pool's hot path, and each shard is bounded by a **cost-aware LRU** policy:
-//! when a shard is full, the entry that is *cheapest to rebuild* is evicted
-//! first, ties broken by least-recent use. Build cost is measured as the wall
-//! time the builder took, so a 1296-node paper-scale topology (seconds to
-//! generate) stays resident while 16-node smoke instances (microseconds)
-//! churn through the shard. Correctness never depends on a hit — builders are
-//! pure functions of the key — so the policy only shapes rebuild time.
+//! The cache is one map behind one mutex, and it never evicts: a cache
+//! belongs to one run, whose grid names a bounded set of keys. Correctness
+//! never depends on a hit — builders are pure functions of the key — so
+//! the cache only shapes rebuild time.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-const DEFAULT_SHARDS: usize = 16;
-const DEFAULT_PER_SHARD_CAPACITY: usize = 64;
-
-/// One cached artefact plus the metadata the eviction policy ranks it by.
-#[derive(Debug)]
-struct CacheEntry<V> {
-    value: Arc<V>,
-    /// Wall-clock nanoseconds the builder took; the rebuild-cost estimate.
-    cost_ns: u128,
-    /// Shard-local logical timestamp of the last hit (or the insert).
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard<K, V> {
-    entries: HashMap<K, CacheEntry<V>>,
-    /// Monotonic per-shard clock driving `last_used` stamps.
-    clock: u64,
-}
-
-impl<K: Eq + Hash, V> Shard<K, V> {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Drops entries until the shard is below `capacity`, cheapest rebuild
-    /// first, least-recently-used among equal costs.
-    fn evict_to(&mut self, capacity: usize)
-    where
-        K: Clone,
-    {
-        while self.entries.len() >= capacity.max(1) {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| (e.cost_ns, e.last_used))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(key) => self.entries.remove(&key),
-                None => break,
-            };
-        }
-    }
-}
-
-/// A sharded map from sweep keys to shared build artefacts with cost-aware
-/// LRU eviction.
+/// A map from sweep keys to shared build artefacts, each built once.
 #[derive(Debug)]
 pub struct BuildCache<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-    per_shard_capacity: usize,
+    entries: Mutex<HashMap<K, Arc<V>>>,
 }
 
 impl<K: Eq + Hash, V> Default for BuildCache<K, V> {
@@ -82,40 +28,22 @@ impl<K: Eq + Hash, V> Default for BuildCache<K, V> {
 }
 
 impl<K: Eq + Hash, V> BuildCache<K, V> {
-    /// A cache with the default shard count and capacity.
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_shape(DEFAULT_SHARDS, DEFAULT_PER_SHARD_CAPACITY)
-    }
-
-    /// A cache with `shards` shards of at most `per_shard_capacity` entries.
-    #[must_use]
-    pub fn with_shape(shards: usize, per_shard_capacity: usize) -> Self {
-        let shards = shards.max(1);
         Self {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        entries: HashMap::new(),
-                        clock: 0,
-                    })
-                })
-                .collect(),
-            per_shard_capacity: per_shard_capacity.max(1),
+            entries: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let index = (hasher.finish() as usize) % self.shards.len();
-        &self.shards[index]
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<K, Arc<V>>> {
+        self.entries.lock().expect("build cache poisoned")
     }
 
     /// Returns the cached artefact for `key`, building it with `build` on a
     /// miss.
     ///
-    /// The build runs *outside* the shard lock, so a slow topology generation
+    /// The build runs *outside* the lock, so a slow topology generation
     /// never blocks other workers' lookups; if two workers race on the same
     /// missing key, the first insert wins and the loser's build is dropped.
     /// `build` must be a pure function of `key` for that to be sound — which
@@ -124,112 +52,32 @@ impl<K: Eq + Hash, V> BuildCache<K, V> {
     /// # Errors
     ///
     /// Propagates the builder's error; errors are not cached.
-    pub fn get_or_build<E>(&self, key: K, build: impl FnOnce() -> Result<V, E>) -> Result<Arc<V>, E>
-    where
-        K: Clone,
-    {
-        self.get_or_build_ranked(key, None, build)
-    }
-
-    /// [`Self::get_or_build`] with an explicit rebuild-cost estimate instead
-    /// of the measured build time. Higher costs are evicted later.
-    ///
-    /// Costs are compared directly against other entries of the same cache,
-    /// and entries inserted through [`Self::get_or_build`] carry their
-    /// measured build time in **nanoseconds** — so either use one insertion
-    /// method consistently per cache, or supply explicit costs on a
-    /// nanosecond scale. Mixing, say, a node count (`1296`) with measured
-    /// microsecond builds (`20_000` ns) would rank the big topology as the
-    /// cheapest entry and evict it first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the builder's error; errors are not cached.
-    pub fn get_or_build_with_cost<E>(
+    pub fn get_or_build<E>(
         &self,
         key: K,
-        cost: u64,
         build: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E>
-    where
-        K: Clone,
-    {
-        self.get_or_build_ranked(key, Some(u128::from(cost)), build)
-    }
-
-    fn get_or_build_ranked<E>(
-        &self,
-        key: K,
-        cost: Option<u128>,
-        build: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E>
-    where
-        K: Clone,
-    {
-        let shard = self.shard(&key);
-        {
-            let mut guard = shard.lock().expect("cache shard poisoned");
-            let stamp = guard.tick();
-            if let Some(hit) = guard.entries.get_mut(&key) {
-                hit.last_used = stamp;
-                // Hit/miss counts depend on which worker reaches a key first,
-                // hence the nondeterministic `sched.` namespace.
-                sf_obs::metrics::global().counter_add("sched.cache_hits", 1);
-                return Ok(Arc::clone(&hit.value));
-            }
+    ) -> Result<Arc<V>, E> {
+        if let Some(hit) = self.lock().get(&key) {
+            // Hit/miss counts depend on which worker reaches a key first,
+            // hence the nondeterministic `sched.` namespace.
+            sf_obs::metrics::global().counter_add("sched.cache_hits", 1);
+            return Ok(Arc::clone(hit));
         }
         sf_obs::metrics::global().counter_add("sched.cache_misses", 1);
-        let started = Instant::now();
         let built = Arc::new(build()?);
-        let cost_ns = cost.unwrap_or_else(|| started.elapsed().as_nanos());
-        let mut guard = shard.lock().expect("cache shard poisoned");
-        let stamp = guard.tick();
-        if let Some(winner) = guard.entries.get_mut(&key) {
-            winner.last_used = stamp;
-            return Ok(Arc::clone(&winner.value));
-        }
-        guard.evict_to(self.per_shard_capacity);
-        guard.entries.insert(
-            key,
-            CacheEntry {
-                value: Arc::clone(&built),
-                cost_ns,
-                last_used: stamp,
-            },
-        );
-        Ok(built)
+        Ok(Arc::clone(self.lock().entry(key).or_insert(built)))
     }
 
-    /// Total entries across all shards.
+    /// Number of cached artefacts.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
-            .sum()
+        self.lock().len()
     }
 
-    /// Whether the cache holds no entries.
+    /// Whether the cache holds no artefacts.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether `key` is currently resident (does not refresh its LRU stamp).
-    #[must_use]
-    pub fn contains(&self, key: &K) -> bool {
-        self.shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .entries
-            .contains_key(key)
-    }
-
-    /// Drops every cached entry.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").entries.clear();
-        }
     }
 }
 
@@ -261,64 +109,6 @@ mod tests {
         assert!(cache.is_empty());
         let ok: Result<_, &str> = cache.get_or_build(7, || Ok(49));
         assert_eq!(*ok.unwrap(), 49);
-    }
-
-    #[test]
-    fn capacity_bound_evicts_rather_than_grows() {
-        let cache: BuildCache<u32, u32> = BuildCache::with_shape(1, 4);
-        for key in 0..40 {
-            let _ = cache.get_or_build::<()>(key, || Ok(key));
-        }
-        assert!(cache.len() <= 4);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn expensive_entries_survive_cheap_churn() {
-        let cache: BuildCache<u32, u32> = BuildCache::with_shape(1, 4);
-        // One expensive build (simulated by sleeping) followed by a stream of
-        // cheap ones: the expensive entry must still be resident afterwards.
-        let _ = cache.get_or_build::<()>(999, || {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            Ok(999)
-        });
-        for key in 0..32 {
-            let _ = cache.get_or_build::<()>(key, || Ok(key));
-        }
-        assert!(cache.contains(&999), "expensive entry was evicted");
-        assert!(cache.len() <= 4);
-    }
-
-    #[test]
-    fn least_recently_used_breaks_cost_ties() {
-        let cache: BuildCache<u32, u32> = BuildCache::with_shape(1, 3);
-        // Three entries with identical explicit costs fill the shard.
-        for key in [1u32, 2, 3] {
-            let _ = cache.get_or_build_with_cost::<()>(key, 100, || Ok(key));
-        }
-        // Touch 1 so 2 becomes the least recently used; the next insert must
-        // evict 2, not the freshly touched 1.
-        let _ = cache.get_or_build_with_cost::<()>(1, 100, || Ok(1));
-        let _ = cache.get_or_build_with_cost::<()>(4, 100, || Ok(4));
-        assert!(cache.contains(&1), "recently used entry was evicted");
-        assert!(!cache.contains(&2), "LRU tie-break failed to evict 2");
-        assert!(cache.contains(&3));
-        assert!(cache.contains(&4));
-    }
-
-    #[test]
-    fn explicit_costs_rank_eviction() {
-        let cache: BuildCache<u32, u32> = BuildCache::with_shape(1, 3);
-        let _ = cache.get_or_build_with_cost::<()>(10, 1_000_000, || Ok(10));
-        let _ = cache.get_or_build_with_cost::<()>(11, 5, || Ok(11));
-        let _ = cache.get_or_build_with_cost::<()>(12, 10, || Ok(12));
-        // Shard is full; the cheapest entry (11) must be evicted first.
-        let _ = cache.get_or_build_with_cost::<()>(13, 500, || Ok(13));
-        assert!(cache.contains(&10));
-        assert!(!cache.contains(&11));
-        assert!(cache.contains(&12));
-        assert!(cache.contains(&13));
     }
 
     #[test]

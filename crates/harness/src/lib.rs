@@ -15,17 +15,16 @@
 //!   each job's failure or panic isolated to that job and the first failure
 //!   cancelling the rest. [`sweep::cross2`] / [`sweep::cross3`] enumerate
 //!   grids row-major.
-//! * [`pool`] — a `std::thread`-based worker pool with chunked work
-//!   distribution, per-job panic isolation and a reorder buffer, so a run
-//!   with 16 workers is **bit-identical** to a run with one.
+//! * [`pool`] — a `std::thread`-based worker pool whose workers pull one
+//!   point at a time, with per-job panic isolation and a reorder buffer, so
+//!   a run with 16 workers is **bit-identical** to a run with one.
 //! * [`table`] — typed result rows ([`Record`]) collected into a [`Table`]
 //!   with hand-rolled CSV and JSON emitters (and matching parsers for
 //!   round-trip tests), so bench binaries produce machine-readable artifacts
 //!   without external dependencies.
-//! * [`cache`] — a sharded, thread-safe build-once cache so repeated points
-//!   at the same (kind, size, seed) reuse the generated topology instead of
-//!   regenerating it per job. Eviction is cost-aware LRU: cheap-to-rebuild
-//!   entries go first, so paper-scale topologies stay resident.
+//! * [`cache`] — a thread-safe build-once map so repeated points at the
+//!   same (kind, size, seed) reuse the generated topology instead of
+//!   regenerating it per job. Each run owns its cache, which never evicts.
 //! * [`journal`] — an append-only checkpoint journal of completed job
 //!   results, so an interrupted run resumes with bit-identical final output
 //!   instead of starting over.

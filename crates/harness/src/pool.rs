@@ -1,12 +1,12 @@
-//! `std::thread`-based worker pool: chunked distribution, per-job panic
+//! `std::thread`-based worker pool: dynamic distribution, per-job panic
 //! isolation and ordered delivery.
 //!
 //! The scheduler behind [`crate::sweep::run`] keeps the job iterator behind
-//! a mutex. A worker locks it, takes the next `chunk` items together with
-//! their enumeration indices, runs them without holding any lock, and comes
-//! back for more. Chunking keeps the lock traffic negligible for cheap jobs,
-//! while the dynamic assignment keeps long jobs (large topologies) from
-//! serialising behind a static partition.
+//! a mutex. A worker locks it, takes the next item together with its
+//! enumeration index, runs it without holding any lock, and comes back for
+//! more. A study's job is a whole simulation or topology analysis, so one
+//! lock per job is cheap beside it, while the dynamic assignment keeps long
+//! jobs (large topologies) from serialising behind a static partition.
 //!
 //! Every job runs under `catch_unwind`, so a panicking job becomes an error
 //! for *that index only* and the pool itself is never poisoned. Finished
@@ -23,8 +23,6 @@ use std::sync::{Condvar, Mutex};
 pub struct PoolConfig {
     /// Number of worker threads; `1` runs inline on the caller thread.
     pub threads: usize,
-    /// Jobs a worker takes from the shared job iterator per pull.
-    pub chunk: usize,
 }
 
 impl PoolConfig {
@@ -36,7 +34,6 @@ impl PoolConfig {
     pub fn threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            chunk: 1,
         }
     }
 
@@ -54,13 +51,6 @@ impl PoolConfig {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         Self::threads(threads)
-    }
-
-    /// Sets the chunk size (clamped to at least 1).
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
     }
 }
 
@@ -114,7 +104,7 @@ impl Drop for NotifyOnDrop<'_> {
     }
 }
 
-/// The one chunk-pulling scheduler behind [`crate::sweep::run`].
+/// The one scheduler behind [`crate::sweep::run`].
 ///
 /// Pulls `(index, item)` pairs from `stream` under a lock, runs `execute` on
 /// worker threads under `catch_unwind`, and hands each result to `emit`
@@ -123,8 +113,8 @@ impl Drop for NotifyOnDrop<'_> {
 /// `Err(panic message)`. A completed result is buffered only while some
 /// smaller index is still in flight; workers that race too far ahead of the
 /// slowest in-flight index park on a condvar until the buffer drains
-/// (backpressure), which bounds the buffer at `O(workers × chunk)` even for
-/// wildly uneven job costs.
+/// (backpressure), which bounds the buffer at `O(workers)` even for wildly
+/// uneven job costs.
 ///
 /// When the iterator reports an exact size, the worker count is clamped to
 /// it, so a two-point sweep on a 16-core host starts two workers, not
@@ -132,7 +122,7 @@ impl Drop for NotifyOnDrop<'_> {
 ///
 /// `emit` is called at most once per item, with strictly increasing indices;
 /// returning `false` cancels the run — no further points are pulled, and
-/// in-flight chunks finish computing but their results are discarded
+/// in-flight jobs finish computing but their results are discarded
 /// unemitted.
 pub(crate) fn run_stream_emit<P, T, I, F, S>(config: &PoolConfig, stream: I, execute: F, emit: S)
 where
@@ -167,12 +157,11 @@ where
     let workers = exact_len
         .map_or(config.threads, |n| config.threads.min(n))
         .max(1);
-    let chunk = config.chunk.max(1);
     // If the reorder buffer grows past this, workers pause before pulling
     // more points; the worker computing the lowest in-flight index never
     // pauses (it only waits *before* pulling new work), so the drain that
     // wakes everyone is always coming.
-    let high_water = workers.saturating_mul(chunk).saturating_mul(4).max(16);
+    let high_water = workers.saturating_mul(4).max(16);
     let source = Mutex::new(stream.enumerate());
     let sink = Mutex::new(EmitState {
         pending: BTreeMap::new(),
@@ -204,24 +193,18 @@ where
                         break;
                     }
                 }
-                // Pull the next chunk of (index, item) pairs; indices come
-                // from the shared enumeration, never from this worker. Run
-                // the chunk without holding any lock, then publish the
-                // finished results in one short critical section.
-                let pulled: Vec<(usize, P)> = {
-                    let mut stream = source.lock().expect("job stream poisoned");
-                    stream.by_ref().take(chunk).collect()
-                };
-                if pulled.is_empty() {
+                // Pull the next (index, item) pair; the index comes from the
+                // shared enumeration, never from this worker. Run the job
+                // without holding any lock, then publish the finished result
+                // in one short critical section.
+                let pulled = source.lock().expect("job stream poisoned").next();
+                let Some((index, item)) = pulled else {
                     break;
-                }
-                let results: Vec<(usize, Result<T, String>)> = pulled
-                    .into_iter()
-                    .map(|(index, item)| (index, execute(index, item)))
-                    .collect();
+                };
+                let result = execute(index, item);
                 // On a run that completes (no cancellation) every index runs
                 // exactly once, so the summed count is worker-independent.
-                sf_obs::metrics::global().counter_add("pool.jobs_completed", results.len() as u64);
+                sf_obs::metrics::global().counter_add("pool.jobs_completed", 1);
                 // Notify on every exit from the critical section — including
                 // an unwind out of a panicking emit callback. Without this, a
                 // panic would poison the mutex and leave backpressure-parked
@@ -232,9 +215,7 @@ where
                 let mut guard = sink.lock().expect("emit state poisoned");
                 let state = &mut *guard;
                 if !state.stop {
-                    for (index, result) in results {
-                        state.pending.insert(index, result);
-                    }
+                    state.pending.insert(index, result);
                     // Drain the contiguous prefix: whichever worker completes
                     // the missing index emits everything waiting on it.
                     loop {
@@ -290,12 +271,11 @@ mod tests {
         assert!(PoolConfig::auto().threads >= 1);
         assert_eq!(PoolConfig::serial().threads, 1);
         assert_eq!(PoolConfig::threads(0).threads, 1);
-        assert_eq!(PoolConfig::threads(4).with_chunk(0).chunk, 1);
     }
 
     #[test]
     fn parallel_results_are_in_index_order() {
-        let results = collect(&PoolConfig::threads(8).with_chunk(3), 100, |i| {
+        let results = collect(&PoolConfig::threads(8), 100, |i| {
             if i % 2 == 0 {
                 std::thread::yield_now();
             }

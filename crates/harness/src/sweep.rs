@@ -29,9 +29,9 @@ pub enum SweepError<E> {
 /// Runs `job(index, point)` over every point on the given pool and hands
 /// each successful row to `on_row(index, row)` in index order.
 ///
-/// Workers pull points in chunks of [`PoolConfig::chunk`]; which worker runs
-/// a point never changes the index it gets or the order its row is
-/// delivered in, so any worker count delivers the identical row sequence.
+/// Workers pull one point at a time; which worker runs a point never
+/// changes the index it gets or the order its row is delivered in, so any
+/// worker count delivers the identical row sequence.
 ///
 /// # Errors
 ///
@@ -118,7 +118,7 @@ mod tests {
         for threads in [1, 3, 7] {
             let mut next = 0usize;
             run(
-                &PoolConfig::threads(threads).with_chunk(4),
+                &PoolConfig::threads(threads),
                 0u64..500,
                 |index, n| {
                     if n % 2 == 0 {
@@ -147,7 +147,7 @@ mod tests {
             let executed = AtomicUsize::new(0);
             let mut delivered = Vec::new();
             let result = run(
-                &PoolConfig::threads(threads).with_chunk(4),
+                &PoolConfig::threads(threads),
                 0u64..100_000,
                 |_, n| {
                     executed.fetch_add(1, Ordering::Relaxed);

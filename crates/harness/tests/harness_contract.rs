@@ -53,11 +53,7 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let serial = collect(&PoolConfig::serial(), points.clone(), job);
     assert_eq!(serial.len(), points.len());
     for threads in [2, 4, 8] {
-        let parallel = collect(
-            &PoolConfig::threads(threads).with_chunk(2),
-            points.clone(),
-            job,
-        );
+        let parallel = collect(&PoolConfig::threads(threads), points.clone(), job);
         // Bit-identical: same rows, same order — compare float bits, not
         // approximate values.
         assert_eq!(serial.len(), parallel.len());

@@ -7,8 +7,8 @@
 //! - [`metrics`]: a hierarchical metrics registry (counters, gauges,
 //!   fixed-bucket histograms). Metric *values that describe simulation
 //!   behaviour* (packets delivered, journal appends, sink rows) are integer
-//!   quantities whose merge operators are commutative and associative, so the
-//!   merged totals are bit-identical regardless of the worker count.
+//!   quantities whose updates commute (sums, maxima, bucket counts), so the
+//!   totals are bit-identical regardless of the worker count.
 //!   Names under the `time.` or `sched.` prefixes are explicitly
 //!   *nondeterministic* (wall-clock durations, scheduling-dependent counts
 //!   such as topology-cache hits) and are excluded from
@@ -28,7 +28,12 @@
 //! - [`telemetry`]: the in-simulator `sf-telemetry/v1` time-series stream —
 //!   per-router queue occupancy, per-link utilisation, credit stalls, and
 //!   energy, sampled at cycle boundaries so the recorded bytes are
-//!   bit-identical for any worker count.
+//!   bit-identical for any worker count — with the per-job capture a sweep
+//!   job records into and the stream writer a run appends to.
+//!
+//! The metrics registry, the span tracer and the progress reporter are
+//! process-wide, because what they report (metrics, a trace, stderr) is per
+//! process; telemetry belongs to the run that records it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,14 @@
 //! Hierarchical metrics registry: counters, gauges, and fixed-bucket
-//! histograms, with worker-local accumulation and order-independent merge.
+//! histograms, recorded straight into one process-global map.
 //!
 //! # Determinism contract
 //!
 //! Metric names are dot-separated paths (`sim.delivered`,
 //! `journal.appends`, `sched.cache_hits`, `time.run_wall_us`). Everything is
-//! deterministic by default: counters are integer sums, histograms are
-//! integer bucket counts, and both merge with commutative, associative
-//! operators, so merged totals are bit-identical for any worker count. Two
-//! top-level prefixes opt *out* of that guarantee:
+//! deterministic by default: counters are integer sums, gauges are maxima
+//! and histograms are integer bucket counts — updates that commute, so the
+//! totals are bit-identical for any worker count and any order in which
+//! workers record. Two top-level prefixes opt *out* of that guarantee:
 //!
 //! - `time.` — wall-clock quantities; inherently nondeterministic.
 //! - `sched.` — counts that depend on scheduling order (topology-cache
@@ -16,11 +16,6 @@
 //!
 //! [`MetricsSnapshot::deterministic`] filters to the guaranteed namespace —
 //! that filtered view is what the cross-worker determinism test pins.
-//!
-//! Workers accumulate into a lock-free-to-share [`LocalMetrics`] and merge
-//! into the global [`Registry`] when done; [`Registry::absorb_ordered`]
-//! additionally sorts by an id first so even order-sensitive future metric
-//! kinds (e.g. float sums) would merge reproducibly.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -30,32 +25,15 @@ use crate::hist::Histogram;
 /// One metric's current value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
-    /// Monotonic integer count; merges by addition.
+    /// Monotonic integer count; updates add.
     Counter(u64),
-    /// Level quantity; merges by maximum (e.g. high-water marks).
+    /// Level quantity; updates keep the maximum (e.g. high-water marks).
     Gauge(u64),
-    /// Fixed-bucket distribution; merges bucketwise.
+    /// Fixed-bucket distribution; observations add to one bucket.
     Histogram(Histogram),
 }
 
 impl MetricValue {
-    /// Folds `other` into `self` using the per-kind merge operator. A kind or
-    /// histogram-shape mismatch leaves `self` unchanged and returns `false`.
-    fn merge(&mut self, other: &MetricValue) -> bool {
-        match (self, other) {
-            (MetricValue::Counter(a), MetricValue::Counter(b)) => {
-                *a += b;
-                true
-            }
-            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => {
-                *a = (*a).max(*b);
-                true
-            }
-            (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-            _ => false,
-        }
-    }
-
     /// Renders the value for the flat JSON metrics document.
     fn to_json_value(&self) -> String {
         match self {
@@ -65,72 +43,17 @@ impl MetricValue {
     }
 }
 
-/// True when `name` is covered by the bit-identical merge guarantee (i.e. it
-/// is not under the `time.` or `sched.` nondeterministic prefixes).
+/// True when `name` is covered by the bit-identical determinism guarantee
+/// (i.e. it is not under the `time.` or `sched.` nondeterministic prefixes).
 #[must_use]
 pub fn is_deterministic_name(name: &str) -> bool {
     !(name.starts_with("time.") || name.starts_with("sched."))
 }
 
-/// Worker-local metric accumulator: no locking while recording; fold into the
-/// global registry once at the end of the worker's run.
-#[derive(Debug, Default)]
-pub struct LocalMetrics {
-    entries: BTreeMap<String, MetricValue>,
-}
-
-impl LocalMetrics {
-    /// Empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to counter `name` (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        match self.entries.get_mut(name) {
-            Some(MetricValue::Counter(v)) => *v += delta,
-            Some(_) => {}
-            None => {
-                self.entries
-                    .insert(name.to_string(), MetricValue::Counter(delta));
-            }
-        }
-    }
-
-    /// Raises gauge `name` to at least `value`.
-    pub fn gauge_max(&mut self, name: &str, value: u64) {
-        match self.entries.get_mut(name) {
-            Some(MetricValue::Gauge(v)) => *v = (*v).max(value),
-            Some(_) => {}
-            None => {
-                self.entries
-                    .insert(name.to_string(), MetricValue::Gauge(value));
-            }
-        }
-    }
-
-    /// Records `value` into histogram `name`, creating it with `shape`'s
-    /// bounds on first use.
-    pub fn observe(&mut self, name: &str, value: f64, shape: &Histogram) {
-        let entry = self
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(shape.clone()));
-        if let MetricValue::Histogram(h) = entry {
-            h.observe(value);
-        }
-    }
-
-    fn into_entries(self) -> BTreeMap<String, MetricValue> {
-        self.entries
-    }
-}
-
 /// The process-global metrics registry.
 #[derive(Debug, Default)]
 pub struct Registry {
-    merged: Mutex<BTreeMap<String, MetricValue>>,
+    entries: Mutex<BTreeMap<String, MetricValue>>,
 }
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -144,68 +67,36 @@ pub fn global() -> &'static Registry {
 impl Registry {
     /// Adds `delta` to counter `name` directly on the global map (one lock).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut merged = self.merged.lock().expect("metrics registry poisoned");
-        match merged.get_mut(name) {
+        let mut entries = self.entries.lock().expect("metrics registry poisoned");
+        match entries.get_mut(name) {
             Some(MetricValue::Counter(v)) => *v += delta,
             Some(_) => {}
             None => {
-                merged.insert(name.to_string(), MetricValue::Counter(delta));
+                entries.insert(name.to_string(), MetricValue::Counter(delta));
             }
         }
     }
 
     /// Raises gauge `name` to at least `value`.
     pub fn gauge_max(&self, name: &str, value: u64) {
-        let mut merged = self.merged.lock().expect("metrics registry poisoned");
-        match merged.get_mut(name) {
+        let mut entries = self.entries.lock().expect("metrics registry poisoned");
+        match entries.get_mut(name) {
             Some(MetricValue::Gauge(v)) => *v = (*v).max(value),
             Some(_) => {}
             None => {
-                merged.insert(name.to_string(), MetricValue::Gauge(value));
+                entries.insert(name.to_string(), MetricValue::Gauge(value));
             }
         }
     }
 
     /// Records one observation into histogram `name` (created with `shape`).
     pub fn observe(&self, name: &str, value: f64, shape: &Histogram) {
-        let mut merged = self.merged.lock().expect("metrics registry poisoned");
-        let entry = merged
+        let mut entries = self.entries.lock().expect("metrics registry poisoned");
+        let entry = entries
             .entry(name.to_string())
             .or_insert_with(|| MetricValue::Histogram(shape.clone()));
         if let MetricValue::Histogram(h) = entry {
             h.observe(value);
-        }
-    }
-
-    /// Folds one worker-local accumulator into the registry. Counter and
-    /// histogram merges are commutative, so absorb order cannot change the
-    /// merged totals.
-    pub fn absorb(&self, local: LocalMetrics) {
-        let mut merged = self.merged.lock().expect("metrics registry poisoned");
-        for (name, value) in local.into_entries() {
-            match merged.get_mut(&name) {
-                Some(existing) => {
-                    let _ = existing.merge(&value);
-                }
-                None => {
-                    merged.insert(name, value);
-                }
-            }
-        }
-    }
-
-    /// Folds many worker-local accumulators in ascending id order. With
-    /// today's integer metric kinds this is equivalent to any-order
-    /// [`Registry::absorb`]; the explicit ordering is the forward-compatible
-    /// seam for metric kinds whose merge is not commutative.
-    pub fn absorb_ordered<I>(&self, locals: I)
-    where
-        I: IntoIterator<Item = (u64, LocalMetrics)>,
-    {
-        let mut ordered: Vec<(u64, LocalMetrics)> = locals.into_iter().collect();
-        ordered.sort_by_key(|(id, _)| *id);
-        for (_, local) in ordered {
-            self.absorb(local);
         }
     }
 
@@ -214,7 +105,7 @@ impl Registry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             entries: self
-                .merged
+                .entries
                 .lock()
                 .expect("metrics registry poisoned")
                 .clone(),
@@ -223,7 +114,7 @@ impl Registry {
 
     /// Clears the registry (test isolation).
     pub fn reset(&self) {
-        self.merged
+        self.entries
             .lock()
             .expect("metrics registry poisoned")
             .clear();
@@ -314,30 +205,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_order_does_not_change_totals() {
-        let reg_a = Registry::default();
-        let reg_b = Registry::default();
-        let make = |tag: u64| {
-            let mut local = LocalMetrics::new();
-            local.counter_add("sim.delivered", tag * 10);
-            local.gauge_max("pool.peak_inflight", tag);
-            local.observe("sim.latency", tag as f64, &Histogram::exponential(6));
-            local
-        };
-        reg_a.absorb_ordered([(0, make(1)), (1, make(2)), (2, make(3))]);
-        reg_b.absorb_ordered([(2, make(3)), (0, make(1)), (1, make(2))]);
-        assert_eq!(reg_a.snapshot(), reg_b.snapshot());
-        assert_eq!(
-            reg_a.snapshot().get("sim.delivered"),
-            Some(&MetricValue::Counter(60))
-        );
-        assert_eq!(
-            reg_a.snapshot().get("pool.peak_inflight"),
-            Some(&MetricValue::Gauge(3))
-        );
-    }
 
     #[test]
     fn namespace_rule_matches_documented_prefixes() {

@@ -44,27 +44,24 @@
 //! # Ordered collection across a sweep
 //!
 //! A study sweep runs many simulations on pool worker threads that finish
-//! in nondeterministic order. The process-global [`Collector`] restores
-//! determinism with the same seam the row pipeline uses: each sweep job
-//! wraps itself in a [`job_scope`] keyed by `(sweep, job index)`, encoded
-//! blocks park in an ordered buffer, and the coordinator's **in-order**
-//! row delivery calls [`Collector::deliver_through`] to flush them — so
-//! the stream's block order equals the job enumeration order for any
-//! worker count, and the buffer never outgrows the pool's in-flight
-//! window. The file itself goes through the atomic `.part`-rename pattern
-//! shared with every other artifact sink.
+//! in nondeterministic order. Each recorded job runs inside a [`capture`]:
+//! a thread-local recorder that carries the sampling stride (the kernel
+//! records only inside one, see [`capture_stride`]) and keeps the blocks
+//! the job's simulations [`submit`]. The blocks travel with the job's row
+//! through the sweep's in-order delivery, which appends them to the run's
+//! [`StreamWriter`] — so the stream's block order equals the job
+//! enumeration order for any worker count, and two runs in one process
+//! never share anything. The file goes through the atomic `.part`-rename
+//! pattern shared with every other artifact sink.
 //!
 //! Jobs restored from a checkpoint journal skip their simulations, so a
 //! resumed run records blocks only for the jobs it actually re-executes;
 //! byte-level stream comparisons should use fresh (`--no-resume`) runs.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Schema identifier of the telemetry stream format.
 pub const SCHEMA: &str = "sf-telemetry/v1";
@@ -417,60 +414,91 @@ pub fn parse_stream(bytes: &[u8]) -> Result<Vec<TelemetryBlock>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// The process-global collector
+// Per-job capture
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The recorder of the job running on this thread.
+#[derive(Debug)]
+struct Capture {
+    every: u64,
+    blocks: Vec<Vec<u8>>,
+}
 
 thread_local! {
-    /// The sweep-job scope of the current thread: `(sweep, job index,
-    /// next sub-block ordinal)`.
-    static JOB_SCOPE: Cell<Option<(u64, u64, u64)>> = const { Cell::new(None) };
+    static CAPTURE: RefCell<Option<Capture>> = const { RefCell::new(None) };
 }
 
-/// Cheap global gate the kernel checks before allocating a [`RunSeries`].
-/// True between a successful [`Collector::configure`] and the matching
-/// [`Collector::finish`]/[`Collector::abort`].
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// RAII marker placing the current thread inside sweep job
-/// `(seq, index)`; created by [`job_scope`].
-#[derive(Debug)]
-pub struct JobScope {
-    prev: Option<(u64, u64, u64)>,
-}
-
-/// Declares that simulations on this thread, until the guard drops, belong
-/// to sweep `seq` job `index` — their blocks park in the collector's
-/// ordered buffer instead of being written immediately.
-#[must_use]
-pub fn job_scope(seq: u64, index: u64) -> JobScope {
-    let prev = JOB_SCOPE.with(|cell| cell.replace(Some((seq, index, 0))));
-    JobScope { prev }
-}
-
-impl Drop for JobScope {
-    fn drop(&mut self) {
-        JOB_SCOPE.with(|cell| cell.set(self.prev.take()));
+/// Runs `f` with telemetry recording on at a stride of `every` cycles
+/// (clamped to at least 1) and returns its result with the encoded blocks
+/// its simulations [`submit`]ted, in submission order.
+///
+/// The capture is this thread's only: simulations on other threads, and
+/// code after `f` returns, record nothing. A capture nested inside another
+/// hides the outer one until it ends, and a panic in `f` discards its
+/// blocks and restores the outer state.
+pub fn capture<T>(every: u64, f: impl FnOnce() -> T) -> (T, Vec<Vec<u8>>) {
+    /// Puts the enclosing capture back, on return and on unwind alike.
+    struct Restore(Option<Capture>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = self.0.take();
+            CAPTURE.with(|cell| *cell.borrow_mut() = outer);
+        }
     }
+    let inner = Capture {
+        every: every.max(1),
+        blocks: Vec::new(),
+    };
+    let _restore = Restore(CAPTURE.with(|cell| cell.replace(Some(inner))));
+    let value = f();
+    let blocks = CAPTURE
+        .with(|cell| cell.borrow_mut().take())
+        .map_or_else(Vec::new, |capture| capture.blocks);
+    (value, blocks)
 }
 
-/// Incremental atomic stream writer: bytes go to `<dest>.part`, `finish`
-/// renames into place, and dropping an unfinished writer removes the
-/// partial file (the same contract as the row sinks).
+/// The sampling stride of this thread's [`capture`], or `None` when no
+/// capture is running — the gate the kernel checks before allocating a
+/// [`RunSeries`].
+#[must_use]
+pub fn capture_stride() -> Option<u64> {
+    CAPTURE.with(|cell| cell.borrow().as_ref().map(|capture| capture.every))
+}
+
+/// Hands one encoded run block to this thread's [`capture`]; a no-op when
+/// none is running.
+pub fn submit(block: Vec<u8>) {
+    CAPTURE.with(|cell| {
+        if let Some(capture) = cell.borrow_mut().as_mut() {
+            capture.blocks.push(block);
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// The stream writer
+// ---------------------------------------------------------------------------
+
+/// A stream being written atomically: the magic and every appended block go
+/// to `<dest>.part`, [`finish`](Self::finish) renames it into place, and
+/// dropping an unfinished writer removes the `.part`, so a failed run
+/// publishes nothing.
 #[derive(Debug)]
-struct PartWriter {
+pub struct StreamWriter {
     dest: PathBuf,
     part: PathBuf,
-    file: BufWriter<File>,
-    finished: bool,
+    /// `None` once a write failed: recording stopped and the `.part` is gone.
+    file: Option<BufWriter<File>>,
+    blocks: u64,
 }
 
-impl PartWriter {
-    fn open(dest: &Path) -> io::Result<Self> {
+impl StreamWriter {
+    /// Creates `<dest>.part` and writes the stream magic to it.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces the filesystem failure.
+    pub fn create(dest: &Path) -> io::Result<Self> {
         let mut part = dest.as_os_str().to_owned();
         part.push(".part");
         let part = PathBuf::from(part);
@@ -479,173 +507,68 @@ impl PartWriter {
         Ok(Self {
             dest: dest.to_path_buf(),
             part,
-            file,
-            finished: false,
+            file: Some(file),
+            blocks: 0,
         })
     }
 
-    fn finish(mut self) -> io::Result<PathBuf> {
-        self.file.flush()?;
-        std::fs::rename(&self.part, &self.dest)?;
-        self.finished = true;
-        Ok(self.dest.clone())
-    }
-}
-
-impl Drop for PartWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = std::fs::remove_file(&self.part);
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct CollectorState {
-    sink: Option<PartWriter>,
-    /// Blocks awaiting their in-order delivery slot, keyed by
-    /// `(sweep, job index, sub-block ordinal)`.
-    pending: BTreeMap<(u64, u64, u64), Vec<u8>>,
-    blocks: u64,
-}
-
-/// The process-global telemetry stream collector; obtain via
-/// [`Collector::global`]. See the module docs for the ordering protocol.
-#[derive(Debug, Default)]
-pub struct Collector {
-    state: Mutex<CollectorState>,
-}
-
-static GLOBAL: OnceLock<Collector> = OnceLock::new();
-
-impl Collector {
-    /// The process-global collector instance.
+    /// Whether blocks are still being written (no write has failed).
     #[must_use]
-    pub fn global() -> &'static Collector {
-        GLOBAL.get_or_init(Collector::default)
+    pub fn is_recording(&self) -> bool {
+        self.file.is_some()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CollectorState> {
-        self.state.lock().expect("telemetry collector poisoned")
-    }
-
-    /// Opens a stream at `path` (via `<path>.part`), writes the magic, and
-    /// turns the global [`enabled`] gate on. Any previously open stream is
-    /// aborted first.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces filesystem failures; the gate stays off on error.
-    pub fn configure(&self, path: &Path) -> io::Result<()> {
-        let mut state = self.lock();
-        state.pending.clear();
-        state.blocks = 0;
-        state.sink = None; // drops (and removes) any abandoned .part
-        state.sink = Some(PartWriter::open(path)?);
-        ENABLED.store(true, Ordering::Release);
-        Ok(())
-    }
-
-    /// Accepts one encoded run block. Inside a [`job_scope`] the block
-    /// parks in the ordered buffer; outside any scope (a direct library
-    /// run) it is written immediately. A no-op when no stream is open.
-    pub fn submit(&self, block: Vec<u8>) {
-        if !enabled() {
-            return;
-        }
-        let key = JOB_SCOPE.with(|cell| {
-            cell.get().map(|(seq, index, sub)| {
-                cell.set(Some((seq, index, sub + 1)));
-                (seq, index, sub)
-            })
-        });
-        let mut state = self.lock();
-        if state.sink.is_none() {
-            return;
-        }
-        match key {
-            Some(key) => {
-                state.pending.insert(key, block);
-            }
-            None => Self::write_block(&mut state, &block),
-        }
-    }
-
-    /// Flushes every parked block up to and including sweep `seq` job
-    /// `index`, in key order. Called from the coordinator's in-order row
-    /// delivery, which is what makes the written block order independent
-    /// of worker scheduling.
-    pub fn deliver_through(&self, seq: u64, index: u64) {
-        if !enabled() {
-            return;
-        }
-        let mut state = self.lock();
-        if state.sink.is_none() || state.pending.is_empty() {
-            return;
-        }
-        // Sub-ordinal u64::MAX is never a real key (it would require 2^64
-        // submits in one job), so splitting there keeps exactly the later
-        // jobs parked.
-        let mut ready = std::mem::take(&mut state.pending);
-        state.pending = ready.split_off(&(seq, index, u64::MAX));
-        for block in ready.values() {
-            Self::write_block(&mut state, block);
-        }
-    }
-
-    fn write_block(state: &mut CollectorState, block: &[u8]) {
-        let Some(sink) = state.sink.as_mut() else {
+    /// Appends one encoded run block. The first failed write warns on
+    /// stderr, removes the `.part` and stops recording: later blocks are
+    /// dropped and [`finish`](Self::finish) publishes nothing. Telemetry is
+    /// out-of-band, so a failed write never fails the run.
+    pub fn append(&mut self, block: &[u8]) {
+        let Some(file) = self.file.as_mut() else {
             return;
         };
-        if let Err(e) = sink.file.write_all(block) {
+        if let Err(e) = file.write_all(block) {
             crate::progress::Progress::global().note(&format!(
                 "# warning: telemetry write to {} failed: {e}; telemetry disabled",
-                sink.part.display()
+                self.part.display()
             ));
-            // Disable and drop the sink: Drop removes the .part so a bad
-            // stream is never published.
-            ENABLED.store(false, Ordering::Release);
-            state.sink = None;
-            state.pending.clear();
+            self.file = None;
+            let _ = std::fs::remove_file(&self.part);
             return;
         }
-        state.blocks += 1;
+        self.blocks += 1;
     }
 
-    /// Flushes any still-parked blocks (in key order) and atomically
-    /// publishes the stream. Returns the final path and block count, or
-    /// `None` when no stream was open (never configured, or disabled by a
-    /// write failure).
+    /// Flushes the stream and renames it into place. Returns the published
+    /// path and block count, or `None` when recording stopped after a failed
+    /// write.
     ///
     /// # Errors
     ///
-    /// Surfaces the final flush/rename failure.
-    pub fn finish(&self) -> io::Result<Option<(PathBuf, u64)>> {
-        ENABLED.store(false, Ordering::Release);
-        let mut state = self.lock();
-        let remaining = std::mem::take(&mut state.pending);
-        for block in remaining.values() {
-            // write_block needs the sink; bypass the enabled() gate, which
-            // is already off.
-            if state.sink.is_some() {
-                Self::write_block(&mut state, block);
-            }
+    /// Surfaces the final flush or rename failure; the `.part` is removed.
+    pub fn finish(mut self) -> io::Result<Option<(PathBuf, u64)>> {
+        let Some(file) = self.file.take() else {
+            return Ok(None);
+        };
+        let published = file
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)
+            .and_then(|file| {
+                drop(file);
+                std::fs::rename(&self.part, &self.dest)
+            });
+        if let Err(e) = published {
+            let _ = std::fs::remove_file(&self.part);
+            return Err(e);
         }
-        let blocks = std::mem::take(&mut state.blocks);
-        match state.sink.take() {
-            Some(sink) => Ok(Some((sink.finish()?, blocks))),
-            None => Ok(None),
-        }
+        Ok(Some((self.dest.clone(), self.blocks)))
     }
+}
 
-    /// Discards the open stream (removing its `.part`) and any parked
-    /// blocks; the failed run publishes nothing.
-    pub fn abort(&self) {
-        ENABLED.store(false, Ordering::Release);
-        let mut state = self.lock();
-        state.pending.clear();
-        state.blocks = 0;
-        state.sink = None;
+impl Drop for StreamWriter {
+    fn drop(&mut self) {
+        if self.file.take().is_some() {
+            let _ = std::fs::remove_file(&self.part);
+        }
     }
 }
 
@@ -772,56 +695,76 @@ mod tests {
         assert_eq!(parse_stream(MAGIC).expect("magic only"), Vec::new());
     }
 
-    // The collector is process-global, so its whole lifecycle runs in one
-    // test: out-of-scope writes, scoped reordering, finish, and abort.
     #[test]
-    fn collector_orders_scoped_blocks_and_publishes_atomically() {
+    fn capture_collects_its_jobs_blocks_in_submission_order() {
+        assert_eq!(capture_stride(), None);
+        submit(vec![0xff]); // outside any capture: dropped
+        let (value, blocks) = capture(0, || {
+            // The stride is clamped to at least one cycle.
+            assert_eq!(capture_stride(), Some(1));
+            submit(vec![1]);
+            let ((), inner) = capture(32, || {
+                assert_eq!(capture_stride(), Some(32));
+                submit(vec![2]);
+            });
+            assert_eq!(inner, vec![vec![2]]);
+            // The outer capture is back, its earlier blocks kept.
+            assert_eq!(capture_stride(), Some(1));
+            submit(vec![3]);
+            // Other threads record nothing into this capture.
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    assert_eq!(capture_stride(), None);
+                    submit(vec![4]);
+                });
+            });
+            7
+        });
+        assert_eq!(value, 7);
+        assert_eq!(blocks, vec![vec![1], vec![3]]);
+        assert_eq!(capture_stride(), None);
+
+        // A panicking job discards its blocks and leaves no capture behind.
+        let unwound = std::panic::catch_unwind(|| {
+            capture(8, || {
+                submit(vec![5]);
+                panic!("job failed");
+            })
+        });
+        assert!(unwound.is_err());
+        assert_eq!(capture_stride(), None);
+    }
+
+    #[test]
+    fn writer_publishes_atomically_and_a_dropped_writer_leaves_nothing() {
         let dir = std::env::temp_dir().join(format!("sf-telemetry-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("stream.bin");
-        let collector = Collector::global();
+        let part = dir.join("stream.bin.part");
 
-        collector.configure(&path).expect("configure");
-        assert!(enabled());
+        let mut writer = StreamWriter::create(&path).expect("create");
+        assert!(writer.is_recording());
+        writer.append(&series_with(2, 2, 1, 1).encode());
+        writer.append(&series_with(1, 1, 1, 2).encode());
         // The stream stays a .part until finish publishes it.
-        assert!(dir.join("stream.bin.part").exists());
+        assert!(part.exists());
         assert!(!path.exists());
-
-        // Jobs finish out of order: job 1 submits before job 0.
-        {
-            let _scope = job_scope(0, 1);
-            collector.submit(series_with(1, 1, 1, 2).encode());
-        }
-        {
-            let _scope = job_scope(0, 0);
-            collector.submit(series_with(2, 2, 1, 1).encode());
-        }
-        // Nothing is written until the in-order delivery reaches each job.
-        collector.deliver_through(0, 0);
-        collector.deliver_through(0, 1);
-        let (published, blocks) = collector
-            .finish()
-            .expect("finish")
-            .expect("stream was open");
-        assert!(!enabled());
-        assert_eq!(blocks, 2);
-        assert_eq!(published, path);
-        let bytes = std::fs::read(&path).expect("published stream");
-        let decoded = parse_stream(&bytes).expect("valid stream");
-        // Delivery order, not completion order: job 0's block first.
+        let (published, blocks) = writer.finish().expect("finish").expect("recording");
+        assert_eq!((published.as_path(), blocks), (path.as_path(), 2));
+        assert!(!part.exists());
+        let decoded = parse_stream(&std::fs::read(&path).expect("published")).expect("valid");
+        // Append order is stream order.
         assert_eq!(decoded[0].routers, 2);
         assert_eq!(decoded[1].routers, 1);
 
-        // An aborted stream leaves nothing behind.
+        // An unfinished writer (a failed run) removes its .part.
         let gone = dir.join("aborted.bin");
-        collector.configure(&gone).expect("configure");
-        collector.submit(series_with(1, 1, 1, 1).encode());
-        collector.abort();
+        let mut writer = StreamWriter::create(&gone).expect("create");
+        writer.append(&series_with(1, 1, 1, 1).encode());
+        drop(writer);
         assert!(!gone.exists());
-        assert!(!enabled());
-        assert_eq!(collector.finish().expect("idempotent finish"), None);
+        assert!(!dir.join("aborted.bin.part").exists());
 
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -337,8 +337,8 @@ pub struct ShardedSimulator {
     /// enabled, one relaxed load when it is not.
     route_time: Duration,
     /// The run's telemetry series, sampled at cycle boundaries (see
-    /// [`Self::sample_telemetry`]); `None` unless telemetry is both
-    /// configured process-wide and enabled in the simulation config.
+    /// [`Self::sample_telemetry`]); `None` unless the simulator was built
+    /// inside a [`sf_obs::telemetry::capture`].
     telemetry: Option<Box<sf_obs::telemetry::RunSeries>>,
 }
 
@@ -435,20 +435,14 @@ impl ShardedSimulator {
             }
         });
 
-        // Telemetry recording costs nothing unless both gates are open: a
-        // nonzero stride in the config and a collector configured by the
-        // process (the CLI's --telemetry). The series covers every router
-        // in id order and every directed link in construction order.
-        let telemetry = if config.telemetry_every > 0 && sf_obs::telemetry::enabled() {
+        // Telemetry recording costs nothing unless the simulator is built
+        // inside a telemetry capture (a sweep job of a run with
+        // --telemetry), whose stride it samples at. The series covers every
+        // router in id order and every directed link in construction order.
+        let telemetry = sf_obs::telemetry::capture_stride().map(|every| {
             let links = adjacency.iter().map(Vec::len).sum();
-            Some(Box::new(sf_obs::telemetry::RunSeries::new(
-                num_nodes,
-                links,
-                config.telemetry_every,
-            )))
-        } else {
-            None
-        };
+            Box::new(sf_obs::telemetry::RunSeries::new(num_nodes, links, every))
+        });
 
         let routers = adjacency
             .iter()
@@ -621,7 +615,7 @@ impl ShardedSimulator {
         metrics.counter_add("sim.pool.in_flight_pushes", self.queues.in_flight.pushes());
         if let Some(series) = self.telemetry.take() {
             metrics.counter_add("sim.telemetry_samples", series.samples() as u64);
-            sf_obs::telemetry::Collector::global().submit(series.encode());
+            sf_obs::telemetry::submit(series.encode());
         }
         if sf_obs::span::timing_enabled() {
             sf_obs::span::Tracer::global().add_duration_event(

