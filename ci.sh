@@ -2,7 +2,8 @@
 # CI gate for the String Figure reproduction workspace.
 #
 #   ./ci.sh          # fmt + clippy + rustdoc + build + tests + smokes
-#   ./ci.sh --quick  # skip the release build and the smokes (fastest signal)
+#                    # + one seed-1 pass of the repository benchmark
+#   ./ci.sh --quick  # skip the release build, the smokes and the benchmark pass
 #
 # Every step must pass; the script stops at the first failure.
 
@@ -82,20 +83,18 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     # Analyzer smoke: sfbench report over the artifacts the smoke just
     # produced must exit 0 and emit a markdown document with every section.
-    echo "==> sfbench report smoke (span tree + heatmap + diff + trajectory)"
+    echo "==> sfbench report smoke (span tree + heatmap + diff)"
     report_md="$(mktemp)"
     "$sfbench" report \
         --trace "$parallel_csv.trace.jsonl" \
         --telemetry "$parallel_csv.telemetry.bin" \
         --heatmap-csv "$report_md.heatmap.csv" \
         --diff "$serial_csv.metrics.json" "$parallel_csv.metrics.json" \
-        --bench-dir . \
         --out "$report_md" --quiet
     test -s "$report_md"
     grep -q '^## Span tree' "$report_md"
     grep -q '^## Congestion heatmap' "$report_md"
     grep -q '^## Metric diff' "$report_md"
-    grep -q '^## Perf trajectory' "$report_md"
     grep -q '^router,mean_queue,max_queue,stalls$' "$report_md.heatmap.csv"
     rm -f "$report_md" "$report_md.heatmap.csv"
     rm -f "$serial_csv" "$parallel_csv" "$parallel_csv.trace.jsonl" \
@@ -153,21 +152,19 @@ if [[ "${1:-}" != "--quick" ]]; then
         "$fault_serial_csv.telemetry.bin" "$fault_parallel_csv.telemetry.bin"
     echo "==> fault-scenario artifacts and telemetry streams byte-identical"
 
-    # Perf trajectory: record this change's in-process bench snapshot and
-    # gate against the newest committed BENCH_<n>.json (wall-clock > +25% on
-    # a probe, or peak RSS > +10%, fails the build). The snapshot is labelled
-    # BENCH_<n+1>; with no committed snapshot the run only records BENCH_1.
-    prev_bench="$(git ls-files 'BENCH_*.json' | sort -V | tail -1)"
-    if [[ -n "$prev_bench" ]]; then
-        prev_n="${prev_bench#BENCH_}"
-        bench_label="BENCH_$(( ${prev_n%.json} + 1 ))"
-        echo "==> sfbench bench (perf snapshot $bench_label.json vs $prev_bench)"
-        "$sfbench" bench --label "$bench_label" --out "$bench_label.json" --baseline "$prev_bench"
-    else
-        echo "==> sfbench bench (perf snapshot BENCH_1.json)"
-        "$sfbench" bench --label BENCH_1 --out BENCH_1.json
-        echo "    no committed BENCH_*.json snapshot; recorded baseline only"
-    fi
+    # Paper-scale correctness: one seed-1 pass of the repository benchmark,
+    # with BENCHMARK.json's command. It runs one repetition per workload and
+    # checks the 1296-node paper_uniform, paper_memory and elastic_gating
+    # digests against benchmark/expected.json and fig10_sweep's CSV against
+    # the fig10 golden. Speed is measured by paired runs under
+    # `sf-benchmark compare` (benchmark/README.md), not here.
+    echo "==> repository benchmark, seed 1 (1296-node digests + fig10 golden)"
+    bench_out="$(mktemp)"
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --seed 1 --seconds 0 --trace 0 >"$bench_out"
+    tail -n 1 "$bench_out" | grep -q '^{"correct": true'
+    rm -f "$bench_out"
+    git diff --exit-code -- benchmark/ BENCHMARK.json
 fi
 
 echo "==> CI green"

@@ -8,7 +8,6 @@
 //! sfbench grid fig10 --quick            # sweep axes and job count
 //! sfbench run fig10 --quick --csv f.csv # run a study, emit artifacts
 //! sfbench run fault_resilience --quick  # an extended scenario study
-//! sfbench bench --out BENCH_7.json      # perf snapshot + regression gate
 //! sfbench report --trace t.jsonl        # offline artifact analyzer
 //! ```
 //!
@@ -17,9 +16,11 @@
 //! and `sfbench run fig10 --quick --csv f.csv` emit byte-identical
 //! artifacts.
 //!
-//! An unknown command, an unknown flag of `list`, `grid`, `run`, `bench` or
+//! An unknown command, an unknown flag of `list`, `grid`, `run` or
 //! `report`, or a boolean flag given a value exits with status 2 before any
-//! sweep starts.
+//! sweep starts. A `run` whose study fails, or that cannot write an output
+//! it was asked for (`--csv`, `--json`, `--telemetry`, `--trace`,
+//! `--metrics`), exits with status 1.
 //!
 //! ## Checkpoint/resume
 //!
@@ -261,24 +262,36 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
             1
         }
     };
-    finish_observability(progress, metrics_path.as_deref());
-    code
+    if finish_observability(progress, metrics_path.as_deref()) {
+        code
+    } else {
+        1
+    }
 }
 
 /// Flushes whatever observability sinks the run opened: the JSONL trace
 /// file, the metrics JSON document, and — whenever timing ran — a
 /// self-profiling span summary (top phases by inclusive time) on stderr.
-fn finish_observability(progress: &sf_obs::progress::Progress, metrics_path: Option<&str>) {
+/// Returns `false` if the trace or the metrics document could not be
+/// written, so the run fails like one with an unwritable `--csv`.
+fn finish_observability(progress: &sf_obs::progress::Progress, metrics_path: Option<&str>) -> bool {
     let tracer = sf_obs::span::Tracer::global();
+    let mut written = true;
     match tracer.finish_trace() {
         Ok(Some(path)) => progress.note(&format!("# wrote trace {}", path.display())),
         Ok(None) => {}
-        Err(e) => eprintln!("# warning: trace flush failed: {e}"),
+        Err(e) => {
+            eprintln!("error: trace flush failed: {e}");
+            written = false;
+        }
     }
     if let Some(path) = metrics_path {
         match std::fs::write(path, metrics_document()) {
             Ok(()) => progress.note(&format!("# wrote metrics {path}")),
-            Err(e) => eprintln!("# warning: cannot write metrics {path}: {e}"),
+            Err(e) => {
+                eprintln!("error: cannot write metrics {path}: {e}");
+                written = false;
+            }
         }
     }
     if sf_obs::span::timing_enabled() {
@@ -302,6 +315,7 @@ fn finish_observability(progress: &sf_obs::progress::Progress, metrics_path: Opt
     if let Some(kb) = sf_obs::rss::peak_rss_kb() {
         progress.note(&format!("# peak RSS: {kb} kB"));
     }
+    written
 }
 
 /// The `--metrics` document: span aggregates plus the flat metrics registry
@@ -345,7 +359,6 @@ fn print_usage() {
          \x20 list                     studies in the registry (paper + extended scenarios)\n\
          \x20 grid <study> [--quick]   sweep axes and job count of a study\n\
          \x20 run <study> [options]    run a study\n\
-         \x20 bench [options]          in-process perf probes; emits a BENCH_<n>.json snapshot\n\
          \x20 report [options]         analyze run artifacts into a markdown report\n\
          \n\
          run options:\n\
@@ -364,16 +377,8 @@ fn print_usage() {
          \x20 --telemetry PATH         congestion heatmap from a telemetry stream\n\
          \x20 --trace PATH             span tree from a JSONL trace\n\
          \x20 --diff A B               metric diff between two --metrics documents\n\
-         \x20 --bench-dir DIR          perf trajectory over BENCH_<n>.json snapshots\n\
          \x20 --heatmap-csv PATH       also export per-router congestion as CSV\n\
          \x20 --out PATH               write the markdown report (default: stdout)\n\
-         \n\
-         bench options:\n\
-         \x20 --out PATH               write the snapshot JSON (default: stdout)\n\
-         \x20 --baseline PATH          compare against a prior snapshot; exit 1 on regression\n\
-         \x20 --samples N              timed samples per micro-probe (default 3)\n\
-         \x20 --label NAME             snapshot label, conventionally BENCH_<pr>\n\
-         \x20 --quiet                  suppress progress notes\n\
          \n\
          With --csv, completed jobs are journalled to PATH.journal; rerunning\n\
          the same command after an interruption resumes and produces a CSV\n\
@@ -439,7 +444,6 @@ pub fn main(args: Vec<String>) -> i32 {
             };
             run_study(study, &CliArgs::new(args.collect()))
         }
-        Some("bench") => crate::benchprobe::run(&CliArgs::new(args.collect())),
         Some("report") => crate::report::run(&CliArgs::new(args.collect())),
         None | Some("help" | "--help" | "-h") => {
             print_usage();
@@ -593,6 +597,35 @@ mod tests {
             ]),
             2
         );
+        // Performance is measured by the repository benchmark alone.
+        assert_eq!(main(vec!["bench".into()]), 2);
+        assert_eq!(
+            main(vec![
+                "bench".into(),
+                "--samples".into(),
+                "1".into(),
+                "--baseline".into(),
+                "BENCH_17.json".into()
+            ]),
+            2
+        );
+        // A run that cannot write its metrics document fails, like one with
+        // an unwritable --csv or --trace.
+        let missing = std::env::temp_dir()
+            .join(format!("sf-bench-missing-{}", std::process::id()))
+            .join("m.json");
+        assert_eq!(
+            main(vec![
+                "run".into(),
+                "fig08".into(),
+                "--quick".into(),
+                "--no-resume".into(),
+                "--quiet".into(),
+                "--metrics".into(),
+                missing.to_string_lossy().into_owned()
+            ]),
+            1
+        );
         assert_eq!(main(vec!["list".into()]), 0);
         assert_eq!(
             main(vec!["grid".into(), "fig10".into(), "--quick".into()]),
@@ -639,6 +672,11 @@ mod tests {
             2
         );
         assert_eq!(main(vec!["list".into(), "--json".into()]), 2);
+        // Deleted features are unknown: report's perf-trajectory section.
+        assert_eq!(
+            main(vec!["report".into(), "--bench-dir".into(), ".".into()]),
+            2
+        );
         // `grid` answers at full scale without --quick, so a misspelt or
         // malformed --quick must not print the full-scale grid.
         assert_eq!(

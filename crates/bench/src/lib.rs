@@ -1,14 +1,14 @@
 //! # `sf-bench`
 //!
-//! Benchmark and experiment harnesses for the String Figure reproduction.
+//! The experiment CLI of the String Figure reproduction.
 //!
 //! The `sfbench` binary multiplexes every paper artefact through the
 //! [`stringfigure::study::StudyRegistry`] (`sfbench list`, `sfbench run
 //! fig10 --quick --csv out.csv`); see [`cli`]. The historical per-figure
 //! names (`fig10_saturation`, …) are registry aliases, so `sfbench run
 //! fig10_saturation` keeps producing byte-identical artifacts. `sfbench
-//! bench` ([`benchprobe`]) measures the cost of the core operations
-//! themselves (topology generation, simulator cycles, the fig10 study).
+//! report` ([`report`]) analyzes a run's artifacts offline. Performance is
+//! measured by the repository benchmark under `benchmark/`, not here.
 //!
 //! Flag parsing lives in [`cli::CliArgs`]; table rendering lives in
 //! `stringfigure::study`.
@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod benchprobe;
 pub mod cli;
 pub mod report;
 

@@ -1,5 +1,5 @@
-//! The `sfbench report` subcommand: an offline analyzer that turns the run
-//! artifacts the other subcommands emit into one markdown report.
+//! The `sfbench report` subcommand: an offline analyzer that turns the
+//! artifacts `sfbench run` emits into one markdown report.
 //!
 //! Every section is opt-in by flag and reads a file format owned by this
 //! workspace, so the analyzer needs no external dependencies:
@@ -14,8 +14,6 @@
 //! - `--diff A B` — two `sf-metrics/v1` documents diffed per namespace,
 //!   with deltas beyond [`DIFF_HIGHLIGHT_PCT`] highlighted (wall-clock
 //!   namespaces `time.`/`sched.` are shown but never flagged).
-//! - `--bench-dir DIR` — every `BENCH_*.json` snapshot in `DIR` as a
-//!   perf-trajectory table (one row per snapshot, one column per probe).
 //!
 //! The report goes to `--out PATH` or stdout. Unreadable or unparsable
 //! inputs are hard errors (exit 1), not silently empty sections.
@@ -23,14 +21,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use sf_obs::report::BenchReport;
 use sf_obs::telemetry::TelemetryBlock;
 
 use crate::cli::CliArgs;
 
 /// The value of `"key": "text"` in a single-line JSON object. The workspace
-/// is offline (no serde_json); this mirrors the line-oriented scanners the
-/// artifact writers in `sf-obs` promise to stay compatible with.
+/// is offline (no serde_json), so the analyzer scans the one-object-per-line
+/// JSON that `sf_obs::span`'s trace writer emits.
 fn json_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let pattern = format!("\"{key}\":");
     let after = &text[text.find(&pattern)? + pattern.len()..];
@@ -58,7 +55,6 @@ pub const REPORT_VALUE_FLAGS: &[&str] = &[
     "--telemetry",
     "--metrics",
     "--diff",
-    "--bench-dir",
     "--heatmap-csv",
     "--out",
 ];
@@ -538,97 +534,6 @@ fn diff_section(path_a: &str, path_b: &str) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Perf trajectory (--bench-dir)
-// ---------------------------------------------------------------------------
-
-/// Sort key for `BENCH_<n>.json` names: numeric suffix first (so `BENCH_10`
-/// follows `BENCH_9`), then the name for anything non-conventional.
-fn bench_sort_key(file_name: &str) -> (u64, String) {
-    let number = file_name
-        .strip_prefix("BENCH_")
-        .and_then(|rest| rest.strip_suffix(".json"))
-        .and_then(|stem| stem.parse().ok())
-        .unwrap_or(u64::MAX);
-    (number, file_name.to_string())
-}
-
-/// One row per snapshot, one column per probe (first-seen order across the
-/// sorted snapshots); probes missing from a snapshot render as `-`.
-fn render_trajectory(reports: &[(String, BenchReport)]) -> String {
-    let mut probes: Vec<String> = Vec::new();
-    for (_, report) in reports {
-        for entry in &report.entries {
-            if !probes.contains(&entry.name) {
-                probes.push(entry.name.clone());
-            }
-        }
-    }
-    let mut out = String::from("| snapshot | peak RSS kB |");
-    for probe in &probes {
-        let _ = write!(out, " {probe} ms |");
-    }
-    out.push_str("\n|---|---:|");
-    out.push_str(&"---:|".repeat(probes.len()));
-    out.push('\n');
-    for (file, report) in reports {
-        let _ = write!(
-            out,
-            "| {} (`{file}`) | {} |",
-            report.label, report.peak_rss_kb
-        );
-        for probe in &probes {
-            match report.entries.iter().find(|e| &e.name == probe) {
-                Some(entry) => {
-                    let _ = write!(out, " {:.1} |", entry.wall_ms);
-                }
-                None => out.push_str(" - |"),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-fn bench_section(dir: &str) -> Result<String, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {dir}: {e}"))?;
-    let mut names: Vec<String> = entries
-        .filter_map(Result::ok)
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
-        .collect();
-    names.sort_by_key(|name| bench_sort_key(name));
-    let mut reports = Vec::new();
-    let mut unparsable = Vec::new();
-    for name in names {
-        let path = std::path::Path::new(dir).join(&name);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        match BenchReport::parse(&text) {
-            Some(report) => reports.push((name, report)),
-            None => unparsable.push(name),
-        }
-    }
-    let mut out = format!(
-        "\n## Perf trajectory\n\n{} snapshot(s) under `{dir}`.\n\n",
-        reports.len()
-    );
-    if reports.is_empty() {
-        out.push_str("(no parsable `BENCH_*.json` snapshots found)\n");
-    } else {
-        out.push_str(&render_trajectory(&reports));
-    }
-    if !unparsable.is_empty() {
-        let _ = writeln!(
-            out,
-            "\nSkipped {} file(s) with an unknown schema: {}.",
-            unparsable.len(),
-            unparsable.join(", ")
-        );
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------------
 
@@ -682,15 +587,10 @@ pub fn run(args: &CliArgs) -> i32 {
             return 1;
         }
     }
-    if let Some(dir) = args.value("--bench-dir") {
-        if !push(&mut md, bench_section(&dir)) {
-            return 1;
-        }
-    }
     if sections == 0 {
         eprintln!(
             "error: report needs at least one input \
-             (--trace, --telemetry, --metrics, --diff A B, --bench-dir)"
+             (--trace, --telemetry, --metrics, --diff A B)"
         );
         return 2;
     }
@@ -712,7 +612,6 @@ pub fn run(args: &CliArgs) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sf_obs::report::BenchEntry;
 
     fn event(name: &str, thread: u64, start_us: u64, dur_us: u64) -> TraceEvent {
         TraceEvent {
@@ -816,39 +715,5 @@ mod tests {
         // Wall-clock namespaces are shown but never bolded.
         assert!(diff.contains("`time.wall_us`"), "{diff}");
         assert!(!diff.contains("**+9499**"), "{diff}");
-    }
-
-    #[test]
-    fn trajectory_orders_snapshots_numerically_and_fills_gaps() {
-        assert!(bench_sort_key("BENCH_9.json") < bench_sort_key("BENCH_10.json"));
-        let report = |label: &str, probe: &str| BenchReport {
-            label: label.to_string(),
-            peak_rss_kb: 1000,
-            entries: vec![BenchEntry {
-                name: probe.to_string(),
-                wall_ms: 12.0,
-                samples: 3,
-                rate_per_s: None,
-            }],
-        };
-        let table = render_trajectory(&[
-            ("BENCH_6.json".to_string(), report("BENCH_6", "fig10_quick")),
-            (
-                "BENCH_7.json".to_string(),
-                report("BENCH_7", "topology_build/1296"),
-            ),
-        ]);
-        assert!(
-            table.contains("| fig10_quick ms | topology_build/1296 ms |"),
-            "{table}"
-        );
-        assert!(
-            table.contains("| BENCH_6 (`BENCH_6.json`) | 1000 | 12.0 | - |"),
-            "{table}"
-        );
-        assert!(
-            table.contains("| BENCH_7 (`BENCH_7.json`) | 1000 | - | 12.0 |"),
-            "{table}"
-        );
     }
 }

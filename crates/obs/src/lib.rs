@@ -2,7 +2,7 @@
 //!
 //! Everything here is strictly out-of-band from simulation results: enabling
 //! or disabling any part of this crate must never change a single byte of an
-//! emitted CSV/JSON artifact. The crate provides four pieces:
+//! emitted CSV/JSON artifact. The crate provides five pieces:
 //!
 //! - [`metrics`]: a hierarchical metrics registry (counters, gauges,
 //!   fixed-bucket histograms). Metric *values that describe simulation
@@ -22,9 +22,8 @@
 //!   lines the pipeline always printed) plus an opt-in live heartbeat with
 //!   jobs done/total, rows/s, ETA, and current RSS — behind `--quiet` /
 //!   `SF_PROGRESS` control.
-//! - [`rss`] + [`report`]: an in-process `/proc/self/status` peak-RSS probe
-//!   and the schema-versioned `BENCH_<n>.json` perf-trajectory report with
-//!   regression comparison.
+//! - [`rss`]: an in-process `/proc/self/status` probe of the current and
+//!   peak resident set size.
 //! - [`telemetry`]: the in-simulator `sf-telemetry/v1` time-series stream —
 //!   per-router queue occupancy, per-link utilisation, credit stalls, and
 //!   energy, sampled at cycle boundaries so the recorded bytes are
@@ -41,7 +40,6 @@
 pub mod hist;
 pub mod metrics;
 pub mod progress;
-pub mod report;
 pub mod rss;
 pub mod span;
 pub mod telemetry;

@@ -1,11 +1,12 @@
 //! In-process memory probe backed by `/proc/self/status`.
 //!
-//! This replaces the external `/usr/bin/time -v` / polling-loop probes in
-//! ci.sh: because the read happens *inside* the measured process, it cannot
-//! race process exit and report `0 kB` for fast runs. `VmHWM` is the kernel's
-//! own high-water mark, so a single read at the end of a run captures the
-//! true peak. On platforms without procfs both probes return `None` and
-//! callers degrade gracefully.
+//! The read happens *inside* the measured process, so it cannot race process
+//! exit the way an external sampler does. `VmHWM` is the kernel's own
+//! high-water mark, so a single read at the end of a run captures the true
+//! peak: `sfbench run` prints it on stderr, and the repository benchmark
+//! reports it as `peak_rss_mb`. The progress heartbeat shows `VmRSS`. On
+//! platforms without procfs both probes return `None` and callers degrade
+//! gracefully.
 
 use std::fs;
 
