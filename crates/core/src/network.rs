@@ -363,7 +363,9 @@ impl StringFigureNetwork {
     }
 
     /// Validates internal consistency: the live graph is connected, no node
-    /// exceeds its port budget, and routing tables cover every active node.
+    /// exceeds its port budget, and the routing state equals a fresh build on
+    /// the live topology ([`GreediestRouting`]'s `==`, which ignores its
+    /// counters), so no resync left a stale router behind.
     ///
     /// # Errors
     ///
@@ -382,6 +384,11 @@ impl StringFigureNetwork {
                     reason: format!("node {node} uses more than {ports} ports"),
                 });
             }
+        }
+        if self.routing != self.fresh_routing() {
+            return Err(SfError::InvalidConfiguration {
+                reason: "routing state differs from a fresh build on the live topology".to_string(),
+            });
         }
         Ok(())
     }
@@ -500,6 +507,19 @@ mod tests {
         network.ungate_node(NodeId::new(9)).unwrap();
         network.check_invariants().unwrap();
         assert_eq!(network.num_active_nodes(), 64);
+    }
+
+    #[test]
+    fn stale_routing_fails_the_invariants() {
+        let mut network = StringFigureNetwork::generate(64).unwrap();
+        // Change the topology behind the routing's back.
+        network.topology.gate_node(NodeId::new(9)).unwrap();
+        let error = network.check_invariants().unwrap_err();
+        assert!(error.to_string().contains("routing state"), "{error}");
+        network
+            .routing
+            .resync(network.topology.graph(), network.topology.spaces());
+        network.check_invariants().unwrap();
     }
 
     #[test]

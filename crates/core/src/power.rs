@@ -23,11 +23,18 @@ pub struct ReconfigurationEvent {
     pub applied_at_ns: f64,
     /// Latency of the link state change (sleep or wake), in nanoseconds.
     pub latency_ns: f64,
-    /// Number of neighbouring routers whose tables were updated.
+    /// Number of the node's live neighbours, whose one-hop entries for it
+    /// flip. The routers whose tables the routing resync rebuilt are counted
+    /// by [`GreediestRouting::routers_rebuilt`](sf_routing::GreediestRouting::routers_rebuilt).
     pub routers_updated: usize,
-    /// Number of shortcut links switched on by this event.
+    /// Number of reconfigurable links switched on by this event, as
+    /// [`ReconfigurationDelta::shortcuts_enabled`](sf_topology::ReconfigurationDelta::shortcuts_enabled)
+    /// lists them: ring-healing and pairing links included, and a link
+    /// switched off and back on in the same step counted here and in
+    /// `shortcuts_disabled`.
     pub shortcuts_enabled: usize,
-    /// Number of shortcut links switched off by this event.
+    /// Number of reconfigurable links switched off by this event, counted
+    /// the same way.
     pub shortcuts_disabled: usize,
 }
 

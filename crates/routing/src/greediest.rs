@@ -38,6 +38,12 @@
 //! one definition of what a router stores: the store keeps its rows'
 //! coordinates and neighbour ids, and [`GreediestRouting::table_len`] its row
 //! count.
+//!
+//! A reconfiguration touches only the routers near the gated node
+//! (Section III-C), and so does [`GreediestRouting::resync`]: it rebuilds
+//! the blocks of the routers whose tables can have changed and copies every
+//! other block into the new store unchanged. The new store is the one the
+//! previous resync replaced, refilled in place.
 
 use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
 use crate::table::{HopCount, RoutingTable, RoutingTableEntry};
@@ -87,12 +93,22 @@ fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("forwarding store offsets fit in u32")
 }
 
+/// Every node's coordinates in node order, one per virtual space: the
+/// store's `coords`.
+fn node_coords(spaces: &VirtualSpaces) -> impl Iterator<Item = Coordinate> + '_ {
+    spaces
+        .all_coordinates()
+        .iter()
+        .flat_map(CoordinateVector::iter)
+}
+
 /// The forwarding state of every router, flattened.
 ///
 /// Router `v`'s one-hop neighbours are the slots `routers[v]..routers[v + 1]`
 /// of `one_hop`, in node-id order. One-hop slot `i`'s two-hop group is the
-/// slots `groups[i]..groups[i + 1]` of `two_hop`.
-#[derive(Debug)]
+/// slots `groups[i]..groups[i + 1]` of `two_hop`. The default store is empty:
+/// no routers and no coordinates.
+#[derive(Debug, Default, PartialEq)]
 struct ForwardingStore {
     /// Coordinates per node or slot: the number of virtual spaces.
     spaces: usize,
@@ -106,13 +122,19 @@ struct ForwardingStore {
 
 /// Neighbour slots: ids, and each slot's coordinates inline at the same
 /// index, `spaces` per slot.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct Slots {
     ids: Vec<NodeId>,
     coords: Vec<Coordinate>,
 }
 
 impl Slots {
+    /// Removes every slot, keeping the allocations.
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.coords.clear();
+    }
+
     /// Appends one neighbour's table rows (one per virtual space, in space
     /// order) as a slot, with the coordinates the hardware table stores or
     /// full precision.
@@ -131,6 +153,13 @@ impl Slots {
         }));
     }
 
+    /// Appends `from`'s slots in `range`.
+    fn extend_from(&mut self, from: &Self, range: Range<usize>, spaces: usize) {
+        self.coords
+            .extend_from_slice(&from.coords[range.start * spaces..range.end * spaces]);
+        self.ids.extend_from_slice(&from.ids[range]);
+    }
+
     /// The slots in `range`, each with its coordinates.
     fn get(
         &self,
@@ -146,24 +175,33 @@ impl Slots {
 }
 
 impl ForwardingStore {
-    /// Builds every router's table, flattens it into the store and drops it.
-    fn build(graph: &AdjacencyGraph, spaces: &VirtualSpaces, use_quantized: bool) -> Self {
-        let mut store = Self {
-            spaces: spaces.num_spaces(),
-            coords: spaces
-                .all_coordinates()
-                .iter()
-                .flat_map(CoordinateVector::iter)
-                .collect(),
-            routers: vec![0],
-            one_hop: Slots::default(),
-            groups: vec![0],
-            two_hop: Slots::default(),
-        };
+    /// Refills the store for `graph` and `spaces`, keeping its allocations.
+    /// A router marked in `dirty` gets the block of its freshly built table;
+    /// every other router's block is copied from `previous`.
+    fn fill(
+        &mut self,
+        graph: &AdjacencyGraph,
+        spaces: &VirtualSpaces,
+        dirty: &[bool],
+        previous: &Self,
+        use_quantized: bool,
+    ) {
+        self.spaces = spaces.num_spaces();
+        self.coords.clear();
+        self.coords.extend(node_coords(spaces));
+        self.routers.clear();
+        self.routers.push(0);
+        self.one_hop.clear();
+        self.groups.clear();
+        self.groups.push(0);
+        self.two_hop.clear();
         for v in graph.nodes() {
-            store.push_router(&RoutingTable::build(v, graph, spaces), use_quantized);
+            if dirty[v.index()] {
+                self.push_router(&RoutingTable::build(v, graph, spaces), use_quantized);
+            } else {
+                self.copy_router(previous, v);
+            }
         }
-        store
     }
 
     /// Appends one router's table: each usable one-hop neighbour in node-id
@@ -182,6 +220,24 @@ impl ForwardingStore {
             }
             self.groups.push(offset(self.two_hop.ids.len()));
         }
+        self.routers.push(offset(self.one_hop.ids.len()));
+    }
+
+    /// Appends router `v`'s block of `from`, with its group offsets rebased
+    /// onto this store's two-hop slots.
+    fn copy_router(&mut self, from: &Self, v: NodeId) {
+        let slots = from.slots(v);
+        let groups = &from.groups[slots.start..=slots.end];
+        let (first, last) = (groups[0], groups[groups.len() - 1]);
+        let base = self.two_hop.ids.len();
+        self.one_hop.extend_from(&from.one_hop, slots, self.spaces);
+        self.two_hop
+            .extend_from(&from.two_hop, first as usize..last as usize, self.spaces);
+        self.groups.extend(
+            groups[1..]
+                .iter()
+                .map(|&end| offset(base + (end - first) as usize)),
+        );
         self.routers.push(offset(self.one_hop.ids.len()));
     }
 
@@ -248,9 +304,23 @@ impl ForwardingStore {
 pub struct GreediestRouting {
     options: GreediestOptions,
     store: ForwardingStore,
+    /// The store the last resync replaced. The next resync refills it, so
+    /// resyncs reuse two stores' allocations instead of allocating one each.
+    spare: ForwardingStore,
     active: Vec<bool>,
+    routers_rebuilt: u64,
     fallback_routes: AtomicU64,
     decisions: AtomicU64,
+}
+
+/// Two instances are equal when they forward alike: the same options, the
+/// same forwarding state and the same live routers. The decision, fallback
+/// and rebuild counters record use, not state, and the spare store holds
+/// none; they are not compared.
+impl PartialEq for GreediestRouting {
+    fn eq(&self, other: &Self) -> bool {
+        self.options == other.options && self.store == other.store && self.active == other.active
+    }
 }
 
 impl GreediestRouting {
@@ -268,29 +338,91 @@ impl GreediestRouting {
     }
 
     /// Builds the protocol from a raw graph plus virtual spaces (also used for
-    /// the S2 baseline, which shares the coordinate structure).
+    /// the S2 baseline, which shares the coordinate structure): a
+    /// [`GreediestRouting::resync`] from the empty store, which rebuilds
+    /// every router.
     #[must_use]
     pub fn from_parts(
         graph: &AdjacencyGraph,
         spaces: &VirtualSpaces,
         options: GreediestOptions,
     ) -> Self {
-        Self {
+        let mut routing = Self {
             options,
-            store: ForwardingStore::build(graph, spaces, options.use_quantized),
-            active: graph.nodes().map(|v| graph.is_active(v)).collect(),
+            store: ForwardingStore::default(),
+            spare: ForwardingStore::default(),
+            active: Vec::new(),
+            routers_rebuilt: 0,
             fallback_routes: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
-        }
+        };
+        routing.resync(graph, spaces);
+        routing
     }
 
-    /// Rebuilds all routing state from the (possibly reconfigured) topology.
-    /// The paper performs the equivalent by flipping blocking/valid/hop bits
-    /// in the affected routers; rebuilding gives the same end state.
+    /// Brings the routing state in line with the (possibly reconfigured)
+    /// topology, rebuilding only the routers whose tables can have changed.
+    /// The paper updates only the routers near a gated node (Section III-C);
+    /// so does this.
+    ///
+    /// A router's block depends only on its own live neighbour list, its
+    /// neighbours' lists and the fixed coordinates. Call a router *changed*
+    /// when its live neighbour list in `graph`, or its activity, differs from
+    /// the store's. A router that is not changed keeps its own list, so its
+    /// block can differ only through a neighbour's list, that is, only if it
+    /// is a live neighbour of a changed router. The changed routers and their
+    /// live neighbours are therefore rebuilt from their [`RoutingTable`], and
+    /// every other block is copied into the new store with its offsets
+    /// rebased. The result equals a fresh [`GreediestRouting::from_parts`] on
+    /// the same topology. When the number of nodes or the coordinates differ
+    /// from the store's (another topology, or the empty store `from_parts`
+    /// starts from), every router is rebuilt.
+    ///
+    /// The new store is the one the previous resync replaced, refilled in
+    /// place, so a resync allocates no store once two exist.
+    ///
+    /// The changed routers are read off the graph, not off a
+    /// [`ReconfigurationDelta`](sf_topology::ReconfigurationDelta): most of
+    /// the links a delta lists were switched off and back on in the same
+    /// step. [`GreediestRouting::routers_rebuilt`] counts the rebuilt
+    /// routers.
     pub fn resync(&mut self, graph: &AdjacencyGraph, spaces: &VirtualSpaces) {
-        let refreshed = Self::from_parts(graph, spaces, self.options);
-        self.store = refreshed.store;
-        self.active = refreshed.active;
+        let dirty = if self.active.len() == graph.num_nodes()
+            && self.store.spaces == spaces.num_spaces()
+            && self.store.coords.iter().copied().eq(node_coords(spaces))
+        {
+            self.dirty_routers(graph)
+        } else {
+            vec![true; graph.num_nodes()]
+        };
+        let mut next = std::mem::take(&mut self.spare);
+        next.fill(
+            graph,
+            spaces,
+            &dirty,
+            &self.store,
+            self.options.use_quantized,
+        );
+        self.spare = std::mem::replace(&mut self.store, next);
+        self.active = graph.nodes().map(|v| graph.is_active(v)).collect();
+        self.routers_rebuilt += dirty.iter().filter(|&&d| d).count() as u64;
+    }
+
+    /// The routers whose block can differ between the store and `graph`:
+    /// every router whose live neighbour list or activity changed, and every
+    /// live neighbour of one.
+    fn dirty_routers(&self, graph: &AdjacencyGraph) -> Vec<bool> {
+        let mut dirty = vec![false; graph.num_nodes()];
+        for v in graph.nodes() {
+            let live = graph.active_neighbors(v);
+            if graph.is_active(v) != self.active[v.index()] || live != self.store.neighbors(v) {
+                dirty[v.index()] = true;
+                for u in live {
+                    dirty[u.index()] = true;
+                }
+            }
+        }
+        dirty
     }
 
     /// Number of rows in `router`'s routing table: one per virtual space for
@@ -322,6 +454,15 @@ impl GreediestRouting {
     #[must_use]
     pub fn decision_count(&self) -> u64 {
         self.decisions.load(Ordering::Relaxed)
+    }
+
+    /// Total number of router blocks built: every router for the first
+    /// build, then the routers each [`GreediestRouting::resync`] rebuilt. It
+    /// depends only on the topologies resynced to, so a difference across
+    /// one gate or ungate is that event's routing-update footprint.
+    #[must_use]
+    pub fn routers_rebuilt(&self) -> u64 {
+        self.routers_rebuilt
     }
 
     /// Minimum circular distance between two nodes' coordinate vectors.
@@ -506,10 +647,67 @@ mod tests {
     use super::*;
     use crate::protocol::{trace_route, trace_route_with_loads, TableLoad};
     use sf_topology::spaces::paper_figure3_example;
-    use sf_types::{minimum_circular_distance, NetworkConfig};
+    use sf_types::{minimum_circular_distance, DeterministicRng, NetworkConfig};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
+    }
+
+    fn generate(nodes: usize, ports: usize, seed: u64) -> StringFigureTopology {
+        let config = NetworkConfig::new(nodes, ports).unwrap().with_seed(seed);
+        StringFigureTopology::generate(&config).unwrap()
+    }
+
+    /// Asserts that `routing`'s forwarding state and live routers equal a
+    /// fresh build's on `graph`.
+    fn assert_fresh(
+        routing: &GreediestRouting,
+        graph: &AdjacencyGraph,
+        spaces: &VirtualSpaces,
+        label: &str,
+    ) {
+        let fresh = GreediestRouting::from_parts(graph, spaces, routing.options);
+        // Not `assert_eq!`: a 1296-node store prints megabytes.
+        assert!(routing.store == fresh.store, "{label}: store differs");
+        assert_eq!(routing.active, fresh.active, "{label}: live routers differ");
+    }
+
+    /// Gates up to `victims` seeded-random nodes of `topo` one at a time,
+    /// then ungates them in reverse order, resyncing `routing` after every
+    /// event. Calls `after` once each event is resynced, and returns how many
+    /// routers each event rebuilt.
+    fn gate_then_ungate(
+        topo: &mut StringFigureTopology,
+        routing: &mut GreediestRouting,
+        victims: usize,
+        seed: u64,
+        mut after: impl FnMut(&GreediestRouting, &StringFigureTopology),
+    ) -> Vec<u64> {
+        let mut rebuilt = Vec::new();
+        let mut resync = |routing: &mut GreediestRouting, topo: &StringFigureTopology| {
+            let before = routing.routers_rebuilt();
+            routing.resync(topo.graph(), topo.spaces());
+            rebuilt.push(routing.routers_rebuilt() - before);
+            after(routing, topo);
+        };
+        let mut order: Vec<NodeId> = topo.graph().nodes().collect();
+        DeterministicRng::new(seed).shuffle(&mut order);
+        let mut gated = Vec::new();
+        for node in order {
+            if gated.len() == victims {
+                break;
+            }
+            if topo.gate_node(node).is_ok() {
+                gated.push(node);
+                resync(routing, topo);
+            }
+        }
+        assert_eq!(gated.len(), victims, "too few nodes could be gated");
+        for node in gated.into_iter().rev() {
+            topo.ungate_node(node).unwrap();
+            resync(routing, topo);
+        }
+        rebuilt
     }
 
     fn example() -> (StringFigureTopology, GreediestRouting) {
@@ -799,6 +997,108 @@ mod tests {
             routing.virtual_channel(n(1), n(0), n(0)),
             VirtualChannelId::DOWN
         );
+    }
+
+    #[test]
+    fn resync_equals_a_fresh_build_after_every_event_at_paper_scale() {
+        let mut topo = generate(1296, 8, 1);
+        let mut routing = GreediestRouting::new(&topo);
+        let initial = GreediestRouting::new(&topo);
+        let mut events = 0;
+        let rebuilt = gate_then_ungate(&mut topo, &mut routing, 8, 0x5e, |routing, topo| {
+            events += 1;
+            assert_fresh(
+                routing,
+                topo.graph(),
+                topo.spaces(),
+                &format!("event {events}"),
+            );
+        });
+        assert_eq!(events, 16);
+        assert!(routing == initial, "the restored network routes as before");
+        assert!(rebuilt.iter().all(|&count| 0 < count && count < 1296 / 4));
+    }
+
+    #[test]
+    fn resync_equals_a_fresh_build_after_every_event_under_every_option() {
+        for options in (0..8u8).map(|bits| GreediestOptions {
+            use_two_hop: bits & 1 != 0,
+            adaptive: bits & 2 != 0,
+            use_quantized: bits & 4 != 0,
+        }) {
+            for (nodes, seed) in [(64, 3), (100, 4)] {
+                let mut topo = generate(nodes, 4, seed);
+                let mut routing = GreediestRouting::with_options(&topo, options);
+                let mut events = 0;
+                gate_then_ungate(&mut topo, &mut routing, 10, seed, |routing, topo| {
+                    events += 1;
+                    let label = format!("N={nodes} {options:?} event {events}");
+                    assert_fresh(routing, topo.graph(), topo.spaces(), &label);
+                });
+                assert_eq!(events, 20);
+            }
+        }
+    }
+
+    #[test]
+    fn resync_without_a_change_rebuilds_nothing() {
+        let mut topo = generate(200, 8, 5);
+        topo.gate_node(n(17)).unwrap();
+        let mut routing = GreediestRouting::new(&topo);
+        assert_eq!(routing.routers_rebuilt(), 200);
+        routing.resync(topo.graph(), topo.spaces());
+        assert_eq!(routing.routers_rebuilt(), 200);
+        assert_fresh(&routing, topo.graph(), topo.spaces(), "unchanged");
+    }
+
+    #[test]
+    fn resync_onto_another_topology_equals_a_fresh_build() {
+        // Another seed: other coordinates, so every router is rebuilt.
+        let first = generate(200, 8, 1);
+        let mut second = generate(200, 8, 2);
+        second.gate_node(n(40)).unwrap();
+        let mut routing = GreediestRouting::new(&first);
+        routing.resync(second.graph(), second.spaces());
+        assert_eq!(routing.routers_rebuilt(), 400);
+        assert_fresh(&routing, second.graph(), second.spaces(), "another seed");
+
+        // The same coordinates under a graph with every third link cut: the
+        // changed routers are read off the graph alone.
+        let mut cut = first.graph().clone();
+        for edge in first.graph().edges().iter().step_by(3) {
+            cut.remove_edge(edge.a, edge.b);
+        }
+        let mut routing = GreediestRouting::new(&first);
+        routing.resync(&cut, first.spaces());
+        assert_fresh(&routing, &cut, first.spaces(), "cut links");
+        routing.resync(first.graph(), first.spaces());
+        assert_fresh(&routing, first.graph(), first.spaces(), "links restored");
+    }
+
+    #[test]
+    fn routers_rebuilt_per_event_does_not_grow_with_network_size() {
+        // Section III-C: a gate or ungate rewrites only the tables of routers
+        // near the gated node, so the routers a resync rebuilds per event
+        // are bounded by the port count, not the network size.
+        for (ports, sizes) in [(4, &[64, 128][..]), (8, &[324, 1296, 2048][..])] {
+            let cap = 2 * ports * ports;
+            let mut means = Vec::new();
+            for &nodes in sizes {
+                let mut topo = generate(nodes, ports, 9);
+                let mut routing = GreediestRouting::new(&topo);
+                let rebuilt = gate_then_ungate(&mut topo, &mut routing, 24, 9, |_, _| {});
+                let max = *rebuilt.iter().max().unwrap();
+                assert!(
+                    max <= cap as u64,
+                    "p={ports} N={nodes}: an event rebuilt {max} routers, above {cap}"
+                );
+                means.push(rebuilt.iter().sum::<u64>() as f64 / rebuilt.len() as f64);
+            }
+            assert!(
+                means.iter().all(|&mean| mean <= 1.25 * means[0]),
+                "p={ports}: mean routers rebuilt per event at N={sizes:?}: {means:?}"
+            );
+        }
     }
 
     #[test]

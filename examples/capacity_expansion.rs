@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p stringfigure --example capacity_expansion
+//! cargo run --release --example capacity_expansion
 //! ```
 
 use sf_types::{NodeId, SimulationConfig};

@@ -6,7 +6,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p stringfigure --example datacenter_workloads
+//! cargo run --release --example datacenter_workloads
 //! ```
 
 use sf_workloads::ApplicationModel;

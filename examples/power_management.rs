@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p stringfigure --example power_management
+//! cargo run --release --example power_management
 //! ```
 
 use sf_types::SimulationConfig;
@@ -42,31 +42,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // paper's four-step reconfiguration with its sleep latency (680 ns per
     // link) and the 100 us reconfiguration granularity.
     // ------------------------------------------------------------------
+    let rebuilt_before = network.routing().routers_rebuilt();
     let report = {
         let mut pm = PowerManager::new(&mut network);
         let gated = pm.gate_fraction(0.25, 99)?;
         println!("\nPower gating {} nodes (25% of the network)", gated.len());
         pm.report().clone()
     };
+    // Each event's resync rebuilds only the routers near the gated node.
+    let rebuilt = network.routing().routers_rebuilt() - rebuilt_before;
     println!(
         "  reconfiguration latency paid : {:.1} us",
         report.total_latency_ns / 1_000.0
     );
     println!(
-        "  routers whose tables changed : {}",
-        report
-            .events
-            .iter()
-            .map(|e| e.routers_updated)
-            .sum::<usize>()
+        "  router tables rebuilt        : {rebuilt} ({:.1} per event, of {} routers)",
+        rebuilt as f64 / report.events.len() as f64,
+        network.num_nodes()
     );
     println!(
-        "  shortcuts switched on        : {}",
-        report
-            .events
-            .iter()
-            .map(|e| e.shortcuts_enabled)
-            .sum::<usize>()
+        "  enabled shortcuts            : {} of {} wires",
+        network.topology().enabled_shortcuts().len(),
+        network.topology().shortcut_wires().len()
     );
 
     let gated_stats = network.path_stats();

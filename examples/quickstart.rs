@@ -4,7 +4,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p stringfigure --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use sf_types::{NodeId, SimulationConfig};
