@@ -28,7 +28,7 @@ use crate::cache::CacheHierarchy;
 use serde::{Deserialize, Serialize};
 use sf_netsim::{TrafficModel, TrafficRequest};
 use sf_types::{DeterministicRng, NodeId, SfError, SfResult};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One of the eight evaluated applications (Table IV).
@@ -386,7 +386,11 @@ impl ApplicationWorkload {
 pub struct WorkloadTraffic {
     mapper: AddressMapper,
     intensity: f64,
-    injectors: HashMap<usize, InjectorState>,
+    /// Per-injector state by node index. Ordered, because dropping the model
+    /// frees the injectors' cache sets in map order: a `HashMap`'s
+    /// per-process random order would leave a different heap, and so a
+    /// different peak memory for the next run, in every process.
+    injectors: BTreeMap<usize, InjectorState>,
     issued: u64,
     request_limit: Option<u64>,
 }
@@ -442,7 +446,7 @@ impl WorkloadTraffic {
                 reason: "workload traffic needs at least one injector node".to_string(),
             });
         }
-        let mut injectors = HashMap::new();
+        let mut injectors = BTreeMap::new();
         // Size the per-injector working set to a slice of the memory pool,
         // capped so address arithmetic stays fast.
         let working_set =
@@ -548,6 +552,7 @@ impl TrafficModel for WorkloadTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn every_model_generates_in_bounds_addresses() {
@@ -615,6 +620,20 @@ mod tests {
         assert_eq!(a.trace(500), b.trace(500));
         let mut c = ApplicationWorkload::new(ApplicationModel::Pagerank, 1 << 22, 10);
         assert_ne!(a.trace(500), c.trace(500));
+    }
+
+    #[test]
+    fn injectors_are_kept_in_node_order() {
+        // Dropping the model frees the injectors in map order, so that order
+        // must not differ from one process to the next.
+        let mapper = AddressMapper::new(64, 1 << 26, 64).unwrap();
+        let nodes: Vec<NodeId> = [40, 8, 56, 0, 24].map(NodeId::new).to_vec();
+        let cache = CacheHierarchy::tiny().unwrap();
+        let traffic =
+            WorkloadTraffic::with_cache(ApplicationModel::Redis, mapper, &nodes, 3, &cache)
+                .unwrap();
+        let order: Vec<usize> = traffic.injectors.keys().copied().collect();
+        assert_eq!(order, [0, 8, 24, 40, 56]);
     }
 
     #[test]
