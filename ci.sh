@@ -175,4 +175,10 @@ if [[ "${1:-}" != "--quick" ]]; then
     git diff --exit-code -- benchmark/ BENCHMARK.json
 fi
 
+# Information, not a gate: the number of Rust lines outside benchmark/,
+# which ROADMAP.md's net state tracks.
+rust_lines="$(find . \( -path ./target -o -path ./benchmark \) -prune -o -name '*.rs' -print0 \
+    | xargs -0 cat | wc -l)"
+echo "==> Rust lines outside benchmark/: $rust_lines"
+
 echo "==> CI green"

@@ -3,7 +3,9 @@
 //!
 //! A [`NetworkInstance`] bundles a topology with the routing protocol the
 //! paper pairs it with, so experiment drivers can sweep over
-//! [`TopologyKind::ALL`] without caring which concrete types are involved:
+//! [`TopologyKind::ALL`] without caring which concrete types are involved.
+//! The routing is built on first use and shared by everything the instance
+//! routes: its hop samples and every simulator it makes.
 //!
 //! | kind | topology | routing | ports (Fig. 8) |
 //! |------|----------|---------|----------------|
@@ -11,7 +13,7 @@
 //! | `ODM` | mesh with express links     | greedy + adaptive        | 8 |
 //! | `FB`  | full 2D flattened butterfly | minimal + adaptive       | grows with N |
 //! | `AFB` | partitioned FB              | minimal + adaptive       | grows with N (≈half of FB) |
-//! | `S2`  | multi-space random rings    | look-up table (minimal)  | 4 / 8 |
+//! | `S2`  | multi-space random rings    | greediest, non-adaptive  | 4 / 8 |
 //! | `SF`  | String Figure               | greediest + adaptive     | 4 / 8 |
 //! | `Jellyfish` | random regular graph  | k-shortest-path table    | 4 / 8 |
 
@@ -28,6 +30,7 @@ use sf_topology::{
 };
 use sf_types::{DeterministicRng, NetworkConfig, NodeId, SfResult, SimulationConfig, SystemConfig};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The network designs compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -150,6 +153,8 @@ pub struct NetworkInstance {
     nodes: usize,
     seed: u64,
     topology: TopologyInstance,
+    /// Built on first use by `routing()`.
+    routing: OnceLock<Arc<dyn RoutingProtocol>>,
 }
 
 impl NetworkInstance {
@@ -202,6 +207,7 @@ impl NetworkInstance {
             nodes,
             seed,
             topology,
+            routing: OnceLock::new(),
         })
     }
 
@@ -252,15 +258,16 @@ impl NetworkInstance {
         }
     }
 
-    /// Creates the routing protocol the paper pairs with this design.
-    #[must_use]
-    pub fn make_protocol(&self) -> Box<dyn RoutingProtocol> {
-        match &self.topology {
-            TopologyInstance::Mesh(t) => Box::new(MeshRouting::new(t)),
+    /// The routing protocol the paper pairs with this design, built on the
+    /// first call and shared by every later one. Building an instance does
+    /// not build it, so studies that never route never pay for it.
+    fn routing(&self) -> &Arc<dyn RoutingProtocol> {
+        self.routing.get_or_init(|| match &self.topology {
+            TopologyInstance::Mesh(t) => Arc::new(MeshRouting::new(t)),
             TopologyInstance::Butterfly(t) => {
-                Box::new(ShortestPathRouting::new(t.graph(), "minimal-adaptive"))
+                Arc::new(ShortestPathRouting::new(t.graph(), "minimal-adaptive"))
             }
-            TopologyInstance::SpaceShuffle(t) => Box::new(GreediestRouting::from_parts(
+            TopologyInstance::SpaceShuffle(t) => Arc::new(GreediestRouting::from_parts(
                 t.graph(),
                 t.spaces(),
                 GreediestOptions {
@@ -268,11 +275,11 @@ impl NetworkInstance {
                     ..GreediestOptions::default()
                 },
             )),
-            TopologyInstance::StringFigure(t) => Box::new(GreediestRouting::new(t)),
+            TopologyInstance::StringFigure(t) => Arc::new(GreediestRouting::new(t)),
             TopologyInstance::Jellyfish(t) => {
-                Box::new(ShortestPathRouting::new(t.graph(), "k-shortest-path"))
+                Arc::new(ShortestPathRouting::new(t.graph(), "k-shortest-path"))
             }
-        }
+        })
     }
 
     /// Average shortest-path length of the topology (graph metric).
@@ -288,7 +295,7 @@ impl NetworkInstance {
     ///
     /// Propagates routing errors.
     pub fn average_routed_hops(&self, samples: usize) -> SfResult<f64> {
-        let protocol = self.make_protocol();
+        let protocol = self.routing();
         let mut rng = DeterministicRng::new(self.seed ^ 0xbeef);
         let mut total = 0usize;
         let mut count = 0usize;
@@ -308,7 +315,8 @@ impl NetworkInstance {
         })
     }
 
-    /// Creates a cycle-level simulator for this design.
+    /// Creates a cycle-level simulator for this design, routing through the
+    /// instance's shared routing build.
     ///
     /// # Errors
     ///
@@ -318,7 +326,8 @@ impl NetworkInstance {
         system: SystemConfig,
         config: SimulationConfig,
     ) -> SfResult<NetworkSimulator> {
-        NetworkSimulator::new(self.graph().clone(), self.make_protocol(), system, config)
+        let routing = Box::new(Arc::clone(self.routing()));
+        NetworkSimulator::new(self.graph().clone(), routing, system, config)
     }
 
     /// Empirical minimum bisection bandwidth of this design (Section V's
@@ -426,5 +435,29 @@ mod tests {
             let stats = sim.run(&mut traffic).unwrap();
             assert!(stats.delivered > 0, "{kind}");
         }
+    }
+
+    #[test]
+    fn routing_is_built_on_first_use_and_shared() {
+        let instance = NetworkInstance::build(TopologyKind::FlattenedButterfly, 36, 1).unwrap();
+        assert!(instance.routing.get().is_none(), "build must not route");
+        let config = SimulationConfig {
+            max_cycles: 600,
+            warmup_cycles: 100,
+            ..SimulationConfig::default()
+        };
+        let first = instance
+            .make_simulator(SystemConfig::default(), config.clone())
+            .unwrap();
+        let second = instance
+            .make_simulator(SystemConfig::default(), config)
+            .unwrap();
+        let routing = instance.routing.get().expect("built by make_simulator");
+        // The instance and both simulators hold the one build.
+        assert_eq!(Arc::strong_count(routing), 3);
+        drop((first, second));
+        instance.average_routed_hops(20).unwrap();
+        assert!(Arc::ptr_eq(routing, instance.routing()));
+        assert_eq!(Arc::strong_count(routing), 1);
     }
 }

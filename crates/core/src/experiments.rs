@@ -161,10 +161,10 @@ macro_rules! row {
 /// Controls how long the cycle-level simulations of an experiment run.
 ///
 /// The paper's RTL runs use 100,000 operations; integration tests use the
-/// `quick` scale so the whole suite stays fast, while the bench harness uses
-/// `paper` scale. The scale holds only what changes a row: telemetry is
-/// recorded by the [`RunContext`] that runs the study, never configured
-/// here.
+/// `quick` scale so the whole suite stays fast, and each study names its own
+/// full scale through [`RunContext::scale`]. The scale holds only what
+/// changes a row: telemetry is recorded by the [`RunContext`] that runs the
+/// study, never configured here.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentScale {
     /// Simulated cycles per run.
@@ -180,15 +180,6 @@ impl ExperimentScale {
         Self {
             max_cycles: 1_200,
             warmup_cycles: 200,
-        }
-    }
-
-    /// Full scale used by the benchmark harness.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            max_cycles: 20_000,
-            warmup_cycles: 2_000,
         }
     }
 
@@ -1137,7 +1128,6 @@ mod tests {
 
     #[test]
     fn experiment_scales() {
-        assert!(ExperimentScale::paper().max_cycles > ExperimentScale::quick().max_cycles);
         assert!(ExperimentScale::quick()
             .simulation_config()
             .validate()

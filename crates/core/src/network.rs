@@ -8,9 +8,7 @@
 //! caller having to wire the underlying crates together.
 
 use sf_netsim::{NetworkSimulator, SimulationStats, TrafficModel};
-use sf_routing::{
-    trace_route, GreediestOptions, GreediestRouting, RouteTrace, RoutingProtocol, RoutingTable,
-};
+use sf_routing::{trace_route, GreediestRouting, RouteTrace, RoutingProtocol, RoutingTable};
 use sf_topology::analysis::{self, PathLengthStats};
 use sf_topology::{GridPlacement, ReconfigurationDelta, StringFigureTopology};
 use sf_types::{
@@ -36,7 +34,6 @@ use sf_workloads::{ApplicationModel, PatternTraffic, SyntheticPattern, WorkloadT
 pub struct StringFigureBuilder {
     network: NetworkConfig,
     system: SystemConfig,
-    routing: GreediestOptions,
     simulation: SimulationConfig,
 }
 
@@ -48,7 +45,6 @@ impl StringFigureBuilder {
         Self {
             network: NetworkConfig::figure8_string_figure(nodes),
             system: SystemConfig::default(),
-            routing: GreediestOptions::default(),
             simulation: SimulationConfig::default(),
         }
     }
@@ -81,13 +77,6 @@ impl StringFigureBuilder {
         self
     }
 
-    /// Overrides the greediest-routing options.
-    #[must_use]
-    pub fn routing_options(mut self, options: GreediestOptions) -> Self {
-        self.routing = options;
-        self
-    }
-
     /// Overrides the default simulation configuration used by the
     /// convenience `run_*` methods.
     #[must_use]
@@ -105,7 +94,7 @@ impl StringFigureBuilder {
     pub fn build(self) -> SfResult<StringFigureNetwork> {
         self.simulation.validate()?;
         let topology = StringFigureTopology::generate(&self.network)?;
-        let routing = GreediestRouting::with_options(&topology, self.routing);
+        let routing = GreediestRouting::new(&topology);
         let placement = GridPlacement::row_major(self.network.nodes);
         Ok(StringFigureNetwork {
             topology,
@@ -113,7 +102,6 @@ impl StringFigureBuilder {
             placement,
             system: self.system,
             simulation: self.simulation,
-            routing_options: self.routing,
         })
     }
 }
@@ -126,7 +114,6 @@ pub struct StringFigureNetwork {
     placement: GridPlacement,
     system: SystemConfig,
     simulation: SimulationConfig,
-    routing_options: GreediestOptions,
 }
 
 impl StringFigureNetwork {
@@ -282,11 +269,7 @@ impl StringFigureNetwork {
     /// topology (simulators own their protocol, so they need their own copy).
     #[must_use]
     pub fn fresh_routing(&self) -> GreediestRouting {
-        GreediestRouting::from_parts(
-            self.topology.graph(),
-            self.topology.spaces(),
-            self.routing_options,
-        )
+        GreediestRouting::new(&self.topology)
     }
 
     /// Creates a cycle-level simulator over the current network state.

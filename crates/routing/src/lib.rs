@@ -4,18 +4,19 @@
 //! (HPCA 2019): the paper's compute+table hybrid *greediest* routing with
 //! adaptive first-hop selection and virtual-channel deadlock avoidance, plus
 //! the baseline protocols used in its evaluation (greedy/adaptive mesh routing
-//! and minimal look-up-table routing for FB/AFB/Jellyfish/S2-ideal).
+//! and minimal look-up-table routing for FB/AFB/Jellyfish). The S2 baseline
+//! routes with greediest routing, first-hop adaptivity off.
 //!
 //! ## Modules
 //!
 //! * [`protocol`] — the [`RoutingProtocol`] trait, load estimators, and
 //!   [`trace_route`] for hop-by-hop protocol walks.
-//! * [`table`] — the per-router routing table with blocking / valid / hop
-//!   bits and 7-bit quantised coordinates.
-//! * [`greediest`] — String Figure's adaptive greediest routing.
+//! * [`table`] — the per-router routing table of one- and two-hop
+//!   neighbours with 7-bit quantised coordinates.
+//! * [`greediest`] — String Figure's adaptive greediest routing (and S2's,
+//!   without first-hop adaptivity).
 //! * [`mesh`] — greedy + adaptive mesh routing (DM/ODM).
-//! * [`shortest_path`] — minimal look-up-table routing (FB, AFB, Jellyfish,
-//!   S2-ideal).
+//! * [`shortest_path`] — minimal look-up-table routing (FB, AFB, Jellyfish).
 //!
 //! ## Example
 //!

@@ -4,9 +4,10 @@
 //! Each hop forwards to the active neighbour that minimises the remaining
 //! Manhattan distance to the destination on the mesh grid (dimension-ordered
 //! progress); when several neighbours make equal progress (which happens with
-//! ODM express links and at the turn point of XY routes), the adaptive variant
-//! prefers the least-loaded output port. Because the Manhattan distance to the
-//! destination strictly decreases at every hop, routes are loop-free.
+//! ODM express links and at the turn point of XY routes), the adaptive rule
+//! prefers the first of them, in node-id order, whose output port is below
+//! the load threshold. Because the Manhattan distance to the destination
+//! strictly decreases at every hop, routes are loop-free.
 
 use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
 use sf_topology::baselines::MemoryNetworkTopology;
@@ -31,21 +32,15 @@ use sf_types::{NodeId, SfError, SfResult, VirtualChannelId};
 #[derive(Debug)]
 pub struct MeshRouting {
     positions: Vec<(usize, usize)>,
+    /// Each router's live neighbours, in node-id order.
     adjacency: Vec<Vec<NodeId>>,
     active: Vec<bool>,
-    adaptive: bool,
 }
 
 impl MeshRouting {
     /// Builds adaptive mesh routing state from a mesh topology.
     #[must_use]
     pub fn new(mesh: &MeshTopology) -> Self {
-        Self::with_adaptivity(mesh, true)
-    }
-
-    /// Builds mesh routing with or without load-adaptive tie breaking.
-    #[must_use]
-    pub fn with_adaptivity(mesh: &MeshTopology, adaptive: bool) -> Self {
         let n = mesh.num_nodes();
         Self {
             positions: (0..n).map(|i| mesh.position(NodeId::new(i))).collect(),
@@ -55,7 +50,6 @@ impl MeshRouting {
             active: (0..n)
                 .map(|i| mesh.graph().is_active(NodeId::new(i)))
                 .collect(),
-            adaptive,
         }
     }
 
@@ -81,11 +75,7 @@ impl MeshRouting {
 
 impl RoutingProtocol for MeshRouting {
     fn name(&self) -> &'static str {
-        if self.adaptive {
-            "mesh-greedy-adaptive"
-        } else {
-            "mesh-greedy"
-        }
+        "mesh-greedy-adaptive"
     }
 
     fn next_hop(
@@ -100,33 +90,26 @@ impl RoutingProtocol for MeshRouting {
         if at == dest {
             return Ok(dest);
         }
-        let current = self.manhattan(at, dest);
-        let mut improving: Vec<(NodeId, usize)> = self.adjacency[at.index()]
-            .iter()
-            .filter(|nb| self.active[nb.index()])
-            .map(|&nb| (nb, self.manhattan(nb, dest)))
-            .filter(|&(_, d)| d < current)
-            .collect();
-        if improving.is_empty() {
-            return Err(SfError::RoutingStuck {
-                at: at.index(),
-                destination: dest.index(),
-            });
-        }
-        improving.sort_by_key(|&(nb, d)| (d, nb));
-        if self.adaptive {
-            let best_distance = improving[0].1;
-            // Among the neighbours with the best progress, prefer an
-            // uncongested port.
-            if let Some(&(nb, _)) = improving
-                .iter()
-                .take_while(|&&(_, d)| d == best_distance)
-                .find(|&&(nb, _)| loads.load(at, nb) < ctx.adaptive_threshold)
-            {
-                return Ok(nb);
+        // One pass in node-id order keeps the best remaining distance, the
+        // first neighbour at it, and the first of those whose port is
+        // uncongested; a strictly better distance resets both.
+        let mut best = self.manhattan(at, dest);
+        let (mut first, mut idle) = (None, None);
+        for &nb in &self.adjacency[at.index()] {
+            let d = self.manhattan(nb, dest);
+            if d < best {
+                (best, first, idle) = (d, Some(nb), None);
+            } else if d > best || first.is_none() {
+                continue;
+            }
+            if idle.is_none() && loads.load(at, nb) < ctx.adaptive_threshold {
+                idle = Some(nb);
             }
         }
-        Ok(improving[0].0)
+        idle.or(first).ok_or(SfError::RoutingStuck {
+            at: at.index(),
+            destination: dest.index(),
+        })
     }
 
     fn virtual_channel(&self, at: NodeId, _next: NodeId, dest: NodeId) -> VirtualChannelId {
@@ -192,18 +175,6 @@ mod tests {
         let diverted = routing.next_hop(n(0), n(5), &loads, &ctx).unwrap();
         assert_ne!(diverted, default_choice);
         assert_eq!(routing.manhattan(diverted, n(5)), 1);
-    }
-
-    #[test]
-    fn non_adaptive_ignores_load() {
-        let mesh = MeshTopology::distributed(16).unwrap();
-        let routing = MeshRouting::with_adaptivity(&mesh, false);
-        assert_eq!(routing.name(), "mesh-greedy");
-        let ctx = RoutingContext::default();
-        let choice = routing.next_hop(n(0), n(5), &ZeroLoad, &ctx).unwrap();
-        let mut loads = TableLoad::new();
-        loads.set(n(0), choice, 0.99);
-        assert_eq!(routing.next_hop(n(0), n(5), &loads, &ctx).unwrap(), choice);
     }
 
     #[test]

@@ -131,6 +131,42 @@ pub trait RoutingProtocol: Send + Sync {
     }
 }
 
+/// A protocol object prints as its name, so the types that hold one can
+/// derive `Debug`.
+impl std::fmt::Debug for dyn RoutingProtocol {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// A shared protocol routes like the protocol it holds, so simulators of one
+/// network can share one routing build. Counters in the shared protocol
+/// count every holder's decisions, so a counter a study reads must live per
+/// run, not in a shared protocol.
+impl<P: RoutingProtocol + ?Sized> RoutingProtocol for std::sync::Arc<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn next_hop(
+        &self,
+        at: NodeId,
+        dest: NodeId,
+        loads: &dyn PortLoadEstimator,
+        ctx: &RoutingContext,
+    ) -> SfResult<NodeId> {
+        (**self).next_hop(at, dest, loads, ctx)
+    }
+
+    fn virtual_channel(&self, at: NodeId, next: NodeId, dest: NodeId) -> VirtualChannelId {
+        (**self).virtual_channel(at, next, dest)
+    }
+
+    fn max_hops(&self, num_nodes: usize) -> usize {
+        (**self).max_hops(num_nodes)
+    }
+}
+
 /// A complete route produced by [`trace_route`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTrace {

@@ -2,24 +2,29 @@
 //!
 //! Flattened Butterfly / Adapted FB use "minimal + adaptive" routing and
 //! Jellyfish-style random graphs use k-shortest-path tables (Figure 8). Both
-//! are modelled here by a per-destination next-hop table computed with
-//! breadth-first search: every router stores, for every destination, the set
-//! of neighbours that lie on *some* shortest path, and the adaptive variant
-//! picks the least-loaded of them at each hop.
+//! are modelled here as minimal table routing: every router's entry for a
+//! destination is the set of its neighbours that lie on *some* shortest path
+//! there, and the adaptive rule picks the first of them, in node-id order,
+//! whose output port is below the load threshold.
 //!
-//! The point the paper makes about this class of protocols is their storage
-//! cost: the table has `O(N)` entries per router (times the path diversity),
-//! in contrast to String Figure's `O(p^2)` entries. [`ShortestPathRouting::
-//! storage_entries`] exposes that cost so the routing-overhead comparison can
-//! be reproduced.
+//! The model keeps one breadth-first-search distance per (destination,
+//! router) pair and each router's live neighbours; a router's entry for a
+//! destination is read off them as the neighbours one hop closer. The point
+//! the paper makes about this class of protocols is the hardware table's
+//! storage cost: `O(N)` entries per router (times the path diversity), in
+//! contrast to String Figure's `O(p^2)` entries.
+//! [`ShortestPathRouting::storage_entries`] counts those entries so the
+//! routing-overhead comparison can be reproduced.
 
 use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
 use sf_topology::AdjacencyGraph;
 use sf_types::{NodeId, SfError, SfResult, VirtualChannelId};
-use std::collections::VecDeque;
 
-/// Minimal (shortest-path) table routing with optional adaptive selection
-/// among equal-progress next hops.
+/// The distance of a router that cannot reach the destination.
+const UNREACHABLE: u16 = u16::MAX;
+
+/// Minimal (shortest-path) table routing with adaptive selection among
+/// equal-progress next hops.
 ///
 /// # Examples
 ///
@@ -39,91 +44,104 @@ pub struct ShortestPathRouting {
     name: &'static str,
     num_nodes: usize,
     active: Vec<bool>,
-    /// `distance[dest][node]` = hops from `node` to `dest` (u32::MAX if
-    /// unreachable).
-    distance: Vec<Vec<u32>>,
-    /// `next_hops[dest][node]` = neighbours of `node` on a shortest path
-    /// towards `dest`.
-    next_hops: Vec<Vec<Vec<NodeId>>>,
-    adaptive: bool,
+    /// Router `v`'s live neighbours, in node-id order, are
+    /// `neighbors[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    neighbors: Vec<NodeId>,
+    /// `distance[dest * num_nodes + v]`: hops from router `v` to `dest`, or
+    /// [`UNREACHABLE`].
+    distance: Vec<u16>,
 }
 
 impl ShortestPathRouting {
     /// Builds the routing tables (BFS from every destination) for the active
     /// subgraph of `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` has more than 65,535 nodes, whose distances would
+    /// not fit the `u16` table.
     #[must_use]
     pub fn new(graph: &AdjacencyGraph, name: &'static str) -> Self {
-        Self::with_adaptivity(graph, name, true)
-    }
-
-    /// Builds the routing tables with or without adaptive next-hop selection.
-    #[must_use]
-    pub fn with_adaptivity(graph: &AdjacencyGraph, name: &'static str, adaptive: bool) -> Self {
         let n = graph.num_nodes();
-        let active: Vec<bool> = (0..n).map(|i| graph.is_active(NodeId::new(i))).collect();
-        let adjacency: Vec<Vec<NodeId>> = (0..n)
-            .map(|i| graph.active_neighbors(NodeId::new(i)))
-            .collect();
-
-        let mut distance = vec![vec![u32::MAX; n]; n];
-        let mut next_hops = vec![vec![Vec::new(); n]; n];
-        for dest in 0..n {
-            if !active[dest] {
-                continue;
-            }
-            let dist = &mut distance[dest];
-            dist[dest] = 0;
-            let mut queue = VecDeque::new();
-            queue.push_back(dest);
-            while let Some(cur) = queue.pop_front() {
-                for nb in &adjacency[cur] {
-                    let ni = nb.index();
-                    if dist[ni] == u32::MAX {
-                        dist[ni] = dist[cur] + 1;
-                        queue.push_back(ni);
+        // Every distance is below `n`, so none reaches `UNREACHABLE`.
+        u16::try_from(n).expect("shortest-path tables hold at most 65,535 nodes");
+        let mut offsets = vec![0];
+        let mut neighbors = Vec::new();
+        for v in graph.nodes() {
+            neighbors.extend(graph.active_neighbors(v));
+            offsets.push(u32::try_from(neighbors.len()).expect("link count fits in u32"));
+        }
+        let mut routing = Self {
+            name,
+            num_nodes: n,
+            active: graph.nodes().map(|v| graph.is_active(v)).collect(),
+            offsets,
+            neighbors,
+            distance: vec![UNREACHABLE; n * n],
+        };
+        let mut queue = Vec::with_capacity(n);
+        for dest in graph.active_nodes() {
+            let start = dest.index() * n;
+            routing.distance[start + dest.index()] = 0;
+            queue.clear();
+            queue.push(dest);
+            let mut head = 0;
+            while let Some(&cur) = queue.get(head) {
+                head += 1;
+                let next = routing.distance[start + cur.index()] + 1;
+                let range = routing.neighbor_range(cur);
+                for &nb in &routing.neighbors[range] {
+                    let d = &mut routing.distance[start + nb.index()];
+                    if *d == UNREACHABLE {
+                        *d = next;
+                        queue.push(nb);
                     }
                 }
             }
-            // A neighbour is a valid next hop towards `dest` if it is strictly
-            // closer to `dest`.
-            for node in 0..n {
-                if !active[node] || dist[node] == u32::MAX || node == dest {
-                    continue;
-                }
-                let hops: Vec<NodeId> = adjacency[node]
-                    .iter()
-                    .filter(|nb| dist[nb.index()] < dist[node])
-                    .copied()
-                    .collect();
-                next_hops[dest][node] = hops;
-            }
         }
-        Self {
-            name,
-            num_nodes: n,
-            active,
-            distance,
-            next_hops,
-            adaptive,
-        }
+        routing
+    }
+
+    fn neighbor_range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
+    }
+
+    /// Hops from every router to `dest`, in node order.
+    fn distances_to(&self, dest: NodeId) -> &[u16] {
+        &self.distance[dest.index() * self.num_nodes..][..self.num_nodes]
+    }
+
+    /// The table entry of router `at` for `dest`: its live neighbours one hop
+    /// closer to `dest`, in node-id order. Empty if `dest` is unreachable.
+    fn next_hops(&self, at: NodeId, dest: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let dist = self.distances_to(dest);
+        let here = dist[at.index()];
+        // On an undirected graph a neighbour is one hop closer, as far, or
+        // one hop farther, so `<` picks exactly the closer ones. An
+        // unreachable router's neighbours are unreachable too.
+        self.neighbors[self.neighbor_range(at)]
+            .iter()
+            .copied()
+            .filter(move |nb| dist[nb.index()] < here)
     }
 
     /// Hop distance from `from` to `to`, if reachable.
     #[must_use]
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        let d = self.distance[to.index()][from.index()];
-        (d != u32::MAX).then_some(d)
+        let d = self.distances_to(to)[from.index()];
+        (d != UNREACHABLE).then_some(u32::from(d))
     }
 
-    /// Total number of (router, destination, next-hop) entries stored across
-    /// the network — the forwarding-state cost the paper contrasts with
-    /// String Figure's constant-size tables.
+    /// Total number of (router, destination, next-hop) entries the tables
+    /// hold across the network — the forwarding-state cost the paper
+    /// contrasts with String Figure's constant-size tables. A router's entry
+    /// for itself is empty: no neighbour is closer than zero hops.
     #[must_use]
     pub fn storage_entries(&self) -> u64 {
-        self.next_hops
-            .iter()
-            .flat_map(|per_dest| per_dest.iter())
-            .map(|hops| hops.len() as u64)
+        let nodes = || (0..self.num_nodes).map(NodeId::new);
+        nodes()
+            .flat_map(|dest| nodes().map(move |at| self.next_hops(at, dest).count() as u64))
             .sum()
     }
 
@@ -158,22 +176,17 @@ impl RoutingProtocol for ShortestPathRouting {
         if at == dest {
             return Ok(dest);
         }
-        let options = &self.next_hops[dest.index()][at.index()];
-        if options.is_empty() {
-            return Err(SfError::RoutingStuck {
-                at: at.index(),
-                destination: dest.index(),
-            });
-        }
-        if self.adaptive {
-            if let Some(&nb) = options
-                .iter()
-                .find(|&&nb| loads.load(at, nb) < ctx.adaptive_threshold)
-            {
+        let mut first = None;
+        for nb in self.next_hops(at, dest) {
+            if loads.load(at, nb) < ctx.adaptive_threshold {
                 return Ok(nb);
             }
+            first.get_or_insert(nb);
         }
-        Ok(options[0])
+        first.ok_or(SfError::RoutingStuck {
+            at: at.index(),
+            destination: dest.index(),
+        })
     }
 
     fn virtual_channel(&self, at: NodeId, _next: NodeId, dest: NodeId) -> VirtualChannelId {
@@ -260,17 +273,6 @@ mod tests {
             }
         }
         assert!(exercised);
-    }
-
-    #[test]
-    fn non_adaptive_is_deterministic() {
-        let fb = FlattenedButterfly::full(16).unwrap();
-        let routing = ShortestPathRouting::with_adaptivity(fb.graph(), "fb", false);
-        let ctx = RoutingContext::default();
-        let choice = routing.next_hop(n(0), n(15), &ZeroLoad, &ctx).unwrap();
-        let mut loads = TableLoad::new();
-        loads.set(n(0), choice, 0.99);
-        assert_eq!(routing.next_hop(n(0), n(15), &loads, &ctx).unwrap(), choice);
     }
 
     #[test]

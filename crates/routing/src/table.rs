@@ -5,9 +5,12 @@
 //! (Section IV, Figure 6b): for every such neighbour and every virtual space
 //! one entry holding the neighbour's node number, a blocking bit, a valid bit,
 //! a hop bit (one- vs two-hop), the virtual-space number, and the neighbour's
-//! 7-bit quantised coordinate in that space. Network reconfiguration only
-//! flips the blocking / valid / hop bits — entries are never added or removed
-//! after fabrication, which is what makes reconfiguration cheap.
+//! 7-bit quantised coordinate in that space. The hardware reconfigures by
+//! flipping the blocking / valid / hop bits; this model instead rebuilds the
+//! tables of the routers a reconfiguration touches
+//! ([`crate::GreediestRouting::resync`]), so its entries hold no blocking or
+//! valid bit. All three bits still count towards
+//! [`RoutingTable::entry_bits`], the paper's storage layout.
 //!
 //! [`RoutingTable`] is the one definition of what a router stores.
 //! [`crate::GreediestRouting`] builds each router's table, flattens its
@@ -30,7 +33,7 @@ pub enum HopCount {
 }
 
 /// One routing-table entry: the coordinate of a (one- or two-hop) neighbour in
-/// one virtual space, plus the control bits used by reconfiguration.
+/// one virtual space.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RoutingTableEntry {
     /// The neighbour this entry describes.
@@ -48,18 +51,6 @@ pub struct RoutingTableEntry {
     /// Full-precision coordinate kept alongside for evaluation of the
     /// quantisation sensitivity (the hardware only stores the 7-bit value).
     pub full_coordinate: Coordinate,
-    /// Valid bit: entry refers to a mounted, existing node.
-    pub valid: bool,
-    /// Blocking bit: set during atomic reconfiguration to freeze the entry.
-    pub blocked: bool,
-}
-
-impl RoutingTableEntry {
-    /// Whether the entry may be used for forwarding decisions right now.
-    #[must_use]
-    pub fn usable(&self) -> bool {
-        self.valid && !self.blocked
-    }
 }
 
 /// A forwarding candidate assembled from the table: a unique neighbour with
@@ -119,8 +110,6 @@ impl RoutingTable {
                     space,
                     coordinate: full.quantize(),
                     full_coordinate: full,
-                    valid: true,
-                    blocked: false,
                 });
             }
         };
@@ -173,13 +162,13 @@ impl RoutingTable {
         self.entries.is_empty()
     }
 
-    /// Unique usable one-hop neighbours.
+    /// Unique one-hop neighbours.
     #[must_use]
     pub fn one_hop_neighbors(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .entries
             .iter()
-            .filter(|e| e.hop == HopCount::One && e.usable())
+            .filter(|e| e.hop == HopCount::One)
             .map(|e| e.neighbor)
             .collect();
         out.sort_unstable();
@@ -187,13 +176,13 @@ impl RoutingTable {
         out
     }
 
-    /// Unique usable two-hop neighbours.
+    /// Unique two-hop neighbours.
     #[must_use]
     pub fn two_hop_neighbors(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .entries
             .iter()
-            .filter(|e| e.hop == HopCount::Two && e.usable())
+            .filter(|e| e.hop == HopCount::Two)
             .map(|e| e.neighbor)
             .collect();
         out.sort_unstable();
@@ -201,15 +190,15 @@ impl RoutingTable {
         out
     }
 
-    /// Assembles the usable forwarding candidates: every usable neighbour with
-    /// its full coordinate vector and first hop. When `use_quantized` is true
+    /// Assembles the forwarding candidates: every neighbour with its full
+    /// coordinate vector and first hop. When `use_quantized` is true
     /// the coordinate vectors are reconstructed from the 7-bit values the
     /// hardware would store; otherwise full precision is used.
     #[must_use]
     pub fn candidates(&self, use_quantized: bool) -> Vec<CandidateNeighbor> {
         let mut grouped: BTreeMap<NodeId, (NodeId, HopCount, BTreeMap<usize, Coordinate>)> =
             BTreeMap::new();
-        for e in self.entries.iter().filter(|e| e.usable()) {
+        for e in &self.entries {
             let coord = if use_quantized {
                 e.coordinate.to_coordinate()
             } else {
@@ -230,85 +219,6 @@ impl RoutingTable {
                 coordinates: CoordinateVector::new(coords.into_values().collect()),
             })
             .collect()
-    }
-
-    /// Sets the blocking bit of every entry that refers to (or routes via)
-    /// `node`; returns how many entries changed. This is the first step of the
-    /// paper's atomic reconfiguration sequence.
-    pub fn block_node(&mut self, node: NodeId) -> usize {
-        self.flip(node, |e| {
-            if !e.blocked {
-                e.blocked = true;
-                true
-            } else {
-                false
-            }
-        })
-    }
-
-    /// Clears the blocking bit of every entry that refers to (or routes via)
-    /// `node`; returns how many entries changed (the last reconfiguration
-    /// step).
-    pub fn unblock_node(&mut self, node: NodeId) -> usize {
-        self.flip(node, |e| {
-            if e.blocked {
-                e.blocked = false;
-                true
-            } else {
-                false
-            }
-        })
-    }
-
-    /// Clears the valid bit of every entry that refers to (or routes via)
-    /// `node`; returns how many entries changed.
-    pub fn invalidate_node(&mut self, node: NodeId) -> usize {
-        self.flip(node, |e| {
-            if e.valid {
-                e.valid = false;
-                true
-            } else {
-                false
-            }
-        })
-    }
-
-    /// Sets the valid bit of every entry that refers to (or routes via)
-    /// `node`; returns how many entries changed.
-    pub fn revalidate_node(&mut self, node: NodeId) -> usize {
-        self.flip(node, |e| {
-            if !e.valid {
-                e.valid = true;
-                true
-            } else {
-                false
-            }
-        })
-    }
-
-    /// Promotes a two-hop neighbour to one-hop (used when an enabled shortcut
-    /// turns a former two-hop neighbour into a direct neighbour); returns how
-    /// many entries changed.
-    pub fn promote_to_one_hop(&mut self, node: NodeId) -> usize {
-        let mut changed = 0;
-        for e in &mut self.entries {
-            if e.neighbor == node && e.hop == HopCount::Two {
-                e.hop = HopCount::One;
-                e.via = node;
-                changed += 1;
-            }
-        }
-        changed
-    }
-
-    fn flip<F: FnMut(&mut RoutingTableEntry) -> bool>(&mut self, node: NodeId, mut f: F) -> usize {
-        let mut changed = 0;
-        for e in &mut self.entries {
-            if (e.neighbor == node || e.via == node) && f(e) {
-                changed += 1;
-            }
-        }
-        changed
     }
 
     /// Storage cost of this table in bits: [`RoutingTable::entry_bits`] per
@@ -437,64 +347,5 @@ mod tests {
         assert_eq!(table.storage_bits(9, 4), 15 * table.len() as u64);
         // 1296 nodes -> 11 node bits, p=8 -> 4 spaces -> 2 space bits.
         assert_eq!(table.storage_bits(1296, 8), 23 * table.len() as u64);
-    }
-
-    #[test]
-    fn blocking_and_validation_bit_flips() {
-        let topo = example_topology();
-        let mut table = RoutingTable::build(n(0), topo.graph(), topo.spaces());
-        let victim = table.one_hop_neighbors()[0];
-        let blocked = table.block_node(victim);
-        assert!(blocked > 0);
-        assert!(!table.one_hop_neighbors().contains(&victim));
-        // Blocking is idempotent.
-        assert_eq!(table.block_node(victim), 0);
-        let unblocked = table.unblock_node(victim);
-        assert_eq!(unblocked, blocked);
-        assert!(table.one_hop_neighbors().contains(&victim));
-
-        let invalidated = table.invalidate_node(victim);
-        assert_eq!(invalidated, blocked);
-        assert!(!table.one_hop_neighbors().contains(&victim));
-        assert_eq!(table.revalidate_node(victim), invalidated);
-        assert!(table.one_hop_neighbors().contains(&victim));
-    }
-
-    #[test]
-    fn promote_two_hop_to_one_hop() {
-        let topo = example_topology();
-        let mut table = RoutingTable::build(n(0), topo.graph(), topo.spaces());
-        let two_hop = table.two_hop_neighbors();
-        assert!(!two_hop.is_empty());
-        let target = two_hop[0];
-        let changed = table.promote_to_one_hop(target);
-        assert!(changed > 0);
-        assert!(table.one_hop_neighbors().contains(&target));
-        assert!(!table.two_hop_neighbors().contains(&target));
-        // The via pointer of promoted entries is the node itself.
-        for e in table.entries().iter().filter(|e| e.neighbor == target) {
-            assert_eq!(e.via, target);
-            assert_eq!(e.hop, HopCount::One);
-        }
-    }
-
-    #[test]
-    fn entries_report_usability() {
-        let mut e = RoutingTableEntry {
-            neighbor: n(1),
-            via: n(1),
-            hop: HopCount::One,
-            space: SpaceId::new(0),
-            coordinate: QuantizedCoord::from_raw(3).unwrap(),
-            full_coordinate: Coordinate::new(0.03).unwrap(),
-            valid: true,
-            blocked: false,
-        };
-        assert!(e.usable());
-        e.blocked = true;
-        assert!(!e.usable());
-        e.blocked = false;
-        e.valid = false;
-        assert!(!e.usable());
     }
 }

@@ -1,7 +1,8 @@
 //! Pins the kernel's allocation-free steady state with a counting global
 //! allocator: after warm-up, advancing a single-shard simulator by one cycle
-//! performs **zero** heap allocations — packet queues, arrival inboxes, and
-//! commit logs all recycle pooled slots.
+//! performs **zero** heap allocations — packet queues and arrival inboxes
+//! recycle pooled slots, and routing decides without allocating. One protocol of each family is checked: greediest (SF), mesh
+//! (DM) and shortest path (FB).
 //!
 //! This must stay the ONLY test in this file: the `#[global_allocator]` is
 //! process-wide, and a concurrently running test would count its own
@@ -10,9 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sf_routing::GreediestRouting;
+use sf_routing::{GreediestRouting, MeshRouting, RoutingProtocol, ShortestPathRouting};
 use sf_simcore::{ShardedSimulator, UniformRandomTraffic};
-use sf_topology::StringFigureTopology;
+use sf_topology::baselines::MemoryNetworkTopology;
+use sf_topology::{AdjacencyGraph, FlattenedButterfly, MeshTopology, StringFigureTopology};
 use sf_types::{NetworkConfig, SimulationConfig, SystemConfig};
 
 /// Counts allocation events (alloc + realloc); frees are not interesting —
@@ -43,38 +45,55 @@ static COUNTING: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_cycles_allocate_nothing() {
-    let topo =
+    let sf =
         StringFigureTopology::generate(&NetworkConfig::new(48, 4).unwrap().with_seed(9)).unwrap();
-    let mut sim = ShardedSimulator::new(
-        topo.graph().clone(),
-        Box::new(GreediestRouting::new(&topo)),
-        SystemConfig::default(),
-        SimulationConfig {
-            max_cycles: 10_000, // irrelevant: we single-step
-            warmup_cycles: 100,
-            shards: 1,
-            ..SimulationConfig::default()
-        },
-    )
-    .unwrap()
-    .with_request_reply(true);
-    let mut traffic = UniformRandomTraffic::new(48, 0.08, 42);
+    let dm = MeshTopology::distributed(48).unwrap();
+    let fb = FlattenedButterfly::full(48).unwrap();
+    let cases: [(&str, &AdjacencyGraph, Box<dyn RoutingProtocol>); 3] = [
+        (
+            "SF greediest",
+            sf.graph(),
+            Box::new(GreediestRouting::new(&sf)),
+        ),
+        ("DM mesh", dm.graph(), Box::new(MeshRouting::new(&dm))),
+        (
+            "FB shortest path",
+            fb.graph(),
+            Box::new(ShortestPathRouting::new(fb.graph(), "minimal-adaptive")),
+        ),
+    ];
+    let mut allocations = Vec::new();
+    for (label, graph, routing) in cases {
+        let mut sim = ShardedSimulator::new(
+            graph.clone(),
+            routing,
+            SystemConfig::default(),
+            SimulationConfig {
+                max_cycles: 10_000, // irrelevant: we single-step
+                warmup_cycles: 100,
+                shards: 1,
+                ..SimulationConfig::default()
+            },
+        )
+        .unwrap()
+        .with_request_reply(true);
+        let mut traffic = UniformRandomTraffic::new(48, 0.08, 42);
 
-    // Warm-up: pools grow to their steady-state high-water marks, the reply
-    // heap and routing scratch reach capacity, every queue has been touched.
-    for _ in 0..1_000 {
-        sim.step_one(&mut traffic).unwrap();
-    }
+        // Warm-up: pools grow to their steady-state high-water marks, the
+        // reply heap and routing scratch reach capacity, every queue has been
+        // touched.
+        for _ in 0..1_000 {
+            sim.step_one(&mut traffic).unwrap();
+        }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..300 {
-        sim.step_one(&mut traffic).unwrap();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..300 {
+            sim.step_one(&mut traffic).unwrap();
+        }
+        allocations.push((label, ALLOCATIONS.load(Ordering::Relaxed) - before));
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state cycles performed {} heap allocations",
-        after - before
+    assert!(
+        allocations.iter().all(|&(_, count)| count == 0),
+        "heap allocations in 300 steady-state cycles: {allocations:?}"
     );
 }

@@ -1,7 +1,8 @@
 //! System, network, and simulation configuration.
 //!
 //! [`SystemConfig`] captures the paper's Table I baseline configuration
-//! (DRAM timing, CPU-memory channel, SerDes latency, energy constants).
+//! as far as the model uses it (DRAM timing, cache-line and node capacity,
+//! SerDes latency, network clock, energy constants, link power states).
 //! [`NetworkConfig`] captures the parameters of topology construction
 //! (number of memory nodes `N`, router ports `p`, shortcut policy, seed).
 //! [`SimulationConfig`] captures the knobs of the cycle-level simulator.
@@ -19,18 +20,16 @@ pub struct DramTiming {
     pub t_cl_ns: f64,
     /// Row precharge time (ns).
     pub t_rp_ns: f64,
-    /// Row active time (ns).
-    pub t_ras_ns: f64,
 }
 
 impl Default for DramTiming {
     fn default() -> Self {
-        // Table I: tRCD=12ns, tCL=6ns, tRP=14ns, tRAS=33ns.
+        // Table I: tRCD=12ns, tCL=6ns, tRP=14ns. The access latencies below
+        // do not depend on Table I's tRAS=33ns, so it is not kept.
         Self {
             t_rcd_ns: 12.0,
             t_cl_ns: 6.0,
             t_rp_ns: 14.0,
-            t_ras_ns: 33.0,
         }
     }
 }
@@ -93,18 +92,10 @@ impl EnergyModel {
 /// Whole-system configuration corresponding to the paper's Table I.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
-    /// Number of CPU sockets sharing the memory pool.
-    pub cpu_sockets: usize,
-    /// CPU clock frequency in GHz (used to convert instruction counts to time).
-    pub cpu_ghz: f64,
     /// Cache-line size in bytes; also the memory-network payload granularity.
     pub cacheline_bytes: usize,
     /// Capacity per memory node (3D stack) in GiB.
     pub node_capacity_gib: usize,
-    /// Total CPU-memory channel lanes (input + output).
-    pub channel_lanes: usize,
-    /// Per-lane signalling rate in Gbps.
-    pub lane_gbps: f64,
     /// SerDes latency per hop, in nanoseconds (1.6 ns each side).
     pub serdes_ns_per_hop: f64,
     /// Network (router) clock in MHz. The paper uses the HMC node clock,
@@ -125,12 +116,8 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         Self {
-            cpu_sockets: 4,
-            cpu_ghz: 2.0,
             cacheline_bytes: 64,
             node_capacity_gib: 8,
-            channel_lanes: 256,
-            lane_gbps: 30.0,
             serdes_ns_per_hop: 3.2,
             network_clock_mhz: 312.5,
             dram: DramTiming::default(),
@@ -162,13 +149,6 @@ impl SystemConfig {
         self.ns_to_cycles(self.serdes_ns_per_hop).max(1)
     }
 
-    /// Number of bits in one network packet carrying a cache line plus header.
-    #[must_use]
-    pub fn packet_bits(&self) -> u64 {
-        // 64-byte payload + 16-byte header (addresses, coordinates, control).
-        (self.cacheline_bytes as u64 + 16) * 8
-    }
-
     /// Total memory capacity for a network of `nodes` memory nodes, in GiB.
     #[must_use]
     pub fn total_capacity_gib(&self, nodes: usize) -> usize {
@@ -187,10 +167,6 @@ pub struct NetworkConfig {
     /// Whether to add the per-node shortcut connections (2-hop and 4-hop
     /// clockwise neighbours in Space-0) used by elastic reconfiguration.
     pub shortcuts: bool,
-    /// Whether links are bi-directional. The paper's sensitivity study shows
-    /// uni-directional links perform nearly the same; String Figure uses
-    /// uni-directional connections by default but both are supported.
-    pub bidirectional: bool,
     /// Number of candidate samples used by balanced coordinate generation.
     pub balance_candidates: usize,
     /// Seed for the deterministic topology random number generator.
@@ -203,7 +179,6 @@ impl Default for NetworkConfig {
             nodes: 128,
             ports: 4,
             shortcuts: true,
-            bidirectional: true,
             balance_candidates: 8,
             seed: 0x5f5f_5f19,
         }
@@ -226,17 +201,6 @@ impl NetworkConfig {
         };
         config.validate()?;
         Ok(config)
-    }
-
-    /// Configuration used by the paper's working example: 1296 nodes with
-    /// 8-port routers (16 TB at 8 GiB per node... the paper's maximum scale).
-    #[must_use]
-    pub fn paper_working_example() -> Self {
-        Self {
-            nodes: 1296,
-            ports: 8,
-            ..Self::default()
-        }
     }
 
     /// Configuration matching Figure 8's String Figure rows: 4 ports for
@@ -262,14 +226,6 @@ impl NetworkConfig {
     #[must_use]
     pub fn max_routing_table_entries(&self) -> usize {
         self.ports * (self.ports + 1)
-    }
-
-    /// Upper bound on the number of connections leaving one node:
-    /// `p/2` ring neighbours per direction... in total at most `p` basic links
-    /// plus two shortcuts (Section "Physical Implementation").
-    #[must_use]
-    pub fn max_connections_per_node(&self) -> usize {
-        self.ports + 2
     }
 
     /// Validates the configuration.
@@ -444,7 +400,6 @@ mod tests {
         assert_eq!(t.t_rcd_ns, 12.0);
         assert_eq!(t.t_cl_ns, 6.0);
         assert_eq!(t.t_rp_ns, 14.0);
-        assert_eq!(t.t_ras_ns, 33.0);
         assert_eq!(t.row_hit_ns(), 6.0);
         assert_eq!(t.row_miss_ns(), 18.0);
         assert_eq!(t.row_conflict_ns(), 32.0);
@@ -466,7 +421,6 @@ mod tests {
         assert_eq!(s.ns_to_cycles(3.2), 1);
         assert_eq!(s.ns_to_cycles(6.5), 3);
         assert_eq!(s.serdes_cycles_per_hop(), 1);
-        assert_eq!(s.packet_bits(), (64 + 16) * 8);
         assert_eq!(s.total_capacity_gib(1296), 10368);
     }
 
@@ -475,7 +429,6 @@ mod tests {
         let c = NetworkConfig::new(9, 4).unwrap();
         assert_eq!(c.virtual_spaces(), 2);
         assert_eq!(c.max_routing_table_entries(), 20);
-        assert_eq!(c.max_connections_per_node(), 6);
         let c8 = NetworkConfig::new(1296, 8).unwrap();
         assert_eq!(c8.virtual_spaces(), 4);
         assert_eq!(c8.max_routing_table_entries(), 72);
@@ -499,14 +452,6 @@ mod tests {
         assert_eq!(NetworkConfig::figure8_string_figure(128).ports, 4);
         assert_eq!(NetworkConfig::figure8_string_figure(256).ports, 8);
         assert_eq!(NetworkConfig::figure8_string_figure(1296).ports, 8);
-    }
-
-    #[test]
-    fn paper_working_example_scale() {
-        let c = NetworkConfig::paper_working_example();
-        assert_eq!(c.nodes, 1296);
-        assert_eq!(c.ports, 8);
-        assert!(c.validate().is_ok());
     }
 
     #[test]
