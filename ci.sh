@@ -152,13 +152,16 @@ if [[ "${1:-}" != "--quick" ]]; then
         "$fault_serial_csv.telemetry.bin" "$fault_parallel_csv.telemetry.bin"
     echo "==> fault-scenario artifacts and telemetry streams byte-identical"
 
+    # Every example runs end to end; `cargo test` only compiles them.
     # Elasticity end to end: the power_management example gates a quarter
     # of a 324-node network through the power manager (each event resyncs
     # routing), simulates the down-scaled network, ungates every node, and
     # exits non-zero unless check_invariants holds, which compares the
     # resynced routing state with a fresh build.
-    echo "==> power_management example (gate -> resync -> simulate -> ungate)"
-    cargo run --release --offline --quiet --example power_management >/dev/null
+    for example in quickstart capacity_expansion datacenter_workloads power_management; do
+        echo "==> example $example"
+        cargo run --release --offline --quiet --example "$example" >/dev/null
+    done
 
     # Paper-scale correctness: one seed-1 pass of the repository benchmark,
     # with BENCHMARK.json's command. It runs one repetition per workload and

@@ -111,18 +111,15 @@ impl TopologyKind {
     }
 
     /// Router ports used at a given network scale, following Figure 8's
-    /// configuration table for the fixed-radix designs.
+    /// configuration table for the fixed-radix designs. S2 and Jellyfish use
+    /// String Figure's rule ([`NetworkConfig::figure8_string_figure`]).
     #[must_use]
     pub fn figure8_ports(self, nodes: usize) -> usize {
         match self {
             Self::DistributedMesh => 4,
             Self::OptimizedMesh => 8,
             Self::SpaceShuffle | Self::StringFigure | Self::Jellyfish => {
-                if nodes <= 128 {
-                    4
-                } else {
-                    8
-                }
+                NetworkConfig::figure8_string_figure(nodes).ports
             }
             // FB/AFB radix depends on the grid; reported after construction.
             Self::FlattenedButterfly | Self::AdaptedFlattenedButterfly => 0,
@@ -270,10 +267,7 @@ impl NetworkInstance {
             TopologyInstance::SpaceShuffle(t) => Arc::new(GreediestRouting::from_parts(
                 t.graph(),
                 t.spaces(),
-                GreediestOptions {
-                    adaptive: false,
-                    ..GreediestOptions::default()
-                },
+                GreediestOptions { adaptive: false },
             )),
             TopologyInstance::StringFigure(t) => Arc::new(GreediestRouting::new(t)),
             TopologyInstance::Jellyfish(t) => {

@@ -33,7 +33,6 @@ use sf_workloads::{ApplicationModel, PatternTraffic, SyntheticPattern, WorkloadT
 #[derive(Debug, Clone)]
 pub struct StringFigureBuilder {
     network: NetworkConfig,
-    system: SystemConfig,
     simulation: SimulationConfig,
 }
 
@@ -44,7 +43,6 @@ impl StringFigureBuilder {
     pub fn new(nodes: usize) -> Self {
         Self {
             network: NetworkConfig::figure8_string_figure(nodes),
-            system: SystemConfig::default(),
             simulation: SimulationConfig::default(),
         }
     }
@@ -67,13 +65,6 @@ impl StringFigureBuilder {
     #[must_use]
     pub fn shortcuts(mut self, enabled: bool) -> Self {
         self.network.shortcuts = enabled;
-        self
-    }
-
-    /// Overrides the system (timing/energy) configuration.
-    #[must_use]
-    pub fn system(mut self, system: SystemConfig) -> Self {
-        self.system = system;
         self
     }
 
@@ -100,7 +91,7 @@ impl StringFigureBuilder {
             topology,
             routing,
             placement,
-            system: self.system,
+            system: SystemConfig::default(),
             simulation: self.simulation,
         })
     }
@@ -418,10 +409,6 @@ impl<T: TrafficModel> TrafficModel for ActiveNodeTraffic<T> {
             destination: self.active[request.destination.index()],
             write: request.write,
         })
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.inner.is_exhausted()
     }
 }
 

@@ -135,7 +135,6 @@ pub type TopologyCache = BuildCache<(TopologyKind, usize, u64), NetworkInstance>
 pub struct RunContext {
     pool: PoolConfig,
     quick: bool,
-    scale_override: Option<ExperimentScale>,
     cache: Arc<TopologyCache>,
     emitters: Vec<(Format, PathBuf)>,
     checkpoint_path: Option<PathBuf>,
@@ -162,7 +161,6 @@ impl RunContext {
         Self {
             pool: PoolConfig::auto(),
             quick: false,
-            scale_override: None,
             cache: Arc::new(TopologyCache::new()),
             emitters: Vec::new(),
             checkpoint_path: None,
@@ -185,14 +183,6 @@ impl RunContext {
     #[must_use]
     pub fn quick(mut self, quick: bool) -> Self {
         self.quick = quick;
-        self
-    }
-
-    /// Overrides the simulation scale for every study run in this context
-    /// (otherwise each study picks its own quick/full scale).
-    #[must_use]
-    pub fn with_scale(mut self, scale: ExperimentScale) -> Self {
-        self.scale_override = Some(scale);
         self
     }
 
@@ -289,15 +279,15 @@ impl RunContext {
         self.checkpoint_path.as_deref()
     }
 
-    /// Resolves the simulation scale a study should run at: the explicit
-    /// override if one was set, else quick or the study's own `full` scale.
+    /// Resolves the simulation scale a study should run at: quick or the
+    /// study's own `full` scale.
     #[must_use]
     pub fn scale(&self, full: ExperimentScale) -> ExperimentScale {
-        self.scale_override.unwrap_or(if self.quick {
+        if self.quick {
             ExperimentScale::quick()
         } else {
             full
-        })
+        }
     }
 
     /// Builds or reuses the network design `kind` at scale `nodes` with
@@ -532,17 +522,7 @@ pub trait Study: Send + Sync {
 /// resume may use different parallelism than the interrupted run.
 #[must_use]
 pub fn study_fingerprint(study: &dyn Study, ctx: &RunContext) -> u64 {
-    let mut parts: Vec<String> = vec![
-        study.name().to_string(),
-        if ctx.is_quick() { "quick" } else { "full" }.to_string(),
-    ];
-    if let Some(scale) = ctx.scale_override {
-        parts.push(format!(
-            "scale:{}:{}",
-            scale.max_cycles, scale.warmup_cycles
-        ));
-    }
-    journal::fingerprint(parts)
+    journal::fingerprint([study.name(), if ctx.is_quick() { "quick" } else { "full" }])
 }
 
 /// Runs `study` end to end inside `ctx`: opens the checkpoint journal (when
@@ -1878,13 +1858,8 @@ mod tests {
         // Pinned values: a journal is only resumed when its fingerprint
         // matches, so a refactor that hashed different parts would silently
         // discard every existing journal.
-        let scaled = RunContext::new().quick(true).with_scale(ExperimentScale {
-            max_cycles: 900,
-            warmup_cycles: 100,
-        });
         assert_eq!(study_fingerprint(fig10, &quick), 0xf8a6_4e55_9cfc_0d25);
         assert_eq!(study_fingerprint(fig10, &full), 0x6b99_f4b9_cafd_5185);
-        assert_eq!(study_fingerprint(fig10, &scaled), 0xdb04_2cc6_5f24_d526);
     }
 
     #[test]

@@ -93,8 +93,8 @@ impl NetworkSimulator {
         self
     }
 
-    /// Attaches a 2D-grid placement so that long wires (more than the
-    /// configured grid distance) pay an extra hop of latency.
+    /// Attaches a 2D-grid placement so that long wires (more than ten grid
+    /// pitches) pay an extra hop of latency.
     #[must_use]
     pub fn with_placement(mut self, placement: GridPlacement) -> Self {
         self.inner = self.inner.with_placement(placement);
@@ -176,7 +176,7 @@ fn record_run_metrics(stats: &SimulationStats) {
 mod tests {
     use super::*;
     use crate::packet::TrafficRequest;
-    use sf_routing::GreediestRouting;
+    use sf_routing::{trace_route, GreediestRouting};
     use sf_topology::StringFigureTopology;
     use sf_types::{NetworkConfig, NodeId};
 
@@ -253,30 +253,74 @@ mod tests {
 
     #[test]
     fn placement_long_wires_increase_latency() {
+        // On an idle network a packet injected at cycle c leaves its
+        // injection queue in that cycle's routing phase, and a packet whose
+        // link traversal ends at cycle t is drained into its input queue and
+        // ejected or forwarded in that cycle's routing phase. Its latency is
+        // therefore the sum of its links' latencies: router (1) plus SerDes
+        // (1) cycles per hop, and twice that on a wire longer than ten grid
+        // pitches once a placement is set.
+        struct OnePacket {
+            from: NodeId,
+            to: NodeId,
+        }
+        impl TrafficModel for OnePacket {
+            fn maybe_inject(&mut self, cycle: u64, source: NodeId) -> Option<TrafficRequest> {
+                (cycle == 10 && source == self.from).then(|| TrafficRequest::read(self.to))
+            }
+        }
         let topo = StringFigureTopology::generate(&NetworkConfig::new(144, 4).unwrap()).unwrap();
-        let make = |with_placement: bool| {
-            let routing = Box::new(GreediestRouting::new(&topo));
+        let grid = GridPlacement::row_major(144);
+        let (from, to) = topo
+            .graph()
+            .nodes()
+            .flat_map(|a| {
+                topo.graph()
+                    .active_neighbors(a)
+                    .into_iter()
+                    .map(move |b| (a, b))
+            })
+            .find(|&(a, b)| grid.wire_length(a, b) > 10)
+            .expect("a 12 x 12 grid of 144 random rings has a long wire");
+        let latency = |from: NodeId, to: NodeId, placement: Option<&GridPlacement>| {
             let mut sim = NetworkSimulator::new(
                 topo.graph().clone(),
-                routing,
+                Box::new(GreediestRouting::new(&topo)),
                 SystemConfig::default(),
                 SimulationConfig {
-                    max_cycles: 1_500,
-                    warmup_cycles: 200,
-                    long_wire_penalty_cycles: 2,
+                    max_cycles: 100,
+                    warmup_cycles: 10,
                     ..SimulationConfig::default()
                 },
             )
             .unwrap();
-            if with_placement {
-                sim = sim.with_placement(GridPlacement::row_major(144));
+            if let Some(placement) = placement {
+                sim = sim.with_placement(placement.clone());
             }
-            let mut traffic = UniformRandomTraffic::new(144, 0.02, 4);
-            sim.run(&mut traffic).unwrap()
+            let stats = sim.run(&mut OnePacket { from, to }).unwrap();
+            assert_eq!(stats.delivered, 1);
+            (stats.total_latency_cycles, stats.total_hops)
         };
-        let without = make(false);
-        let with = make(true);
-        assert!(with.average_latency_cycles() >= without.average_latency_cycles());
+        assert_eq!(latency(from, to, None), (2, 1));
+        assert_eq!(latency(from, to, Some(&grid)), (4, 1));
+
+        // A multi-hop route pays per link: the first one from `from` that
+        // crosses a long wire.
+        let routing = GreediestRouting::new(&topo);
+        let long_wires = |path: &[NodeId]| {
+            path.windows(2)
+                .filter(|hop| grid.wire_length(hop[0], hop[1]) > 10)
+                .count() as u64
+        };
+        let (far, hops, long) = topo
+            .graph()
+            .nodes()
+            .map(|far| (far, trace_route(&routing, from, far, 144).unwrap()))
+            .find(|(_, route)| route.hops() > 1 && long_wires(&route.path) > 0)
+            .map(|(far, route)| (far, route.hops() as u64, long_wires(&route.path)))
+            .expect("some route from a long wire's end crosses a long wire");
+        assert_eq!(latency(from, far, None), (2 * hops, hops));
+        assert_eq!(latency(from, far, Some(&grid)), (2 * hops + 2 * long, hops));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    without giving up the per-hop progress guarantee.
 //! 3. Adaptive routing diverts only the first hop: among the improving
 //!    neighbours the source prefers an output port whose queue occupancy is
-//!    below the configured threshold (default 50%).
+//!    below [`ADAPTIVE_THRESHOLD`] (50%).
 //! 4. Two virtual channels avoid buffer-dependency deadlocks: a packet uses
 //!    the *up* channel when the destination's coordinate (in the MD-defining
 //!    space) is above the current node's, and the *down* channel otherwise.
@@ -45,7 +45,7 @@
 //! other block into the new store unchanged. The new store is the one the
 //! previous resync replaced, refilled in place.
 
-use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
+use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol, ADAPTIVE_THRESHOLD};
 use crate::table::{HopCount, RoutingTable, RoutingTableEntry};
 use sf_topology::{AdjacencyGraph, StringFigureTopology, VirtualSpaces};
 use sf_types::{
@@ -55,26 +55,17 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Tuning knobs of the greediest protocol.
+/// Options of the greediest protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GreediestOptions {
-    /// Use two-hop routing-table entries to refine the choice among improving
-    /// neighbours (the paper's default, per its sensitivity study).
-    pub use_two_hop: bool,
-    /// Adapt the first-hop decision to port load.
+    /// Adapt the first-hop decision to port load: String Figure does, the
+    /// S2 baseline does not.
     pub adaptive: bool,
-    /// Route on the 7-bit quantised coordinates the hardware table stores
-    /// instead of full precision.
-    pub use_quantized: bool,
 }
 
 impl Default for GreediestOptions {
     fn default() -> Self {
-        Self {
-            use_two_hop: true,
-            adaptive: true,
-            use_quantized: false,
-        }
+        Self { adaptive: true }
     }
 }
 
@@ -136,21 +127,15 @@ impl Slots {
     }
 
     /// Appends one neighbour's table rows (one per virtual space, in space
-    /// order) as a slot, with the coordinates the hardware table stores or
-    /// full precision.
-    fn push(&mut self, rows: &[RoutingTableEntry], use_quantized: bool) {
+    /// order) as a slot.
+    fn push(&mut self, rows: &[RoutingTableEntry]) {
         debug_assert!(rows
             .iter()
             .enumerate()
             .all(|(s, row)| row.neighbor == rows[0].neighbor && row.space.index() == s));
         self.ids.push(rows[0].neighbor);
-        self.coords.extend(rows.iter().map(|row| {
-            if use_quantized {
-                row.coordinate.to_coordinate()
-            } else {
-                row.full_coordinate
-            }
-        }));
+        self.coords
+            .extend(rows.iter().map(|row| row.full_coordinate));
     }
 
     /// Appends `from`'s slots in `range`.
@@ -184,7 +169,6 @@ impl ForwardingStore {
         spaces: &VirtualSpaces,
         dirty: &[bool],
         previous: &Self,
-        use_quantized: bool,
     ) {
         self.spaces = spaces.num_spaces();
         self.coords.clear();
@@ -197,7 +181,7 @@ impl ForwardingStore {
         self.two_hop.clear();
         for v in graph.nodes() {
             if dirty[v.index()] {
-                self.push_router(&RoutingTable::build(v, graph, spaces), use_quantized);
+                self.push_router(&RoutingTable::build(v, graph, spaces));
             } else {
                 self.copy_router(previous, v);
             }
@@ -206,16 +190,16 @@ impl ForwardingStore {
 
     /// Appends one router's table: each one-hop neighbour in node-id order,
     /// and its group of the two-hop targets reached through it.
-    fn push_router(&mut self, table: &RoutingTable, use_quantized: bool) {
+    fn push_router(&mut self, table: &RoutingTable) {
         let (mut one_hop, two_hop): (Vec<_>, Vec<_>) = table
             .entries()
             .chunks_exact(self.spaces)
             .partition(|rows| rows[0].hop == HopCount::One);
         one_hop.sort_by_key(|rows| rows[0].neighbor);
         for rows in one_hop {
-            self.one_hop.push(rows, use_quantized);
+            self.one_hop.push(rows);
             for two in two_hop.iter().filter(|two| two[0].via == rows[0].neighbor) {
-                self.two_hop.push(two, use_quantized);
+                self.two_hop.push(two);
             }
             self.groups.push(offset(self.two_hop.ids.len()));
         }
@@ -405,13 +389,7 @@ impl GreediestRouting {
             vec![true; graph.num_nodes()]
         };
         let mut next = std::mem::take(&mut self.spare);
-        next.fill(
-            graph,
-            spaces,
-            &dirty,
-            &self.store,
-            self.options.use_quantized,
-        );
+        next.fill(graph, spaces, &dirty, &self.store);
         self.spare = std::mem::replace(&mut self.store, next);
         self.active = graph.nodes().map(|v| graph.is_active(v)).collect();
         self.routers_rebuilt += dirty.iter().filter(|&&d| d).count() as u64;
@@ -570,12 +548,9 @@ impl RoutingProtocol for GreediestRouting {
         }
 
         // Score an improving neighbour by the best MD reachable through it
-        // within one more hop (two-hop lookahead), if enabled. Only its own
-        // two-hop group can reach further through it.
+        // within one more hop (two-hop lookahead). Only its own two-hop group
+        // can reach further through it.
         let score = |group: Range<usize>, own_md: f64| -> f64 {
-            if !self.options.use_two_hop {
-                return own_md;
-            }
             let mut best = own_md;
             for (target, coords) in self.store.two_hop(group) {
                 if self.active[target.index()] {
@@ -598,9 +573,9 @@ impl RoutingProtocol for GreediestRouting {
         // in node-id order.
         let adaptive = self.options.adaptive && ctx.first_hop;
         let mut best_overall: Option<(NodeId, f64)> = None;
-        // Best-scored neighbour whose output queue is below the adaptive
-        // threshold; if every improving port is congested, the overall best
-        // wins (the paper's behaviour).
+        // Best-scored neighbour whose output queue is below
+        // ADAPTIVE_THRESHOLD; if every improving port is congested, the
+        // overall best wins (the paper's behaviour).
         let mut best_under: Option<(NodeId, f64)> = None;
         for (node, coords, group) in self.store.one_hop(at) {
             if !self.active[node.index()] {
@@ -615,7 +590,7 @@ impl RoutingProtocol for GreediestRouting {
                 best_overall = Some((node, scored));
             }
             if adaptive
-                && loads.load(at, node) < ctx.adaptive_threshold
+                && loads.load(at, node) < ADAPTIVE_THRESHOLD
                 && best_under.is_none_or(|(_, best)| scored < best)
             {
                 best_under = Some((node, scored));
@@ -915,49 +890,22 @@ mod tests {
     }
 
     #[test]
-    fn non_adaptive_and_one_hop_only_options() {
+    fn non_adaptive_routes_like_adaptive_on_an_idle_network() {
+        // Every idle port is below the adaptive threshold, so first-hop
+        // adaptivity only matters under load.
         let config = NetworkConfig::new(100, 4).unwrap();
         let topo = StringFigureTopology::generate(&config).unwrap();
-        let plain = GreediestRouting::with_options(
-            &topo,
-            GreediestOptions {
-                use_two_hop: false,
-                adaptive: false,
-                use_quantized: false,
-            },
-        );
+        let plain = GreediestRouting::with_options(&topo, GreediestOptions { adaptive: false });
         assert_eq!(plain.name(), "greediest");
-        let with_two_hop = GreediestRouting::new(&topo);
-        assert_eq!(with_two_hop.name(), "greediest-adaptive");
-        let mut total_plain = 0usize;
-        let mut total_two_hop = 0usize;
+        let adaptive = GreediestRouting::new(&topo);
+        assert_eq!(adaptive.name(), "greediest-adaptive");
         for s in (0..100).step_by(9) {
             for t in (0..100).step_by(13) {
-                total_plain += trace_route(&plain, n(s), n(t), 100).unwrap().hops();
-                total_two_hop += trace_route(&with_two_hop, n(s), n(t), 100).unwrap().hops();
-            }
-        }
-        // Two-hop lookahead should never be worse on aggregate.
-        assert!(total_two_hop <= total_plain);
-    }
-
-    #[test]
-    fn quantized_routing_still_loop_free() {
-        let config = NetworkConfig::new(128, 4).unwrap();
-        let topo = StringFigureTopology::generate(&config).unwrap();
-        let routing = GreediestRouting::with_options(
-            &topo,
-            GreediestOptions {
-                use_two_hop: true,
-                adaptive: false,
-                use_quantized: true,
-            },
-        );
-        for s in (0..128).step_by(11) {
-            for t in (0..128).step_by(17) {
-                let route = trace_route(&routing, n(s), n(t), 128).unwrap();
-                assert!(!route.has_loop());
-                assert_eq!(route.destination(), n(t));
+                assert_eq!(
+                    trace_route(&plain, n(s), n(t), 100).unwrap(),
+                    trace_route(&adaptive, n(s), n(t), 100).unwrap(),
+                    "{s}->{t}"
+                );
             }
         }
     }
@@ -1033,11 +981,7 @@ mod tests {
 
     #[test]
     fn resync_equals_a_fresh_build_after_every_event_under_every_option() {
-        for options in (0..8u8).map(|bits| GreediestOptions {
-            use_two_hop: bits & 1 != 0,
-            adaptive: bits & 2 != 0,
-            use_quantized: bits & 4 != 0,
-        }) {
+        for options in [false, true].map(|adaptive| GreediestOptions { adaptive }) {
             for (nodes, seed) in [(64, 3), (100, 4)] {
                 let mut topo = generate(nodes, 4, seed);
                 let mut routing = GreediestRouting::with_options(&topo, options);

@@ -12,7 +12,8 @@
 //! * [`protocol`] — the [`RoutingProtocol`] trait, load estimators, and
 //!   [`trace_route`] for hop-by-hop protocol walks.
 //! * [`table`] — the per-router routing table of one- and two-hop
-//!   neighbours with 7-bit quantised coordinates.
+//!   neighbours and their coordinates, with the paper's per-entry storage
+//!   cost.
 //! * [`greediest`] — String Figure's adaptive greediest routing (and S2's,
 //!   without first-hop adaptivity).
 //! * [`mesh`] — greedy + adaptive mesh routing (DM/ODM).

@@ -6,10 +6,10 @@
 //! progress); when several neighbours make equal progress (which happens with
 //! ODM express links and at the turn point of XY routes), the adaptive rule
 //! prefers the first of them, in node-id order, whose output port is below
-//! the load threshold. Because the Manhattan distance to the destination
+//! [`ADAPTIVE_THRESHOLD`]. Because the Manhattan distance to the destination
 //! strictly decreases at every hop, routes are loop-free.
 
-use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
+use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol, ADAPTIVE_THRESHOLD};
 use sf_topology::baselines::MemoryNetworkTopology;
 use sf_topology::MeshTopology;
 use sf_types::{NodeId, SfError, SfResult, VirtualChannelId};
@@ -83,7 +83,7 @@ impl RoutingProtocol for MeshRouting {
         at: NodeId,
         dest: NodeId,
         loads: &dyn PortLoadEstimator,
-        ctx: &RoutingContext,
+        _ctx: &RoutingContext,
     ) -> SfResult<NodeId> {
         self.check(at)?;
         self.check(dest)?;
@@ -102,7 +102,7 @@ impl RoutingProtocol for MeshRouting {
             } else if d > best || first.is_none() {
                 continue;
             }
-            if idle.is_none() && loads.load(at, nb) < ctx.adaptive_threshold {
+            if idle.is_none() && loads.load(at, nb) < ADAPTIVE_THRESHOLD {
                 idle = Some(nb);
             }
         }

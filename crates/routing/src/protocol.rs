@@ -66,22 +66,22 @@ impl PortLoadEstimator for TableLoad {
     }
 }
 
+/// Queue-occupancy fraction from which adaptive routing avoids an output
+/// port: a port is preferred while its [`PortLoadEstimator::load`] is below
+/// it, that is, while its downstream queues are less than half full.
+pub const ADAPTIVE_THRESHOLD: f64 = 0.5;
+
 /// Per-decision context handed to a routing protocol.
 #[derive(Debug, Clone, Copy)]
 pub struct RoutingContext {
     /// Whether this is the packet's first hop (String Figure only adapts the
     /// first-hop decision).
     pub first_hop: bool,
-    /// Queue-occupancy threshold above which adaptive routing avoids a port.
-    pub adaptive_threshold: f64,
 }
 
 impl Default for RoutingContext {
     fn default() -> Self {
-        Self {
-            first_hop: true,
-            adaptive_threshold: 0.5,
-        }
+        Self { first_hop: true }
     }
 }
 
@@ -352,7 +352,6 @@ mod tests {
     fn default_context_and_vc() {
         let ctx = RoutingContext::default();
         assert!(ctx.first_hop);
-        assert!((ctx.adaptive_threshold - 0.5).abs() < 1e-12);
         let proto = ClockwiseRing { n: 4 };
         assert_eq!(
             proto.virtual_channel(NodeId::new(0), NodeId::new(1), NodeId::new(2)),

@@ -5,7 +5,7 @@
 //! are modelled here as minimal table routing: every router's entry for a
 //! destination is the set of its neighbours that lie on *some* shortest path
 //! there, and the adaptive rule picks the first of them, in node-id order,
-//! whose output port is below the load threshold.
+//! whose output port is below [`ADAPTIVE_THRESHOLD`].
 //!
 //! The model keeps one breadth-first-search distance per (destination,
 //! router) pair and each router's live neighbours; a router's entry for a
@@ -16,7 +16,7 @@
 //! [`ShortestPathRouting::storage_entries`] counts those entries so the
 //! routing-overhead comparison can be reproduced.
 
-use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
+use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol, ADAPTIVE_THRESHOLD};
 use sf_topology::AdjacencyGraph;
 use sf_types::{NodeId, SfError, SfResult, VirtualChannelId};
 
@@ -169,7 +169,7 @@ impl RoutingProtocol for ShortestPathRouting {
         at: NodeId,
         dest: NodeId,
         loads: &dyn PortLoadEstimator,
-        ctx: &RoutingContext,
+        _ctx: &RoutingContext,
     ) -> SfResult<NodeId> {
         self.check(at)?;
         self.check(dest)?;
@@ -178,7 +178,7 @@ impl RoutingProtocol for ShortestPathRouting {
         }
         let mut first = None;
         for nb in self.next_hops(at, dest) {
-            if loads.load(at, nb) < ctx.adaptive_threshold {
+            if loads.load(at, nb) < ADAPTIVE_THRESHOLD {
                 return Ok(nb);
             }
             first.get_or_insert(nb);

@@ -5,9 +5,11 @@
 //! (Section IV, Figure 6b): for every such neighbour and every virtual space
 //! one entry holding the neighbour's node number, a blocking bit, a valid bit,
 //! a hop bit (one- vs two-hop), the virtual-space number, and the neighbour's
-//! 7-bit quantised coordinate in that space. The hardware reconfigures by
-//! flipping the blocking / valid / hop bits; this model instead rebuilds the
-//! tables of the routers a reconfiguration touches
+//! coordinate in that space, which the hardware stores in 7 bits. The model
+//! keeps the full-precision coordinate and routes on it; the 7-bit width
+//! counts only towards [`RoutingTable::entry_bits`]. The hardware
+//! reconfigures by flipping the blocking / valid / hop bits; this model
+//! instead rebuilds the tables of the routers a reconfiguration touches
 //! ([`crate::GreediestRouting::resync`]), so its entries hold no blocking or
 //! valid bit. All three bits still count towards
 //! [`RoutingTable::entry_bits`], the paper's storage layout.
@@ -20,7 +22,8 @@
 
 use serde::{Deserialize, Serialize};
 use sf_topology::{AdjacencyGraph, VirtualSpaces};
-use sf_types::{Coordinate, CoordinateVector, NodeId, QuantizedCoord, SpaceId};
+use sf_types::coord::COORD_BITS;
+use sf_types::{Coordinate, CoordinateVector, NodeId, SpaceId};
 use std::collections::BTreeMap;
 
 /// Whether a routing-table entry describes a one-hop or two-hop neighbour.
@@ -45,11 +48,8 @@ pub struct RoutingTableEntry {
     pub hop: HopCount,
     /// Virtual space of the stored coordinate.
     pub space: SpaceId,
-    /// The neighbour's coordinate in `space`, quantised to 7 bits as stored by
-    /// the hardware table.
-    pub coordinate: QuantizedCoord,
-    /// Full-precision coordinate kept alongside for evaluation of the
-    /// quantisation sensitivity (the hardware only stores the 7-bit value).
+    /// The neighbour's full-precision coordinate in `space` (the hardware
+    /// stores it in [`COORD_BITS`] bits).
     pub full_coordinate: Coordinate,
 }
 
@@ -102,14 +102,12 @@ impl RoutingTable {
             let coords = spaces.coordinates(node);
             for s in 0..spaces.num_spaces() {
                 let space = SpaceId::new(s);
-                let full = coords.coordinate(space);
                 entries.push(RoutingTableEntry {
                     neighbor: node,
                     via,
                     hop,
                     space,
-                    coordinate: full.quantize(),
-                    full_coordinate: full,
+                    full_coordinate: coords.coordinate(space),
                 });
             }
         };
@@ -191,24 +189,17 @@ impl RoutingTable {
     }
 
     /// Assembles the forwarding candidates: every neighbour with its full
-    /// coordinate vector and first hop. When `use_quantized` is true
-    /// the coordinate vectors are reconstructed from the 7-bit values the
-    /// hardware would store; otherwise full precision is used.
+    /// coordinate vector and first hop.
     #[must_use]
-    pub fn candidates(&self, use_quantized: bool) -> Vec<CandidateNeighbor> {
+    pub fn candidates(&self) -> Vec<CandidateNeighbor> {
         let mut grouped: BTreeMap<NodeId, (NodeId, HopCount, BTreeMap<usize, Coordinate>)> =
             BTreeMap::new();
         for e in &self.entries {
-            let coord = if use_quantized {
-                e.coordinate.to_coordinate()
-            } else {
-                e.full_coordinate
-            };
             grouped
                 .entry(e.neighbor)
                 .or_insert_with(|| (e.via, e.hop, BTreeMap::new()))
                 .2
-                .insert(e.space.index(), coord);
+                .insert(e.space.index(), e.full_coordinate);
         }
         grouped
             .into_iter()
@@ -230,7 +221,9 @@ impl RoutingTable {
 
     /// Storage cost of one entry in bits, following the paper's per-entry
     /// layout: `log2(N)` node number + 1 blocking + 1 valid + 1 hop +
-    /// `ceil(log2(p/2))` space number + 7-bit coordinate.
+    /// `ceil(log2(p/2))` space number + a [`COORD_BITS`]-bit (7-bit)
+    /// coordinate. The model routes on full-precision coordinates; only this
+    /// storage accounting uses the paper's 7-bit layout.
     #[must_use]
     pub fn entry_bits(num_nodes: usize, ports: usize) -> u64 {
         let node_bits = (usize::BITS - (num_nodes.max(2) - 1).leading_zeros()) as u64;
@@ -240,7 +233,7 @@ impl RoutingTable {
         } else {
             (usize::BITS - (spaces - 1).leading_zeros()) as u64
         };
-        node_bits + 1 + 1 + 1 + space_bits + 7
+        node_bits + 1 + 1 + 1 + space_bits + u64::from(COORD_BITS)
     }
 }
 
@@ -285,7 +278,7 @@ mod tests {
     fn candidates_have_full_coordinate_vectors() {
         let topo = example_topology();
         let table = RoutingTable::build(n(2), topo.graph(), topo.spaces());
-        for cand in table.candidates(false) {
+        for cand in table.candidates() {
             assert_eq!(cand.coordinates.num_spaces(), 2);
             assert_eq!(
                 cand.coordinates.as_slice(),
@@ -296,21 +289,6 @@ mod tests {
                 assert_eq!(cand.via, cand.node);
             } else {
                 assert!(table.one_hop_neighbors().contains(&cand.via));
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_candidates_are_close_to_exact() {
-        let topo = example_topology();
-        let table = RoutingTable::build(n(0), topo.graph(), topo.spaces());
-        let exact = table.candidates(false);
-        let quantized = table.candidates(true);
-        assert_eq!(exact.len(), quantized.len());
-        for (e, q) in exact.iter().zip(&quantized) {
-            assert_eq!(e.node, q.node);
-            for (a, b) in e.coordinates.iter().zip(q.coordinates.iter()) {
-                assert!(sf_types::circular_distance(a, b) <= 1.0 / 128.0);
             }
         }
     }

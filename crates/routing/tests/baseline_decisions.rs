@@ -27,7 +27,7 @@ fn fold(hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// A load in `0.0..1.0` on every directed link, so about half of the ports
-/// sit above the default adaptive threshold of 0.5.
+/// sit above the adaptive threshold of 0.5.
 fn seeded_loads(graph: &AdjacencyGraph, seed: u64) -> TableLoad {
     let mut rng = DeterministicRng::new(seed);
     let mut loads = TableLoad::new();
@@ -48,10 +48,7 @@ fn decision_digest(protocol: &dyn RoutingProtocol, graph: &AdjacencyGraph) -> u6
         for dest in graph.nodes() {
             for loads in estimators {
                 for first_hop in [true, false] {
-                    let ctx = RoutingContext {
-                        first_hop,
-                        ..RoutingContext::default()
-                    };
+                    let ctx = RoutingContext { first_hop };
                     hash = match protocol.next_hop(at, dest, loads, &ctx) {
                         Ok(next) => fold(hash, &(next.index() as u64).to_le_bytes()),
                         Err(error) => fold(hash, error.to_string().as_bytes()),

@@ -1,19 +1,20 @@
 //! Reference equivalence of `GreediestRouting`'s flat forwarding store.
 //!
 //! The reference below is the direct form of the greediest algorithm: per
-//! router, the candidate lists of `RoutingTable::build(..).candidates(..)`
+//! router, the candidate lists of `RoutingTable::build(..).candidates()`
 //! with one heap-allocated coordinate vector each, and every improving
 //! neighbour scored by a scan of the router's whole two-hop list. On
-//! generated networks of 8–200 nodes with 4, 6 or 8 ports, under every
-//! `GreediestOptions` combination, both must make the same `next_hop`
+//! generated networks of 8–200 nodes with 4, 6 or 8 ports, with first-hop
+//! adaptivity on and off, both must make the same `next_hop`
 //! decisions (first hop or not, idle or loaded ports), pick the same virtual
 //! channels, report the same MDs, and count the same BFS fallbacks and table
 //! rows, before and after a random subset of nodes is gated and the routing
-//! is resynced.
+//! is resynced, and on the graph with every third link cut.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 
+use sf_routing::protocol::ADAPTIVE_THRESHOLD;
 use sf_routing::{
     GreediestOptions, GreediestRouting, HopCount, PortLoadEstimator, RoutingContext,
     RoutingProtocol, RoutingTable, TableLoad, ZeroLoad,
@@ -50,7 +51,7 @@ impl Reference {
             table_lens.push(table.len());
             let mut one = Vec::new();
             let mut two = Vec::new();
-            for cand in table.candidates(options.use_quantized) {
+            for cand in table.candidates() {
                 match cand.hop {
                     HopCount::One => one.push((cand.node, cand.coordinates)),
                     HopCount::Two => two.push((cand.via, cand.node, cand.coordinates)),
@@ -144,9 +145,6 @@ impl Reference {
             return Ok(dest);
         }
         let score = |w: NodeId, own_md: f64| -> f64 {
-            if !self.options.use_two_hop {
-                return own_md;
-            }
             let mut best = own_md;
             for (via, target, coords) in &self.two_hop[at.index()] {
                 if *via == w && self.active[target.index()] {
@@ -178,7 +176,7 @@ impl Reference {
                 best_overall = Some((*node, scored));
             }
             if adaptive
-                && loads.load(at, *node) < ctx.adaptive_threshold
+                && loads.load(at, *node) < ADAPTIVE_THRESHOLD
                 && best_under.is_none_or(|(_, best)| scored < best)
             {
                 best_under = Some((*node, scored));
@@ -206,19 +204,13 @@ impl Reference {
     }
 }
 
-/// All eight combinations of the three option flags.
-fn all_options() -> Vec<GreediestOptions> {
-    (0..8u8)
-        .map(|bits| GreediestOptions {
-            use_two_hop: bits & 1 != 0,
-            adaptive: bits & 2 != 0,
-            use_quantized: bits & 4 != 0,
-        })
-        .collect()
+/// Both option sets: first-hop adaptivity off and on.
+fn all_options() -> [GreediestOptions; 2] {
+    [false, true].map(|adaptive| GreediestOptions { adaptive })
 }
 
 /// A load on every directed link, uniform in `[0, 1)`: roughly half of the
-/// ports sit above the default 0.5 adaptive threshold.
+/// ports sit above the 0.5 adaptive threshold.
 fn random_loads(graph: &AdjacencyGraph, rng: &mut DeterministicRng) -> TableLoad {
     let mut loads = TableLoad::new();
     for v in graph.nodes() {
@@ -263,10 +255,7 @@ fn assert_agree(
     let reference_before = reference.fallbacks.get();
     for &(at, dest) in pairs {
         for first_hop in [true, false] {
-            let ctx = RoutingContext {
-                first_hop,
-                ..RoutingContext::default()
-            };
+            let ctx = RoutingContext { first_hop };
             for (load_name, estimator) in [
                 ("zero", &ZeroLoad as &dyn PortLoadEstimator),
                 ("table", loads as &dyn PortLoadEstimator),
@@ -322,6 +311,13 @@ fn flat_store_matches_the_candidate_list_reference() {
         assert!(!victims.is_empty(), "case {case}: no node could be gated");
         let gated_loads = random_loads(gated_topo.graph(), &mut rng);
 
+        // Links cut outside the topology's own reconfiguration can leave a
+        // router without an improving neighbour: the BFS fallback.
+        let mut cut = topo.graph().clone();
+        for edge in topo.graph().edges().iter().step_by(3) {
+            cut.remove_edge(edge.a, edge.b);
+        }
+
         for options in all_options() {
             let label = format!("case {case} N={nodes} p={ports} {options:?}");
             let mut store = GreediestRouting::from_parts(topo.graph(), topo.spaces(), options);
@@ -336,6 +332,16 @@ fn flat_store_matches_the_candidate_list_reference() {
                 &pairs,
                 &gated_loads,
                 &format!("{label} gated {victims:?}"),
+            );
+
+            store.resync(&cut, topo.spaces());
+            let cut_reference = Reference::new(&cut, topo.spaces(), options);
+            fallbacks += assert_agree(
+                &store,
+                &cut_reference,
+                &pairs,
+                &loads,
+                &format!("{label} cut"),
             );
         }
 
@@ -355,10 +361,7 @@ fn flat_store_matches_the_candidate_list_reference() {
             let fresh = GreediestRouting::from_parts(topo.graph(), topo.spaces(), options);
             for &(at, dest) in &pairs {
                 for first_hop in [true, false] {
-                    let ctx = RoutingContext {
-                        first_hop,
-                        ..RoutingContext::default()
-                    };
+                    let ctx = RoutingContext { first_hop };
                     for estimator in [&ZeroLoad as &dyn PortLoadEstimator, &loads] {
                         assert_eq!(
                             store.next_hop(at, dest, estimator, &ctx),
@@ -378,7 +381,6 @@ fn flat_store_matches_the_candidate_list_reference() {
             }
         }
     }
-    // Quantised coordinates can leave a router without an improving
-    // neighbour; the sample must reach that BFS path too.
+    // The sample must reach the BFS path too.
     assert!(fallbacks > 0, "no sampled decision took the BFS fallback");
 }

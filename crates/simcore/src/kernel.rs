@@ -226,6 +226,13 @@ struct Network {
     fault: Option<FaultRuntime>,
 }
 
+/// Router pipeline latency per hop, in cycles (arbitration and crossbar).
+const ROUTER_LATENCY_CYCLES: u64 = 1;
+
+/// Grid (Chebyshev) distance, in memory-node pitches, above which a wire is
+/// long: ten pitches, the wire length an HMC link supports.
+const LONG_WIRE_GRID_DISTANCE: u32 = 10;
+
 impl Network {
     /// Whether router `node` is currently power-gated by fault injection.
     fn router_faulted(&self, node: usize) -> bool {
@@ -240,21 +247,19 @@ impl Network {
             .is_some_and(|f| f.link_down[f.link_offset[to] + from_index])
     }
 
+    /// Cycles a packet spends on the link from `from` to `to`: one hop of
+    /// router pipeline plus SerDes, and a second hop when a placement is set
+    /// and the wire is long (the paper charges a long wire one extra hop).
     fn link_latency(&self, from: usize, to: usize) -> u64 {
-        let mut latency = self.config.router_latency_cycles + self.system.serdes_cycles_per_hop();
-        if let Some(placement) = &self.placement {
-            if placement.is_long_wire(
-                NodeId::new(from),
-                NodeId::new(to),
-                self.config.long_wire_grid_distance,
-            ) {
-                latency += self
-                    .config
-                    .long_wire_penalty_cycles
-                    .max(self.config.router_latency_cycles + self.system.serdes_cycles_per_hop());
-            }
+        let hop = ROUTER_LATENCY_CYCLES + self.system.serdes_cycles_per_hop();
+        let long = self.placement.as_ref().is_some_and(|placement| {
+            placement.is_long_wire(NodeId::new(from), NodeId::new(to), LONG_WIRE_GRID_DISTANCE)
+        });
+        if long {
+            2 * hop
+        } else {
+            hop
         }
-        latency.max(1)
     }
 }
 
@@ -488,8 +493,8 @@ impl ShardedSimulator {
         self
     }
 
-    /// Attaches a 2D-grid placement so that long wires (more than the
-    /// configured grid distance) pay an extra hop of latency.
+    /// Attaches a 2D-grid placement so that long wires (more than ten grid
+    /// pitches) pay an extra hop of latency.
     #[must_use]
     pub fn with_placement(mut self, placement: GridPlacement) -> Self {
         self.net.placement = Some(placement);
@@ -1127,7 +1132,6 @@ fn try_forward(
 ) -> SfResult<bool> {
     let ctx = RoutingContext {
         first_hop: packet.hops == 0,
-        adaptive_threshold: net.config.adaptive_threshold,
     };
     let next = net.protocol.next_hop(
         NodeId::new(node),
@@ -1191,10 +1195,6 @@ struct NoTraffic;
 impl TrafficModel for NoTraffic {
     fn maybe_inject(&mut self, _cycle: u64, _source: NodeId) -> Option<TrafficRequest> {
         None
-    }
-
-    fn is_exhausted(&self) -> bool {
-        true
     }
 }
 

@@ -119,8 +119,9 @@ pub trait TrafficModel {
     /// Possibly inject a request from `source` at `cycle`.
     fn maybe_inject(&mut self, cycle: u64, source: NodeId) -> Option<TrafficRequest>;
 
-    /// Whether the traffic model has no more requests to offer (trace-driven
-    /// models finish; synthetic patterns never do).
+    /// Whether the traffic model has no more requests to offer. The kernel
+    /// never consults it: a run always injects until `max_cycles` and then
+    /// drains without traffic.
     fn is_exhausted(&self) -> bool {
         false
     }

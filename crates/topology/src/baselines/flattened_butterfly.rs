@@ -64,27 +64,10 @@ impl FlattenedButterfly {
         Self::build(nodes, 2, "AFB")
     }
 
-    /// Builds a partitioned flattened butterfly with a custom number of
-    /// groups per dimension (`partitions = 1` is the full FB).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SfError::InvalidConfiguration`] if fewer than 2 nodes are
-    /// requested or `partitions` is zero.
-    pub fn with_partitions(nodes: usize, partitions: usize) -> SfResult<Self> {
-        let name = if partitions <= 1 { "FB" } else { "AFB" };
-        Self::build(nodes, partitions, name)
-    }
-
     fn build(nodes: usize, partitions: usize, name: &'static str) -> SfResult<Self> {
         if nodes < 2 {
             return Err(SfError::InvalidConfiguration {
                 reason: format!("a flattened butterfly needs at least 2 nodes, got {nodes}"),
-            });
-        }
-        if partitions == 0 {
-            return Err(SfError::InvalidConfiguration {
-                reason: "partition count must be at least 1".to_string(),
             });
         }
         let cols = (nodes as f64).sqrt().ceil() as usize;
@@ -94,14 +77,7 @@ impl FlattenedButterfly {
         let id = |r: usize, c: usize| NodeId::new(r * cols + c);
 
         // Group index of a coordinate along one dimension of length `len`.
-        let group = |idx: usize, len: usize| -> usize {
-            if partitions <= 1 {
-                0
-            } else {
-                let size = len.div_ceil(partitions);
-                idx / size
-            }
-        };
+        let group = |idx: usize, len: usize| idx / len.div_ceil(partitions);
 
         // Rows: connect all pairs within the same group; bridge adjacent cells
         // across group boundaries to keep the row connected.
@@ -187,10 +163,6 @@ impl MemoryNetworkTopology for FlattenedButterfly {
     fn router_ports(&self) -> usize {
         self.graph.max_degree()
     }
-
-    fn requires_high_radix(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +187,6 @@ mod tests {
         assert!(large.router_ports() > small.router_ports());
         // 32x32 grid: radix = 31 + 31 = 62.
         assert_eq!(large.router_ports(), 62);
-        assert!(large.requires_high_radix());
     }
 
     #[test]
@@ -230,16 +201,6 @@ mod tests {
         // Partitioning lengthens paths slightly but keeps them short.
         let stats = path_length_stats(afb.graph());
         assert!(stats.diameter <= 6);
-    }
-
-    #[test]
-    fn custom_partitions() {
-        let t = FlattenedButterfly::with_partitions(100, 4).unwrap();
-        assert!(t.graph().is_connected());
-        assert_eq!(t.name(), "AFB");
-        let full = FlattenedButterfly::with_partitions(100, 1).unwrap();
-        assert_eq!(full.name(), "FB");
-        assert!(FlattenedButterfly::with_partitions(100, 0).is_err());
     }
 
     #[test]

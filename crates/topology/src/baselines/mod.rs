@@ -45,18 +45,6 @@ pub trait MemoryNetworkTopology {
     fn num_nodes(&self) -> usize {
         self.graph().num_nodes()
     }
-
-    /// Whether the topology supports reconfigurable (elastic) scaling without
-    /// regenerating topology and routing state (Table II's last column).
-    fn supports_reconfiguration(&self) -> bool {
-        false
-    }
-
-    /// Whether the topology requires high-radix routers whose port count
-    /// grows with network size (Table II).
-    fn requires_high_radix(&self) -> bool {
-        false
-    }
 }
 
 impl MemoryNetworkTopology for crate::stringfigure::StringFigureTopology {
@@ -70,9 +58,5 @@ impl MemoryNetworkTopology for crate::stringfigure::StringFigureTopology {
 
     fn router_ports(&self) -> usize {
         self.config().ports
-    }
-
-    fn supports_reconfiguration(&self) -> bool {
-        true
     }
 }

@@ -97,8 +97,6 @@ mod tests {
         assert!(s2.as_string_figure().shortcut_wires().is_empty());
         assert!(s2.graph().is_connected());
         assert_eq!(s2.router_ports(), 4);
-        assert!(!s2.supports_reconfiguration());
-        assert!(!s2.requires_high_radix());
     }
 
     #[test]

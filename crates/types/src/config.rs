@@ -5,7 +5,10 @@
 //! SerDes latency, network clock, energy constants, link power states).
 //! [`NetworkConfig`] captures the parameters of topology construction
 //! (number of memory nodes `N`, router ports `p`, shortcut policy, seed).
-//! [`SimulationConfig`] captures the knobs of the cycle-level simulator.
+//! [`SimulationConfig`] captures what a simulation run varies: buffering
+//! (virtual channels and queue depth), run length and fault injection. The
+//! router latency, the long-wire rule and the adaptive-routing threshold are
+//! constants of the model, kept beside the code that reads them.
 
 use crate::error::{SfError, SfResult};
 use crate::fault::FaultPlan;
@@ -289,23 +292,10 @@ pub struct SimulationConfig {
     pub virtual_channels: usize,
     /// Capacity of each virtual-channel input queue, in packets.
     pub vc_queue_capacity: usize,
-    /// Router pipeline latency per hop, in cycles (arbitration + crossbar).
-    pub router_latency_cycles: u64,
-    /// Extra link latency charged when the 2D-grid wire length exceeds
-    /// [`SimulationConfig::long_wire_grid_distance`], in cycles.
-    pub long_wire_penalty_cycles: u64,
-    /// Grid (Chebyshev) distance above which a wire is "long" (the paper uses
-    /// ten memory-node pitches).
-    pub long_wire_grid_distance: u32,
-    /// Queue-occupancy threshold (fraction) above which adaptive routing
-    /// avoids an output port.
-    pub adaptive_threshold: f64,
     /// Maximum number of cycles to simulate before declaring saturation.
     pub max_cycles: u64,
     /// Number of warm-up cycles excluded from statistics.
     pub warmup_cycles: u64,
-    /// Seed for simulator randomness (injection jitter, tie breaking).
-    pub seed: u64,
     /// Router shards of the cycle loop. The kernel routes every router on
     /// one thread, so only `0` and `1` are valid (both mean one); the field
     /// stays for callers that still set it.
@@ -322,13 +312,8 @@ impl Default for SimulationConfig {
         Self {
             virtual_channels: 2,
             vc_queue_capacity: 8,
-            router_latency_cycles: 1,
-            long_wire_penalty_cycles: 0,
-            long_wire_grid_distance: 10,
-            adaptive_threshold: 0.5,
             max_cycles: 20_000,
             warmup_cycles: 1_000,
-            seed: 0xabcd_1234,
             shards: 0,
             fault: None,
         }
@@ -349,8 +334,8 @@ impl SimulationConfig {
     /// # Errors
     ///
     /// Returns [`SfError::InvalidConfiguration`] when queue capacity or
-    /// virtual-channel count is zero, the adaptive threshold is outside
-    /// `(0, 1]`, or `shards` is above 1.
+    /// virtual-channel count is zero, the warm-up is not shorter than the
+    /// run, or `shards` is above 1.
     pub fn validate(&self) -> SfResult<()> {
         if self.virtual_channels == 0 {
             return Err(SfError::InvalidConfiguration {
@@ -360,14 +345,6 @@ impl SimulationConfig {
         if self.vc_queue_capacity == 0 {
             return Err(SfError::InvalidConfiguration {
                 reason: "virtual-channel queues need capacity of at least one packet".to_string(),
-            });
-        }
-        if !(self.adaptive_threshold > 0.0 && self.adaptive_threshold <= 1.0) {
-            return Err(SfError::InvalidConfiguration {
-                reason: format!(
-                    "adaptive threshold must be in (0, 1], got {}",
-                    self.adaptive_threshold
-                ),
             });
         }
         if self.warmup_cycles >= self.max_cycles {
@@ -471,16 +448,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SimulationConfig {
             vc_queue_capacity: 0,
-            ..SimulationConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SimulationConfig {
-            adaptive_threshold: 0.0,
-            ..SimulationConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SimulationConfig {
-            adaptive_threshold: 1.5,
             ..SimulationConfig::default()
         };
         assert!(c.validate().is_err());

@@ -11,9 +11,9 @@
 //!   vectors are `U = <u_1 … u_L>` and `V = <v_1 … v_L>`:
 //!   `MD(U, V) = min_i D(u_i, v_i)`.
 //!
-//! The hardware routing table stores coordinates quantised to seven bits
-//! ([`QuantizedCoord`]), which this module also models so that table-storage
-//! costs and quantisation error can be evaluated.
+//! The hardware routing table stores coordinates in [`COORD_BITS`] bits; the
+//! model routes on full precision and uses that width only to count table
+//! storage.
 
 use crate::error::{SfError, SfResult};
 use crate::ids::SpaceId;
@@ -76,13 +76,6 @@ impl Coordinate {
     pub const fn value(self) -> f64 {
         self.0
     }
-
-    /// Quantises this coordinate to the 7-bit representation stored in the
-    /// hardware routing table.
-    #[must_use]
-    pub fn quantize(self) -> QuantizedCoord {
-        QuantizedCoord::from_coordinate(self)
-    }
 }
 
 impl fmt::Display for Coordinate {
@@ -106,66 +99,6 @@ impl Ord for Coordinate {
 /// Number of bits used to store a coordinate in the hardware routing table
 /// (Section IV of the paper).
 pub const COORD_BITS: u32 = 7;
-
-/// Number of representable quantisation levels for a [`QuantizedCoord`].
-pub const COORD_LEVELS: u16 = 1 << COORD_BITS;
-
-/// A coordinate quantised to [`COORD_BITS`] bits, as stored by router hardware.
-///
-/// ```
-/// use sf_types::{Coordinate, QuantizedCoord};
-/// let q = Coordinate::new(0.5).unwrap().quantize();
-/// assert_eq!(q.raw(), 64);
-/// let back = q.to_coordinate();
-/// assert!((back.value() - 0.5).abs() < 1.0 / 128.0);
-/// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-pub struct QuantizedCoord(u8);
-
-impl QuantizedCoord {
-    /// Quantises a full-precision coordinate.
-    #[must_use]
-    pub fn from_coordinate(coord: Coordinate) -> Self {
-        let level = (coord.value() * f64::from(COORD_LEVELS)).floor() as u16;
-        Self(level.min(COORD_LEVELS - 1) as u8)
-    }
-
-    /// Creates a quantised coordinate from a raw 7-bit level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SfError::InvalidCoordinate`] if `raw` is not below
-    /// [`COORD_LEVELS`].
-    pub fn from_raw(raw: u8) -> SfResult<Self> {
-        if u16::from(raw) >= COORD_LEVELS {
-            return Err(SfError::InvalidCoordinate {
-                value: f64::from(raw),
-            });
-        }
-        Ok(Self(raw))
-    }
-
-    /// Returns the raw 7-bit quantisation level.
-    #[must_use]
-    pub const fn raw(self) -> u8 {
-        self.0
-    }
-
-    /// Converts back to a full-precision coordinate at the centre of the
-    /// quantisation bucket.
-    #[must_use]
-    pub fn to_coordinate(self) -> Coordinate {
-        Coordinate::wrapping((f64::from(self.0) + 0.5) / f64::from(COORD_LEVELS))
-    }
-}
-
-impl fmt::Display for QuantizedCoord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "q{}", self.0)
-    }
-}
 
 /// Circular distance `D(u, v) = min(|u - v|, 1 - |u - v|)` between two
 /// coordinates on the unit ring.
@@ -346,24 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_coordinate_roundtrip_error_is_bounded() {
-        for i in 0..128u16 {
-            let c = coord(f64::from(i) / 128.0 + 1e-9);
-            let q = c.quantize();
-            let back = q.to_coordinate();
-            assert!(circular_distance(c, back) <= 1.0 / 128.0);
-        }
-    }
-
-    #[test]
-    fn quantized_coordinate_raw_bounds() {
-        assert!(QuantizedCoord::from_raw(127).is_ok());
-        assert!(QuantizedCoord::from_raw(128).is_err());
-        assert_eq!(coord(0.999_999).quantize().raw(), 127);
-        assert_eq!(coord(0.0).quantize().raw(), 0);
-    }
-
-    #[test]
     fn coordinate_vector_accessors() {
         let v = CoordinateVector::new(vec![coord(0.2), coord(0.4), coord(0.6)]);
         assert_eq!(v.num_spaces(), 3);
@@ -410,13 +325,6 @@ mod tests {
             for (a, b) in &coords {
                 prop_assert!(md <= circular_distance(coord(*a), coord(*b)) + 1e-15);
             }
-        }
-
-        #[test]
-        fn prop_quantization_error_within_one_bucket(a in 0.0..1.0f64) {
-            let c = coord(a);
-            let back = c.quantize().to_coordinate();
-            prop_assert!(circular_distance(c, back) <= 1.0 / 128.0 + 1e-12);
         }
 
         #[test]

@@ -14,9 +14,8 @@
 //!
 //! * [`ids`] — strongly-typed identifiers for memory nodes, router ports,
 //!   virtual spaces, and virtual channels.
-//! * [`coord`] — virtual-space coordinates, the circular distance `D` and
-//!   minimum circular distance `MD` metrics at the heart of greediest routing,
-//!   and the 7-bit quantised coordinate used by the hardware routing table.
+//! * [`coord`] — virtual-space coordinates and the circular distance `D` and
+//!   minimum circular distance `MD` metrics at the heart of greediest routing.
 //! * [`config`] — the paper's Table I system configuration (DRAM timing,
 //!   link bandwidth, SerDes latency, energy-per-bit constants) plus network
 //!   construction and simulation parameters.
@@ -50,9 +49,7 @@ pub mod ids;
 pub mod rng;
 
 pub use config::{DramTiming, EnergyModel, NetworkConfig, SimulationConfig, SystemConfig};
-pub use coord::{
-    circular_distance, minimum_circular_distance, Coordinate, CoordinateVector, QuantizedCoord,
-};
+pub use coord::{circular_distance, minimum_circular_distance, Coordinate, CoordinateVector};
 pub use error::{SfError, SfResult};
 pub use fault::FaultPlan;
 pub use ids::{NodeId, PortId, SpaceId, VirtualChannelId};

@@ -372,12 +372,6 @@ impl ApplicationWorkload {
             }
         }
     }
-
-    /// Generates a trace of `length` accesses (useful for offline analysis and
-    /// tests).
-    pub fn trace(&mut self, length: usize) -> Vec<MemoryAccess> {
-        (0..length).map(|_| self.next_access()).collect()
-    }
 }
 
 /// A [`TrafficModel`] that drives the network simulator with an application's
@@ -385,14 +379,13 @@ impl ApplicationWorkload {
 #[derive(Debug)]
 pub struct WorkloadTraffic {
     mapper: AddressMapper,
+    /// The model's [`ApplicationModel::memory_intensity`].
     intensity: f64,
     /// Per-injector state by node index. Ordered, because dropping the model
     /// frees the injectors' cache sets in map order: a `HashMap`'s
     /// per-process random order would leave a different heap, and so a
     /// different peak memory for the next run, in every process.
     injectors: BTreeMap<usize, InjectorState>,
-    issued: u64,
-    request_limit: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -477,30 +470,7 @@ impl WorkloadTraffic {
             mapper,
             intensity: model.memory_intensity(),
             injectors,
-            issued: 0,
-            request_limit: None,
         })
-    }
-
-    /// Limits the total number of memory requests issued (the paper collects
-    /// 100,000 operations per workload).
-    #[must_use]
-    pub fn with_request_limit(mut self, limit: u64) -> Self {
-        self.request_limit = Some(limit);
-        self
-    }
-
-    /// Overrides the per-cycle injection intensity.
-    #[must_use]
-    pub fn with_intensity(mut self, intensity: f64) -> Self {
-        self.intensity = intensity.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Number of memory requests issued so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Aggregate LLC miss rate over all injectors.
@@ -521,9 +491,6 @@ impl WorkloadTraffic {
 
 impl TrafficModel for WorkloadTraffic {
     fn maybe_inject(&mut self, _cycle: u64, source: NodeId) -> Option<TrafficRequest> {
-        if self.is_exhausted() {
-            return None;
-        }
         let mapper = self.mapper;
         let intensity = self.intensity;
         let injector = self.injectors.get_mut(&source.index())?;
@@ -533,7 +500,6 @@ impl TrafficModel for WorkloadTraffic {
         for _ in 0..Self::MAX_PROBES_PER_CYCLE {
             let access = injector.workload.next_access();
             if injector.cache.access(access.address).goes_to_memory() {
-                self.issued += 1;
                 let dest = mapper.node_of(access.address);
                 return Some(TrafficRequest {
                     destination: dest,
@@ -543,10 +509,6 @@ impl TrafficModel for WorkloadTraffic {
         }
         None
     }
-
-    fn is_exhausted(&self) -> bool {
-        self.request_limit.is_some_and(|limit| self.issued >= limit)
-    }
 }
 
 #[cfg(test)]
@@ -554,11 +516,16 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// The next `length` accesses of `workload`'s stream.
+    fn accesses(workload: &mut ApplicationWorkload, length: usize) -> Vec<MemoryAccess> {
+        (0..length).map(|_| workload.next_access()).collect()
+    }
+
     #[test]
     fn every_model_generates_in_bounds_addresses() {
         for model in ApplicationModel::ALL {
             let mut w = ApplicationWorkload::new(model, 1 << 22, 1);
-            for access in w.trace(2_000) {
+            for access in accesses(&mut w, 2_000) {
                 assert!(
                     access.address < (1 << 22),
                     "{model}: address {:#x} out of working set",
@@ -572,7 +539,7 @@ mod tests {
     fn read_ratios_are_respected() {
         for model in ApplicationModel::ALL {
             let mut w = ApplicationWorkload::new(model, 1 << 22, 3);
-            let trace = w.trace(20_000);
+            let trace = accesses(&mut w, 20_000);
             let writes = trace.iter().filter(|a| a.write).count() as f64 / trace.len() as f64;
             let expected = 1.0 - model.read_ratio();
             assert!(
@@ -585,7 +552,7 @@ mod tests {
     #[test]
     fn streaming_workloads_have_spatial_locality() {
         let mut w = ApplicationWorkload::new(ApplicationModel::SparkGrep, 1 << 24, 5);
-        let trace = w.trace(5_000);
+        let trace = accesses(&mut w, 5_000);
         let sequential = trace
             .windows(2)
             .filter(|p| p[1].address.wrapping_sub(p[0].address) == 64)
@@ -599,7 +566,7 @@ mod tests {
     #[test]
     fn key_value_workloads_are_skewed() {
         let mut w = ApplicationWorkload::new(ApplicationModel::Redis, 1 << 24, 7);
-        let trace = w.trace(20_000);
+        let trace = accesses(&mut w, 20_000);
         let mut counts: HashMap<u64, usize> = HashMap::new();
         for a in &trace {
             *counts.entry(a.address / 256).or_default() += 1;
@@ -617,9 +584,9 @@ mod tests {
     fn deterministic_per_seed() {
         let mut a = ApplicationWorkload::new(ApplicationModel::Pagerank, 1 << 22, 9);
         let mut b = ApplicationWorkload::new(ApplicationModel::Pagerank, 1 << 22, 9);
-        assert_eq!(a.trace(500), b.trace(500));
+        assert_eq!(accesses(&mut a, 500), accesses(&mut b, 500));
         let mut c = ApplicationWorkload::new(ApplicationModel::Pagerank, 1 << 22, 10);
-        assert_ne!(a.trace(500), c.trace(500));
+        assert_ne!(accesses(&mut a, 500), accesses(&mut c, 500));
     }
 
     #[test]
@@ -647,8 +614,7 @@ mod tests {
             11,
             &cache,
         )
-        .unwrap()
-        .with_intensity(1.0);
+        .unwrap();
         let mut requests = 0;
         let mut destinations = std::collections::HashSet::new();
         for cycle in 0..4_000 {
@@ -663,35 +629,7 @@ mod tests {
         }
         assert!(requests > 100, "only {requests} requests issued");
         assert!(destinations.len() > 4, "traffic should spread across nodes");
-        assert_eq!(traffic.issued(), requests);
         assert!(traffic.llc_miss_rate() > 0.0);
-    }
-
-    #[test]
-    fn request_limit_exhausts_traffic() {
-        let mapper = AddressMapper::new(8, 1 << 24, 64).unwrap();
-        let cache = CacheHierarchy::tiny().unwrap();
-        let mut traffic = WorkloadTraffic::with_cache(
-            ApplicationModel::MatMul,
-            mapper,
-            &[NodeId::new(1)],
-            3,
-            &cache,
-        )
-        .unwrap()
-        .with_intensity(1.0)
-        .with_request_limit(50);
-        let mut total = 0;
-        for cycle in 0..10_000 {
-            if traffic.maybe_inject(cycle, NodeId::new(1)).is_some() {
-                total += 1;
-            }
-            if traffic.is_exhausted() {
-                break;
-            }
-        }
-        assert_eq!(total, 50);
-        assert!(traffic.is_exhausted());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! |---------------------|---------------------------------------------------|
 //! | uniform random      | `randint(0, N-1)`                                  |
 //! | tornado             | `(src + N/2) % N`                                  |
-//! | hotspot             | a single constant node                             |
+//! | hotspot             | node 0                                             |
 //! | opposite            | `N - 1 - src`                                      |
 //! | nearest neighbour   | `src + 1`                                          |
 //! | complement          | `src XOR (N-1)` (bit complement)                   |
@@ -21,8 +21,8 @@
 //!
 //! | pattern        | behaviour                                                |
 //! |----------------|----------------------------------------------------------|
-//! | hotspot storm  | all nodes converge on one victim that rotates every `storm_period` cycles |
-//! | bursty on/off  | double-rate injection during "on" windows, silence during "off" windows |
+//! | hotspot storm  | all nodes converge on one victim that rotates every 128 cycles |
+//! | bursty on/off  | double-rate injection during 64-cycle "on" windows, silence during the "off" windows between |
 //! | bit reversal   | worst-case static permutation: `rev_bits(src)` within `ceil(log2 N)` bits |
 
 use serde::{Deserialize, Serialize};
@@ -38,7 +38,7 @@ pub enum SyntheticPattern {
     UniformRandom,
     /// Each node sends to the node halfway around the network.
     Tornado,
-    /// Every node sends to the same destination node.
+    /// Every node sends to node 0.
     Hotspot,
     /// Each node sends to its mirror on the opposite side of the network.
     Opposite,
@@ -50,12 +50,13 @@ pub enum SyntheticPattern {
     /// their half.
     Partition2,
     /// Adversarial: every node targets one victim node, and the victim
-    /// rotates pseudo-randomly every storm period — a moving congestion
+    /// rotates pseudo-randomly every 128 cycles — a moving congestion
     /// singularity no static provisioning can absorb.
     HotspotStorm,
-    /// Adversarial: traffic arrives in on/off bursts — double the configured
-    /// rate during "on" windows, silence during "off" windows — so queues
-    /// see the worst transient load a given average rate can produce.
+    /// Adversarial: traffic arrives in on/off bursts of 64 cycles — double
+    /// the configured rate during "on" windows, silence during "off" windows
+    /// — so queues see the worst transient load a given average rate can
+    /// produce.
     BurstyOnOff,
     /// Adversarial: the bit-reversal permutation (`rev_bits(src)` within
     /// `ceil(log2 N)` bits), a classic worst case for minimal routing.
@@ -128,6 +129,12 @@ impl fmt::Display for SyntheticPattern {
     }
 }
 
+/// Cycles a hotspot-storm victim reigns before the storm moves on.
+const STORM_PERIOD: u64 = 128;
+
+/// Cycles of one on or off window of the bursty pattern.
+const BURST_PERIOD: u64 = 64;
+
 /// A [`TrafficModel`] producing one of the synthetic patterns at a fixed
 /// injection rate.
 #[derive(Debug, Clone)]
@@ -135,9 +142,6 @@ pub struct PatternTraffic {
     pattern: SyntheticPattern,
     num_nodes: usize,
     injection_rate: f64,
-    hotspot_target: usize,
-    storm_period: u64,
-    burst_period: u64,
     rng: DeterministicRng,
 }
 
@@ -160,43 +164,8 @@ impl PatternTraffic {
             pattern,
             num_nodes,
             injection_rate: injection_rate.clamp(0.0, 1.0),
-            hotspot_target: 0,
-            storm_period: 128,
-            burst_period: 64,
             rng: DeterministicRng::new(seed),
         }
-    }
-
-    /// Changes the hotspot destination (default node 0).
-    #[must_use]
-    pub fn with_hotspot_target(mut self, target: NodeId) -> Self {
-        self.hotspot_target = target.index() % self.num_nodes;
-        self
-    }
-
-    /// Changes how many cycles a hotspot-storm victim reigns before the
-    /// storm moves on (default 128).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn with_storm_period(mut self, period: u64) -> Self {
-        assert!(period > 0, "storm period must be at least one cycle");
-        self.storm_period = period;
-        self
-    }
-
-    /// Changes the on/off window length of the bursty pattern (default 64).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn with_burst_period(mut self, period: u64) -> Self {
-        assert!(period > 0, "burst period must be at least one cycle");
-        self.burst_period = period;
-        self
     }
 
     /// The pattern this traffic model produces.
@@ -227,7 +196,7 @@ impl PatternTraffic {
         let dest = match self.pattern {
             SyntheticPattern::UniformRandom => self.rng.next_index(n),
             SyntheticPattern::Tornado => (src + n / 2) % n,
-            SyntheticPattern::Hotspot => self.hotspot_target,
+            SyntheticPattern::Hotspot => 0,
             SyntheticPattern::Opposite => n - 1 - src,
             SyntheticPattern::NearestNeighbor => (src + 1) % n,
             SyntheticPattern::Complement => {
@@ -244,7 +213,7 @@ impl PatternTraffic {
             SyntheticPattern::HotspotStorm => {
                 // The victim is a pure function of the storm epoch — every
                 // node agrees on it without consuming any RNG stream.
-                let epoch = cycle / self.storm_period;
+                let epoch = cycle / STORM_PERIOD;
                 (splitmix64(epoch) as usize) % n
             }
             SyntheticPattern::BurstyOnOff => self.rng.next_index(n),
@@ -264,8 +233,7 @@ impl PatternTraffic {
     /// the other patterns).
     #[must_use]
     pub fn burst_window_open(&self, cycle: u64) -> bool {
-        self.pattern != SyntheticPattern::BurstyOnOff
-            || (cycle / self.burst_period).is_multiple_of(2)
+        self.pattern != SyntheticPattern::BurstyOnOff || (cycle / BURST_PERIOD).is_multiple_of(2)
     }
 }
 
@@ -335,10 +303,9 @@ mod tests {
 
     #[test]
     fn hotspot_targets_single_node() {
-        let mut h =
-            PatternTraffic::new(SyntheticPattern::Hotspot, 32, 1.0, 1).with_hotspot_target(n(7));
+        let mut h = PatternTraffic::new(SyntheticPattern::Hotspot, 32, 1.0, 1);
         for i in 0..32 {
-            assert_eq!(h.destination(n(i)), n(7));
+            assert_eq!(h.destination(n(i)), n(0));
         }
     }
 
@@ -396,16 +363,15 @@ mod tests {
 
     #[test]
     fn hotspot_storm_rotates_a_shared_victim() {
-        let mut s =
-            PatternTraffic::new(SyntheticPattern::HotspotStorm, 64, 1.0, 1).with_storm_period(100);
+        let mut s = PatternTraffic::new(SyntheticPattern::HotspotStorm, 64, 1.0, 1);
         // Within one storm epoch every node targets the same victim.
         let victim = s.destination_at(0, n(0));
         for src in 1..64 {
-            assert_eq!(s.destination_at(50, n(src)), victim);
+            assert_eq!(s.destination_at(STORM_PERIOD - 1, n(src)), victim);
         }
         // Over many epochs the victim moves around the network.
         let mut victims: Vec<usize> = (0..40)
-            .map(|epoch| s.destination_at(epoch * 100, n(0)).index())
+            .map(|epoch| s.destination_at(epoch * STORM_PERIOD, n(0)).index())
             .collect();
         victims.dedup();
         assert!(victims.len() > 5, "storm never moved: {victims:?}");
@@ -413,23 +379,22 @@ mod tests {
 
     #[test]
     fn bursty_onoff_is_silent_off_window_and_loud_on_window() {
-        let mut b =
-            PatternTraffic::new(SyntheticPattern::BurstyOnOff, 16, 0.5, 3).with_burst_period(10);
+        let mut b = PatternTraffic::new(SyntheticPattern::BurstyOnOff, 16, 0.5, 3);
         let mut on = 0usize;
         let mut off = 0usize;
-        for cycle in 0..200 {
+        for cycle in 0..4 * BURST_PERIOD {
             let injected = b.maybe_inject(cycle, n(1)).is_some();
-            if (cycle / 10) % 2 == 0 {
+            if (cycle / BURST_PERIOD).is_multiple_of(2) {
                 on += usize::from(injected);
             } else {
                 assert!(!injected, "cycle {cycle} is an off window");
                 off += usize::from(injected);
             }
         }
-        assert!(on > 50, "on windows should carry double rate, got {on}");
+        assert!(on > 100, "on windows should carry double rate, got {on}");
         assert_eq!(off, 0);
-        assert!(b.burst_window_open(5));
-        assert!(!b.burst_window_open(15));
+        assert!(b.burst_window_open(BURST_PERIOD - 1));
+        assert!(!b.burst_window_open(BURST_PERIOD));
     }
 
     #[test]
