@@ -24,10 +24,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 if [[ "${1:-}" != "--quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release
-    # The routing store's offset arithmetic and the allocation-free kernel
-    # pin, in the optimised profile the benchmark measures.
-    echo "==> cargo test --release -q -p sf-routing -p sf-simcore"
-    cargo test --release -q -p sf-routing -p sf-simcore
+    # The routing store's offset arithmetic, the allocation-free kernel pin,
+    # the Zipf sampler's bit-for-bit pin and the injector lookup, in the
+    # optimised profile the benchmark measures.
+    echo "==> cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads"
+    cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads
 fi
 
 echo "==> cargo test -q"

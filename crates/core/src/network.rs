@@ -153,12 +153,6 @@ impl StringFigureNetwork {
         &self.routing
     }
 
-    /// The 2D-grid placement used for wire-length modelling.
-    #[must_use]
-    pub fn placement(&self) -> &GridPlacement {
-        &self.placement
-    }
-
     /// The system (timing/energy) configuration.
     #[must_use]
     pub fn system(&self) -> &SystemConfig {
@@ -428,7 +422,6 @@ mod tests {
         assert_eq!(network.active_capacity_gib(), 64 * 8);
         network.check_invariants().unwrap();
         assert!(network.routing_storage_bits() > 0);
-        assert_eq!(network.placement().num_nodes(), 64);
     }
 
     #[test]

@@ -424,12 +424,6 @@ impl GreediestRouting {
         self.store.table_len(router)
     }
 
-    /// The options this protocol instance was built with.
-    #[must_use]
-    pub fn options(&self) -> &GreediestOptions {
-        &self.options
-    }
-
     /// Number of forwarding decisions that had to fall back to BFS because no
     /// improving neighbour existed (0 on an un-gated String Figure topology).
     #[must_use]

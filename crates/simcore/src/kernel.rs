@@ -253,7 +253,7 @@ impl Network {
     fn link_latency(&self, from: usize, to: usize) -> u64 {
         let hop = ROUTER_LATENCY_CYCLES + self.system.serdes_cycles_per_hop();
         let long = self.placement.as_ref().is_some_and(|placement| {
-            placement.is_long_wire(NodeId::new(from), NodeId::new(to), LONG_WIRE_GRID_DISTANCE)
+            placement.wire_length(NodeId::new(from), NodeId::new(to)) > LONG_WIRE_GRID_DISTANCE
         });
         if long {
             2 * hop

@@ -138,12 +138,6 @@ impl FlattenedButterfly {
         self.cols
     }
 
-    /// Number of partitions per dimension (1 for the full FB).
-    #[must_use]
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
     /// Grid coordinates `(row, col)` of a node.
     #[must_use]
     pub fn position(&self, node: NodeId) -> (usize, usize) {
@@ -197,7 +191,6 @@ mod tests {
         assert!(afb.graph().num_edges() < fb.graph().num_edges());
         assert!(afb.graph().is_connected());
         assert_eq!(afb.name(), "AFB");
-        assert_eq!(afb.partitions(), 2);
         // Partitioning lengthens paths slightly but keeps them short.
         let stats = path_length_stats(afb.graph());
         assert!(stats.diameter <= 6);

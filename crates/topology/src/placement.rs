@@ -3,10 +3,8 @@
 //! The paper places memory nodes on a PCB or silicon interposer as a 2D grid
 //! and charges one extra hop of link latency whenever a wire spans more than
 //! ten memory-node pitches (the wire length supported by HMC links). This
-//! module provides the placement, the grid-distance computation, and a
-//! clustering quality metric used by the placement-aware experiments.
+//! module provides the placement and the grid-distance computation.
 
-use crate::graph::AdjacencyGraph;
 use serde::{Deserialize, Serialize};
 use sf_types::NodeId;
 
@@ -107,47 +105,11 @@ impl GridPlacement {
     pub fn wire_length(&self, a: NodeId, b: NodeId) -> u32 {
         self.position(a).grid_distance(&self.position(b))
     }
-
-    /// Whether the wire between two nodes is "long", i.e. spans more than
-    /// `threshold` pitches (the paper uses ten).
-    #[must_use]
-    pub fn is_long_wire(&self, a: NodeId, b: NodeId, threshold: u32) -> bool {
-        self.wire_length(a, b) > threshold
-    }
-
-    /// Fraction of the graph's edges that are long wires under `threshold`.
-    #[must_use]
-    pub fn long_wire_fraction(&self, graph: &AdjacencyGraph, threshold: u32) -> f64 {
-        let edges = graph.edges();
-        if edges.is_empty() {
-            return 0.0;
-        }
-        let long = edges
-            .iter()
-            .filter(|e| self.is_long_wire(e.a, e.b, threshold))
-            .count();
-        long as f64 / edges.len() as f64
-    }
-
-    /// Average wire length over the graph's edges.
-    #[must_use]
-    pub fn average_wire_length(&self, graph: &AdjacencyGraph) -> f64 {
-        let edges = graph.edges();
-        if edges.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = edges
-            .iter()
-            .map(|e| u64::from(self.wire_length(e.a, e.b)))
-            .sum();
-        total as f64 / edges.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::EdgeKind;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -184,23 +146,10 @@ mod tests {
     #[test]
     fn wire_length_and_long_wire() {
         let p = GridPlacement::row_major(144); // 12x12
+                                               // Either side of the paper's ten-pitch long-wire threshold.
         assert_eq!(p.wire_length(n(0), n(11)), 11);
-        assert!(p.is_long_wire(n(0), n(11), 10));
-        assert!(!p.is_long_wire(n(0), n(10), 10));
+        assert_eq!(p.wire_length(n(0), n(10)), 10);
         assert_eq!(p.wire_length(n(0), n(13)), 1);
-    }
-
-    #[test]
-    fn long_wire_fraction_and_average() {
-        let p = GridPlacement::row_major(144);
-        let mut g = AdjacencyGraph::new(144);
-        g.add_edge(n(0), n(1), EdgeKind::Structured).unwrap(); // length 1
-        g.add_edge(n(0), n(11), EdgeKind::Structured).unwrap(); // length 11
-        assert!((p.long_wire_fraction(&g, 10) - 0.5).abs() < 1e-12);
-        assert!((p.average_wire_length(&g) - 6.0).abs() < 1e-12);
-        let empty = AdjacencyGraph::new(144);
-        assert_eq!(p.long_wire_fraction(&empty, 10), 0.0);
-        assert_eq!(p.average_wire_length(&empty), 0.0);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   power-gate schedules that are pure functions of `(seed, cycle)`, so
 //!   fault scenarios stay bit-identical for any sweep worker count.
 //! * [`rng`] — a small, fully deterministic xoshiro256** generator used for
-//!   reproducible topology generation and workload synthesis.
+//!   reproducible topology generation and workload synthesis, and the
+//!   [`Zipf`] sampler the key-value and graph workloads draw keys from.
 //! * [`error`] — the shared [`SfError`] error type.
 //!
 //! ## Example
@@ -53,4 +54,4 @@ pub use coord::{circular_distance, minimum_circular_distance, Coordinate, Coordi
 pub use error::{SfError, SfResult};
 pub use fault::FaultPlan;
 pub use ids::{NodeId, PortId, SpaceId, VirtualChannelId};
-pub use rng::DeterministicRng;
+pub use rng::{DeterministicRng, Zipf};

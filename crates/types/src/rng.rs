@@ -137,35 +137,85 @@ impl DeterministicRng {
             slice.swap(i, j);
         }
     }
+}
 
-    /// Draws a sample from a zipfian distribution over `[0, n)` with skew
-    /// `theta` using inverse-CDF on a precomputed normalisation (simple and
-    /// adequate for workload modelling; not performance-critical).
+/// A Zipf distribution over `[0, n)` with skew `theta`, drawn by the
+/// rejection-free approximate inverse CDF of Gray et al., "Quickly
+/// generating billion-record synthetic databases" (SIGMOD '94).
+///
+/// [`Zipf::new`] computes the normalisation `zeta(n, theta)` and the method's
+/// `alpha` and `eta` once; [`Zipf::sample`] then costs one uniform draw and
+/// at most one `powf`. A skew of 0 draws uniformly.
+///
+/// # Examples
+///
+/// ```
+/// use sf_types::{DeterministicRng, Zipf};
+/// let keys = Zipf::new(1_000, 0.99);
+/// let mut rng = DeterministicRng::new(7);
+/// assert!(keys.sample(&mut rng) < 1_000);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Zipf {
+    n: usize,
+    theta: f64,
+    zetan: f64,
+    /// `1 + 0.5^theta`, the normalisation over two keys: a draw whose
+    /// `u * zetan` lies in `[1, zeta2)` returns index 1.
+    zeta2: f64,
+    alpha: f64,
+    eta: f64,
+}
+
+impl Zipf {
+    /// The distribution over `[0, n)` with skew `theta`.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero or `theta` is negative.
-    pub fn next_zipf(&mut self, n: usize, theta: f64) -> usize {
+    #[must_use]
+    pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf support must be non-empty");
         assert!(theta >= 0.0, "zipf skew must be non-negative");
         if theta == 0.0 {
-            return self.next_index(n);
+            return Self {
+                n,
+                theta,
+                zetan: 0.0,
+                zeta2: 0.0,
+                alpha: 0.0,
+                eta: 0.0,
+            };
         }
-        // Rejection-free approximate inverse CDF (Gray et al. method).
         let zeta2 = 1.0 + 0.5f64.powf(theta);
         let zetan = zeta(n, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        let u = self.next_f64();
-        let uz = u * zetan;
+        Self {
+            n,
+            theta,
+            zetan,
+            zeta2,
+            alpha,
+            eta,
+        }
+    }
+
+    /// Draws one index in `[0, n)`.
+    pub fn sample(&self, rng: &mut DeterministicRng) -> usize {
+        if self.theta == 0.0 {
+            return rng.next_index(self.n);
+        }
+        let u = rng.next_f64();
+        let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(theta) {
+        if uz < self.zeta2 {
             return 1;
         }
-        let idx = (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as usize;
-        idx.min(n - 1)
+        let idx = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as usize;
+        idx.min(self.n - 1)
     }
 }
 
@@ -268,14 +318,79 @@ mod tests {
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should permute");
     }
 
+    /// The draw `Zipf` replaced, which recomputed the normalisation on
+    /// every call: the reference `Zipf::sample` must reproduce bit for bit.
+    fn reference_zipf(rng: &mut DeterministicRng, n: usize, theta: f64) -> usize {
+        assert!(n > 0, "zipf support must be non-empty");
+        assert!(theta >= 0.0, "zipf skew must be non-negative");
+        if theta == 0.0 {
+            return rng.next_index(n);
+        }
+        // Rejection-free approximate inverse CDF (Gray et al. method).
+        let zeta2 = 1.0 + 0.5f64.powf(theta);
+        let zetan = zeta(n, theta);
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        let u = rng.next_f64();
+        let uz = u * zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(theta) {
+            return 1;
+        }
+        let idx = (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as usize;
+        idx.min(n - 1)
+    }
+
+    /// Asserts that `Zipf::sample` draws what `reference_zipf` draws, with
+    /// the same RNG calls, 10,000 times per support size at skew `theta`.
+    fn assert_zipf_matches_reference(theta: f64) {
+        for n in [1, 2, 1000, 4096, 4097, 1 << 18, 1 << 24] {
+            let zipf = Zipf::new(n, theta);
+            let seed = n as u64 ^ theta.to_bits();
+            let mut sampled = DeterministicRng::new(seed);
+            let mut reference = DeterministicRng::new(seed);
+            for draw in 0..10_000 {
+                assert_eq!(
+                    zipf.sample(&mut sampled),
+                    reference_zipf(&mut reference, n, theta),
+                    "n {n}, theta {theta}, draw {draw}"
+                );
+            }
+            assert_eq!(sampled, reference, "n {n}, theta {theta}");
+        }
+    }
+
+    // One test per skew, so the slow reference runs on parallel threads.
+    #[test]
+    fn zipf_uniform_draws_match_the_reference() {
+        assert_zipf_matches_reference(0.0);
+    }
+
+    #[test]
+    fn zipf_theta_0_8_draws_match_the_reference() {
+        assert_zipf_matches_reference(0.8);
+    }
+
+    #[test]
+    fn zipf_theta_0_9_draws_match_the_reference() {
+        assert_zipf_matches_reference(0.9);
+    }
+
+    #[test]
+    fn zipf_theta_0_99_draws_match_the_reference() {
+        assert_zipf_matches_reference(0.99);
+    }
+
     #[test]
     fn zipf_skews_towards_small_indices() {
         let mut rng = DeterministicRng::new(17);
-        let n = 1000;
+        let zipf = Zipf::new(1000, 0.99);
         let mut head = 0usize;
         let samples = 20_000;
         for _ in 0..samples {
-            if rng.next_zipf(n, 0.99) < 10 {
+            if zipf.sample(&mut rng) < 10 {
                 head += 1;
             }
         }
@@ -287,9 +402,10 @@ mod tests {
     #[test]
     fn zipf_theta_zero_is_uniform() {
         let mut rng = DeterministicRng::new(21);
+        let zipf = Zipf::new(1000, 0.0);
         let mut head = 0usize;
         for _ in 0..20_000 {
-            if rng.next_zipf(1000, 0.0) < 10 {
+            if zipf.sample(&mut rng) < 10 {
                 head += 1;
             }
         }
@@ -316,8 +432,9 @@ mod tests {
         #[test]
         fn prop_zipf_in_range(seed in any::<u64>(), n in 1usize..5_000) {
             let mut rng = DeterministicRng::new(seed);
+            let zipf = Zipf::new(n, 0.99);
             for _ in 0..8 {
-                prop_assert!(rng.next_zipf(n, 0.99) < n);
+                prop_assert!(zipf.sample(&mut rng) < n);
             }
         }
 

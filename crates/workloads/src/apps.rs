@@ -27,8 +27,7 @@ use crate::address::AddressMapper;
 use crate::cache::CacheHierarchy;
 use serde::{Deserialize, Serialize};
 use sf_netsim::{TrafficModel, TrafficRequest};
-use sf_types::{DeterministicRng, NodeId, SfError, SfResult};
-use std::collections::BTreeMap;
+use sf_types::{DeterministicRng, NodeId, SfError, SfResult, Zipf};
 use std::fmt;
 
 /// One of the eight evaluated applications (Table IV).
@@ -137,8 +136,8 @@ enum AccessPattern {
     },
     /// Zipf-distributed object accesses (key-value stores).
     Zipfian {
-        /// Skew of the key popularity distribution.
-        theta: f64,
+        /// Popularity of the working set's objects.
+        keys: Zipf,
         /// Size of one stored object in bytes.
         object_bytes: u64,
     },
@@ -148,6 +147,8 @@ enum AccessPattern {
         edge_scan_fraction: f64,
         /// Bytes of per-vertex state.
         vertex_bytes: u64,
+        /// Popularity of the vertex array's vertices.
+        vertices: Zipf,
     },
     /// Blocked dense matrix multiplication over three matrices.
     Blocked {
@@ -163,6 +164,65 @@ enum AccessPattern {
         /// Probability of touching the hot region instead of the stream.
         hot_probability: f64,
     },
+}
+
+impl AccessPattern {
+    /// `model`'s access structure over a working set of `working_set_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `working_set_bytes` is smaller than 4 KiB.
+    fn new(model: ApplicationModel, working_set_bytes: u64) -> Self {
+        assert!(
+            working_set_bytes >= 4096,
+            "working set must be at least 4 KiB"
+        );
+        let ws = working_set_bytes;
+        let zipfian = |theta: f64, object_bytes: u64| Self::Zipfian {
+            keys: Zipf::new((ws / object_bytes).max(1) as usize, theta),
+            object_bytes,
+        };
+        match model {
+            ApplicationModel::SparkWordcount => Self::Streaming {
+                jump_probability: 0.02,
+                scatter_writes: false,
+            },
+            ApplicationModel::SparkGrep => Self::Streaming {
+                jump_probability: 0.01,
+                scatter_writes: false,
+            },
+            ApplicationModel::SparkSort => Self::Streaming {
+                jump_probability: 0.05,
+                scatter_writes: true,
+            },
+            ApplicationModel::Pagerank => {
+                // The vertex array is the upper quarter of the working set.
+                let vertex_bytes = 16;
+                let vertex_region = ws - ws * 3 / 4;
+                Self::Graph {
+                    edge_scan_fraction: 0.55,
+                    vertex_bytes,
+                    vertices: Zipf::new((vertex_region / vertex_bytes).max(1) as usize, 0.8),
+                }
+            }
+            ApplicationModel::Redis => zipfian(0.99, 256),
+            ApplicationModel::Memcached => zipfian(0.90, 128),
+            ApplicationModel::Kmeans => Self::Iterative {
+                hot_bytes: 64 * 1024,
+                hot_probability: 0.25,
+            },
+            ApplicationModel::MatMul => {
+                // Pick the largest square matrices (of f64) fitting three
+                // copies in the working set.
+                let per_matrix = ws / 3;
+                let dim = ((per_matrix / 8) as f64).sqrt().floor().max(8.0) as u64;
+                Self::Blocked {
+                    dimension: dim,
+                    block: 16.min(dim),
+                }
+            }
+        }
+    }
 }
 
 /// A single generated memory access.
@@ -194,50 +254,18 @@ impl ApplicationWorkload {
     /// Panics if `working_set_bytes` is smaller than 4 KiB.
     #[must_use]
     pub fn new(model: ApplicationModel, working_set_bytes: u64, seed: u64) -> Self {
-        assert!(
-            working_set_bytes >= 4096,
-            "working set must be at least 4 KiB"
-        );
-        let pattern = match model {
-            ApplicationModel::SparkWordcount => AccessPattern::Streaming {
-                jump_probability: 0.02,
-                scatter_writes: false,
-            },
-            ApplicationModel::SparkGrep => AccessPattern::Streaming {
-                jump_probability: 0.01,
-                scatter_writes: false,
-            },
-            ApplicationModel::SparkSort => AccessPattern::Streaming {
-                jump_probability: 0.05,
-                scatter_writes: true,
-            },
-            ApplicationModel::Pagerank => AccessPattern::Graph {
-                edge_scan_fraction: 0.55,
-                vertex_bytes: 16,
-            },
-            ApplicationModel::Redis => AccessPattern::Zipfian {
-                theta: 0.99,
-                object_bytes: 256,
-            },
-            ApplicationModel::Memcached => AccessPattern::Zipfian {
-                theta: 0.90,
-                object_bytes: 128,
-            },
-            ApplicationModel::Kmeans => AccessPattern::Iterative {
-                hot_bytes: 64 * 1024,
-                hot_probability: 0.25,
-            },
-            ApplicationModel::MatMul => {
-                // Pick the largest square matrices (of f64) fitting three
-                // copies in the working set.
-                let per_matrix = working_set_bytes / 3;
-                let dim = ((per_matrix / 8) as f64).sqrt().floor().max(8.0) as u64;
-                AccessPattern::Blocked {
-                    dimension: dim,
-                    block: 16.min(dim),
-                }
-            }
-        };
+        let pattern = AccessPattern::new(model, working_set_bytes);
+        Self::with_pattern(model, pattern, working_set_bytes, seed)
+    }
+
+    /// A generator for `model` over the `pattern` that
+    /// [`AccessPattern::new`] built for `working_set_bytes`.
+    fn with_pattern(
+        model: ApplicationModel,
+        pattern: AccessPattern,
+        working_set_bytes: u64,
+        seed: u64,
+    ) -> Self {
         Self {
             model,
             pattern,
@@ -284,12 +312,8 @@ impl ApplicationWorkload {
                 };
                 MemoryAccess { address, write }
             }
-            AccessPattern::Zipfian {
-                theta,
-                object_bytes,
-            } => {
-                let objects = (ws / object_bytes).max(1) as usize;
-                let key = self.rng.next_zipf(objects, *theta) as u64;
+            AccessPattern::Zipfian { keys, object_bytes } => {
+                let key = keys.sample(&mut self.rng) as u64;
                 let offset = self.rng.next_below(*object_bytes / 64 + 1) * 64;
                 MemoryAccess {
                     address: key * object_bytes + offset,
@@ -299,6 +323,7 @@ impl ApplicationWorkload {
             AccessPattern::Graph {
                 edge_scan_fraction,
                 vertex_bytes,
+                vertices,
             } => {
                 // The edge list occupies the lower 3/4 of the working set, the
                 // vertex array the upper 1/4.
@@ -310,8 +335,7 @@ impl ApplicationWorkload {
                         write: false,
                     }
                 } else {
-                    let vertices = ((ws - edge_region) / vertex_bytes).max(1) as usize;
-                    let v = self.rng.next_zipf(vertices, 0.8) as u64;
+                    let v = vertices.sample(&mut self.rng) as u64;
                     MemoryAccess {
                         address: edge_region + v * vertex_bytes,
                         write,
@@ -381,11 +405,14 @@ pub struct WorkloadTraffic {
     mapper: AddressMapper,
     /// The model's [`ApplicationModel::memory_intensity`].
     intensity: f64,
-    /// Per-injector state by node index. Ordered, because dropping the model
-    /// frees the injectors' cache sets in map order: a `HashMap`'s
-    /// per-process random order would leave a different heap, and so a
-    /// different peak memory for the next run, in every process.
-    injectors: BTreeMap<usize, InjectorState>,
+    /// Per-injector state in node order. Dropping the model frees the
+    /// injectors' cache sets in this order: a `HashMap`'s per-process random
+    /// order would leave a different heap, and so a different peak memory
+    /// for the next run, in every process.
+    injectors: Vec<InjectorState>,
+    /// The `injectors` index of each node's injector, or
+    /// [`Self::NO_INJECTOR`]; one entry per node of the mapper.
+    slots: Vec<u32>,
 }
 
 #[derive(Debug)]
@@ -400,6 +427,10 @@ impl WorkloadTraffic {
     /// giving up for this cycle (a long run of cache hits means the processor
     /// simply is not producing memory traffic that cycle).
     const MAX_PROBES_PER_CYCLE: usize = 16;
+
+    /// The slot of a node without an injector. It lies beyond every
+    /// `injectors` index.
+    const NO_INJECTOR: u32 = u32::MAX;
 
     /// Creates workload traffic for `model` injected from `injector_nodes`
     /// (the nodes processors are attached to), with the paper's cache
@@ -423,6 +454,9 @@ impl WorkloadTraffic {
     /// template (cloned per injector); smaller caches make unit tests fast
     /// and model accelerator-style front ends.
     ///
+    /// A node listed more than once gets one injector, seeded by its last
+    /// position in `injector_nodes`.
+    ///
     /// # Errors
     ///
     /// Returns [`SfError::InvalidConfiguration`] if `injector_nodes` is empty
@@ -439,37 +473,47 @@ impl WorkloadTraffic {
                 reason: "workload traffic needs at least one injector node".to_string(),
             });
         }
-        let mut injectors = BTreeMap::new();
-        // Size the per-injector working set to a slice of the memory pool,
-        // capped so address arithmetic stays fast.
-        let working_set =
-            (mapper.total_capacity_bytes() / injector_nodes.len() as u64).clamp(1 << 20, 1 << 32);
+        // Each node's last position in `injector_nodes`, which seeds it.
+        let mut slots = vec![Self::NO_INJECTOR; mapper.num_nodes()];
         for (i, node) in injector_nodes.iter().enumerate() {
-            if node.index() >= mapper.num_nodes() {
+            let Some(slot) = slots.get_mut(node.index()) else {
                 return Err(SfError::InvalidConfiguration {
                     reason: format!(
                         "injector {node} is outside the {}-node memory pool",
                         mapper.num_nodes()
                     ),
                 });
-            }
-            injectors.insert(
-                node.index(),
-                InjectorState {
-                    workload: ApplicationWorkload::new(
-                        model,
-                        working_set,
-                        seed.wrapping_add(i as u64 * 7919),
-                    ),
-                    cache: cache_template.clone(),
-                    rng: DeterministicRng::new(seed.wrapping_add(0x9e37 + i as u64)),
-                },
-            );
+            };
+            *slot = i as u32;
+        }
+        // Size the per-injector working set to a slice of the memory pool,
+        // capped so address arithmetic stays fast.
+        let working_set =
+            (mapper.total_capacity_bytes() / injector_nodes.len() as u64).clamp(1 << 20, 1 << 32);
+        // Every injector draws from the same distributions: normalise them
+        // once.
+        let pattern = AccessPattern::new(model, working_set);
+        let count = slots.iter().filter(|&&s| s != Self::NO_INJECTOR).count();
+        let mut injectors = Vec::with_capacity(count);
+        for slot in slots.iter_mut().filter(|s| **s != Self::NO_INJECTOR) {
+            let i = u64::from(*slot);
+            *slot = injectors.len() as u32;
+            injectors.push(InjectorState {
+                workload: ApplicationWorkload::with_pattern(
+                    model,
+                    pattern.clone(),
+                    working_set,
+                    seed.wrapping_add(i * 7919),
+                ),
+                cache: cache_template.clone(),
+                rng: DeterministicRng::new(seed.wrapping_add(0x9e37 + i)),
+            });
         }
         Ok(Self {
             mapper,
             intensity: model.memory_intensity(),
             injectors,
+            slots,
         })
     }
 
@@ -477,7 +521,7 @@ impl WorkloadTraffic {
     #[must_use]
     pub fn llc_miss_rate(&self) -> f64 {
         let (mut accesses, mut misses) = (0u64, 0u64);
-        for inj in self.injectors.values() {
+        for inj in &self.injectors {
             accesses += inj.cache.stats().accesses;
             misses += inj.cache.stats().misses;
         }
@@ -493,7 +537,8 @@ impl TrafficModel for WorkloadTraffic {
     fn maybe_inject(&mut self, _cycle: u64, source: NodeId) -> Option<TrafficRequest> {
         let mapper = self.mapper;
         let intensity = self.intensity;
-        let injector = self.injectors.get_mut(&source.index())?;
+        let slot = *self.slots.get(source.index())?;
+        let injector = self.injectors.get_mut(slot as usize)?;
         if !injector.rng.next_bool(intensity) {
             return None;
         }
@@ -591,16 +636,83 @@ mod tests {
 
     #[test]
     fn injectors_are_kept_in_node_order() {
-        // Dropping the model frees the injectors in map order, so that order
-        // must not differ from one process to the next.
+        // Dropping the model frees the injectors in store order, so that
+        // order must not differ from one process to the next.
         let mapper = AddressMapper::new(64, 1 << 26, 64).unwrap();
         let nodes: Vec<NodeId> = [40, 8, 56, 0, 24].map(NodeId::new).to_vec();
         let cache = CacheHierarchy::tiny().unwrap();
         let traffic =
             WorkloadTraffic::with_cache(ApplicationModel::Redis, mapper, &nodes, 3, &cache)
                 .unwrap();
-        let order: Vec<usize> = traffic.injectors.keys().copied().collect();
-        assert_eq!(order, [0, 8, 24, 40, 56]);
+        let slots: Vec<(usize, u32)> = (0..64)
+            .map(|node| (node, traffic.slots[node]))
+            .filter(|&(_, slot)| slot != WorkloadTraffic::NO_INJECTOR)
+            .collect();
+        assert_eq!(slots, [(0, 0), (8, 1), (24, 2), (40, 3), (56, 4)]);
+        assert_eq!(traffic.injectors.len(), 5);
+    }
+
+    /// What `traffic` returns for each of `sources` over `cycles` cycles,
+    /// polled in order every cycle.
+    fn requests(
+        traffic: &mut WorkloadTraffic,
+        sources: &[NodeId],
+        cycles: u64,
+    ) -> Vec<(u64, NodeId, Option<TrafficRequest>)> {
+        let mut polls = Vec::new();
+        for cycle in 0..cycles {
+            for &source in sources {
+                polls.push((cycle, source, traffic.maybe_inject(cycle, source)));
+            }
+        }
+        polls
+    }
+
+    #[test]
+    fn polling_other_nodes_leaves_every_injector_stream_unchanged() {
+        let mapper = AddressMapper::new(64, 1 << 26, 64).unwrap();
+        let cache = CacheHierarchy::tiny().unwrap();
+        let injectors = [40, 8, 56].map(NodeId::new);
+        let make = || {
+            WorkloadTraffic::with_cache(ApplicationModel::Redis, mapper, &injectors, 5, &cache)
+                .unwrap()
+        };
+        let mut quiet = make();
+        let expected = requests(&mut quiet, &injectors, 500);
+        assert!(expected.iter().any(|(_, _, request)| request.is_some()));
+
+        // The same polls with non-injectors, the last node, and nodes at and
+        // beyond the mapper's range in between.
+        let mixed = [0, 40, 9, 41, 8, 63, 64, 56, 65, 1 << 20].map(NodeId::new);
+        let mut polled = make();
+        let mut seen = Vec::new();
+        for (cycle, source, request) in requests(&mut polled, &mixed, 500) {
+            if injectors.contains(&source) {
+                seen.push((cycle, source, request));
+            } else {
+                assert_eq!(request, None, "node {source} has no injector");
+            }
+        }
+        assert_eq!(seen, expected);
+        assert_eq!(polled.llc_miss_rate(), quiet.llc_miss_rate());
+    }
+
+    #[test]
+    fn a_duplicate_injector_node_keeps_its_last_seeds() {
+        let mapper = AddressMapper::new(64, 1 << 26, 64).unwrap();
+        let cache = CacheHierarchy::tiny().unwrap();
+        let make = |nodes: &[usize]| {
+            let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId::new).collect();
+            WorkloadTraffic::with_cache(ApplicationModel::Redis, mapper, &nodes, 9, &cache).unwrap()
+        };
+        let polls = [8, 24].map(NodeId::new);
+        let mut duplicated = make(&[8, 24, 8]);
+        assert_eq!(duplicated.injectors.len(), 2);
+        let stream = requests(&mut duplicated, &polls, 2_000);
+        // Node 8 draws as the third injector (position 2), as it would
+        // without the first listing, and node 24 as the second.
+        assert_eq!(stream, requests(&mut make(&[16, 24, 8]), &polls, 2_000));
+        assert_ne!(stream, requests(&mut make(&[8, 24, 16]), &polls, 2_000));
     }
 
     #[test]
