@@ -24,11 +24,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 if [[ "${1:-}" != "--quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release
-    # The routing store's offset arithmetic, the allocation-free kernel pin,
-    # the Zipf sampler's bit-for-bit pin and the injector lookup, in the
-    # optimised profile the benchmark measures.
-    echo "==> cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads"
-    cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads
+    # The routing store's offset arithmetic and its branch-free MD against
+    # the greediest decision pin (baseline_decisions.rs), the
+    # allocation-free kernel pin, the Zipf sampler's bit-for-bit pin, the
+    # injector lookup and the 11 golden CSVs, in the optimised profile the
+    # benchmark measures.
+    echo "==> cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads -p sf-bench"
+    cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads -p sf-bench
 fi
 
 echo "==> cargo test -q"

@@ -32,12 +32,24 @@
 //! CSR-style store shared by all routers, and then dropped. Per router the
 //! store holds its one-hop neighbours in node-id order; per one-hop
 //! neighbour, the contiguous group of two-hop targets the table first reached
-//! through it; and every node's own coordinates. Coordinates sit inline, one
-//! per virtual space, so a decision reads one contiguous block and scores an
-//! improving neighbour over its own two-hop group only. The table stays the
-//! one definition of what a router stores: the store keeps its rows'
-//! coordinates and neighbour ids, and [`GreediestRouting::table_len`] its row
-//! count.
+//! through it; and every node's own coordinates. A decision reads one
+//! contiguous block of the store and scores an improving neighbour over its
+//! own two-hop group only. The table stays the one definition of what a
+//! router stores: the store keeps its rows' coordinates and neighbour ids,
+//! and [`GreediestRouting::table_len`] its row count.
+//!
+//! Every node's and every slot's coordinates sit inline as `[f64; 4]`
+//! coordinate blocks: one block for up to four virtual spaces, two for five
+//! to eight, and so on. Lanes past the last space hold a copy of space 0's
+//! coordinate. A minimum circular distance is then one fixed-width,
+//! branch-free computation for every space count: lane-wise circular
+//! distances, a min tree of `if b < a { b } else { a }` per block, and the
+//! same select across a node's blocks. Every coordinate is finite and lies in
+//! `[0, 1)`, so every distance is non-negative and never NaN, and taking a
+//! minimum is exact whatever the order or any repeated operand. So the
+//! select needs none of `f64::min`'s NaN handling, a padding lane (a repeat
+//! of lane 0's distance) moves no minimum, and every MD is bit-identical to
+//! [`sf_types::minimum_circular_distance`]'s.
 //!
 //! A reconfiguration touches only the routers near the gated node
 //! (Section III-C), and so does [`GreediestRouting::resync`]: it rebuilds
@@ -48,9 +60,7 @@
 use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol, ADAPTIVE_THRESHOLD};
 use crate::table::{HopCount, RoutingTable, RoutingTableEntry};
 use sf_topology::{AdjacencyGraph, StringFigureTopology, VirtualSpaces};
-use sf_types::{
-    circular_distance, Coordinate, CoordinateVector, NodeId, SfError, SfResult, VirtualChannelId,
-};
+use sf_types::{Coordinate, NodeId, SfError, SfResult, VirtualChannelId};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,14 +79,55 @@ impl Default for GreediestOptions {
     }
 }
 
-/// Minimum circular distance between two coordinate slices of equal length:
-/// the same fold as [`sf_types::minimum_circular_distance`], so both give
-/// bit-identical values.
-fn slice_md(a: &[Coordinate], b: &[Coordinate]) -> f64 {
+/// Coordinates per coordinate block.
+const LANES: usize = 4;
+
+/// One coordinate per virtual space, for up to [`LANES`] spaces. Lanes past
+/// a node's last space hold a copy of its space-0 coordinate.
+type Block = [f64; LANES];
+
+/// The smaller of two distances. Distances are never NaN, so this returns
+/// exactly what `f64::min` would, without its NaN handling.
+fn smaller(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Circular distance between two coordinate values: the value of
+/// [`sf_types::circular_distance`].
+fn lane_distance(a: f64, b: f64) -> f64 {
+    let diff = (a - b).abs();
+    smaller(diff, 1.0 - diff)
+}
+
+/// Minimum circular distance between two nodes' coordinate blocks:
+/// lane-wise circular distances, then a min tree per block and across
+/// blocks. Bit-identical to [`sf_types::minimum_circular_distance`].
+fn block_md(a: &[Block], b: &[Block]) -> f64 {
     a.iter()
         .zip(b)
-        .map(|(&x, &y)| circular_distance(x, y))
-        .fold(f64::INFINITY, f64::min)
+        .map(|(a, b)| {
+            let d: Block = std::array::from_fn(|lane| lane_distance(a[lane], b[lane]));
+            smaller(smaller(d[0], d[1]), smaller(d[2], d[3]))
+        })
+        .fold(f64::INFINITY, smaller)
+}
+
+/// One node's coordinate blocks, given its coordinate in each of `spaces`
+/// virtual spaces; padding lanes repeat space 0's.
+fn coordinate_blocks(
+    spaces: usize,
+    coord: impl Fn(usize) -> Coordinate,
+) -> impl Iterator<Item = Block> {
+    (0..spaces.div_ceil(LANES)).map(move |block| {
+        std::array::from_fn(|lane| {
+            let space = block * LANES + lane;
+            coord(if space < spaces { space } else { 0 }).value()
+        })
+    })
 }
 
 /// An offset into one of the store's flat arrays.
@@ -84,39 +135,39 @@ fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("forwarding store offsets fit in u32")
 }
 
-/// Every node's coordinates in node order, one per virtual space: the
-/// store's `coords`.
-fn node_coords(spaces: &VirtualSpaces) -> impl Iterator<Item = Coordinate> + '_ {
-    spaces
-        .all_coordinates()
-        .iter()
-        .flat_map(CoordinateVector::iter)
+/// Every node's coordinate blocks in node order: the store's `coords`.
+fn node_coords(spaces: &VirtualSpaces) -> impl Iterator<Item = Block> + '_ {
+    spaces.all_coordinates().iter().flat_map(|coords| {
+        let coords = coords.as_slice();
+        coordinate_blocks(coords.len(), move |space| coords[space])
+    })
 }
 
 /// The forwarding state of every router, flattened.
 ///
 /// Router `v`'s one-hop neighbours are the slots `routers[v]..routers[v + 1]`
 /// of `one_hop`, in node-id order. One-hop slot `i`'s two-hop group is the
-/// slots `groups[i]..groups[i + 1]` of `two_hop`. The default store is empty:
-/// no routers and no coordinates.
+/// slots `groups[i]..groups[i + 1]` of `two_hop`. Every node and slot has
+/// [`ForwardingStore::blocks`] coordinate blocks. The default store is
+/// empty: no routers and no coordinates.
 #[derive(Debug, Default, PartialEq)]
 struct ForwardingStore {
-    /// Coordinates per node or slot: the number of virtual spaces.
+    /// The number of virtual spaces.
     spaces: usize,
-    /// Every node's own full-precision coordinates.
-    coords: Vec<Coordinate>,
+    /// Every node's own full-precision coordinate blocks.
+    coords: Vec<Block>,
     routers: Vec<u32>,
     one_hop: Slots,
     groups: Vec<u32>,
     two_hop: Slots,
 }
 
-/// Neighbour slots: ids, and each slot's coordinates inline at the same
-/// index, `spaces` per slot.
+/// Neighbour slots: ids, and each slot's coordinate blocks inline at the
+/// same index, `blocks` per slot.
 #[derive(Debug, Default, PartialEq)]
 struct Slots {
     ids: Vec<NodeId>,
-    coords: Vec<Coordinate>,
+    coords: Vec<Block>,
 }
 
 impl Slots {
@@ -134,28 +185,30 @@ impl Slots {
             .enumerate()
             .all(|(s, row)| row.neighbor == rows[0].neighbor && row.space.index() == s));
         self.ids.push(rows[0].neighbor);
-        self.coords
-            .extend(rows.iter().map(|row| row.full_coordinate));
+        self.coords.extend(coordinate_blocks(rows.len(), |space| {
+            rows[space].full_coordinate
+        }));
     }
 
     /// Appends `from`'s slots in `range`.
-    fn extend_from(&mut self, from: &Self, range: Range<usize>, spaces: usize) {
+    fn extend_from(&mut self, from: &Self, range: Range<usize>, blocks: usize) {
         self.coords
-            .extend_from_slice(&from.coords[range.start * spaces..range.end * spaces]);
+            .extend_from_slice(&from.coords[range.start * blocks..range.end * blocks]);
         self.ids.extend_from_slice(&from.ids[range]);
     }
 
-    /// The slots in `range`, each with its coordinates.
+    /// The slots in `range`, each with its coordinate blocks. Indexed, not
+    /// chunked: `chunks_exact` divides by `blocks` on every call.
     fn get(
         &self,
         range: Range<usize>,
-        spaces: usize,
-    ) -> impl Iterator<Item = (NodeId, &[Coordinate])> + '_ {
-        let coords = &self.coords[range.start * spaces..range.end * spaces];
+        blocks: usize,
+    ) -> impl Iterator<Item = (NodeId, &[Block])> + '_ {
+        let coords = &self.coords[range.start * blocks..range.end * blocks];
         self.ids[range]
             .iter()
-            .copied()
-            .zip(coords.chunks_exact(spaces))
+            .enumerate()
+            .map(move |(slot, &id)| (id, &coords[slot * blocks..][..blocks]))
     }
 }
 
@@ -213,9 +266,10 @@ impl ForwardingStore {
         let groups = &from.groups[slots.start..=slots.end];
         let (first, last) = (groups[0], groups[groups.len() - 1]);
         let base = self.two_hop.ids.len();
-        self.one_hop.extend_from(&from.one_hop, slots, self.spaces);
+        self.one_hop
+            .extend_from(&from.one_hop, slots, self.blocks());
         self.two_hop
-            .extend_from(&from.two_hop, first as usize..last as usize, self.spaces);
+            .extend_from(&from.two_hop, first as usize..last as usize, self.blocks());
         self.groups.extend(
             groups[1..]
                 .iter()
@@ -224,9 +278,15 @@ impl ForwardingStore {
         self.routers.push(offset(self.one_hop.ids.len()));
     }
 
-    /// Node `v`'s own coordinates.
-    fn coords(&self, v: NodeId) -> &[Coordinate] {
-        &self.coords[v.index() * self.spaces..][..self.spaces]
+    /// Coordinate blocks per node or slot.
+    fn blocks(&self) -> usize {
+        self.spaces.div_ceil(LANES)
+    }
+
+    /// Node `v`'s own coordinate blocks.
+    fn coords(&self, v: NodeId) -> &[Block] {
+        let blocks = self.blocks();
+        &self.coords[v.index() * blocks..][..blocks]
     }
 
     /// Router `v`'s one-hop slots.
@@ -240,22 +300,19 @@ impl ForwardingStore {
     }
 
     /// Router `v`'s one-hop neighbours in node-id order, each with its
-    /// coordinates and its two-hop group.
-    fn one_hop(
-        &self,
-        v: NodeId,
-    ) -> impl Iterator<Item = (NodeId, &[Coordinate], Range<usize>)> + '_ {
+    /// coordinate blocks and its two-hop group.
+    fn one_hop(&self, v: NodeId) -> impl Iterator<Item = (NodeId, &[Block], Range<usize>)> + '_ {
         let slots = self.slots(v);
         let groups = self.groups[slots.start..=slots.end].windows(2);
         self.one_hop
-            .get(slots, self.spaces)
+            .get(slots, self.blocks())
             .zip(groups)
             .map(|((node, coords), group)| (node, coords, group[0] as usize..group[1] as usize))
     }
 
-    /// The targets of one two-hop group, each with its coordinates.
-    fn two_hop(&self, group: Range<usize>) -> impl Iterator<Item = (NodeId, &[Coordinate])> + '_ {
-        self.two_hop.get(group, self.spaces)
+    /// The targets of one two-hop group, each with its coordinate blocks.
+    fn two_hop(&self, group: Range<usize>) -> impl Iterator<Item = (NodeId, &[Block])> + '_ {
+        self.two_hop.get(group, self.blocks())
     }
 
     /// Rows of router `v`'s routing table: one per virtual space for every
@@ -452,7 +509,7 @@ impl GreediestRouting {
     /// Minimum circular distance between two nodes' coordinate vectors.
     #[must_use]
     pub fn md(&self, a: NodeId, b: NodeId) -> f64 {
-        slice_md(self.store.coords(a), self.store.coords(b))
+        block_md(self.store.coords(a), self.store.coords(b))
     }
 
     fn check(&self, node: NodeId) -> SfResult<()> {
@@ -529,7 +586,7 @@ impl RoutingProtocol for GreediestRouting {
         }
 
         let dest_coords = self.store.coords(dest);
-        let current_md = slice_md(self.store.coords(at), dest_coords);
+        let current_md = block_md(self.store.coords(at), dest_coords);
 
         // Direct neighbour? Deliver immediately.
         if self
@@ -543,19 +600,13 @@ impl RoutingProtocol for GreediestRouting {
 
         // Score an improving neighbour by the best MD reachable through it
         // within one more hop (two-hop lookahead). Only its own two-hop group
-        // can reach further through it.
+        // can reach further through it. A target that is the destination
+        // scores +0.0, its MD with itself.
         let score = |group: Range<usize>, own_md: f64| -> f64 {
             let mut best = own_md;
             for (target, coords) in self.store.two_hop(group) {
                 if self.active[target.index()] {
-                    let md = if target == dest {
-                        0.0
-                    } else {
-                        slice_md(coords, dest_coords)
-                    };
-                    if md < best {
-                        best = md;
-                    }
+                    best = smaller(best, block_md(coords, dest_coords));
                 }
             }
             best
@@ -575,7 +626,7 @@ impl RoutingProtocol for GreediestRouting {
             if !self.active[node.index()] {
                 continue;
             }
-            let md = slice_md(coords, dest_coords);
+            let md = block_md(coords, dest_coords);
             if md >= current_md {
                 continue;
             }
@@ -602,14 +653,15 @@ impl RoutingProtocol for GreediestRouting {
     }
 
     fn virtual_channel(&self, at: NodeId, _next: NodeId, dest: NodeId) -> VirtualChannelId {
-        let at_coords = self.store.coords(at);
-        let dest_coords = self.store.coords(dest);
+        let spaces = self.store.spaces;
+        let at_coords = &self.store.coords(at).as_flattened()[..spaces];
+        let dest_coords = &self.store.coords(dest).as_flattened()[..spaces];
         // The MD-defining space: the first one at minimum circular distance,
         // as `CoordinateVector::closest_space` picks it.
         let mut space = 0;
         let mut closest = f64::INFINITY;
         for (s, (&a, &d)) in at_coords.iter().zip(dest_coords).enumerate() {
-            let distance = circular_distance(a, d);
+            let distance = lane_distance(a, d);
             if distance < closest {
                 space = s;
                 closest = distance;
@@ -628,7 +680,7 @@ mod tests {
     use super::*;
     use crate::protocol::{trace_route, trace_route_with_loads, TableLoad};
     use sf_topology::spaces::paper_figure3_example;
-    use sf_types::{minimum_circular_distance, DeterministicRng, NetworkConfig};
+    use sf_types::{minimum_circular_distance, CoordinateVector, DeterministicRng, NetworkConfig};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)

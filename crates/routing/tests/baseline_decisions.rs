@@ -1,21 +1,27 @@
-//! Pins every forwarding decision of the baseline protocols.
+//! Pins every forwarding decision of the baseline protocols and of
+//! greediest routing.
 //!
 //! On each graph below, every (at, dest) pair is decided four ways: as a
 //! first hop and as a later hop, on an idle network and under a seeded load
 //! table. The outcomes (next hop, or the error's text) fold into one FNV-1a
-//! digest per graph. The digests and the `storage_entries` counts were
-//! recorded from the earlier form of both protocols, whose shortest-path
-//! tables kept one next-hop list per (destination, router) pair and whose
-//! mesh decisions sorted the improving neighbours, so they pin that today's
-//! forms decide alike.
+//! digest per graph. The baseline digests and the `storage_entries` counts
+//! were recorded from the earlier form of both protocols, whose
+//! shortest-path tables kept one next-hop list per (destination, router)
+//! pair and whose mesh decisions sorted the improving neighbours, so they
+//! pin that today's forms decide alike. The greediest digests, with each
+//! network's count of BFS fallbacks, were recorded from the form that folded
+//! `f64::min` over a runtime-length slice of coordinates per minimum
+//! circular distance.
 
 use sf_routing::{
-    MeshRouting, PortLoadEstimator, RoutingContext, RoutingProtocol, ShortestPathRouting,
-    TableLoad, ZeroLoad,
+    GreediestOptions, GreediestRouting, MeshRouting, PortLoadEstimator, RoutingContext,
+    RoutingProtocol, ShortestPathRouting, TableLoad, ZeroLoad,
 };
 use sf_topology::baselines::MemoryNetworkTopology;
-use sf_topology::{AdjacencyGraph, FlattenedButterfly, JellyfishTopology, MeshTopology};
-use sf_types::{DeterministicRng, NodeId};
+use sf_topology::{
+    AdjacencyGraph, FlattenedButterfly, JellyfishTopology, MeshTopology, StringFigureTopology,
+};
+use sf_types::{DeterministicRng, NetworkConfig, NodeId};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -141,6 +147,108 @@ fn shortest_path_decisions_and_storage_are_pinned() {
             mismatches.push(format!(
                 "{label}: digest {digest:#018x}, {entries} entries; \
                  pinned {expected_digest:#018x}, {expected_entries} entries"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// A generated String Figure network and its greediest routing.
+fn string_figure(
+    nodes: usize,
+    ports: usize,
+    seed: u64,
+    adaptive: bool,
+) -> (StringFigureTopology, GreediestRouting) {
+    let config = NetworkConfig::new(nodes, ports).unwrap().with_seed(seed);
+    let topo = StringFigureTopology::generate(&config).unwrap();
+    let routing = GreediestRouting::with_options(&topo, GreediestOptions { adaptive });
+    (topo, routing)
+}
+
+#[test]
+fn greediest_decisions_are_pinned() {
+    let graph_of = |(topo, routing): (StringFigureTopology, _)| (topo.graph().clone(), routing);
+    // Built on the whole network, then resynced once every 16th node is gated.
+    let (mut gated, mut resynced) = string_figure(160, 8, 6, true);
+    for v in (5..160).step_by(16) {
+        gated.gate_node(NodeId::new(v)).unwrap();
+    }
+    resynced.resync(gated.graph(), gated.spaces());
+    // Every third link cut outside the topology's own reconfiguration: some
+    // routers have no improving neighbour and take the BFS fallback.
+    let (topo, mut cut_routing) = string_figure(100, 4, 7, true);
+    let mut cut = topo.graph().clone();
+    for edge in topo.graph().edges().iter().step_by(3) {
+        cut.remove_edge(edge.a, edge.b);
+    }
+    cut_routing.resync(&cut, topo.spaces());
+    // Ports 2 to 10 give 1 to 5 virtual spaces. S2 routes without
+    // first-hop adaptivity.
+    let cases = [
+        (
+            "SF 64 p2",
+            graph_of(string_figure(64, 2, 1, true)),
+            0xb64d_0cb4_5b65_1c64,
+            0,
+        ),
+        (
+            "SF 100 p4",
+            graph_of(string_figure(100, 4, 2, true)),
+            0xea43_db0f_0f84_2f6e,
+            0,
+        ),
+        (
+            "S2 100 p4",
+            graph_of(string_figure(100, 4, 2, false)),
+            0x7c36_1412_8de9_03e5,
+            0,
+        ),
+        (
+            "SF 120 p6",
+            graph_of(string_figure(120, 6, 3, true)),
+            0xb1d6_ea34_22e9_b928,
+            0,
+        ),
+        (
+            "SF 200 p8",
+            graph_of(string_figure(200, 8, 4, true)),
+            0xa466_ff49_66bf_de60,
+            0,
+        ),
+        (
+            "S2 200 p8",
+            graph_of(string_figure(200, 8, 4, false)),
+            0x5594_9577_8a33_18a5,
+            0,
+        ),
+        (
+            "SF 150 p10",
+            graph_of(string_figure(150, 10, 5, true)),
+            0x4851_ea5c_6d61_7f55,
+            0,
+        ),
+        (
+            "gated SF 160 p8, resynced",
+            graph_of((gated, resynced)),
+            0x3cc3_d91e_07a7_3f26,
+            0,
+        ),
+        (
+            "SF 100 p4, links cut",
+            (cut, cut_routing),
+            0xe923_b451_643e_8aaa,
+            6_360,
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (label, (graph, routing), expected_digest, expected_fallbacks) in cases {
+        let digest = decision_digest(&routing, &graph);
+        let fallbacks = routing.fallback_count();
+        if (digest, fallbacks) != (expected_digest, expected_fallbacks) {
+            mismatches.push(format!(
+                "{label}: digest {digest:#018x}, {fallbacks} fallbacks; \
+                 pinned {expected_digest:#018x}, {expected_fallbacks} fallbacks"
             ));
         }
     }

@@ -145,7 +145,8 @@ impl DeterministicRng {
 ///
 /// [`Zipf::new`] computes the normalisation `zeta(n, theta)` and the method's
 /// `alpha` and `eta` once; [`Zipf::sample`] then costs one uniform draw and
-/// at most one `powf`. A skew of 0 draws uniformly.
+/// at most one `powf`. The skew lies in `[0, 1)`, and a skew of 0 draws
+/// uniformly.
 ///
 /// # Examples
 ///
@@ -172,11 +173,14 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `theta` is negative.
+    /// Panics if `n` is zero, if `theta` is negative, or if `theta` is 1 or
+    /// more: the method holds only for skews below 1, and at 1 its `alpha`
+    /// is infinite and every draw past index 1 returns `n - 1`.
     #[must_use]
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf support must be non-empty");
         assert!(theta >= 0.0, "zipf skew must be non-negative");
+        assert!(theta < 1.0, "zipf skew must be below 1, got {theta}");
         if theta == 0.0 {
             return Self {
                 n,
@@ -397,6 +401,18 @@ mod tests {
         // With theta=0.99, the top-10 of 1000 keys should absorb well over 20%
         // of accesses (uniform would be 1%).
         assert!(head as f64 / samples as f64 > 0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf skew must be below 1")]
+    fn zipf_rejects_a_skew_of_one() {
+        let _ = Zipf::new(1000, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf skew must be below 1")]
+    fn zipf_rejects_a_skew_above_one() {
+        let _ = Zipf::new(1000, 1.5);
     }
 
     #[test]
