@@ -26,11 +26,16 @@ if [[ "${1:-}" != "--quick" ]]; then
     cargo build --release
     # The routing store's offset arithmetic and its branch-free MD against
     # the greediest decision pin (baseline_decisions.rs), the
-    # allocation-free kernel pin, the Zipf sampler's bit-for-bit pin, the
-    # injector lookup and the 11 golden CSVs, in the optimised profile the
-    # benchmark measures.
-    echo "==> cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads -p sf-bench"
-    cargo test --release -q -p sf-routing -p sf-simcore -p sf-types -p sf-workloads -p sf-bench
+    # allocation-free kernel pin (FB at 324 nodes included, whose routers
+    # need two words of occupancy bits), the kernel pins (kernel_pins.rs,
+    # with FB at 324 nodes, a saturated DM mesh and a placed String Figure
+    # network with long wires), the occupied-queue scan against the full
+    # rotated scan, the precomputed long-wire latency (sf-netsim's
+    # placement_long_wires_increase_latency), the Zipf sampler's
+    # bit-for-bit pin, the injector lookup and the 11 golden CSVs, in the
+    # optimised profile the benchmark measures.
+    echo "==> cargo test --release -q -p sf-routing -p sf-simcore -p sf-netsim -p sf-types -p sf-workloads -p sf-bench"
+    cargo test --release -q -p sf-routing -p sf-simcore -p sf-netsim -p sf-types -p sf-workloads -p sf-bench
 fi
 
 echo "==> cargo test -q"

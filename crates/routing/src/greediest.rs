@@ -239,6 +239,14 @@ impl ForwardingStore {
                 self.copy_router(previous, v);
             }
         }
+        debug_assert!(
+            self.one_hop
+                .ids
+                .iter()
+                .chain(&self.two_hop.ids)
+                .all(|&node| graph.is_active(node)),
+            "every one-hop slot and two-hop target is a live router"
+        );
     }
 
     /// Appends one router's table: each one-hop neighbour in node-id order,
@@ -588,13 +596,10 @@ impl RoutingProtocol for GreediestRouting {
         let dest_coords = self.store.coords(dest);
         let current_md = block_md(self.store.coords(at), dest_coords);
 
-        // Direct neighbour? Deliver immediately.
-        if self
-            .store
-            .neighbors(at)
-            .iter()
-            .any(|node| *node == dest && self.active[dest.index()])
-        {
+        // Direct neighbour? Deliver immediately. Every slot and target in
+        // the store is live (`ForwardingStore::fill`), so neither loop below
+        // checks activity.
+        if self.store.neighbors(at).contains(&dest) {
             return Ok(dest);
         }
 
@@ -604,10 +609,8 @@ impl RoutingProtocol for GreediestRouting {
         // scores +0.0, its MD with itself.
         let score = |group: Range<usize>, own_md: f64| -> f64 {
             let mut best = own_md;
-            for (target, coords) in self.store.two_hop(group) {
-                if self.active[target.index()] {
-                    best = smaller(best, block_md(coords, dest_coords));
-                }
+            for (_, coords) in self.store.two_hop(group) {
+                best = smaller(best, block_md(coords, dest_coords));
             }
             best
         };
@@ -623,9 +626,6 @@ impl RoutingProtocol for GreediestRouting {
         // overall best wins (the paper's behaviour).
         let mut best_under: Option<(NodeId, f64)> = None;
         for (node, coords, group) in self.store.one_hop(at) {
-            if !self.active[node.index()] {
-                continue;
-            }
             let md = block_md(coords, dest_coords);
             if md >= current_md {
                 continue;

@@ -18,7 +18,12 @@
 //! 5. the arrival drain: packets whose link traversal ends this cycle enter
 //!    their input queues;
 //! 6. routing, routers 0..N in id order: each router ejects at most one
-//!    packet and forwards at most one packet per output link.
+//!    packet and forwards at most one packet per output link. Its input
+//!    queues are scanned in an order that rotates by one every cycle, and the
+//!    injection queue comes last. The scan visits only the queues whose
+//!    occupancy bit is set, and a router with nothing queued is skipped;
+//!    both see exactly what a scan of every queue would, because no queue
+//!    gains a packet during routing and a router pops only its own queues.
 //!
 //! Routing in id order fixes what each router sees: router `m` reads the
 //! credit counters of its links after the same-cycle queue pops of every
@@ -37,7 +42,17 @@
 //! heap, so once the simulation reaches its occupancy high-water mark, a
 //! cycle performs **zero heap allocations** (pinned by a counting-allocator
 //! integration test through [`ShardedSimulator::step_one`], which runs the
-//! same `step` as [`ShardedSimulator::run`]). Pool occupancy is exported
+//! same `step` as [`ShardedSimulator::run`]).
+//!
+//! The rest of the per-link state sits in flat arrays sized once, under one
+//! port numbering. Router `m`'s ports are a contiguous range, one per active
+//! neighbour in node-id order; port `p` is both `m`'s output towards that
+//! neighbour and its input from it. Queue slot `p * vcs + vc` indexes the
+//! input queues, their occupancy bits (one bit each, set exactly while the
+//! queue holds a packet) and the credit counters of the links into them. A
+//! reverse table, built with the simulator, gives each output port the input
+//! port it feeds downstream, and each port's link latency is fixed when the
+//! simulator is built or its placement attached. Pool occupancy is exported
 //! through the deterministic `sim.pool.*` metrics namespace: peak live
 //! packets and peak in-flight entries (sampled at cycle boundaries) and
 //! total push counts.
@@ -67,6 +82,7 @@ use sf_types::{
     FaultPlan, NodeId, SfError, SfResult, SimulationConfig, SystemConfig, VirtualChannelId,
 };
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -96,30 +112,31 @@ impl Ord for PendingReply {
     }
 }
 
-/// The mutable state of one router. Its queues chain through the
-/// simulator's packet pool ([`Queues::packets`]).
+/// The mutable state of one router. Its input queues live in the
+/// simulator's [`Queues`], at its ports' queue slots.
 #[derive(Debug)]
 struct RouterState {
-    /// Input queues, flattened as `queues[neighbor_idx * vcs + vc]`.
-    queues: Vec<List>,
     /// Unbounded injection queue (the processor-side request queue).
     injection: List,
-    /// Cached in-network input-queue occupancy (sum of `queues` lengths),
-    /// maintained on push/pop so telemetry sampling is O(1) per router.
+    /// Cached in-network input-queue occupancy (the packets in its input
+    /// queues), maintained on push/pop so telemetry sampling is O(1) per
+    /// router and routing can skip an idle router.
     queued_net: u32,
     memory: MemoryNodeModel,
-    /// Reusable per-cycle output-port scoreboard (cleared, never freed).
-    used_outputs: Vec<bool>,
     /// Forwards this router could not make while measuring; the telemetry
     /// series samples it per router.
     blocked_forwards: u64,
 }
 
 /// Packet storage: every queued packet and every packet on a link.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Queues {
     /// Every queued packet (input queues + injection queues).
     packets: Pool<Packet>,
+    /// Every router's input queues, by queue slot.
+    inputs: Vec<List>,
+    /// Which input queues hold a packet.
+    occupied: Occupancy,
     /// Packets traversing links, in forward order.
     in_flight: InFlightPool,
     /// Cached count of packets sitting in injection queues; the rest of
@@ -127,49 +144,190 @@ struct Queues {
     backlog: u32,
 }
 
-/// The hardware credit counters: per directed link and virtual channel, the
-/// packets queued at the receiver's input plus those in flight towards it.
-/// The counter for link `m → x` lives at node `x`, in the block of `m`'s
-/// position in `x`'s neighbour list: `used[offset[x] + link * vcs + vc]`.
+impl Queues {
+    /// Removes the head of input queue `slot`, clearing the queue's
+    /// occupancy bit when it empties.
+    fn pop_input(&mut self, slot: usize) {
+        self.inputs[slot].pop_front(&mut self.packets);
+        if self.inputs[slot].is_empty() {
+            self.occupied.clear(slot);
+        }
+    }
+
+    /// Whether every occupancy bit is set exactly while its queue holds a
+    /// packet.
+    fn occupancy_matches(&self) -> bool {
+        self.inputs
+            .iter()
+            .enumerate()
+            .all(|(slot, queue)| self.occupied.get(slot) != queue.is_empty())
+    }
+}
+
+/// One bit per input queue, by queue slot.
 #[derive(Debug)]
-struct Credits {
-    used: Vec<usize>,
-    offset: Vec<usize>,
-    vcs: usize,
+struct Occupancy {
+    words: Vec<u64>,
 }
 
-impl Credits {
-    fn slot(&self, node: usize, link: usize, vc: usize) -> usize {
-        self.offset[node] + link * self.vcs + vc
+impl Occupancy {
+    /// All `queues` bits clear.
+    fn new(queues: usize) -> Self {
+        Self {
+            words: vec![0; queues.div_ceil(64)],
+        }
     }
 
-    fn used(&self, node: usize, link: usize, vc: usize) -> usize {
-        self.used[self.slot(node, link, vc)]
+    fn get(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1 << (slot % 64)) != 0
     }
 
-    /// Slots used on one link, summed over its virtual channels.
-    fn link_total(&self, node: usize, link: usize) -> usize {
-        let start = self.slot(node, link, 0);
-        self.used[start..start + self.vcs].iter().sum()
+    fn set(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
     }
 
-    fn take(&mut self, node: usize, link: usize, vc: usize) {
-        let slot = self.slot(node, link, vc);
-        self.used[slot] += 1;
+    fn clear(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
     }
 
-    fn give_back(&mut self, node: usize, link: usize, vc: usize) {
-        let slot = self.slot(node, link, vc);
-        self.used[slot] -= 1;
+    /// The lowest set bit in `from..end`, read one word at a time.
+    fn next_set(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let mut index = from / 64;
+        let mut word = self.words[index] & (u64::MAX << (from % 64));
+        while word == 0 {
+            index += 1;
+            if index * 64 >= end {
+                return None;
+            }
+            word = self.words[index];
+        }
+        let slot = index * 64 + word.trailing_zeros() as usize;
+        (slot < end).then_some(slot)
     }
 }
 
-/// One undirected link as fault injection sees it: the directed input-queue
-/// slots of both directions (one slot for a uni-directional link), each as
-/// `(receiving node, index of the sender in its adjacency list)`.
+/// The set bits of one router's `total` queue slots from `start`, in the
+/// route phase's rotated order: the slots `offset..total` of the range, then
+/// `0..offset`, each in increasing order. This is the order of the scan
+/// `(q + offset) % total` for `q` in `0..total`, less the empty queues. The
+/// cursor borrows nothing between steps, so the caller may clear a bit it
+/// has been given.
+#[derive(Debug, Clone, Copy)]
+struct RotatedSlots {
+    /// The next slot to look at.
+    at: usize,
+    /// The end of the current pass.
+    end: usize,
+    /// The second pass, until it begins.
+    wrap: Option<(usize, usize)>,
+}
+
+impl RotatedSlots {
+    fn new(start: usize, total: usize, offset: usize) -> Self {
+        Self {
+            at: start + offset,
+            end: start + total,
+            wrap: Some((start, start + offset)),
+        }
+    }
+
+    fn next(&mut self, occupied: &Occupancy) -> Option<usize> {
+        loop {
+            if let Some(slot) = occupied.next_set(self.at, self.end) {
+                self.at = slot + 1;
+                return Some(slot);
+            }
+            (self.at, self.end) = self.wrap.take()?;
+        }
+    }
+}
+
+/// The network's directed links under one numbering. Router `m`'s ports are
+/// `base[m]..base[m + 1]`, one per active neighbour in node-id order; a port
+/// is the router's output towards that neighbour and its input from it.
+/// Queue slot `port * vcs + vc` is the input port's virtual channel `vc`.
+#[derive(Debug)]
+struct Ports {
+    base: Vec<u32>,
+    /// The neighbour at the far end of each port.
+    neighbor: Vec<NodeId>,
+    /// Per output port `m → x`, the input port of `x` the link enters.
+    reverse: Vec<u32>,
+    /// Per port, whether its wire is longer than
+    /// [`LONG_WIRE_GRID_DISTANCE`] pitches; all `false` until a placement
+    /// is attached.
+    long_wire: Vec<bool>,
+}
+
+impl Ports {
+    /// Numbers the links of `graph`'s active routers.
+    fn new(graph: &AdjacencyGraph) -> Self {
+        let num_nodes = graph.num_nodes();
+        let mut base = Vec::with_capacity(num_nodes + 1);
+        let mut neighbor = Vec::new();
+        base.push(0);
+        for node in 0..num_nodes {
+            neighbor.extend(graph.active_neighbors(NodeId::new(node)));
+            base.push(port_number(neighbor.len()));
+        }
+        let mut ports = Self {
+            base,
+            reverse: Vec::with_capacity(neighbor.len()),
+            long_wire: vec![false; neighbor.len()],
+            neighbor,
+        };
+        debug_assert!(
+            (0..num_nodes).all(|node| ports.neighbors(node).windows(2).all(|w| w[0] < w[1])),
+            "port lookup binary-searches sorted, duplicate-free neighbour lists"
+        );
+        for node in 0..num_nodes {
+            for port in ports.range(node) {
+                let next = ports.neighbor[port].index();
+                let link = ports
+                    .link(next, NodeId::new(node))
+                    .expect("links are symmetric");
+                ports.reverse.push(port_number(link));
+            }
+        }
+        ports
+    }
+
+    /// Router `node`'s ports.
+    fn range(&self, node: usize) -> Range<usize> {
+        self.base[node] as usize..self.base[node + 1] as usize
+    }
+
+    /// Router `node`'s neighbours, in port order.
+    fn neighbors(&self, node: usize) -> &[NodeId] {
+        &self.neighbor[self.range(node)]
+    }
+
+    /// Router `node`'s port for its link with `neighbor`, if they are
+    /// linked.
+    fn link(&self, node: usize, neighbor: NodeId) -> Option<usize> {
+        let link = self.neighbors(node).binary_search(&neighbor).ok()?;
+        Some(self.base[node] as usize + link)
+    }
+
+    /// The number of ports.
+    fn len(&self) -> usize {
+        self.neighbor.len()
+    }
+}
+
+/// A port number or queue count as the compact type the flat tables store.
+fn port_number(port: usize) -> u32 {
+    u32::try_from(port).expect("fewer than 2^32 ports")
+}
+
+/// One undirected link as fault injection sees it: the input ports of both
+/// directions (one port for a uni-directional link).
 #[derive(Debug)]
 struct FaultEdge {
-    slots: Vec<(usize, usize)>,
+    ports: Vec<u32>,
 }
 
 /// Fault-injection state. The liveness flags change only at the fault
@@ -180,9 +338,7 @@ struct FaultRuntime {
     /// Undirected links in deterministic (construction) order — the victim
     /// pool of link-down waves.
     edges: Vec<FaultEdge>,
-    /// Flattened per-directed-link down flags:
-    /// `link_down[link_offset[to] + from_index]`.
-    link_offset: Vec<usize>,
+    /// Per input port, whether the link into it is down.
     link_down: Vec<bool>,
     /// Per-router power-gate flags.
     router_down: Vec<bool>,
@@ -211,16 +367,21 @@ struct Network {
     system: SystemConfig,
     config: SimulationConfig,
     protocol: Box<dyn RoutingProtocol>,
-    placement: Option<GridPlacement>,
     request_reply: bool,
     num_nodes: usize,
     active: Vec<bool>,
-    /// Each router's active neighbours, sorted and free of duplicates (the
-    /// graph keeps them in `BTreeSet`s). A neighbour's position in the list,
-    /// found by binary search, is the router's port for the link to or from
-    /// it: output-port index, input-queue group and credit-counter block.
-    adjacency: Vec<Vec<NodeId>>,
-    credits: Credits,
+    ports: Ports,
+    /// Virtual channels per port.
+    vcs: usize,
+    /// The hardware credit counters, by queue slot: the packets queued in
+    /// the input queue plus those in flight towards it.
+    credits: Vec<u32>,
+    /// Per output port, whether it has forwarded this cycle. A router
+    /// clears its own ports when it starts routing.
+    output_busy: Vec<bool>,
+    /// Cycles a packet spends on a short link: one hop of router pipeline
+    /// plus SerDes.
+    hop_latency: u64,
     /// Fault-injection state; `None` (no plan configured) is the healthy
     /// network and skips every fault check.
     fault: Option<FaultRuntime>,
@@ -239,27 +400,26 @@ impl Network {
         self.fault.as_ref().is_some_and(|f| f.router_down[node])
     }
 
-    /// Whether the directed link into `to` from adjacency slot `from_index`
-    /// is currently down.
-    fn link_faulted(&self, to: usize, from_index: usize) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|f| f.link_down[f.link_offset[to] + from_index])
+    /// Whether the link into input port `port` is currently down.
+    fn link_faulted(&self, port: usize) -> bool {
+        self.fault.as_ref().is_some_and(|f| f.link_down[port])
     }
 
-    /// Cycles a packet spends on the link from `from` to `to`: one hop of
-    /// router pipeline plus SerDes, and a second hop when a placement is set
-    /// and the wire is long (the paper charges a long wire one extra hop).
-    fn link_latency(&self, from: usize, to: usize) -> u64 {
-        let hop = ROUTER_LATENCY_CYCLES + self.system.serdes_cycles_per_hop();
-        let long = self.placement.as_ref().is_some_and(|placement| {
-            placement.wire_length(NodeId::new(from), NodeId::new(to)) > LONG_WIRE_GRID_DISTANCE
-        });
-        if long {
-            2 * hop
+    /// Cycles a packet spends on the link out of `port`: one hop, and a
+    /// second hop on a long wire (the paper charges a long wire one extra
+    /// hop).
+    fn link_latency(&self, port: usize) -> u64 {
+        if self.ports.long_wire[port] {
+            2 * self.hop_latency
         } else {
-            hop
+            self.hop_latency
         }
+    }
+
+    /// Credits in use on the link into input port `port`, summed over its
+    /// virtual channels.
+    fn link_credits(&self, port: usize) -> u32 {
+        self.credits[port * self.vcs..][..self.vcs].iter().sum()
     }
 }
 
@@ -291,16 +451,16 @@ impl PortLoadEstimator for LoadView<'_> {
     fn load(&self, from: NodeId, to: NodeId) -> f64 {
         // The sender observes the occupancy of the downstream input queue for
         // its link (what the credit counter tracks in hardware).
-        let Ok(idx) = self.net.adjacency[to.index()].binary_search(&from) else {
+        let Some(port) = self.net.ports.link(to.index(), from) else {
             return 0.0;
         };
         // A dead link or router reads as fully loaded, so adaptive protocols
         // route around the fault instead of waiting for its repair.
-        if self.net.router_faulted(to.index()) || self.net.link_faulted(to.index(), idx) {
+        if self.net.router_faulted(to.index()) || self.net.link_faulted(port) {
             return 1.0;
         }
-        let used = self.net.credits.link_total(to.index(), idx);
-        used as f64 / (self.net.config.vc_queue_capacity * self.net.credits.vcs) as f64
+        let used = self.net.link_credits(port);
+        f64::from(used) / (self.net.config.vc_queue_capacity * self.net.vcs) as f64
     }
 }
 
@@ -376,56 +536,28 @@ impl ShardedSimulator {
         let active: Vec<bool> = (0..num_nodes)
             .map(|i| graph.is_active(NodeId::new(i)))
             .collect();
-        let adjacency: Vec<Vec<NodeId>> = (0..num_nodes)
-            .map(|i| graph.active_neighbors(NodeId::new(i)))
-            .collect();
-        debug_assert!(
-            adjacency
-                .iter()
-                .all(|nbs| nbs.windows(2).all(|w| w[0] < w[1])),
-            "port lookup binary-searches sorted, duplicate-free neighbour lists"
-        );
+        let ports = Ports::new(&graph);
         let vcs = config.virtual_channels;
-
-        let mut offset = Vec::with_capacity(num_nodes);
-        let mut total_counters = 0usize;
-        for nbs in &adjacency {
-            offset.push(total_counters);
-            total_counters += nbs.len() * vcs;
-        }
-        let credits = Credits {
-            used: vec![0; total_counters],
-            offset,
-            vcs,
-        };
+        let queue_slots = ports.len() * vcs;
 
         let fault = config.fault.map(|plan| {
             // Enumerate the undirected links once, in deterministic order
-            // (router id, then adjacency order) — the victim pool of
+            // (router id, then port order) — the victim pool of
             // link-down waves. A uni-directional link contributes one
-            // directed slot; a bi-directional one contributes both, so the
+            // directed port; a bi-directional one contributes both, so the
             // whole connection fails and heals as a unit.
-            let mut link_offset = Vec::with_capacity(num_nodes);
-            let mut total_links = 0usize;
-            for nbs in &adjacency {
-                link_offset.push(total_links);
-                total_links += nbs.len();
-            }
             let mut edge_index: HashMap<(usize, usize), usize> = HashMap::new();
             let mut edges: Vec<FaultEdge> = Vec::new();
-            for (m, nbs) in adjacency.iter().enumerate() {
-                for x in nbs {
-                    let x = x.index();
+            for m in 0..num_nodes {
+                for port in ports.range(m) {
+                    let x = ports.neighbor[port].index();
                     let key = (m.min(x), m.max(x));
-                    let from_index = adjacency[x]
-                        .binary_search(&NodeId::new(m))
-                        .expect("links are symmetric");
-                    let slot = (x, from_index);
+                    let input = ports.reverse[port];
                     match edge_index.get(&key) {
-                        Some(&e) => edges[e].slots.push(slot),
+                        Some(&e) => edges[e].ports.push(input),
                         None => {
                             edge_index.insert(key, edges.len());
-                            edges.push(FaultEdge { slots: vec![slot] });
+                            edges.push(FaultEdge { ports: vec![input] });
                         }
                     }
                 }
@@ -433,8 +565,7 @@ impl ShardedSimulator {
             FaultRuntime {
                 plan,
                 edges,
-                link_offset,
-                link_down: vec![false; total_links],
+                link_down: vec![false; ports.len()],
                 router_down: vec![false; num_nodes],
                 repairs: Vec::new(),
             }
@@ -443,40 +574,47 @@ impl ShardedSimulator {
         // Telemetry recording costs nothing unless the simulator is built
         // inside a telemetry capture (a sweep job of a run with
         // --telemetry), whose stride it samples at. The series covers every
-        // router in id order and every directed link in construction order.
+        // router in id order and every directed link in port order.
         let telemetry = sf_obs::telemetry::capture_stride().map(|every| {
-            let links = adjacency.iter().map(Vec::len).sum();
-            Box::new(sf_obs::telemetry::RunSeries::new(num_nodes, links, every))
+            Box::new(sf_obs::telemetry::RunSeries::new(
+                num_nodes,
+                ports.len(),
+                every,
+            ))
         });
 
-        let routers = adjacency
-            .iter()
-            .enumerate()
-            .map(|(node, nbs)| RouterState {
-                queues: vec![List::new(); nbs.len() * vcs],
+        let routers = (0..num_nodes)
+            .map(|node| RouterState {
                 injection: List::new(),
                 queued_net: 0,
                 memory: MemoryNodeModel::new(NodeId::new(node), &system),
-                used_outputs: vec![false; nbs.len()],
                 blocked_forwards: 0,
             })
             .collect();
 
         Ok(Self {
             net: Network {
+                hop_latency: ROUTER_LATENCY_CYCLES + system.serdes_cycles_per_hop(),
                 system,
                 config,
                 protocol,
-                placement: None,
                 request_reply: false,
                 num_nodes,
                 active,
-                adjacency,
-                credits,
+                vcs,
+                credits: vec![0; queue_slots],
+                output_busy: vec![false; ports.len()],
+                ports,
                 fault,
             },
             routers,
-            queues: Queues::default(),
+            queues: Queues {
+                packets: Pool::new(),
+                inputs: vec![List::new(); queue_slots],
+                occupied: Occupancy::new(queue_slots),
+                in_flight: InFlightPool::new(),
+                backlog: 0,
+            },
             ledger: Ledger::default(),
             cycle: 0,
             peaks: PoolPeaks::default(),
@@ -494,10 +632,18 @@ impl ShardedSimulator {
     }
 
     /// Attaches a 2D-grid placement so that long wires (more than ten grid
-    /// pitches) pay an extra hop of latency.
+    /// pitches) pay an extra hop of latency. Each link's latency is worked
+    /// out here, once.
     #[must_use]
     pub fn with_placement(mut self, placement: GridPlacement) -> Self {
-        self.net.placement = Some(placement);
+        let ports = &mut self.net.ports;
+        for node in 0..self.net.num_nodes {
+            for port in ports.range(node) {
+                ports.long_wire[port] = placement
+                    .wire_length(NodeId::new(node), ports.neighbor[port])
+                    > LONG_WIRE_GRID_DISTANCE;
+            }
+        }
         self
     }
 
@@ -600,6 +746,10 @@ impl ShardedSimulator {
 
         let route_timer = sf_obs::span::timing_start();
         self.drain_arrivals();
+        debug_assert!(
+            self.queues.occupancy_matches(),
+            "an occupancy bit is set exactly while its input queue holds a packet"
+        );
         let routed = self.route_routers();
         if let Some(started) = route_timer {
             self.route_time += started.elapsed();
@@ -649,10 +799,8 @@ impl ShardedSimulator {
             let depth = router.queued_net + router.injection.len();
             series.push_router(depth, router.blocked_forwards);
         }
-        for (node, nbs) in self.net.adjacency.iter().enumerate() {
-            for link in 0..nbs.len() {
-                series.push_link(self.net.credits.link_total(node, link) as u32);
-            }
+        for port in 0..self.net.ports.len() {
+            series.push_link(self.net.link_credits(port));
         }
     }
 
@@ -673,12 +821,14 @@ impl ShardedSimulator {
             credits,
             active,
             num_nodes,
+            ports,
+            vcs,
             ..
         } = net
         else {
             return;
         };
-        let cycle = *cycle;
+        let (cycle, vcs) = (*cycle, *vcs);
         let stats = &mut ledger.stats;
 
         // Repairs due at or before this boundary.
@@ -690,8 +840,8 @@ impl ShardedSimulator {
             }
             match fault.repairs.remove(i).victim {
                 FaultVictim::Edge(e) => {
-                    for &(to, idx) in &fault.edges[e].slots {
-                        fault.link_down[fault.link_offset[to] + idx] = false;
+                    for &port in &fault.edges[e].ports {
+                        fault.link_down[port as usize] = false;
                     }
                 }
                 FaultVictim::Router(m) => fault.router_down[m] = false,
@@ -710,19 +860,16 @@ impl ShardedSimulator {
                 break;
             }
             let e = (fault.plan.draw(wave, 0, k as u64) % fault.edges.len() as u64) as usize;
-            let (to0, idx0) = fault.edges[e].slots[0];
-            if fault.link_down[fault.link_offset[to0] + idx0] {
+            let edge_ports = &fault.edges[e].ports;
+            if fault.link_down[edge_ports[0] as usize] {
                 continue;
             }
-            for &(to, idx) in &fault.edges[e].slots {
-                fault.link_down[fault.link_offset[to] + idx] = true;
+            for &port in edge_ports {
+                fault.link_down[port as usize] = true;
             }
             stats.link_down_events += 1;
-            let slots = &fault.edges[e].slots;
-            drop_in_flight(&mut queues.in_flight, credits, stats, |f| {
-                slots
-                    .iter()
-                    .any(|&(to, idx)| f.to_node as usize == to && f.from_index as usize == idx)
+            drop_in_flight(&mut queues.in_flight, credits, vcs, stats, |f| {
+                edge_ports.contains(&f.port)
             });
             fault.repairs.push(FaultRepair {
                 at: cycle + fault.plan.repair_cycles,
@@ -741,14 +888,18 @@ impl ShardedSimulator {
             stats.router_down_events += 1;
             // Everything queued at the gated router is lost; credits return to
             // the senders so the links are clean after the repair.
-            let vcs = credits.vcs;
             let router = &mut routers[m];
-            for idx in 0..router.queues.len() {
-                let (link, vc) = (idx / vcs, idx % vcs);
-                while router.queues[idx].pop_front(&mut queues.packets).is_some() {
-                    credits.give_back(m, link, vc);
+            let gated = ports.range(m);
+            let slots = gated.start * vcs..gated.end * vcs;
+            let inputs = queues.inputs[slots.clone()].iter_mut();
+            for (queue, used) in inputs.zip(&mut credits[slots.clone()]) {
+                while queue.pop_front(&mut queues.packets).is_some() {
+                    *used -= 1;
                     stats.dropped_packets += 1;
                 }
+            }
+            for slot in slots {
+                queues.occupied.clear(slot);
             }
             router.queued_net = 0;
             let mut purged = 0u32;
@@ -757,7 +908,7 @@ impl ShardedSimulator {
             }
             stats.dropped_packets += u64::from(purged);
             queues.backlog -= purged;
-            drop_in_flight(&mut queues.in_flight, credits, stats, |f| {
+            drop_in_flight(&mut queues.in_flight, credits, vcs, stats, |f| {
                 f.to_node as usize == m
             });
             fault.repairs.push(FaultRepair {
@@ -887,26 +1038,30 @@ impl ShardedSimulator {
             ..
         } = self;
         let cycle = *cycle;
-        let vcs = net.credits.vcs;
+        let vcs = net.vcs;
         let Queues {
-            packets, in_flight, ..
+            packets,
+            inputs,
+            occupied,
+            in_flight,
+            ..
         } = queues;
         in_flight.extract_if(
             |meta| meta.arrival_cycle <= cycle,
             |meta, packet| {
                 let to = meta.to_node as usize;
-                let from_index = meta.from_index as usize;
-                let vc = meta.vc as usize;
+                let port = meta.port as usize;
+                let slot = port * vcs + meta.vc as usize;
                 // Fault drops purge in-flight entries at the boundary, so an
                 // arrival at a dead resource cannot normally happen; the check
                 // is defensive and keeps the credit counters consistent.
-                if net.router_faulted(to) || net.link_faulted(to, from_index) {
-                    net.credits.give_back(to, from_index, vc);
+                if net.router_faulted(to) || net.link_faulted(port) {
+                    net.credits[slot] -= 1;
                     ledger.stats.dropped_packets += 1;
                 } else {
-                    let router = &mut routers[to];
-                    router.queues[from_index * vcs + vc].push_back(packets, packet);
-                    router.queued_net += 1;
+                    inputs[slot].push_back(packets, packet);
+                    occupied.set(slot);
+                    routers[to].queued_net += 1;
                 }
             },
         );
@@ -928,8 +1083,12 @@ impl ShardedSimulator {
         let mut routing = 0;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             for (node, router) in routers.iter_mut().enumerate() {
-                // A fault-gated router skips its routing step (its queues
-                // were drained when it went down).
+                // A router with nothing queued has nothing to route. A
+                // fault-gated router skips its routing step (its queues were
+                // drained when it went down).
+                if router.queued_net == 0 && router.injection.is_empty() {
+                    continue;
+                }
                 if net.active[node] && !net.router_faulted(node) {
                     routing = node;
                     route_node(net, queues, ledger, router, node, cycle)?;
@@ -951,18 +1110,15 @@ impl ShardedSimulator {
 /// chain).
 fn drop_in_flight(
     in_flight: &mut InFlightPool,
-    credits: &mut Credits,
+    credits: &mut [u32],
+    vcs: usize,
     stats: &mut SimulationStats,
     doomed: impl Fn(&InFlightMeta) -> bool,
 ) {
     in_flight.extract_if(
         |meta| doomed(&meta),
         |meta, _packet| {
-            credits.give_back(
-                meta.to_node as usize,
-                meta.from_index as usize,
-                meta.vc as usize,
-            );
+            credits[meta.port as usize * vcs + meta.vc as usize] -= 1;
             stats.dropped_packets += 1;
         },
     );
@@ -971,7 +1127,7 @@ fn drop_in_flight(
 /// Processes one router for one cycle: ejection and forwarding, one packet
 /// per output link per cycle, one ejection per cycle per node.
 /// Allocation-free: queue traffic recycles pool slots and the output
-/// scoreboard is a reusable per-router buffer.
+/// scoreboard is a flat per-port array.
 fn route_node(
     net: &mut Network,
     queues: &mut Queues,
@@ -980,27 +1136,26 @@ fn route_node(
     node: usize,
     cycle: u64,
 ) -> SfResult<()> {
-    let num_links = net.adjacency[node].len();
-    let vcs = net.credits.vcs;
+    let ports = net.ports.range(node);
+    let vcs = net.vcs;
     let measuring = cycle >= net.config.warmup_cycles;
     // Queue scan order rotates every cycle for fairness; the injection queue
     // is scanned last so in-network packets have priority.
-    let total_queues = num_links * vcs;
+    let total_queues = ports.len() * vcs;
     let offset = (cycle as usize) % total_queues.max(1);
-    router.used_outputs.fill(false);
+    net.output_busy[ports.clone()].fill(false);
     let mut ejected = false;
 
-    for q in 0..total_queues {
-        let idx = (q + offset) % total_queues;
-        let (link, vc) = (idx / vcs, idx % vcs);
-        let Some(&packet) = router.queues[idx].front(&queues.packets) else {
-            continue;
-        };
+    let mut scan = RotatedSlots::new(ports.start * vcs, total_queues, offset);
+    while let Some(slot) = scan.next(&queues.occupied) {
+        let packet = *queues.inputs[slot]
+            .front(&queues.packets)
+            .expect("an occupied input queue holds a packet");
         if packet.destination.index() == node {
             if !ejected {
-                router.queues[idx].pop_front(&mut queues.packets);
+                queues.pop_input(slot);
                 router.queued_net -= 1;
-                net.credits.give_back(node, link, vc);
+                net.credits[slot] -= 1;
                 deliver(
                     &net.system,
                     ledger,
@@ -1017,15 +1172,14 @@ fn route_node(
             net,
             &mut queues.in_flight,
             &mut ledger.stats,
-            &mut router.used_outputs,
             node,
             &packet,
             cycle,
         )?;
         if forwarded {
-            router.queues[idx].pop_front(&mut queues.packets);
+            queues.pop_input(slot);
             router.queued_net -= 1;
-            net.credits.give_back(node, link, vc);
+            net.credits[slot] -= 1;
         } else if measuring {
             router.blocked_forwards += 1;
             ledger.stats.blocked_forwards += 1;
@@ -1051,7 +1205,6 @@ fn route_node(
             net,
             &mut queues.in_flight,
             &mut ledger.stats,
-            &mut router.used_outputs,
             node,
             &packet,
             cycle,
@@ -1125,7 +1278,6 @@ fn try_forward(
     net: &mut Network,
     in_flight: &mut InFlightPool,
     stats: &mut SimulationStats,
-    used_outputs: &mut [bool],
     node: usize,
     packet: &Packet,
     cycle: u64,
@@ -1139,7 +1291,7 @@ fn try_forward(
         &LoadView { net },
         &ctx,
     )?;
-    let Ok(out_idx) = net.adjacency[node].binary_search(&next) else {
+    let Some(out) = net.ports.link(node, next) else {
         return Err(SfError::Simulation {
             reason: format!(
                 "protocol {} chose non-neighbour {next} from node {node}",
@@ -1147,37 +1299,35 @@ fn try_forward(
             ),
         });
     };
-    if used_outputs[out_idx] {
+    if net.output_busy[out] {
         return Ok(false);
     }
     let vc = net
         .protocol
         .virtual_channel(NodeId::new(node), next, packet.destination)
         .index() as usize;
-    let vc = vc.min(net.config.virtual_channels - 1);
+    let vc = vc.min(net.vcs - 1);
     // Credit check on the downstream input queue.
-    let down_idx = net.adjacency[next.index()]
-        .binary_search(&NodeId::new(node))
-        .expect("links are symmetric");
+    let input = net.ports.reverse[out];
     // A dead next hop or dead link blocks the forward; the packet waits for
     // the repair (or for adaptive routing to pick another port next cycle).
-    if net.router_faulted(next.index()) || net.link_faulted(next.index(), down_idx) {
+    if net.router_faulted(next.index()) || net.link_faulted(input as usize) {
         return Ok(false);
     }
-    if net.credits.used(next.index(), down_idx, vc) >= net.config.vc_queue_capacity {
+    let slot = input as usize * net.vcs + vc;
+    if net.credits[slot] as usize >= net.config.vc_queue_capacity {
         return Ok(false);
     }
-    used_outputs[out_idx] = true;
-    net.credits.take(next.index(), down_idx, vc);
+    net.output_busy[out] = true;
+    net.credits[slot] += 1;
     let mut moved = *packet;
     moved.hops += 1;
     moved.virtual_channel = VirtualChannelId::new(vc as u8);
-    let latency = net.link_latency(node, next.index());
     in_flight.push(
         InFlightMeta {
-            arrival_cycle: cycle + latency,
+            arrival_cycle: cycle + net.link_latency(out),
             to_node: next.index() as u32,
-            from_index: down_idx as u32,
+            port: input,
             vc: vc as u32,
         },
         moved,
@@ -1290,6 +1440,45 @@ mod tests {
             .with_period(150)
             .with_severity(2, 1)
             .with_repair_cycles(60)
+    }
+
+    /// The occupied-slot scan visits exactly the queues that the full
+    /// rotated scan `(q + offset) % total` finds non-empty, in the same
+    /// order: for every router of 1 to 150 queues, every rotation, starts on
+    /// and off a word boundary, and random bits set around the router's
+    /// range. Clearing each bit once it is visited, as a pop that empties
+    /// its queue does, changes nothing.
+    #[test]
+    fn occupied_slot_scan_matches_the_full_rotated_scan() {
+        let mut rng = sf_types::DeterministicRng::new(25);
+        for total in 1..=150 {
+            for offset in 0..total {
+                let start = rng.next_index(130);
+                let density = [0.05, 0.5, 0.95][rng.next_index(3)];
+                let filled: Vec<bool> = (0..start + total + rng.next_index(70))
+                    .map(|_| rng.next_bool(density))
+                    .collect();
+                let mut occupied = Occupancy::new(filled.len());
+                for slot in (0..filled.len()).filter(|&slot| filled[slot]) {
+                    occupied.set(slot);
+                }
+                let expected: Vec<usize> = (0..total)
+                    .map(|q| start + (q + offset) % total)
+                    .filter(|&slot| filled[slot])
+                    .collect();
+                let mut visited = Vec::new();
+                let mut scan = RotatedSlots::new(start, total, offset);
+                while let Some(slot) = scan.next(&occupied) {
+                    occupied.clear(slot);
+                    visited.push(slot);
+                }
+                assert_eq!(visited, expected, "total {total}, offset {offset}");
+                let outside = (0..start).chain(start + total..filled.len());
+                assert!(outside
+                    .into_iter()
+                    .all(|slot| occupied.get(slot) == filled[slot]));
+            }
+        }
     }
 
     #[test]

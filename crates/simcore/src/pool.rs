@@ -208,9 +208,9 @@ pub struct InFlightMeta {
     pub arrival_cycle: u64,
     /// Receiving router.
     pub to_node: u32,
-    /// Position of the sender in the receiver's adjacency list (= input
-    /// queue group).
-    pub from_index: u32,
+    /// The receiver's input port for the link, in the kernel's
+    /// network-wide port numbering (the input queue group it joins).
+    pub port: u32,
     /// Virtual channel the packet occupies.
     pub vc: u32,
 }
@@ -225,7 +225,7 @@ pub struct InFlightMeta {
 pub struct InFlightPool {
     arrival: Vec<u64>,
     to_node: Vec<u32>,
-    from_index: Vec<u32>,
+    port: Vec<u32>,
     vc: Vec<u32>,
     packet: Vec<Packet>,
     next: Vec<u32>,
@@ -250,7 +250,7 @@ impl InFlightPool {
         Self {
             arrival: Vec::new(),
             to_node: Vec::new(),
-            from_index: Vec::new(),
+            port: Vec::new(),
             vc: Vec::new(),
             packet: Vec::new(),
             next: Vec::new(),
@@ -272,7 +272,7 @@ impl InFlightPool {
             let idx = self.arrival.len() as u32;
             self.arrival.push(meta.arrival_cycle);
             self.to_node.push(meta.to_node);
-            self.from_index.push(meta.from_index);
+            self.port.push(meta.port);
             self.vc.push(meta.vc);
             self.packet.push(packet);
             self.next.push(NIL);
@@ -283,7 +283,7 @@ impl InFlightPool {
             self.free_head = self.next[i];
             self.arrival[i] = meta.arrival_cycle;
             self.to_node[i] = meta.to_node;
-            self.from_index[i] = meta.from_index;
+            self.port[i] = meta.port;
             self.vc[i] = meta.vc;
             self.packet[i] = packet;
             self.next[i] = NIL;
@@ -312,7 +312,7 @@ impl InFlightPool {
             let meta = InFlightMeta {
                 arrival_cycle: self.arrival[i],
                 to_node: self.to_node[i],
-                from_index: self.from_index[i],
+                port: self.port[i],
                 vc: self.vc[i],
             };
             let next = self.next[i];
@@ -424,7 +424,7 @@ mod tests {
                 InFlightMeta {
                     arrival_cycle: i,
                     to_node: i as u32,
-                    from_index: 0,
+                    port: 0,
                     vc: 0,
                 },
                 packet(i),
@@ -448,7 +448,7 @@ mod tests {
             InFlightMeta {
                 arrival_cycle: 9,
                 to_node: 9,
-                from_index: 1,
+                port: 1,
                 vc: 1,
             },
             packet(9),
@@ -467,7 +467,7 @@ mod tests {
             InFlightMeta {
                 arrival_cycle: 1,
                 to_node: 0,
-                from_index: 0,
+                port: 0,
                 vc: 0,
             },
             packet(1),
@@ -479,7 +479,7 @@ mod tests {
             InFlightMeta {
                 arrival_cycle: 2,
                 to_node: 0,
-                from_index: 0,
+                port: 0,
                 vc: 0,
             },
             packet(2),
@@ -488,7 +488,7 @@ mod tests {
             InFlightMeta {
                 arrival_cycle: 3,
                 to_node: 0,
-                from_index: 0,
+                port: 0,
                 vc: 0,
             },
             packet(3),

@@ -1,8 +1,10 @@
 //! Pins the kernel's allocation-free steady state with a counting global
 //! allocator: after warm-up, advancing a single-shard simulator by one cycle
 //! performs **zero** heap allocations — packet queues and arrival inboxes
-//! recycle pooled slots, and routing decides without allocating. One protocol of each family is checked: greediest (SF), mesh
-//! (DM) and shortest path (FB).
+//! recycle pooled slots, and routing decides without allocating. One
+//! protocol of each family is checked: greediest (SF), mesh (DM) and
+//! shortest path (FB), and FB once more at 324 nodes, whose routers have 68
+//! input queues: more than one 64-bit word of occupancy bits.
 //!
 //! This must stay the ONLY test in this file: the `#[global_allocator]` is
 //! process-wide, and a concurrently running test would count its own
@@ -49,7 +51,8 @@ fn steady_state_cycles_allocate_nothing() {
         StringFigureTopology::generate(&NetworkConfig::new(48, 4).unwrap().with_seed(9)).unwrap();
     let dm = MeshTopology::distributed(48).unwrap();
     let fb = FlattenedButterfly::full(48).unwrap();
-    let cases: [(&str, &AdjacencyGraph, Box<dyn RoutingProtocol>); 3] = [
+    let fb_324 = FlattenedButterfly::full(324).unwrap();
+    let cases: [(&str, &AdjacencyGraph, Box<dyn RoutingProtocol>); 4] = [
         (
             "SF greediest",
             sf.graph(),
@@ -60,6 +63,11 @@ fn steady_state_cycles_allocate_nothing() {
             "FB shortest path",
             fb.graph(),
             Box::new(ShortestPathRouting::new(fb.graph(), "minimal-adaptive")),
+        ),
+        (
+            "FB shortest path, 324 nodes",
+            fb_324.graph(),
+            Box::new(ShortestPathRouting::new(fb_324.graph(), "minimal-adaptive")),
         ),
     ];
     let mut allocations = Vec::new();
@@ -77,7 +85,7 @@ fn steady_state_cycles_allocate_nothing() {
         )
         .unwrap()
         .with_request_reply(true);
-        let mut traffic = UniformRandomTraffic::new(48, 0.08, 42);
+        let mut traffic = UniformRandomTraffic::new(graph.num_nodes(), 0.08, 42);
 
         // Warm-up: pools grow to their steady-state high-water marks, the
         // reply heap and routing scratch reach capacity, every queue has been

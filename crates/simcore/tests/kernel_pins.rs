@@ -1,6 +1,9 @@
 //! Pins the kernel's exact output on a table of small configurations that
 //! the golden CSVs do not reach: one to three virtual channels, tiny queue
-//! capacities, saturation, fault storms and power-gated topologies.
+//! capacities, saturation, fault storms and power-gated topologies, and
+//! three other designs: a flattened butterfly whose routers have 68 input
+//! queues, a saturated distributed mesh, and a String Figure network on a
+//! grid placement, whose long wires take two hops of latency.
 //!
 //! Each case asserts every [`SimulationStats`] field (the float energies by
 //! their bit patterns) and the per-node DRAM statistics (their totals and an
@@ -8,19 +11,38 @@
 //! that moves any of them — one packet id, one float addition out of order —
 //! fails here with the new fingerprint in the message.
 
-use sf_routing::GreediestRouting;
+use sf_routing::{GreediestRouting, MeshRouting, RoutingProtocol, ShortestPathRouting};
 use sf_simcore::{
     MemoryNodeStats, ShardedSimulator, SimulationStats, TrafficModel, TrafficRequest,
     UniformRandomTraffic,
 };
-use sf_topology::StringFigureTopology;
+use sf_topology::baselines::MemoryNetworkTopology;
+use sf_topology::{
+    AdjacencyGraph, FlattenedButterfly, GridPlacement, MeshTopology, StringFigureTopology,
+};
 use sf_types::{
     DeterministicRng, FaultPlan, NetworkConfig, NodeId, SimulationConfig, SystemConfig,
 };
 
+/// The network a case simulates.
+#[derive(Clone, Copy)]
+enum Design {
+    /// A 4-port String Figure network with greediest routing.
+    StringFigure,
+    /// The same on a row-major grid placement: a wire longer than ten
+    /// pitches takes two hops of latency.
+    PlacedStringFigure,
+    /// A full flattened butterfly with minimal-adaptive shortest-path
+    /// routing.
+    FlattenedButterfly,
+    /// A distributed mesh with dimension-order mesh routing.
+    DistributedMesh,
+}
+
 /// One pinned configuration.
 struct Case {
     name: &'static str,
+    design: Design,
     nodes: usize,
     topo_seed: u64,
     rate: f64,
@@ -38,6 +60,7 @@ impl Case {
     fn new(name: &'static str, nodes: usize, expected: &'static str) -> Self {
         Self {
             name,
+            design: Design::StringFigure,
             nodes,
             topo_seed: 0,
             rate: 0.08,
@@ -51,19 +74,41 @@ impl Case {
         }
     }
 
-    fn run(&self) -> (SimulationStats, Vec<MemoryNodeStats>) {
-        let config = NetworkConfig::new(self.nodes, 4)
-            .unwrap()
-            .with_seed(self.topo_seed);
-        let mut topo = StringFigureTopology::generate(&config).unwrap();
-        for &node in self.gated {
-            topo.gate_node(NodeId::new(node)).unwrap();
+    /// The case's link graph and routing protocol, with the `gated` nodes
+    /// of a String Figure network power-gated and its routing resynced.
+    fn network(&self) -> (AdjacencyGraph, Box<dyn RoutingProtocol>) {
+        match self.design {
+            Design::StringFigure | Design::PlacedStringFigure => {
+                let config = NetworkConfig::new(self.nodes, 4)
+                    .unwrap()
+                    .with_seed(self.topo_seed);
+                let mut topo = StringFigureTopology::generate(&config).unwrap();
+                for &node in self.gated {
+                    topo.gate_node(NodeId::new(node)).unwrap();
+                }
+                let mut routing = GreediestRouting::new(&topo);
+                routing.resync(topo.graph(), topo.spaces());
+                (topo.graph().clone(), Box::new(routing))
+            }
+            Design::FlattenedButterfly => {
+                let fb = FlattenedButterfly::full(self.nodes).unwrap();
+                let routing = ShortestPathRouting::new(fb.graph(), "minimal-adaptive");
+                (fb.graph().clone(), Box::new(routing))
+            }
+            Design::DistributedMesh => {
+                let mesh = MeshTopology::distributed(self.nodes).unwrap();
+                let routing = MeshRouting::new(&mesh);
+                (mesh.graph().clone(), Box::new(routing))
+            }
         }
-        let mut routing = GreediestRouting::new(&topo);
-        routing.resync(topo.graph(), topo.spaces());
+    }
+
+    fn run(&self) -> (SimulationStats, Vec<MemoryNodeStats>) {
+        let (graph, routing) = self.network();
+        let active: Vec<NodeId> = graph.active_nodes().collect();
         let mut sim = ShardedSimulator::new(
-            topo.graph().clone(),
-            Box::new(routing),
+            graph,
+            routing,
             SystemConfig::default(),
             SimulationConfig {
                 max_cycles: 1_200,
@@ -76,6 +121,9 @@ impl Case {
         )
         .unwrap()
         .with_request_reply(self.request_reply);
+        if let Design::PlacedStringFigure = self.design {
+            sim = sim.with_placement(GridPlacement::row_major(self.nodes));
+        }
         let mut traffic: Box<dyn TrafficModel> = if self.gated.is_empty() {
             Box::new(UniformRandomTraffic::new(
                 self.nodes,
@@ -84,7 +132,7 @@ impl Case {
             ))
         } else {
             Box::new(ActiveUniform {
-                active: topo.graph().active_nodes().collect(),
+                active,
                 rate: self.rate,
                 rng: DeterministicRng::new(self.traffic_seed),
             })
@@ -285,6 +333,51 @@ fn cases() -> Vec<Case> {
                  network_pj=0x419174ca00000000 dram_pj=0x417dad8000000000 in_flight=129 \
                  backlog=4 blocked=2429 dropped=0 faults=0/0 \
                  memory=64x5755/550/0xb2ff3b0596a52d19",
+            )
+        },
+        Case {
+            design: Design::FlattenedButterfly,
+            rate: 0.3,
+            traffic_seed: 31,
+            request_reply: true,
+            ..Case::new(
+                "fb_324_minimal_adaptive",
+                324,
+                "cycles=1226 active=324 injected=102209 delivered=206833 completed=104148 \
+                 latency=1017239/36 round_trip=2042374 hops=391217 \
+                 network_pj=0x41c669e2c0000000 dram_pj=0x41c2cd5c00000000 in_flight=1895 \
+                 backlog=85 blocked=4483 dropped=0 faults=0/0 \
+                 memory=324x116771/3319/0x49f95cf01defb873",
+            )
+        },
+        Case {
+            design: Design::DistributedMesh,
+            rate: 0.9,
+            traffic_seed: 37,
+            ..Case::new(
+                "dm_64_saturated",
+                64,
+                "cycles=2400 active=64 injected=60481 delivered=50867 completed=0 \
+                 latency=35578881/2125 round_trip=0 hops=273651 \
+                 network_pj=0x41ca029800000000 dram_pj=0x0 in_flight=41103 \
+                 backlog=40563 blocked=124439 dropped=0 faults=0/0 \
+                 memory=64x0/0/0xd80ac658736bb725",
+            )
+        },
+        Case {
+            design: Design::PlacedStringFigure,
+            topo_seed: 5,
+            rate: 0.1,
+            traffic_seed: 41,
+            request_reply: true,
+            ..Case::new(
+                "placed_144_long_wires",
+                144,
+                "cycles=1256 active=144 injected=15088 delivered=30879 completed=15580 \
+                 latency=391937/52 round_trip=547098 hops=170452 \
+                 network_pj=0x41b37b7600000000 dram_pj=0x4196692000000000 in_flight=484 \
+                 backlog=16 blocked=21769 dropped=0 faults=0/0 \
+                 memory=144x17203/604/0xcd178aa479d5b1b1",
             )
         },
     ]

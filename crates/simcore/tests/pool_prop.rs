@@ -158,7 +158,7 @@ proptest! {
                     let meta = InFlightMeta {
                         arrival_cycle: arrival,
                         to_node: (next_id % 11) as u32,
-                        from_index: (next_id % 3) as u32,
+                        port: (next_id % 3) as u32,
                         vc: (next_id % 2) as u32,
                     };
                     inbox.push(meta, test_packet(next_id));
