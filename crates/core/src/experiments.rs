@@ -35,7 +35,6 @@ use serde::{Deserialize, Serialize};
 use sf_harness::sweep::{cross2, cross3};
 use sf_harness::table::{Record, Value};
 use sf_netsim::SimulationStats;
-use sf_topology::analysis;
 use sf_types::{FaultPlan, NodeId, SfResult, SimulationConfig, SystemConfig};
 use sf_workloads::{
     AddressMapper, ApplicationModel, CacheHierarchy, PatternTraffic, SyntheticPattern,
@@ -869,23 +868,6 @@ pub fn scaleout_study_with_ctx(
     hop_count_study_with_ctx(ctx, kinds, sizes, samples, seed)
 }
 
-/// Average-path-length summary of a partially gated String Figure network,
-/// used by the reconfiguration examples and tests.
-///
-/// # Errors
-///
-/// Propagates construction and reconfiguration errors.
-pub fn gated_path_length(
-    nodes: usize,
-    fraction: f64,
-    seed: u64,
-) -> SfResult<analysis::PathLengthStats> {
-    let mut network = StringFigureNetwork::builder(nodes).seed(seed).build()?;
-    let mut pm = PowerManager::new(&mut network);
-    pm.gate_fraction(fraction, seed)?;
-    Ok(network.path_stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1120,8 +1102,15 @@ mod tests {
 
     #[test]
     fn gated_path_length_stays_bounded() {
-        let full = gated_path_length(64, 0.0, 1).unwrap();
-        let gated = gated_path_length(64, 0.3, 1).unwrap();
+        let gated_path_length = |fraction: f64| {
+            let mut network = StringFigureNetwork::builder(64).seed(1).build().unwrap();
+            PowerManager::new(&mut network)
+                .gate_fraction(fraction, 1)
+                .unwrap();
+            network.path_stats()
+        };
+        let full = gated_path_length(0.0);
+        let gated = gated_path_length(0.3);
         assert!(gated.average < full.average + 2.0);
         assert_eq!(gated.unreachable_pairs, 0);
     }

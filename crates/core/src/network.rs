@@ -8,7 +8,7 @@
 //! caller having to wire the underlying crates together.
 
 use sf_netsim::{NetworkSimulator, SimulationStats, TrafficModel};
-use sf_routing::{trace_route, GreediestRouting, RouteTrace, RoutingProtocol, RoutingTable};
+use sf_routing::{trace_route, GreediestRouting, RouteTrace, RoutingProtocol};
 use sf_topology::analysis::{self, PathLengthStats};
 use sf_topology::{GridPlacement, ReconfigurationDelta, StringFigureTopology};
 use sf_types::{
@@ -216,7 +216,8 @@ impl StringFigureNetwork {
     /// router's table rows times the per-entry cost.
     #[must_use]
     pub fn routing_storage_bits(&self) -> u64 {
-        let entry_bits = RoutingTable::entry_bits(self.num_nodes(), self.topology.config().ports);
+        let entry_bits =
+            GreediestRouting::entry_bits(self.num_nodes(), self.topology.config().ports);
         self.topology
             .graph()
             .nodes()
@@ -409,6 +410,7 @@ impl<T: TrafficModel> TrafficModel for ActiveNodeTraffic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn builder_produces_consistent_network() {
@@ -489,16 +491,27 @@ mod tests {
     fn routing_storage_bits_equal_the_built_tables() {
         // Routing keeps no tables, so recount what each router's table would
         // store on the live topology and compare, before, during and after
-        // gating.
+        // gating: a row per virtual space for every live one-hop neighbour
+        // and every live two-hop neighbour, each with its first via.
         let built_table_bits = |network: &StringFigureNetwork| -> u64 {
             let topo = network.topology();
-            topo.graph()
+            let graph = topo.graph();
+            let rows: usize = graph
                 .nodes()
                 .map(|v| {
-                    RoutingTable::build(v, topo.graph(), topo.spaces())
-                        .storage_bits(network.num_nodes(), topo.config().ports)
+                    let one_hop = graph.active_neighbors(v);
+                    let mut two_hop_via = BTreeMap::new();
+                    for &via in &one_hop {
+                        for target in graph.active_neighbors(via) {
+                            if target != v && !one_hop.contains(&target) {
+                                two_hop_via.entry(target).or_insert(via);
+                            }
+                        }
+                    }
+                    (one_hop.len() + two_hop_via.len()) * topo.spaces().num_spaces()
                 })
-                .sum()
+                .sum();
+            rows as u64 * GreediestRouting::entry_bits(network.num_nodes(), topo.config().ports)
         };
         let mut network = StringFigureBuilder::new(200)
             .ports(8)

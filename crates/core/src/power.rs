@@ -83,12 +83,6 @@ impl<'a> PowerManager<'a> {
         }
     }
 
-    /// Advances the logical clock (e.g. to model the time between epochs of
-    /// the power-management policy).
-    pub fn advance_time(&mut self, ns: f64) {
-        self.clock_ns += ns.max(0.0);
-    }
-
     /// The logical time in nanoseconds.
     #[must_use]
     pub fn now_ns(&self) -> f64 {
@@ -296,12 +290,17 @@ mod tests {
 
     #[test]
     fn clock_advances() {
+        // The clock moves only with reconfigurations: each event pays its
+        // latency, the second after waiting out the granularity window.
         let mut net = network(16);
+        let sleep = net.system().link_sleep_ns;
+        let wake = net.system().link_wake_ns;
+        let granularity = net.system().reconfiguration_granularity_ns;
         let mut pm = PowerManager::new(&mut net);
         assert_eq!(pm.now_ns(), 0.0);
-        pm.advance_time(500.0);
-        assert_eq!(pm.now_ns(), 500.0);
-        pm.advance_time(-10.0);
-        assert_eq!(pm.now_ns(), 500.0);
+        pm.gate(NodeId::new(3)).unwrap();
+        assert_eq!(pm.now_ns(), sleep);
+        pm.ungate(NodeId::new(3)).unwrap();
+        assert_eq!(pm.now_ns(), sleep + granularity + wake);
     }
 }

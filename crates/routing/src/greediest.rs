@@ -28,15 +28,16 @@
 //!
 //! # Forwarding state
 //!
-//! Each router's [`RoutingTable`] is built, flattened into one flat,
-//! CSR-style store shared by all routers, and then dropped. Per router the
-//! store holds its one-hop neighbours in node-id order; per one-hop
-//! neighbour, the contiguous group of two-hop targets the table first reached
-//! through it; and every node's own coordinates. A decision reads one
-//! contiguous block of the store and scores an improving neighbour over its
-//! own two-hop group only. The table stays the one definition of what a
-//! router stores: the store keeps its rows' coordinates and neighbour ids,
-//! and [`GreediestRouting::table_len`] its row count.
+//! Each router stores only its live one- and two-hop neighbours
+//! (Section IV, Figure 6b), each with one coordinate per virtual space. All
+//! routers' state sits in one flat, CSR-style store, built straight from the
+//! live graph: per router, its one-hop neighbours in node-id order; per
+//! one-hop neighbour, the contiguous group of two-hop targets first reached
+//! through it, in node-id order; and every node's own coordinates. A
+//! decision reads one contiguous block of the store and scores an improving
+//! neighbour over its own two-hop group only.
+//! [`GreediestRouting::table_len`] counts the rows the paper's table would
+//! hold, and [`GreediestRouting::entry_bits`] prices one row.
 //!
 //! Every node's and every slot's coordinates sit inline as `[f64; 4]`
 //! coordinate blocks: one block for up to four virtual spaces, two for five
@@ -53,14 +54,14 @@
 //!
 //! A reconfiguration touches only the routers near the gated node
 //! (Section III-C), and so does [`GreediestRouting::resync`]: it rebuilds
-//! the blocks of the routers whose tables can have changed and copies every
+//! the blocks of the routers whose state can have changed and copies every
 //! other block into the new store unchanged. The new store is the one the
 //! previous resync replaced, refilled in place.
 
 use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol, ADAPTIVE_THRESHOLD};
-use crate::table::{HopCount, RoutingTable, RoutingTableEntry};
 use sf_topology::{AdjacencyGraph, StringFigureTopology, VirtualSpaces};
-use sf_types::{Coordinate, NodeId, SfError, SfResult, VirtualChannelId};
+use sf_types::coord::COORD_BITS;
+use sf_types::{NodeId, SfError, SfResult, VirtualChannelId};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,30 +117,24 @@ fn block_md(a: &[Block], b: &[Block]) -> f64 {
         .fold(f64::INFINITY, smaller)
 }
 
-/// One node's coordinate blocks, given its coordinate in each of `spaces`
-/// virtual spaces; padding lanes repeat space 0's.
-fn coordinate_blocks(
-    spaces: usize,
-    coord: impl Fn(usize) -> Coordinate,
-) -> impl Iterator<Item = Block> {
-    (0..spaces.div_ceil(LANES)).map(move |block| {
-        std::array::from_fn(|lane| {
-            let space = block * LANES + lane;
-            coord(if space < spaces { space } else { 0 }).value()
-        })
-    })
-}
-
 /// An offset into one of the store's flat arrays.
 fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("forwarding store offsets fit in u32")
 }
 
-/// Every node's coordinate blocks in node order: the store's `coords`.
+/// Every node's coordinate blocks in node order: the store's `coords`. A
+/// padding lane repeats the node's space-0 coordinate.
 fn node_coords(spaces: &VirtualSpaces) -> impl Iterator<Item = Block> + '_ {
     spaces.all_coordinates().iter().flat_map(|coords| {
         let coords = coords.as_slice();
-        coordinate_blocks(coords.len(), move |space| coords[space])
+        (0..coords.len().div_ceil(LANES)).map(move |block| {
+            std::array::from_fn(|lane| {
+                coords
+                    .get(block * LANES + lane)
+                    .unwrap_or(&coords[0])
+                    .value()
+            })
+        })
     })
 }
 
@@ -177,17 +172,12 @@ impl Slots {
         self.coords.clear();
     }
 
-    /// Appends one neighbour's table rows (one per virtual space, in space
-    /// order) as a slot.
-    fn push(&mut self, rows: &[RoutingTableEntry]) {
-        debug_assert!(rows
-            .iter()
-            .enumerate()
-            .all(|(s, row)| row.neighbor == rows[0].neighbor && row.space.index() == s));
-        self.ids.push(rows[0].neighbor);
-        self.coords.extend(coordinate_blocks(rows.len(), |space| {
-            rows[space].full_coordinate
-        }));
+    /// Appends node `id` as a slot, with its blocks from `coords`, every
+    /// node's blocks in node order.
+    fn push(&mut self, id: NodeId, coords: &[Block], blocks: usize) {
+        self.ids.push(id);
+        self.coords
+            .extend_from_slice(&coords[id.index() * blocks..][..blocks]);
     }
 
     /// Appends `from`'s slots in `range`.
@@ -214,8 +204,8 @@ impl Slots {
 
 impl ForwardingStore {
     /// Refills the store for `graph` and `spaces`, keeping its allocations.
-    /// A router marked in `dirty` gets the block of its freshly built table;
-    /// every other router's block is copied from `previous`.
+    /// A router marked in `dirty` gets a block built from `graph`; every
+    /// other router's block is copied from `previous`.
     fn fill(
         &mut self,
         graph: &AdjacencyGraph,
@@ -232,9 +222,13 @@ impl ForwardingStore {
         self.groups.clear();
         self.groups.push(0);
         self.two_hop.clear();
+        // While router `v` is built, `marked[x] == v.index()` says that `x` is
+        // `v`, one of its one-hop neighbours, or a two-hop target already
+        // grouped.
+        let mut marked = vec![usize::MAX; graph.num_nodes()];
         for v in graph.nodes() {
             if dirty[v.index()] {
-                self.push_router(&RoutingTable::build(v, graph, spaces));
+                self.push_router(graph, v, &mut marked);
             } else {
                 self.copy_router(previous, v);
             }
@@ -249,18 +243,24 @@ impl ForwardingStore {
         );
     }
 
-    /// Appends one router's table: each one-hop neighbour in node-id order,
-    /// and its group of the two-hop targets reached through it.
-    fn push_router(&mut self, table: &RoutingTable) {
-        let (mut one_hop, two_hop): (Vec<_>, Vec<_>) = table
-            .entries()
-            .chunks_exact(self.spaces)
-            .partition(|rows| rows[0].hop == HopCount::One);
-        one_hop.sort_by_key(|rows| rows[0].neighbor);
-        for rows in one_hop {
-            self.one_hop.push(rows);
-            for two in two_hop.iter().filter(|two| two[0].via == rows[0].neighbor) {
-                self.two_hop.push(two);
+    /// Appends router `v`'s block, built from the live graph: each live
+    /// neighbour in node-id order, and its group of the two-hop targets first
+    /// reached through it. Walking the neighbours in node-id order, a
+    /// neighbour's group is its live neighbours, in node-id order, that are
+    /// neither `v`, a neighbour of `v`, nor in an earlier group.
+    fn push_router(&mut self, graph: &AdjacencyGraph, v: NodeId, marked: &mut [usize]) {
+        let blocks = self.blocks();
+        let one_hop = graph.active_neighbors(v);
+        for &node in std::iter::once(&v).chain(&one_hop) {
+            marked[node.index()] = v.index();
+        }
+        for &via in &one_hop {
+            self.one_hop.push(via, &self.coords, blocks);
+            for target in graph.active_neighbors(via) {
+                if marked[target.index()] != v.index() {
+                    marked[target.index()] = v.index();
+                    self.two_hop.push(target, &self.coords, blocks);
+                }
             }
             self.groups.push(offset(self.two_hop.ids.len()));
         }
@@ -429,10 +429,10 @@ impl GreediestRouting {
     /// the store's. A router that is not changed keeps its own list, so its
     /// block can differ only through a neighbour's list, that is, only if it
     /// is a live neighbour of a changed router. The changed routers and their
-    /// live neighbours are therefore rebuilt from their [`RoutingTable`], and
-    /// every other block is copied into the new store with its offsets
-    /// rebased. The result equals a fresh [`GreediestRouting::from_parts`] on
-    /// the same topology. When the number of nodes or the coordinates differ
+    /// live neighbours are therefore rebuilt from the live graph, and every
+    /// other block is copied into the new store with its offsets rebased.
+    /// The result equals a fresh [`GreediestRouting::from_parts`] on the
+    /// same topology. When the number of nodes or the coordinates differ
     /// from the store's (another topology, or the empty store `from_parts`
     /// starts from), every router is rebuilt.
     ///
@@ -478,8 +478,8 @@ impl GreediestRouting {
     }
 
     /// Number of rows in `router`'s routing table: one per virtual space for
-    /// every one- and two-hop neighbour, as [`RoutingTable::len`] counts them.
-    /// Times [`RoutingTable::entry_bits`], this is the router's storage cost.
+    /// every live one- and two-hop neighbour. Times
+    /// [`GreediestRouting::entry_bits`], this is the router's storage cost.
     ///
     /// # Panics
     ///
@@ -487,6 +487,45 @@ impl GreediestRouting {
     #[must_use]
     pub fn table_len(&self, router: NodeId) -> usize {
         self.store.table_len(router)
+    }
+
+    /// Storage cost of one routing-table row in bits, following the paper's
+    /// per-entry layout (Section IV, Figure 6b): a `log2(N)`-bit node number,
+    /// a blocking bit, a valid bit, a hop bit (one- or two-hop), a
+    /// `ceil(log2(p/2))`-bit virtual-space number and a [`COORD_BITS`]-bit
+    /// (7-bit) coordinate.
+    ///
+    /// The hardware reconfigures by flipping the blocking, valid and hop
+    /// bits; this model instead rebuilds the blocks of the routers a
+    /// reconfiguration touches ([`GreediestRouting::resync`]), and routes on
+    /// full-precision coordinates. Only this storage accounting uses the
+    /// paper's layout.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sf_routing::GreediestRouting;
+    /// use sf_topology::StringFigureTopology;
+    /// use sf_types::{NetworkConfig, NodeId};
+    ///
+    /// let topo = StringFigureTopology::generate(&NetworkConfig::new(32, 4)?)?;
+    /// let routing = GreediestRouting::new(&topo);
+    /// // 32 nodes: 5 node bits; 4 ports: 2 spaces, 1 space bit.
+    /// assert_eq!(GreediestRouting::entry_bits(32, 4), 5 + 3 + 1 + 7);
+    /// let bits = routing.table_len(NodeId::new(0)) as u64 * GreediestRouting::entry_bits(32, 4);
+    /// assert!(bits > 0);
+    /// # Ok::<(), sf_types::SfError>(())
+    /// ```
+    #[must_use]
+    pub fn entry_bits(num_nodes: usize, ports: usize) -> u64 {
+        let node_bits = (usize::BITS - (num_nodes.max(2) - 1).leading_zeros()) as u64;
+        let spaces = (ports / 2).max(1);
+        let space_bits = if spaces <= 1 {
+            1
+        } else {
+            (usize::BITS - (spaces - 1).leading_zeros()) as u64
+        };
+        node_bits + 1 + 1 + 1 + space_bits + u64::from(COORD_BITS)
     }
 
     /// Number of forwarding decisions that had to fall back to BFS because no
@@ -680,7 +719,9 @@ mod tests {
     use super::*;
     use crate::protocol::{trace_route, trace_route_with_loads, TableLoad};
     use sf_topology::spaces::paper_figure3_example;
-    use sf_types::{minimum_circular_distance, CoordinateVector, DeterministicRng, NetworkConfig};
+    use sf_types::{
+        minimum_circular_distance, Coordinate, CoordinateVector, DeterministicRng, NetworkConfig,
+    };
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -1101,6 +1142,145 @@ mod tests {
                 "p={ports}: mean routers rebuilt per event at N={sizes:?}: {means:?}"
             );
         }
+    }
+
+    /// Router `v`'s one-hop neighbours, each with its two-hop group's
+    /// targets, as the store holds them.
+    fn groups_of(routing: &GreediestRouting, v: NodeId) -> Vec<(NodeId, Vec<NodeId>)> {
+        routing
+            .store
+            .one_hop(v)
+            .map(|(via, _, group)| {
+                let targets = routing.store.two_hop(group).map(|(t, _)| t).collect();
+                (via, targets)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_hop_targets_are_grouped_under_their_first_via() {
+        // Router 0 reaches 3 through both 2 and 4: it is listed once, in the
+        // lower-id neighbour's group. Router 6 is offline.
+        let mut graph = AdjacencyGraph::new(7);
+        for (a, b) in [(0, 2), (0, 4), (2, 3), (2, 5), (4, 3), (4, 1), (5, 6)] {
+            graph
+                .add_edge(n(a), n(b), sf_topology::EdgeKind::Structured)
+                .unwrap();
+        }
+        graph.set_active(n(6), false).unwrap();
+        let coords = (0..7)
+            .map(|i| {
+                CoordinateVector::new(vec![
+                    Coordinate::new(i as f64 / 7.0).unwrap(),
+                    Coordinate::new((3 * i % 7) as f64 / 7.0).unwrap(),
+                ])
+            })
+            .collect();
+        let spaces = VirtualSpaces::from_coordinate_vectors(coords).unwrap();
+        let routing = GreediestRouting::from_parts(&graph, &spaces, GreediestOptions::default());
+
+        assert_eq!(
+            groups_of(&routing, n(0)),
+            vec![(n(2), vec![n(3), n(5)]), (n(4), vec![n(1)])]
+        );
+        assert_eq!(routing.table_len(n(0)), (2 + 3) * 2, "3 counted once");
+        // Router 3 reaches 0 through both of its neighbours.
+        assert_eq!(
+            groups_of(&routing, n(3)),
+            vec![(n(2), vec![n(0), n(5)]), (n(4), vec![n(1)])]
+        );
+        // The offline router has an empty block, and no block lists it.
+        assert!(groups_of(&routing, n(6)).is_empty());
+        assert_eq!(routing.table_len(n(6)), 0);
+        assert_eq!(groups_of(&routing, n(5)), vec![(n(2), vec![n(0), n(3)])]);
+        assert_eq!(routing.table_len(n(5)), (1 + 2) * 2);
+    }
+
+    #[test]
+    fn builds_one_and_two_hop_entries() {
+        let (topo, routing) = example();
+        let groups = groups_of(&routing, n(7));
+        // Node-7's live graph neighbours are its one-hop slots, in order.
+        let one_hop: Vec<NodeId> = groups.iter().map(|(via, _)| *via).collect();
+        assert_eq!(one_hop, topo.graph().active_neighbors(n(7)));
+        // Each two-hop target neighbours its via, is listed once, and is
+        // neither Node-7 nor one of its one-hop neighbours.
+        let mut two_hop = Vec::new();
+        for (via, targets) in &groups {
+            for &t in targets {
+                assert!(
+                    topo.graph().has_edge(*via, t),
+                    "{t} not a neighbour of {via}"
+                );
+                assert!(t != n(7) && !one_hop.contains(&t) && !two_hop.contains(&t));
+                two_hop.push(t);
+            }
+        }
+        assert!(!two_hop.is_empty());
+        let spaces = topo.spaces().num_spaces();
+        assert_eq!(
+            routing.table_len(n(7)),
+            (one_hop.len() + two_hop.len()) * spaces
+        );
+    }
+
+    #[test]
+    fn candidates_have_full_coordinate_vectors() {
+        let (topo, routing) = example();
+        let spaces = topo.spaces().num_spaces();
+        let full = |node: NodeId| -> Vec<f64> {
+            topo.coordinates(node)
+                .as_slice()
+                .iter()
+                .map(|c| c.value())
+                .collect()
+        };
+        for v in topo.graph().nodes() {
+            for (via, coords, group) in routing.store.one_hop(v) {
+                assert_eq!(coords.as_flattened()[..spaces], full(via), "{v}: {via}");
+                for (t, coords) in routing.store.two_hop(group) {
+                    assert_eq!(coords.as_flattened()[..spaces], full(t), "{v}: {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_size_is_independent_of_network_scale() {
+        // Section IV: a router stores at most p one-hop and p(p - 1) two-hop
+        // neighbours, one row per virtual space each, whatever N is.
+        let mut means = Vec::new();
+        for (nodes, ports) in [(64, 4), (512, 4), (1296, 8)] {
+            let config = NetworkConfig::new(nodes, ports).unwrap();
+            let topo = StringFigureTopology::generate(&config).unwrap();
+            let routing = GreediestRouting::new(&topo);
+            let bound = config.max_routing_table_entries() * config.virtual_spaces();
+            let mut total = 0;
+            for v in topo.graph().nodes() {
+                let len = routing.table_len(v);
+                assert!(len <= bound, "N={nodes} p={ports}: {v} has {len} rows");
+                total += len;
+            }
+            means.push(total as f64 / nodes as f64);
+        }
+        // The two p = 4 networks: eight times the nodes, about the same
+        // table.
+        let (small, large) = (means[0], means[1]);
+        assert!(
+            (small - large).abs() < small * 0.5,
+            "table size should not grow with N: {small} vs {large}"
+        );
+    }
+
+    #[test]
+    fn storage_bits_accounting() {
+        // N=9 -> 4 node bits, p=4 -> 2 spaces -> 1 space bit, +3 flag bits +7
+        // coordinate bits = 15 bits per entry.
+        assert_eq!(GreediestRouting::entry_bits(9, 4), 15);
+        // 1296 nodes -> 11 node bits, p=8 -> 4 spaces -> 2 space bits.
+        assert_eq!(GreediestRouting::entry_bits(1296, 8), 23);
+        // One space still takes one space bit.
+        assert_eq!(GreediestRouting::entry_bits(2, 2), 12);
     }
 
     #[test]

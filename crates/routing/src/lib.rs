@@ -11,11 +11,10 @@
 //!
 //! * [`protocol`] — the [`RoutingProtocol`] trait, load estimators, and
 //!   [`trace_route`] for hop-by-hop protocol walks.
-//! * [`table`] — the per-router routing table of one- and two-hop
-//!   neighbours and their coordinates, with the paper's per-entry storage
-//!   cost.
 //! * [`greediest`] — String Figure's adaptive greediest routing (and S2's,
-//!   without first-hop adaptivity).
+//!   without first-hop adaptivity), with each router's one- and two-hop
+//!   neighbours and their coordinates built straight from the live graph,
+//!   and the paper's per-entry storage cost.
 //! * [`mesh`] — greedy + adaptive mesh routing (DM/ODM).
 //! * [`shortest_path`] — minimal look-up-table routing (FB, AFB, Jellyfish).
 //!
@@ -41,7 +40,6 @@ pub mod greediest;
 pub mod mesh;
 pub mod protocol;
 pub mod shortest_path;
-pub mod table;
 
 pub use greediest::{GreediestOptions, GreediestRouting};
 pub use mesh::MeshRouting;
@@ -50,4 +48,3 @@ pub use protocol::{
     RoutingProtocol, TableLoad, ZeroLoad,
 };
 pub use shortest_path::ShortestPathRouting;
-pub use table::{CandidateNeighbor, HopCount, RoutingTable, RoutingTableEntry};

@@ -1,24 +1,26 @@
 //! Reference equivalence of `GreediestRouting`'s flat forwarding store.
 //!
 //! The reference below is the direct form of the greediest algorithm: per
-//! router, the candidate lists of `RoutingTable::build(..).candidates()`
-//! with one heap-allocated coordinate vector each, and every improving
-//! neighbour scored by a scan of the router's whole two-hop list. On
-//! generated networks of 8–200 nodes with 2, 4, 6, 8 or 10 ports (1 to 5
-//! virtual spaces: padded, full and two coordinate blocks), with first-hop
-//! adaptivity on and off, both must make the same `next_hop` decisions
-//! (first hop or not, idle or loaded ports), pick the same virtual channels,
-//! report the same MDs bit for bit, and count the same BFS fallbacks and
-//! table rows, before and after a random subset of nodes is gated and the
-//! routing is resynced, and on the graph with every third link cut.
+//! router, its live one-hop neighbours and a map from each live two-hop
+//! neighbour to the first one-hop neighbour (in node-id order) that reaches
+//! it, both read off the graph, with one heap-allocated coordinate vector
+//! per entry, and every improving neighbour scored by a scan of the router's
+//! whole two-hop list. On generated networks of 8–200 nodes with 2, 4, 6, 8
+//! or 10 ports (1 to 5 virtual spaces: padded, full and two coordinate
+//! blocks), with first-hop adaptivity on and off, both must make the same
+//! `next_hop` decisions (first hop or not, idle or loaded ports), pick the
+//! same virtual channels, report the same MDs bit for bit, and count the
+//! same BFS fallbacks and table rows, before and after a random subset of
+//! nodes is gated and the routing is resynced, and on the graph with every
+//! third link cut.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use sf_routing::protocol::ADAPTIVE_THRESHOLD;
 use sf_routing::{
-    GreediestOptions, GreediestRouting, HopCount, PortLoadEstimator, RoutingContext,
-    RoutingProtocol, RoutingTable, TableLoad, ZeroLoad,
+    GreediestOptions, GreediestRouting, PortLoadEstimator, RoutingContext, RoutingProtocol,
+    TableLoad, ZeroLoad,
 };
 use sf_topology::{AdjacencyGraph, StringFigureTopology, VirtualSpaces};
 use sf_types::{
@@ -48,19 +50,24 @@ impl Reference {
         let mut two_hop = Vec::with_capacity(n);
         let mut table_lens = Vec::with_capacity(n);
         for v in graph.nodes() {
-            let table = RoutingTable::build(v, graph, spaces);
-            table_lens.push(table.len());
-            let mut one = Vec::new();
-            let mut two = Vec::new();
-            for cand in table.candidates() {
-                match cand.hop {
-                    HopCount::One => one.push((cand.node, cand.coordinates)),
-                    HopCount::Two => two.push((cand.via, cand.node, cand.coordinates)),
+            let one = graph.active_neighbors(v);
+            let mut two_hop_via = BTreeMap::new();
+            for &via in &one {
+                for target in graph.active_neighbors(via) {
+                    if target != v && !one.contains(&target) {
+                        two_hop_via.entry(target).or_insert(via);
+                    }
                 }
             }
-            one.sort_by_key(|(node, _)| *node);
-            one_hop.push(one);
-            two_hop.push(two);
+            table_lens.push((one.len() + two_hop_via.len()) * spaces.num_spaces());
+            let coords = |node: NodeId| spaces.coordinates(node).clone();
+            one_hop.push(one.iter().map(|&node| (node, coords(node))).collect());
+            two_hop.push(
+                two_hop_via
+                    .into_iter()
+                    .map(|(target, via)| (via, target, coords(target)))
+                    .collect(),
+            );
         }
         Self {
             options,

@@ -20,12 +20,6 @@ pub enum PacketKind {
 }
 
 impl PacketKind {
-    /// Whether a memory node must generate a reply when this packet arrives.
-    #[must_use]
-    pub fn expects_reply(self) -> bool {
-        matches!(self, Self::ReadRequest | Self::WriteRequest)
-    }
-
     /// The reply kind generated by the memory node for this packet, if any.
     #[must_use]
     pub fn reply_kind(self) -> Option<Self> {
@@ -34,13 +28,6 @@ impl PacketKind {
             Self::WriteRequest => Some(Self::WriteAck),
             _ => None,
         }
-    }
-
-    /// Whether this packet accesses the DRAM arrays of the destination memory
-    /// node (and therefore pays DRAM access energy).
-    #[must_use]
-    pub fn touches_dram(self) -> bool {
-        matches!(self, Self::ReadRequest | Self::WriteRequest)
     }
 
     /// Size of the packet in bits given the cache-line payload size: header
@@ -152,17 +139,6 @@ mod tests {
         );
         assert_eq!(PacketKind::ReadReply.reply_kind(), None);
         assert_eq!(PacketKind::Synthetic.reply_kind(), None);
-        assert!(PacketKind::ReadRequest.expects_reply());
-        assert!(!PacketKind::Synthetic.expects_reply());
-    }
-
-    #[test]
-    fn dram_touching_kinds() {
-        assert!(PacketKind::ReadRequest.touches_dram());
-        assert!(PacketKind::WriteRequest.touches_dram());
-        assert!(!PacketKind::ReadReply.touches_dram());
-        assert!(!PacketKind::WriteAck.touches_dram());
-        assert!(!PacketKind::Synthetic.touches_dram());
     }
 
     #[test]

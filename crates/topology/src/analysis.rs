@@ -57,16 +57,6 @@ pub fn bfs_distances(graph: &AdjacencyGraph, source: NodeId) -> Vec<u32> {
     dist
 }
 
-/// Shortest-path hop count between two active nodes, if reachable.
-#[must_use]
-pub fn shortest_path_length(graph: &AdjacencyGraph, from: NodeId, to: NodeId) -> Option<u32> {
-    let dist = bfs_distances(graph, from);
-    match dist.get(to.index()) {
-        Some(&d) if d != u32::MAX => Some(d),
-        _ => None,
-    }
-}
-
 /// Computes shortest-path statistics over every ordered pair of distinct
 /// active nodes.
 ///
@@ -302,8 +292,7 @@ mod tests {
         let g = line(5);
         let dist = bfs_distances(&g, n(0));
         assert_eq!(dist, vec![0, 1, 2, 3, 4]);
-        assert_eq!(shortest_path_length(&g, n(0), n(4)), Some(4));
-        assert_eq!(shortest_path_length(&g, n(4), n(0)), Some(4));
+        assert_eq!(bfs_distances(&g, n(4)), vec![4, 3, 2, 1, 0]);
     }
 
     #[test]
@@ -318,8 +307,9 @@ mod tests {
     fn bfs_respects_gated_nodes() {
         let mut g = line(5);
         g.set_active(n(2), false).unwrap();
-        assert_eq!(shortest_path_length(&g, n(0), n(4)), None);
-        assert_eq!(shortest_path_length(&g, n(0), n(1)), Some(1));
+        let dist = bfs_distances(&g, n(0));
+        assert_eq!(dist[4], u32::MAX);
+        assert_eq!(dist[1], 1);
     }
 
     #[test]

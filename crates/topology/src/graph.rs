@@ -219,12 +219,6 @@ impl AdjacencyGraph {
         u.index() < self.num_nodes && self.adjacency[u.index()].contains(&v.index())
     }
 
-    /// Returns the kind of the edge between `u` and `v`, if present.
-    #[must_use]
-    pub fn edge_kind(&self, u: NodeId, v: NodeId) -> Option<EdgeKind> {
-        self.edges.iter().find(|e| e.connects(u, v)).map(|e| e.kind)
-    }
-
     /// All neighbours of `node`, including inactive ones.
     #[must_use]
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
@@ -270,15 +264,6 @@ impl AdjacencyGraph {
             .map(|i| self.adjacency[i].len())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Average degree over all nodes.
-    #[must_use]
-    pub fn average_degree(&self) -> f64 {
-        if self.num_nodes == 0 {
-            return 0.0;
-        }
-        2.0 * self.edges.len() as f64 / self.num_nodes as f64
     }
 
     /// Whether `node` is currently active (powered on and mounted).
@@ -376,7 +361,6 @@ mod tests {
         assert_eq!(g.num_active_nodes(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.average_degree(), 0.0);
         assert!(!g.is_connected());
     }
 
@@ -389,7 +373,8 @@ mod tests {
         assert!(g.has_edge(n(0), n(1)));
         assert!(g.has_edge(n(1), n(0)));
         assert!(!g.has_edge(n(0), n(2)));
-        assert_eq!(g.edge_kind(n(0), n(1)), Some(EdgeKind::Structured));
+        // The duplicate keeps the first edge's kind.
+        assert_eq!(g.edges()[0].kind, EdgeKind::Structured);
     }
 
     #[test]
@@ -423,7 +408,6 @@ mod tests {
             assert_eq!(g.degree(n(i)), 2);
         }
         assert_eq!(g.max_degree(), 2);
-        assert!((g.average_degree() - 2.0).abs() < 1e-12);
     }
 
     #[test]

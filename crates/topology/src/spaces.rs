@@ -228,12 +228,6 @@ impl VirtualSpaces {
         self.counterclockwise_neighbor(space, node, 1)
     }
 
-    /// Both ring neighbours of `node` in `space`: `(predecessor, successor)`.
-    #[must_use]
-    pub fn ring_neighbors(&self, space: SpaceId, node: NodeId) -> (NodeId, NodeId) {
-        (self.predecessor(space, node), self.successor(space, node))
-    }
-
     /// Circular distance between two nodes' coordinates in one space.
     #[must_use]
     pub fn space_distance(&self, space: SpaceId, a: NodeId, b: NodeId) -> f64 {
@@ -241,12 +235,6 @@ impl VirtualSpaces {
             self.coords[a.index()].coordinate(space),
             self.coords[b.index()].coordinate(space),
         )
-    }
-
-    /// Minimum circular distance between two nodes over all spaces.
-    #[must_use]
-    pub fn min_distance(&self, a: NodeId, b: NodeId) -> f64 {
-        sf_types::minimum_circular_distance(&self.coords[a.index()], &self.coords[b.index()])
     }
 
     /// A balance metric for one space: the ratio of the largest to the
@@ -489,10 +477,10 @@ mod tests {
         assert!((c2.coordinate(s(1)).value() - 0.87).abs() < 1e-12);
         // In Space-0 the ring order follows node ids 0..9 (coordinates are
         // increasing), so Node-2 neighbours Node-1 and Node-3 as in the paper.
-        assert_eq!(spaces.ring_neighbors(s(0), n(2)), (n(1), n(3)));
+        assert_eq!(spaces.predecessor(s(0), n(2)), n(1));
+        assert_eq!(spaces.successor(s(0), n(2)), n(3));
         // In Space-1, Node-2 is connected with Node-6 and Node-8 per the paper.
-        let (pred, succ) = spaces.ring_neighbors(s(1), n(2));
-        let neighbours = [pred, succ];
+        let neighbours = [spaces.predecessor(s(1), n(2)), spaces.successor(s(1), n(2))];
         assert!(neighbours.contains(&n(8)));
         assert!(neighbours.contains(&n(6)) || neighbours.contains(&n(7)));
     }
@@ -502,7 +490,8 @@ mod tests {
         let spaces = paper_figure3_example();
         let d0 = spaces.space_distance(s(0), n(0), n(1));
         assert!((d0 - 0.08).abs() < 1e-9);
-        let md = spaces.min_distance(n(0), n(1));
+        let md =
+            sf_types::minimum_circular_distance(spaces.coordinates(n(0)), spaces.coordinates(n(1)));
         assert!(md <= d0 + 1e-12);
     }
 

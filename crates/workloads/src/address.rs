@@ -5,7 +5,7 @@
 //! physical address space covering all memory nodes is interleaved across the
 //! nodes at a configurable granularity (cache line by default, page-sized
 //! interleaving also supported), and any address can be translated to the
-//! memory node that owns it plus the node-local offset.
+//! memory node that owns it.
 
 use serde::{Deserialize, Serialize};
 use sf_types::{NodeId, SfError, SfResult};
@@ -94,35 +94,6 @@ impl AddressMapper {
         let block = address / self.interleave_bytes;
         NodeId::new((block % self.num_nodes as u64) as usize)
     }
-
-    /// The node-local byte offset of `address` within its owning node.
-    #[must_use]
-    pub fn local_offset(&self, address: u64) -> u64 {
-        let block = address / self.interleave_bytes;
-        let local_block = block / self.num_nodes as u64;
-        let within = address % self.interleave_bytes;
-        (local_block * self.interleave_bytes + within) % self.node_capacity_bytes
-    }
-
-    /// Restricts the mapper to a subset of `remaining` nodes (used when the
-    /// network is down-scaled and data is re-distributed over the remaining
-    /// nodes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SfError::InvalidConfiguration`] if `remaining` is zero or
-    /// larger than the current node count.
-    pub fn shrink_to(&self, remaining: usize) -> SfResult<Self> {
-        if remaining == 0 || remaining > self.num_nodes {
-            return Err(SfError::InvalidConfiguration {
-                reason: format!(
-                    "cannot shrink a {}-node pool to {remaining} nodes",
-                    self.num_nodes
-                ),
-            });
-        }
-        Self::new(remaining, self.node_capacity_bytes, self.interleave_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -138,15 +109,6 @@ mod tests {
         assert_eq!(m.node_of(128).index(), 2);
         assert_eq!(m.node_of(192).index(), 3);
         assert_eq!(m.node_of(256).index(), 0);
-    }
-
-    #[test]
-    fn local_offsets_are_dense_per_node() {
-        let m = AddressMapper::new(4, 1 << 20, 64).unwrap();
-        assert_eq!(m.local_offset(0), 0);
-        assert_eq!(m.local_offset(64), 0);
-        assert_eq!(m.local_offset(256), 64);
-        assert_eq!(m.local_offset(257), 65);
     }
 
     #[test]
@@ -175,25 +137,5 @@ mod tests {
         assert!(AddressMapper::new(4, 0, 64).is_err());
         assert!(AddressMapper::new(4, 1024, 0).is_err());
         assert!(AddressMapper::new(4, 1000, 64).is_err());
-    }
-
-    #[test]
-    fn shrink_redistributes() {
-        let m = AddressMapper::new(8, 1 << 20, 64).unwrap();
-        let s = m.shrink_to(6).unwrap();
-        assert_eq!(s.num_nodes(), 6);
-        for i in 0..100u64 {
-            assert!(s.node_of(i * 64).index() < 6);
-        }
-        assert!(m.shrink_to(0).is_err());
-        assert!(m.shrink_to(9).is_err());
-    }
-
-    #[test]
-    fn local_offset_wraps_within_capacity() {
-        let m = AddressMapper::new(2, 1024, 64).unwrap();
-        for i in 0..10_000u64 {
-            assert!(m.local_offset(i) < 1024);
-        }
     }
 }

@@ -225,12 +225,6 @@ impl CacheHierarchy {
         ])
     }
 
-    /// Number of levels.
-    #[must_use]
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Presents one access to the hierarchy; lower levels are only consulted
     /// on a miss, and the line is installed in every level it missed in
     /// (inclusive fill).
@@ -269,7 +263,7 @@ mod tests {
     #[test]
     fn paper_default_geometry() {
         let cache = CacheHierarchy::paper_default().unwrap();
-        assert_eq!(cache.num_levels(), 3);
+        assert_eq!(cache.levels.len(), 3);
         let l1 = CacheLevelConfig {
             capacity_bytes: 32 * 1024,
             associativity: 4,

@@ -78,22 +78,6 @@ impl SyntheticPattern {
     /// The three adversarial patterns that go beyond the paper's Table III.
     pub const ADVERSARIAL: [Self; 3] = [Self::HotspotStorm, Self::BurstyOnOff, Self::BitReversal];
 
-    /// Whether destinations depend on random draws (as opposed to being a
-    /// pure function of the source and cycle).
-    #[must_use]
-    pub fn is_random(self) -> bool {
-        matches!(
-            self,
-            Self::UniformRandom | Self::Partition2 | Self::BurstyOnOff
-        )
-    }
-
-    /// Whether this is one of the adversarial (non-Table III) patterns.
-    #[must_use]
-    pub fn is_adversarial(self) -> bool {
-        Self::ADVERSARIAL.contains(&self)
-    }
-
     /// Short name used in experiment output.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -415,25 +399,18 @@ mod tests {
     fn adversarial_metadata_and_names_round_trip() {
         assert_eq!(SyntheticPattern::ADVERSARIAL.len(), 3);
         for pattern in SyntheticPattern::ADVERSARIAL {
-            assert!(pattern.is_adversarial());
+            assert!(!SyntheticPattern::ALL.contains(&pattern));
             assert_eq!(SyntheticPattern::from_name(pattern.name()), Some(pattern));
         }
         for pattern in SyntheticPattern::ALL {
-            assert!(!pattern.is_adversarial());
             assert_eq!(SyntheticPattern::from_name(pattern.name()), Some(pattern));
         }
-        assert!(SyntheticPattern::BurstyOnOff.is_random());
-        assert!(!SyntheticPattern::HotspotStorm.is_random());
-        assert!(!SyntheticPattern::BitReversal.is_random());
         assert_eq!(SyntheticPattern::from_name("nope"), None);
     }
 
     #[test]
     fn pattern_metadata() {
         assert_eq!(SyntheticPattern::ALL.len(), 7);
-        assert!(SyntheticPattern::UniformRandom.is_random());
-        assert!(SyntheticPattern::Partition2.is_random());
-        assert!(!SyntheticPattern::Tornado.is_random());
         assert_eq!(SyntheticPattern::Hotspot.to_string(), "hotspot");
         let t = PatternTraffic::new(SyntheticPattern::Tornado, 8, 0.5, 0);
         assert_eq!(t.pattern(), SyntheticPattern::Tornado);
